@@ -29,7 +29,7 @@ from .geometry import (
     poncelet_map_geometric,
     twist_map,
 )
-from .kernels import BACKEND, HAVE_EXT
+from .kernels import BACKEND
 from .lifts import ArnoldLift, CircleLift, FunctionLift, PonceletLift, RigidLift
 from .rotation import (
     CountReport,

@@ -94,6 +94,8 @@ def _make_family(args):
 # ---------------------------------------------------------------- orbit
 
 def cmd_orbit(args):
+    if args.steps < 0:
+        raise ValueError(f"--steps must be non-negative, got {args.steps}")
     cfg = PonceletConfig(args.R, args.c, args.t)
     theta = args.theta0 % TWO_PI
     rows = []
@@ -130,6 +132,8 @@ def cmd_orbit(args):
 # ------------------------------------------------------------ staircase
 
 def cmd_staircase(args):
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     family = _make_family(args)
     t_lo = family.a if args.t_min is None else args.t_min
     t_hi = family.b if args.t_max is None else args.t_max
@@ -247,15 +251,20 @@ def cmd_cf(args):
 # ---------------------------------------------------------------- prop2
 
 def cmd_prop2(args):
-    family = _make_family(args)
+    if args.family == "poncelet":
+        # r(t) falls from 1/2 to 0: flip the parameter to make the family
+        # increasing, and aim at the golden-mean value inside [0, 1/2]
+        family = poncelet_family(args.R, args.c, reverse=True)
+        target = 1.0 - GOLDEN_CONJUGATE
+    else:
+        family = _make_family(args)
+        target = GOLDEN_CONJUGATE
     if args.tau is not None:
         tau = args.tau
+    elif args.family == "rigid":
+        tau = target
     else:
-        target = GOLDEN_CONJUGATE
-        if args.family == "rigid":
-            tau = target
-        else:
-            tau = find_parameter_for_value(family, target, tol=args.tol)
+        tau = find_parameter_for_value(family, target, tol=args.tol)
     report = second_order_estimate(family, tau, tol=args.tol)
     payload = {
         "config": _run_config(args),
@@ -337,8 +346,9 @@ def build_parser():
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--K", type=float, default=0.7)
     p.add_argument("--tau", type=float, default=None,
-                   help="parameter; auto-located at the golden-mean "
-                        "conjugate rotation value if absent")
+                   help="parameter (for poncelet, s = R - c - t); "
+                        "auto-located at the golden-mean rotation value "
+                        "if absent")
     _add_common(p)
     p.set_defaults(func=cmd_prop2, format="json", tol=1e-5)
 

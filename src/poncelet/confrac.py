@@ -136,6 +136,8 @@ def cf_expand(x, n_terms=64, slack_ulps=4.0):
         a0, quotients, finished = _expand_exact(x, n_terms)
         exact = finished
     else:
+        if not math.isfinite(x):
+            raise ValueError(f"cannot expand the non-finite value {x}")
         xf = Fraction(x)
         slack = Fraction(math.ulp(float(x))) * Fraction(slack_ulps)
         a0, quotients = _expand_interval(xf - slack, xf + slack, n_terms)

@@ -19,9 +19,12 @@ construction (`poncelet_map_geometric`), which is the authority on signs.
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# Most terms of the potential's Fourier series summed in one numpy array.
+_SERIES_CHUNK = 1 << 16
 
 
 class DegenerateTangencyError(ValueError):
@@ -185,7 +188,7 @@ def generating_potential(x, x_prime, cfg):
     """Generating potential h(x, x') of the twist map.
 
     h(x,x') = -x x' - (x^2 - x)/2 + (3 x'^2 - x')/2 + H(x') with H' = Z and
-    H(0) = 0; the antiderivative is evaluated by adaptive quadrature.
+    H(0) = 0; H is evaluated in closed form by `_potential_series`.
     """
     base = (
         -x * x_prime
@@ -194,9 +197,28 @@ def generating_potential(x, x_prime, cfg):
     )
     if cfg.c == 0.0:
         return base
-    H, _ = quad(lambda s: z_function(s, cfg), 0.0, x_prime,
-                epsabs=1e-12, limit=200)
-    return base + H
+    return base + _potential_series(x_prime, cfg.c / cfg.R)
+
+
+def _potential_series(x_prime, rho):
+    """H(x') = (2/pi^2) sum_{k>=1} rho^k sin^2(pi k x') / k^2, 0 < rho < 1.
+
+    Z(s) = (2/pi) sum_k rho^k sin(2 pi k s) / k is the Fourier series of the
+    forcing term with rho = c / R; H is its antiderivative, integrated term
+    by term, and has period 1.  The tail after n terms is below
+    (2/pi^2) rho^n / (1 - rho), so n = log(1e-16 (1 - rho)) / log(rho)
+    terms give absolute error under 1e-17.  They are summed in chunks, so
+    memory stays bounded as rho -> 1 (time grows like n).
+    """
+    n = math.ceil(math.log(1e-16 * (1.0 - rho)) / math.log(rho))
+    x = x_prime % 1.0  # keeps the sine arguments small
+    total = 0.0
+    for start in range(1, n + 1, _SERIES_CHUNK):
+        k = np.arange(start, min(start + _SERIES_CHUNK, n + 1),
+                      dtype=np.float64)
+        total += float(np.sum(rho ** k * np.sin(math.pi * x * k) ** 2
+                              / (k * k)))
+    return 2.0 * total / (math.pi * math.pi)
 
 
 def area_twist_check(p, cfg, h=1e-6):

@@ -1,31 +1,18 @@
-"""Kernel backend selection.
+"""Map-iteration kernels.
 
-The compiled extension is preferred; the pure-python reference module
-``_ref`` is the fallback. It iterates narrow batches (single-point orbits)
-with a scalar ``math`` loop and wide batches with numpy, and matches the
-compiled kernel to rounding, not bit for bit. Set ``PONCELET_PURE_PY=1`` to
-force the fallback (used by the benchmark and by the backend-agreement
-tests).
+``_ref`` is the only implementation. It iterates narrow batches
+(single-point orbits) with a scalar ``math`` loop and wide batches with
+numpy; the lifts' scalar ``__call__`` uses the same scalar steps.
 """
-
-import os
 
 from . import _ref
 
-if os.environ.get("PONCELET_PURE_PY"):
-    impl = _ref
-    HAVE_EXT = False
-else:
-    try:
-        from . import _speedups as impl  # type: ignore[no-redef]
-        HAVE_EXT = True
-    except ImportError:
-        impl = _ref
-        HAVE_EXT = False
+impl = _ref
+BACKEND = "python"
 
-poncelet_advance = impl.poncelet_advance
-poncelet_orbit = impl.poncelet_orbit
-arnold_advance = impl.arnold_advance
-arnold_orbit = impl.arnold_orbit
-
-BACKEND = "compiled" if HAVE_EXT else "python"
+poncelet_advance = _ref.poncelet_advance
+poncelet_orbit = _ref.poncelet_orbit
+arnold_advance = _ref.arnold_advance
+arnold_orbit = _ref.arnold_orbit
+poncelet_scalar_step = _ref.poncelet_scalar_step
+arnold_scalar_step = _ref.arnold_scalar_step

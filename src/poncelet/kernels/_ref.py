@@ -1,20 +1,17 @@
-"""Pure-python reference kernels for the hot map-iteration loops.
-
-Same signatures as the compiled module ``_speedups``; used as the fallback
-when the extension is unavailable, and as the ground truth it is tested
-against.
+"""Kernels for the map-iteration loops: the Poncelet tangent lift and the
+Arnold circle map, iterated over a batch of lift coordinates.
 
 Two paths, chosen per call by batch width:
 
-* narrow batches (at most ``NARROW_MAX`` points) run a scalar ``math`` loop
-  whose step mirrors ``_speedups.pyx`` line for line.  Single-point orbits
-  (rough pass, Birkhoff run, lock bisections) are this case; numpy's
-  per-call dispatch on 1-element arrays costs about 20x a scalar step.
+* narrow batches (at most ``NARROW_MAX`` points) run a scalar ``math`` loop.
+  Single-point orbits (rough pass, Birkhoff run, lock bisections) are this
+  case; numpy's per-call dispatch on 1-element arrays costs about 20x a
+  scalar step.  The same scalar steps are the lifts' ``__call__``.
 * wide batches run the vectorized numpy step, which is libm-bound there.
 
-Both paths match the compiled kernel to rounding, not bit for bit: numpy's
-vectorized ``arcsin`` and ``arctan2``, and python's ``math.hypot``, need
-not round like the C library's ``asin``, ``atan2`` and ``hypot``.
+The two paths agree to rounding, not bit for bit: numpy's vectorized
+``arcsin`` and ``arctan2`` need not round like ``math.asin`` and
+``math.atan2``.
 """
 
 from math import asin, atan2, cos, fmod, hypot, sin
@@ -52,9 +49,9 @@ def _poncelet_step(x, R, c, t):
     return x + delta / TWO_PI
 
 
-def _poncelet_scalar_step(R, c, t):
-    """``_poncelet_step`` of ``_speedups.pyx`` for one python float, with
-    the circle pair bound (a one-argument closure is the cheapest call)."""
+def poncelet_scalar_step(R, c, t):
+    """``_poncelet_step`` for one python float, with the circle pair bound
+    (a one-argument closure is the cheapest call)."""
     R, c, t = float(R), float(c), float(t)
 
     def step(x):
@@ -90,7 +87,7 @@ def _arnold_step(x, omega, K):
     return x + omega + (K / TWO_PI) * np.sin(TWO_PI * x)
 
 
-def _arnold_scalar_step(omega, K):
+def arnold_scalar_step(omega, K):
     """``_arnold_step`` for one python float, with omega and K bound."""
     omega = float(omega)
     k = float(K) / TWO_PI
@@ -122,7 +119,7 @@ def _scalar_orbit(out, step):
 
 
 # The scalar loop gives way to numpy on a ValueError: math raises on an
-# infinite argument where numpy and the compiled kernel return nan.
+# infinite argument where numpy returns nan.
 
 def _advance(xs, n, step, scalar_step, params):
     out = np.array(xs, dtype=np.float64, copy=True)
@@ -153,18 +150,18 @@ def _orbit(xs, depth, step, scalar_step, params):
 
 def poncelet_advance(xs, n, R, c, t):
     """Apply the Poncelet tangent lift n times to each entry of xs."""
-    return _advance(xs, n, _poncelet_step, _poncelet_scalar_step, (R, c, t))
+    return _advance(xs, n, _poncelet_step, poncelet_scalar_step, (R, c, t))
 
 
 def poncelet_orbit(xs, depth, R, c, t):
     """Orbit table: row k holds g^k applied to xs, k = 0..depth."""
-    return _orbit(xs, depth, _poncelet_step, _poncelet_scalar_step,
+    return _orbit(xs, depth, _poncelet_step, poncelet_scalar_step,
                   (R, c, t))
 
 
 def arnold_advance(xs, n, omega, K):
-    return _advance(xs, n, _arnold_step, _arnold_scalar_step, (omega, K))
+    return _advance(xs, n, _arnold_step, arnold_scalar_step, (omega, K))
 
 
 def arnold_orbit(xs, depth, omega, K):
-    return _orbit(xs, depth, _arnold_step, _arnold_scalar_step, (omega, K))
+    return _orbit(xs, depth, _arnold_step, arnold_scalar_step, (omega, K))

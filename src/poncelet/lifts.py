@@ -1,17 +1,15 @@
 """Lifts of orientation-preserving circle homeomorphisms.
 
 A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
-The concrete map families used everywhere (Poncelet tangent map, Arnold
-map, rigid rotations) route their iteration through the kernels module so
-the hot loops can run compiled.
+The Poncelet tangent map and the Arnold map take both their scalar step and
+their bulk iteration from the kernels module, so each map has one scalar
+definition; rigid rotations are iterated in closed form.
 """
-
-import math
 
 import numpy as np
 
 from . import kernels
-from .geometry import TWO_PI, PonceletConfig, poncelet_map_geometric
+from .geometry import PonceletConfig
 
 
 class LiftContractError(ValueError):
@@ -94,9 +92,10 @@ class ArnoldLift(CircleLift):
             raise LiftContractError(f"Arnold lift needs 0 <= K <= 1, got {K}")
         self.omega = float(omega)
         self.K = float(K)
+        self._step = kernels.arnold_scalar_step(self.omega, self.K)
 
     def __call__(self, x):
-        return x + self.omega + (self.K / TWO_PI) * math.sin(TWO_PI * x)
+        return self._step(x)
 
     def advance(self, xs, n):
         scalar = np.isscalar(xs)
@@ -113,14 +112,10 @@ class PonceletLift(CircleLift):
 
     def __init__(self, cfg: PonceletConfig):
         self.cfg = cfg
+        self._step = kernels.poncelet_scalar_step(cfg.R, cfg.c, cfg.t)
 
     def __call__(self, x):
-        theta = TWO_PI * x
-        theta_p = poncelet_map_geometric(theta % TWO_PI, self.cfg).theta
-        delta = (theta_p - theta) % TWO_PI
-        if delta > TWO_PI - 1e-12:
-            delta -= TWO_PI
-        return x + delta / TWO_PI
+        return self._step(x)
 
     def advance(self, xs, n):
         scalar = np.isscalar(xs)

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poncelet
 from poncelet.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -194,3 +199,46 @@ def test_prop2_locked_tau_is_inapplicable(tmp_path):
     doc = read_json(out)
     assert doc["status"] == "inapplicable"
     assert doc["pass"] is None
+
+
+def test_prop2_poncelet_passes(tmp_path):
+    # the reversed family at the golden-mean value inside r in [0, 1/2]
+    code, out = run(tmp_path, "prop2", "--family", "poncelet", "--tol", "1e-3")
+    assert code == EXIT_OK
+    doc = read_json(out)
+    assert doc["status"] == "ok" and doc["pass"] is True
+
+
+# -------------------------------------------------------------- exit codes
+
+@pytest.mark.parametrize("argv", [
+    ["staircase", "--points", "0"],
+    ["staircase", "--points", "1"],
+    ["cf", "--x", "inf"],
+    ["cf", "--x", "nan"],
+    ["orbit", "--t", "0.3", "--steps", "-1"],
+])
+def test_invalid_input_exits_config(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # a fresh process importing the same package as this test run
+    src = Path(poncelet.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import poncelet.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True)
+    third_party = {m for m in proc.stdout.split()
+                   if not m.startswith("_sysconfigdata")}  # stdlib, per platform
+    assert third_party <= {"numpy", "poncelet"}

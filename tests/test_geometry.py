@@ -227,18 +227,48 @@ def test_generating_potential_concentric_closed_form():
 
 def test_generating_relation_partials():
     # dh/dx = -y and dh/dx' = y' where f(x, y) = (x', y')
-    cfg = PonceletConfig(1.0, 0.3, 0.0)
     rng = np.random.default_rng(17)
     h = 1e-6
-    for x, x_p in rng.uniform(0.0, 1.0, (100, 2)):
-        y = x + x_p - 0.5
-        _, y_p = twist_map_raw(x, y, cfg)
-        d1 = (generating_potential(x + h, x_p, cfg)
-              - generating_potential(x - h, x_p, cfg)) / (2.0 * h)
-        d2 = (generating_potential(x, x_p + h, cfg)
-              - generating_potential(x, x_p - h, cfg)) / (2.0 * h)
-        assert d1 == pytest.approx(-y, abs=1e-6)
-        assert d2 == pytest.approx(y_p, abs=1e-6)
+    for c in (0.3, 0.9):
+        cfg = PonceletConfig(1.0, c, 0.0)
+        for x, x_p in rng.uniform(0.0, 1.0, (100, 2)):
+            y = x + x_p - 0.5
+            _, y_p = twist_map_raw(x, y, cfg)
+            d1 = (generating_potential(x + h, x_p, cfg)
+                  - generating_potential(x - h, x_p, cfg)) / (2.0 * h)
+            d2 = (generating_potential(x, x_p + h, cfg)
+                  - generating_potential(x, x_p - h, cfg)) / (2.0 * h)
+            assert d1 == pytest.approx(-y, abs=1e-6)
+            assert d2 == pytest.approx(y_p, abs=1e-6)
+
+
+def _integral_of_z(x_p, cfg, panels=64, nodes=24):
+    """Composite Gauss-Legendre quadrature of Z over [0, x_p]."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(0.0, x_p, panels + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        s = 0.5 * (b - a) * u + 0.5 * (a + b)
+        total += 0.5 * (b - a) * sum(
+            wi * z_function(si, cfg) for wi, si in zip(w, s))
+    return total
+
+
+def test_generating_potential_matches_integral_of_z():
+    # H(x') = h(0, x') - h_concentric(0, x') is the antiderivative of Z
+    # with H(0) = 0, and has period 1 because Z has mean zero
+    concentric = PonceletConfig(1.0, 0.0)
+    for c in (0.3, 0.9):
+        cfg = PonceletConfig(1.0, c, 0.0)
+
+        def H(x_p):
+            return (generating_potential(0.0, x_p, cfg)
+                    - generating_potential(0.0, x_p, concentric))
+
+        for x_p in (-0.7, 0.05, 0.31, 0.5, 0.93, 1.6):
+            assert H(x_p) == pytest.approx(_integral_of_z(x_p, cfg),
+                                           abs=1e-12)
+            assert H(x_p + 1.0) == pytest.approx(H(x_p), abs=1e-12)
 
 
 # ------------------------------------------------------------ area and twist
