@@ -176,12 +176,13 @@ def cmd_staircase(args):
 # ---------------------------------------------------------------- count
 
 def cmd_count(args):
+    if args.n_max < args.n_min:
+        raise ValueError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
     family = poncelet_family(args.R, args.c)
     results = []
     all_ok = True
     for n in range(args.n_min, args.n_max + 1):
-        report = count_poncelet_pairs(family, n, tol_t=args.tol_t,
-                                      seed=args.seed)
+        report = count_poncelet_pairs(family, n, seed=args.seed)
         all_ok = all_ok and report.ok
         results.append({
             "n": n,
@@ -235,6 +236,8 @@ def _cf_report(x, eps, n_max):
 def cmd_cf(args):
     if (args.x is None) == (args.random is None):
         raise ValueError("provide exactly one of --x or --random")
+    if args.random is not None and args.random < 1:
+        raise ValueError(f"--random must be at least 1, got {args.random}")
     if args.x is not None:
         inputs = [_parse_x(args.x)]
     else:
@@ -284,15 +287,9 @@ def cmd_prop2(args):
 
 # ----------------------------------------------------------------- main
 
-def _add_common(p):
-    p.add_argument("--out", default=None, help="output path (stdout if absent)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="rotation-number tolerance")
-
-
 def build_parser():
+    # each subcommand takes only the options it reads, so the embedded
+    # config lists only settings that reached the computation
     parser = argparse.ArgumentParser(
         prog="poncelet",
         description="Poncelet billiard twist-map experiments",
@@ -305,7 +302,8 @@ def build_parser():
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--theta0", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=100)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output path (stdout if absent)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("staircase", help="rotation number over a parameter grid")
@@ -317,7 +315,10 @@ def build_parser():
     p.add_argument("--t-min", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output path (stdout if absent)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="rotation-number tolerance")
     p.set_defaults(func=cmd_staircase)
 
     p = sub.add_parser("count", help="n-Poncelet pair counting")
@@ -325,9 +326,9 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--tol-t", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(func=cmd_count, format="json")
+    p.add_argument("--out", default=None, help="output path (stdout if absent)")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("cf", help="continued-fraction reports")
     p.add_argument("--x", default=None,
@@ -336,8 +337,9 @@ def build_parser():
                    help="number of seeded random samples in (0,1)")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--n-max", type=int, default=25)
-    _add_common(p)
-    p.set_defaults(func=cmd_cf, format="json")
+    p.add_argument("--out", default=None, help="output path (stdout if absent)")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("prop2", help="second-order growth estimate")
     p.add_argument("--family", choices=["poncelet", "arnold", "rigid"],
@@ -349,8 +351,10 @@ def build_parser():
                    help="parameter (for poncelet, s = R - c - t); "
                         "auto-located at the golden-mean rotation value "
                         "if absent")
-    _add_common(p)
-    p.set_defaults(func=cmd_prop2, format="json", tol=1e-5)
+    p.add_argument("--out", default=None, help="output path (stdout if absent)")
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="rotation-number tolerance")
+    p.set_defaults(func=cmd_prop2)
 
     return parser
 

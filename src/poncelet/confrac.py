@@ -89,18 +89,6 @@ def _convergents(a0, quotients):
     return list(zip(ps, qs))
 
 
-def _expand_exact(x: Fraction, n_terms):
-    a0 = math.floor(x)
-    quotients = []
-    rem = x - a0
-    while rem != 0 and len(quotients) < n_terms:
-        inv = 1 / rem
-        a = math.floor(inv)
-        quotients.append(a)
-        rem = inv - a
-    return a0, quotients, rem == 0
-
-
 def _expand_interval(lo: Fraction, hi: Fraction, n_terms):
     """Common continued-fraction prefix of every number in [lo, hi]."""
     a_lo = math.floor(lo)
@@ -125,27 +113,28 @@ def _expand_interval(lo: Fraction, hi: Fraction, n_terms):
 def cf_expand(x, n_terms=64, slack_ulps=4.0):
     """Continued-fraction expansion with exact integer convergents.
 
-    Fractions (and ints) expand exactly; floats are treated as centers of
-    an interval of +- slack_ulps ulps and the expansion is truncated at
-    the last quotient the whole interval agrees on.
+    Fractions (and ints) expand exactly, as the zero-width interval
+    [x, x]; floats are treated as centers of an interval of +- slack_ulps
+    ulps and the expansion is truncated at the last quotient the whole
+    interval agrees on.  `exact` means the last convergent equals x.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     if isinstance(x, (Fraction, int)):
         x = Fraction(x)
-        a0, quotients, finished = _expand_exact(x, n_terms)
-        exact = finished
+        a0, quotients = _expand_interval(x, x, n_terms)
     else:
         if not math.isfinite(x):
             raise ValueError(f"cannot expand the non-finite value {x}")
         xf = Fraction(x)
         slack = Fraction(math.ulp(float(x))) * Fraction(slack_ulps)
         a0, quotients = _expand_interval(xf - slack, xf + slack, n_terms)
-        x, exact = xf, False
+        x = xf
+    convergents = _convergents(a0, quotients)
+    p, q = convergents[-1]
     return ContinuedFractionExpansion(
-        a0=a0, quotients=quotients,
-        convergents=_convergents(a0, quotients),
-        value=x, exact=exact,
+        a0=a0, quotients=quotients, convergents=convergents,
+        value=x, exact=Fraction(p, q) == x,
     )
 
 

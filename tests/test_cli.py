@@ -136,6 +136,33 @@ def test_count_offcenter_heptagon(tmp_path):
     assert all(p["closure_residual"] < 1e-8 for p in result["pairs"])
 
 
+def test_count_config_lists_only_what_it_reads(tmp_path):
+    code, out = run(tmp_path, "count", "--n-min", "3", "--n-max", "3",
+                    "--seed", "5")
+    assert code == EXIT_OK
+    assert set(read_json(out)["config"]) == {
+        "R", "c", "command", "n_max", "n_min", "seed", "version"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--t", "0.3", "--seed", "1"],
+    ["orbit", "--t", "0.3", "--tol", "1e-3"],
+    ["staircase", "--seed", "1"],
+    ["count", "--format", "csv"],
+    ["count", "--tol", "5"],
+    ["count", "--tol-t", "1e-9"],
+    ["cf", "--x", "golden", "--format", "csv"],
+    ["cf", "--x", "golden", "--tol", "1e-3"],
+    ["prop2", "--family", "rigid", "--format", "csv"],
+    ["prop2", "--family", "rigid", "--seed", "1"],
+])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_count_is_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -217,6 +244,11 @@ def test_prop2_poncelet_passes(tmp_path):
     ["cf", "--x", "inf"],
     ["cf", "--x", "nan"],
     ["orbit", "--t", "0.3", "--steps", "-1"],
+    ["count", "--n-min", "6", "--n-max", "4"],
+    ["cf", "--random", "-3"],
+    ["cf", "--random", "0"],
+    ["staircase", "--tol", "nan", "--points", "3"],
+    ["staircase", "--tol", "inf", "--points", "3"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -63,8 +63,9 @@ def test_arnold_estimate_is_self_consistent():
 
 
 def test_estimate_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        rotation_number(RigidLift(0.3), tol=0.0)
+    for tol in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rotation_number(RigidLift(0.3), tol=tol)
 
 
 def test_conjugation_invariance():
@@ -185,7 +186,7 @@ def test_solve_one_third_gives_half_radius():
     family = poncelet_family(1.0, 0.0)
     t_star, x0 = solve_rotation(family, Fraction(1, 3))
     assert t_star == pytest.approx(0.5, abs=1e-11)
-    assert x0 is not None
+    assert abs(family.lift(t_star).advance(x0, 3) - x0 - 1) < 1e-9
 
 
 def test_solve_two_fifths_closed_form():
@@ -265,6 +266,18 @@ def test_concentric_pentagon_count():
 def test_offcenter_heptagon_count():
     report = count_poncelet_pairs(poncelet_family(1.0, 0.3), 7)
     assert report.ok and report.expected == 3
+    assert all(p.closure_residual < 1e-8 for p in report.pairs)
+
+
+@pytest.mark.parametrize("c", [0.2, 0.45])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_offcenter_count_finds_every_pair(c, n):
+    # every reduced p/n < 1/2 lies in the image of r, whatever an estimate
+    # at the tangency endpoint (a false lock there) would say
+    report = count_poncelet_pairs(poncelet_family(1.0, c), n)
+    assert report.ok
+    assert sorted(p.p for p in report.pairs) == \
+        [p for p in range(1, n) if 2 * p < n and math.gcd(p, n) == 1]
     assert all(p.closure_residual < 1e-8 for p in report.pairs)
 
 
