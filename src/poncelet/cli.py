@@ -30,6 +30,7 @@ from .geometry import (
     poncelet_map_geometric,
 )
 from .rotation import (
+    ResidualFailureError,
     count_poncelet_pairs,
     find_parameter_for_value,
     rotation_number,
@@ -367,6 +368,11 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except ResidualFailureError as err:
+        # a lock or closure certificate that failed: a property, not the
+        # configuration
+        print(f"failed: {err}", file=sys.stderr)
+        return EXIT_PROPERTY
 
 
 if __name__ == "__main__":

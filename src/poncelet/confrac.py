@@ -21,8 +21,8 @@ class PrecisionExhaustedError(ValueError):
 def fibonacci_reciprocal_sum(tol=1e-15):
     """Sum of reciprocals of 1, 1, 2, 3, 5, 8, ... until the next term
     drops below tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     total = 0.0
     a, b = 1, 1
     while 1.0 / a >= tol:

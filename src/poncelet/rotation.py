@@ -138,35 +138,45 @@ def _lock_from_grid(g, p, q, xs, d):
 def rotation_number(g, x0=0.0, tol=1e-4, q_max=64):
     """Estimate r(g) with a sound error radius.
 
-    A detected rational lock p/q gives the exact value (error radius 0);
-    otherwise the Birkhoff quotient over n = ceil(1/tol) iterations is
-    returned with error radius 1/n.
+    A rough pass of n0 = 1024 steps from x0 picks the candidates p/q,
+    q <= q_max, within 1.5/n0 of its quotient.  The lock scan builds the
+    LOCK_GRID-point orbit table only as deep as the deepest candidate and
+    reads row q of each candidate, in ascending q; with no candidate it
+    builds none.  A detected rational lock p/q gives the exact value
+    (error radius 0); otherwise the Birkhoff quotient over
+    n = ceil(1/tol) iterations is returned with error radius 1/n.  For
+    n <= n0 that orbit is the rough pass's, read at step n.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     g.validate(samples=16)
 
     n0 = 1024
-    rough = (g.advance(x0, n0) - x0) / n0
+    orbit = g.orbit_table([x0], n0)[:, 0].tolist()
+    rough = (orbit[n0] - x0) / n0
 
-    xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
-    table = g.orbit_table(xs, q_max)
+    candidates = []
     for q in range(1, q_max + 1):
         p = round(q * rough)
-        if math.gcd(p, q) != 1:
-            continue
-        if abs(p / q - rough) > 1.5 / n0:
-            continue
-        d = table[q] - xs - p
-        x_lock = _lock_from_grid(g, p, q, xs, d)
-        if x_lock is not None:
-            return RotationEstimate(
-                value=p / q, error_radius=0.0, iterations=n0,
-                lock=(p, q), lock_point=x_lock,
-            )
+        if math.gcd(p, q) == 1 and abs(p / q - rough) <= 1.5 / n0:
+            candidates.append((p, q))
+    if candidates:
+        xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
+        table = g.orbit_table(xs, candidates[-1][1])
+        for p, q in candidates:
+            d = table[q] - xs - p
+            x_lock = _lock_from_grid(g, p, q, xs, d)
+            if x_lock is not None:
+                return RotationEstimate(
+                    value=p / q, error_radius=0.0, iterations=n0,
+                    lock=(p, q), lock_point=x_lock,
+                )
 
     n = max(1, math.ceil(1.0 / tol))
-    value = (g.advance(x0, n) - x0) / n
+    # a continuation of the rough pass would round differently from one
+    # run of n steps (RigidLift.advance is x + n * alpha)
+    end = orbit[n] if n <= n0 else g.advance(x0, n)
+    value = (end - x0) / n
     return RotationEstimate(value=value, error_radius=1.0 / n, iterations=n)
 
 

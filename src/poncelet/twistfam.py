@@ -110,22 +110,26 @@ class SecondOrderReport:
         return self.status == "ok" and self.best_ratio >= self.bound
 
 
+def _image(family, t, x_grid):
+    """g_t over x_grid."""
+    return family.lift(t).orbit_table(x_grid, 1)[1]
+
+
 def _separation(family, t1, t2, x_grid):
-    g1 = family.lift(t1)
-    g2 = family.lift(t2)
-    return float(np.min(g2.orbit_table(x_grid, 1)[1]
-                        - g1.orbit_table(x_grid, 1)[1]))
+    return float(np.min(_image(family, t2, x_grid)
+                        - _image(family, t1, x_grid)))
 
 
 def _solve_separation(family, tau, target, side, delta, x_grid, iters=60):
     """Find t with inf_x separation from g_tau equal to target, searching
     t in [tau - delta, tau] (side = -1) or [tau, tau + delta] (side = +1)."""
+    g_tau = _image(family, tau, x_grid)
     lo, hi = 0.0, delta
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         t = tau + side * mid
-        sep = (_separation(family, t, tau, x_grid) if side < 0
-               else _separation(family, tau, t, x_grid))
+        g_t = _image(family, t, x_grid)
+        sep = float(np.min(g_tau - g_t if side < 0 else g_t - g_tau))
         if sep < target:
             lo = mid
         else:

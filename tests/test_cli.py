@@ -258,6 +258,18 @@ def test_invalid_input_exits_config(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_count_unclosed_pair_exits_property(tmp_path, capsys):
+    # p = 1, n = 11 at c = 0.6 sits within 1e-8 of internal tangency and
+    # closes only to 1.35e-8 rad against the 1e-8 gate
+    code, out = run(tmp_path, "count", "--n-min", "3", "--n-max", "12",
+                    "--c", "0.6", "--seed", "5")
+    assert code == EXIT_PROPERTY
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("failed: ") and err.count("\n") == 1
+    assert "after 11 steps" in err
+
+
 def test_cli_imports_only_numpy_and_the_standard_library():
     # a fresh process importing the same package as this test run
     src = Path(poncelet.__file__).parent.parent

@@ -150,8 +150,9 @@ def test_fibonacci_reciprocal_partial_sums_increase():
 
 
 def test_fibonacci_reciprocal_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        fibonacci_reciprocal_sum(0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fibonacci_reciprocal_sum(tol)
 
 
 # ------------------------------------------------------- remainder records

@@ -109,6 +109,96 @@ def test_conjugation_invariance():
     assert abs(r_g.value - r_c.value) <= r_g.error_radius + r_c.error_radius
 
 
+# Every field as the estimator gave it before the lock table was cut to the
+# candidates' rows: (lift, x0, tol, value, error_radius, lock).  The
+# tangency rows pin the known false lock 21/58 (ROADMAP item 3) as it is.
+TRIANGLE_02 = (1.0 - 0.2 ** 2) / 2.0
+PINNED_ESTIMATES = [
+    (PonceletLift(PonceletConfig(1.0, 0.0, 0.0)), 0.0, 1e-4,
+     "0x1.0000000000000p-1", "0x0.0p+0", (1, 2)),
+    (PonceletLift(PonceletConfig(1.0, 0.2, TRIANGLE_02)), 0.0, 1e-4,
+     "0x1.5555555555555p-2", "0x0.0p+0", (1, 3)),
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0, 1e-4,
+     "0x1.9924fe5a58057p-2", "0x1.a36e2eb1c432dp-14", None),
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.375, 1e-3,
+     "0x1.992d3c08cca5dp-2", "0x1.0624dd2f1a9fcp-10", None),
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.55)), 0.0, 1e-3,
+     "0x1.3814ea3219487p-2", "0x1.0624dd2f1a9fcp-10", None),
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-4,
+     "0x1.72c234f72c235p-2", "0x0.0p+0", (21, 58)),
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-3,
+     "0x1.72c234f72c235p-2", "0x0.0p+0", (21, 58)),
+    (ArnoldLift(0.3, 0.8), 0.0, 1e-4,
+     "0x1.200cce69dd669p-2", "0x1.a36e2eb1c432dp-14", None),
+    (ArnoldLift(0.5, 0.8), 0.0, 1e-4,
+     "0x1.0000000000000p-1", "0x0.0p+0", (1, 2)),
+    (ArnoldLift(GOLDEN, 0.8), 0.375, 1e-3,
+     "0x1.4136c3400f61ep-1", "0x1.0624dd2f1a9fcp-10", None),
+    (RigidLift(GOLDEN), 0.0, 1e-4,
+     "0x1.3c6ef372fe950p-1", "0x1.a36e2eb1c432dp-14", None),
+    (RigidLift(math.sqrt(2.0) - 1.0), 0.375, 1e-3,
+     "0x1.a827999fcef34p-2", "0x1.0624dd2f1a9fcp-10", None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_ESTIMATES)))
+def test_estimates_are_pinned_bit_for_bit(case):
+    g, x0, tol, value, radius, lock = PINNED_ESTIMATES[case]
+    est = rotation_number(g, x0=x0, tol=tol)
+    assert (float.hex(est.value), float.hex(est.error_radius), est.lock) \
+        == (value, radius, lock)
+
+
+class RecordingLift:
+    """A lift that records the (points, depth) of each orbit table."""
+
+    def __init__(self, g):
+        self.g = g
+        self.tables = []
+
+    def validate(self, samples=64, tol=1e-12):
+        self.g.validate(samples, tol)
+
+    def advance(self, xs, n):
+        return self.g.advance(xs, n)
+
+    def orbit_table(self, xs, depth):
+        self.tables.append((len(xs), depth))
+        return self.g.orbit_table(xs, depth)
+
+
+def test_lock_table_is_as_deep_as_the_deepest_candidate():
+    # r = 1/2 at t = 0: the only candidate within 1.5/1024 is 1/2
+    g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
+    est = rotation_number(g, tol=1e-4)
+    assert est.lock == (1, 2)
+    assert g.tables == [(1, 1024), (512, 2)]
+
+
+def test_no_lock_table_without_a_candidate():
+    # no p/q with q <= 64 lies within 1.5/1024 of 0.0123
+    g = RecordingLift(RigidLift(0.0123))
+    est = rotation_number(g, tol=1e-4)
+    assert est.lock is None
+    assert g.tables == [(1, 1024)]
+
+
+@pytest.mark.parametrize("g", [
+    PonceletLift(PonceletConfig(1.0, 0.2, 0.3)),
+    ArnoldLift(GOLDEN, 0.8),
+    RigidLift(math.sqrt(2.0) - 1.0),
+], ids=["poncelet", "arnold", "rigid"])
+def test_short_birkhoff_run_equals_one_advance(g):
+    # for n <= 1024 the quotient is read off the rough pass's orbit; it
+    # must equal the quotient of one n-step advance bit for bit
+    for x0 in (0.0, 0.375):
+        for tol in (1e-3, 1.0 / 1024):
+            est = rotation_number(g, x0=x0, tol=tol)
+            n = est.iterations
+            assert est.lock is None and n <= 1024
+            assert est.value == (g.advance(x0, n) - x0) / n
+
+
 # ----------------------------------------------------------- lock detection
 
 def test_lock_everywhere_for_rational_rigid_rotation():
