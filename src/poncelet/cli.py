@@ -30,7 +30,6 @@ from .geometry import (
     poncelet_map_geometric,
 )
 from .rotation import (
-    ResidualFailureError,
     count_poncelet_pairs,
     find_parameter_for_value,
     rotation_number,
@@ -193,6 +192,8 @@ def cmd_count(args):
             "pairs": [{"t": p.t, "p": p.p,
                        "closure_residual": p.closure_residual}
                       for p in report.pairs],
+            "missing": [{"p": p, "reason": reason}
+                        for p, reason in report.missing],
         })
     _emit_json({"config": _run_config(args), "results": results,
                 "all_ok": all_ok}, args.out)
@@ -368,11 +369,6 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResidualFailureError as err:
-        # a lock or closure certificate that failed: a property, not the
-        # configuration
-        print(f"failed: {err}", file=sys.stderr)
-        return EXIT_PROPERTY
 
 
 if __name__ == "__main__":

@@ -1,6 +1,23 @@
 """Kernels for the map-iteration loops: the Poncelet tangent lift and the
 Arnold circle map, iterated over a batch of lift coordinates.
 
+The Poncelet step computes the displacement x' - x itself, not as a
+difference of absolute angles.  With theta = 2 pi x and h = sin(theta/2),
+the start point lies P = (R - c) + 2c h^2 along its radius and
+Q = c sin(theta) across it from the inner centre, at tangent length
+S = sqrt((R - c - t)(R - c + t) + 4Rc h^2), which is sqrt(D^2 - t^2)
+without cancellation.  The chord's central angle is twice its angle to the
+outer circle's tangent:
+
+    x' = x + 2 atan2(max(S P + t Q, 0), t P - S Q) / (2 pi).
+
+No clamp, angle reduction or fold is needed, and at internal tangency
+t = R - c the fixed point x = 0 maps to 0 exactly.  One limit: at exact
+tangency, once |x - k| < ~1e-154 for an integer k, h^2 underflows, the orbit
+can cross the fixed point by rounding, and the narrow and wide paths can
+split by a lap (seen at c = 0.9 after 200 steps).  No library path iterates
+there: `rotation_number` starts at the exact fixed point x0 = 0.
+
 Two paths, chosen per call by batch width:
 
 * narrow batches (at most ``NARROW_MAX`` points) run a scalar ``math`` loop.
@@ -10,11 +27,11 @@ Two paths, chosen per call by batch width:
 * wide batches run the vectorized numpy step, which is libm-bound there.
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
-``arcsin`` and ``arctan2`` need not round like ``math.asin`` and
+``sin`` and ``arctan2`` need not round like ``math.sin`` and
 ``math.atan2``.
 """
 
-from math import asin, atan2, cos, fmod, hypot, sin
+from math import atan2, pi, sin, sqrt
 
 import numpy as np
 
@@ -30,55 +47,31 @@ NARROW_MAX = 16
 def _poncelet_step(x, R, c, t):
     """One step of the tangent-line lift, vectorized over x (lift coords)."""
     theta = TWO_PI * x
-    ax = R * np.cos(theta)
-    ay = R * np.sin(theta)
-    wx = c - ax
-    wy = -ay
-    D = np.hypot(wx, wy)
-    beta = np.arcsin(np.clip(t / D, 0.0, 1.0))
-    cb = np.cos(beta)
-    sb = np.sin(beta)
-    # tangent direction: unit(w) rotated clockwise by beta (keeps L on the left)
-    ux = (wx * cb + wy * sb) / D
-    uy = (-wx * sb + wy * cb) / D
-    s = -2.0 * (ax * ux + ay * uy)
-    thetap = np.arctan2(ay + s * uy, ax + s * ux)
-    delta = np.mod(thetap - theta, TWO_PI)
-    # rounding can push a near-fixed-point step to 2*pi - eps; fold it back
-    delta = np.where(delta > TWO_PI - 1e-12, delta - TWO_PI, delta)
-    return x + delta / TWO_PI
+    h2 = np.sin(0.5 * theta) ** 2
+    P = (R - c) + 2.0 * c * h2
+    Q = c * np.sin(theta)
+    S = np.sqrt((R - c - t) * (R - c + t) + 4.0 * R * c * h2)
+    y = np.maximum(S * P + t * Q, 0.0)
+    return x + np.arctan2(y, t * P - S * Q) / np.pi
 
 
 def poncelet_scalar_step(R, c, t):
     """``_poncelet_step`` for one python float, with the circle pair bound
     (a one-argument closure is the cheapest call)."""
     R, c, t = float(R), float(c), float(t)
+    gap = R - c
+    s2_at_0 = (gap - t) * (gap + t)  # S^2 at x = 0, its minimum
+    four_rc = 4.0 * R * c
+    two_c = 2.0 * c
 
     def step(x):
         theta = TWO_PI * x
-        ax = R * cos(theta)
-        ay = R * sin(theta)
-        wx = c - ax
-        wy = -ay
-        D = hypot(wx, wy)
-        ratio = t / D
-        if ratio > 1.0:
-            ratio = 1.0
-        elif ratio < 0.0:
-            ratio = 0.0
-        beta = asin(ratio)
-        cb = cos(beta)
-        sb = sin(beta)
-        ux = (wx * cb + wy * sb) / D
-        uy = (-wx * sb + wy * cb) / D
-        s = -2.0 * (ax * ux + ay * uy)
-        thetap = atan2(ay + s * uy, ax + s * ux)
-        delta = fmod(thetap - theta, TWO_PI)
-        if delta < 0.0:
-            delta += TWO_PI
-        if delta > TWO_PI - 1e-12:
-            delta -= TWO_PI
-        return x + delta / TWO_PI
+        h = sin(0.5 * theta)
+        h2 = h * h
+        P = gap + two_c * h2
+        Q = c * sin(theta)
+        S = sqrt(s2_at_0 + four_rc * h2)
+        return x + atan2(max(S * P + t * Q, 0.0), t * P - S * Q) / pi
 
     return step
 

@@ -65,6 +65,7 @@ class CountReport:
     n: int
     pairs: List[PonceletPair]
     expected: int
+    missing: List[Tuple[int, str]]  # (p, reason) of each uncertified pair
 
     @property
     def ok(self):
@@ -317,26 +318,28 @@ def count_poncelet_pairs(family, n, starts=20, seed=0):
     r(t) falls from exactly 1/2 at t = 0 to exactly 0 at internal
     tangency, so the candidates are the reduced fractions p/n < 1/2, one
     pair each: euler_totient(n)/2 of them (the family's theorem check).
-    Each is certified by solve_rotation and verify_closure.
+    Each is certified by solve_rotation and verify_closure; a pair that
+    fails either is recorded in `missing` with the reason, and the report
+    comes up short.
     """
     if n < 3:
         raise ValueError("counting starts at n = 3")
     pairs = []
+    missing = []
     for p in range(1, (n + 1) // 2):
         if math.gcd(p, n) != 1:
             continue
         try:
             t_star, _ = solve_rotation(family, Fraction(p, n))
-        except NoSolutionError:
-            # p/n is in the image of r but was not bracketed: at internal
-            # tangency the float lift can leak a lap through the fixed
-            # point, so s there keeps the sign of s at the other end.  The
-            # report comes up short, and the CLI exits 3.
+            t_inner = family.inner_radius(t_star)
+            pair = PonceletPair(t=t_inner, n=n, p=p,
+                                closure_residual=math.nan)
+            residual = verify_closure(pair, family.base_cfg, starts=starts,
+                                      seed=seed)
+        except (NoSolutionError, ResidualFailureError) as err:
+            missing.append((p, str(err)))
             continue
-        t_inner = family.inner_radius(t_star)
-        pair = PonceletPair(t=t_inner, n=n, p=p, closure_residual=math.nan)
-        residual = verify_closure(pair, family.base_cfg, starts=starts,
-                                  seed=seed)
         pairs.append(PonceletPair(t=t_inner, n=n, p=p,
                                   closure_residual=residual))
-    return CountReport(n=n, pairs=pairs, expected=euler_totient(n) // 2)
+    return CountReport(n=n, pairs=pairs, expected=euler_totient(n) // 2,
+                       missing=missing)

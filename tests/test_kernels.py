@@ -30,15 +30,16 @@ def _in_batches(kernel, xs, width, *args):
 
 def test_ref_narrow_and_wide_paths_agree():
     # The kernels iterate batches of up to NARROW_MAX points with a scalar
-    # math loop and wider ones with numpy; both must give the same orbits.
-    # Tangency configurations (t = R - c) are left out: there the 1e-12 fold
-    # near the fixed point makes the float lift discontinuous, and the two
-    # paths drift apart by whole laps (the tangency defect, ROADMAP item 3).
+    # math loop and wider ones with numpy; both must give the same orbits,
+    # at internal tangency t = R - c too.
     wide = 4 * _ref.NARROW_MAX
     widths = (1, 5, _ref.NARROW_MAX, _ref.NARROW_MAX + 1)
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1.0, 2.0, wide)
-    for R, c, t in [(1.0, 0.0, 0.5), (1.0, 0.3, 0.2), (2.0, 0.7, 0.9)]:
+    tangency = [(R, c, R - c)
+                for R, c in [(1.0, 0.2), (1.0, 0.3), (2.0, 0.7), (1.0, 0.9)]]
+    for R, c, t in [(1.0, 0.0, 0.5), (1.0, 0.3, 0.2),
+                    (2.0, 0.7, 0.9)] + tangency:
         ref = _ref.poncelet_advance(xs, 50, R, c, t)
         ref_tab = _ref.poncelet_orbit(xs, 10, R, c, t)
         for width in widths:

@@ -109,9 +109,56 @@ def test_conjugation_invariance():
     assert abs(r_g.value - r_c.value) <= r_g.error_radius + r_c.error_radius
 
 
-# Every field as the estimator gave it before the lock table was cut to the
-# candidates' rows: (lift, x0, tol, value, error_radius, lock).  The
-# tangency rows pin the known false lock 21/58 (ROADMAP item 3) as it is.
+def _carlson_rf(x, y, z):
+    """Carlson's symmetric elliptic integral R_F by duplication."""
+    while True:
+        mu = (x + y + z) / 3.0
+        dx, dy, dz = 1.0 - x / mu, 1.0 - y / mu, 1.0 - z / mu
+        if max(abs(dx), abs(dy), abs(dz)) < 1e-3:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
+            - 3.0 * e2 * e3 / 44.0) / math.sqrt(mu)
+
+
+def exact_r(R, c, t):
+    """r(t) of the circle pair from its invariant measure, with no orbit.
+
+    The map preserves dphi / sqrt(a + b sin^2 phi), phi = theta/2,
+    a = (R-c-t)(R-c+t), b = 4Rc, whose integral from 0 to phi <= pi/2 is
+    F(phi) = sin phi R_F(a cos^2 phi, a + b sin^2 phi, a).  The chord from
+    theta = pi ends at 2 pi - 2 beta, sin beta = t/(R+c), so by symmetry
+    about phi = pi/2, r = 1/2 - F(beta) / (2 F(pi/2))."""
+    a = (R - c - t) * (R - c + t)
+    if a == 0.0:
+        return 0.0
+    b = 4.0 * R * c
+    sb = t / (R + c)
+    cb2 = (1.0 - sb) * (1.0 + sb)
+    return 0.5 - sb * _carlson_rf(a * cb2, a + b * sb * sb, a) / (
+        2.0 * _carlson_rf(0.0, a + b, a))
+
+
+def test_exact_r_matches_closed_forms():
+    for t in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
+        assert exact_r(1.0, 0.0, t) == pytest.approx(
+            math.acos(t) / math.pi, abs=2e-16)
+    for R, c in ((1.0, 0.2), (1.0, 0.3), (1.0, 0.6), (1.0, 0.9), (2.0, 0.7)):
+        euler = (R * R - c * c) / (2.0 * R)
+        fuss = (R * R - c * c) / math.sqrt(2.0 * (R * R + c * c))
+        assert exact_r(R, c, euler) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert exact_r(R, c, fuss) == pytest.approx(0.25, abs=1e-15)
+        assert exact_r(R, c, 0.0) == 0.5
+        assert exact_r(R, c, R - c) == 0.0
+
+
+# Every field of the estimate: (lift, x0, tol, value, error_radius, lock).
+# Each Poncelet row must also lie within its radius of exact_r; at internal
+# tangency (t = 0.8 for c = 0.2) that is the lock r = 0.
 TRIANGLE_02 = (1.0 - 0.2 ** 2) / 2.0
 PINNED_ESTIMATES = [
     (PonceletLift(PonceletConfig(1.0, 0.0, 0.0)), 0.0, 1e-4,
@@ -119,15 +166,15 @@ PINNED_ESTIMATES = [
     (PonceletLift(PonceletConfig(1.0, 0.2, TRIANGLE_02)), 0.0, 1e-4,
      "0x1.5555555555555p-2", "0x0.0p+0", (1, 3)),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0, 1e-4,
-     "0x1.9924fe5a58057p-2", "0x1.a36e2eb1c432dp-14", None),
+     "0x1.9924fe5a5872cp-2", "0x1.a36e2eb1c432dp-14", None),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.375, 1e-3,
-     "0x1.992d3c08cca5dp-2", "0x1.0624dd2f1a9fcp-10", None),
+     "0x1.992d3c08ccad8p-2", "0x1.0624dd2f1a9fcp-10", None),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.55)), 0.0, 1e-3,
-     "0x1.3814ea3219487p-2", "0x1.0624dd2f1a9fcp-10", None),
+     "0x1.3814ea32194fbp-2", "0x1.0624dd2f1a9fcp-10", None),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-4,
-     "0x1.72c234f72c235p-2", "0x0.0p+0", (21, 58)),
+     "0x0.0p+0", "0x0.0p+0", (0, 1)),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-3,
-     "0x1.72c234f72c235p-2", "0x0.0p+0", (21, 58)),
+     "0x0.0p+0", "0x0.0p+0", (0, 1)),
     (ArnoldLift(0.3, 0.8), 0.0, 1e-4,
      "0x1.200cce69dd669p-2", "0x1.a36e2eb1c432dp-14", None),
     (ArnoldLift(0.5, 0.8), 0.0, 1e-4,
@@ -147,6 +194,10 @@ def test_estimates_are_pinned_bit_for_bit(case):
     est = rotation_number(g, x0=x0, tol=tol)
     assert (float.hex(est.value), float.hex(est.error_radius), est.lock) \
         == (value, radius, lock)
+    if isinstance(g, PonceletLift):
+        # within the radius of the orbit-free value (plus its own rounding)
+        r = exact_r(g.cfg.R, g.cfg.c, g.cfg.t)
+        assert abs(est.value - r) <= est.error_radius + 1e-15
 
 
 class RecordingLift:
@@ -251,9 +302,8 @@ def test_offcenter_staircase_endpoints():
     r0 = rotation_number(family.lift(0.0), tol=1e-4)
     rb = rotation_number(family.lift(family.b), tol=1e-4)
     assert abs(r0.value - 0.5) <= r0.error_radius + 1e-9
-    # at internal tangency the fixed point is parabolic; rounding lets the
-    # orbit leak through the bottleneck, so r = 0 holds only loosely
-    assert min(abs(rb.value), abs(rb.value - 1.0)) < 0.05
+    # at internal tangency x = 0 is an exact fixed point
+    assert (rb.value, rb.error_radius, rb.lock) == (0.0, 0.0, (0, 1))
 
 
 def test_arnold_staircase_has_wide_half_plateau():
@@ -362,8 +412,7 @@ def test_offcenter_heptagon_count():
 @pytest.mark.parametrize("c", [0.2, 0.45])
 @pytest.mark.parametrize("n", range(3, 13))
 def test_offcenter_count_finds_every_pair(c, n):
-    # every reduced p/n < 1/2 lies in the image of r, whatever an estimate
-    # at the tangency endpoint (a false lock there) would say
+    # every reduced p/n < 1/2 lies in the image of r
     report = count_poncelet_pairs(poncelet_family(1.0, c), n)
     assert report.ok
     assert sorted(p.p for p in report.pairs) == \
