@@ -96,6 +96,8 @@ def _make_family(args):
 def cmd_orbit(args):
     if args.steps < 0:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
+    if not math.isfinite(args.theta0):
+        raise ValueError(f"--theta0 must be finite, got {args.theta0}")
     cfg = PonceletConfig(args.R, args.c, args.t)
     theta = args.theta0 % TWO_PI
     rows = []
@@ -206,7 +208,10 @@ def _parse_x(text):
     if text == "golden":
         return GOLDEN_CONJUGATE
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"--x {text} has a zero denominator") from None
     return float(text)
 
 

@@ -40,8 +40,9 @@ class PonceletConfig:
     t: float = 0.0
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"outer radius must be positive, got R={self.R}")
+        if not 0 < self.R < math.inf:
+            raise ValueError(
+                f"outer radius must satisfy 0 < R < inf, got R={self.R}")
         if not 0 <= self.c < self.R:
             raise ValueError(f"center offset must satisfy 0 <= c < R, got c={self.c}")
         if not 0 <= self.t <= self.R - self.c:

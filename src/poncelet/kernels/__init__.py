@@ -1,8 +1,8 @@
 """Map-iteration kernels.
 
-``_ref`` is the only implementation. It iterates narrow batches
-(single-point orbits) with a scalar ``math`` loop and wide batches with
-numpy; the lifts' scalar ``__call__`` uses the same scalar steps.
+``_ref`` is the only implementation. It defines each map's step once and
+builds it from ``math`` for narrow batches (single-point orbits) and from
+numpy for wide ones; the lifts' scalar ``__call__`` is the ``math`` build.
 """
 
 from . import _ref
@@ -14,5 +14,5 @@ poncelet_advance = _ref.poncelet_advance
 poncelet_orbit = _ref.poncelet_orbit
 arnold_advance = _ref.arnold_advance
 arnold_orbit = _ref.arnold_orbit
-poncelet_scalar_step = _ref.poncelet_scalar_step
-arnold_scalar_step = _ref.arnold_scalar_step
+poncelet_step = _ref.poncelet_step
+arnold_step = _ref.arnold_step

@@ -18,20 +18,25 @@ can cross the fixed point by rounding, and the narrow and wide paths can
 split by a lap (seen at c = 0.9 after 200 steps).  No library path iterates
 there: `rotation_number` starts at the exact fixed point x0 = 0.
 
-Two paths, chosen per call by batch width:
+Each map's step is defined once, as a factory that binds the map's
+parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
+Two paths, chosen per call by batch width, build it from different tuples:
 
-* narrow batches (at most ``NARROW_MAX`` points) run a scalar ``math`` loop.
-  Single-point orbits (rough pass, Birkhoff run, lock bisections) are this
-  case; numpy's per-call dispatch on 1-element arrays costs about 20x a
-  scalar step.  The same scalar steps are the lifts' ``__call__``.
-* wide batches run the vectorized numpy step, which is libm-bound there.
+* narrow batches (at most ``NARROW_MAX`` points) run the step built from
+  ``math`` (``SCALAR``) in a python loop.  Single-point orbits (rough pass,
+  Birkhoff run) are this case; numpy's per-call dispatch on 1-element
+  arrays costs about 20x a scalar step.  The lifts' ``__call__`` is this
+  step too.
+* wide batches run the step built from numpy's ufuncs (``WIDE``) on whole
+  arrays, which is libm-bound there.
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
 ``math.atan2``.
 """
 
-from math import atan2, pi, sin, sqrt
+import math
+from math import pi
 
 import numpy as np
 
@@ -43,21 +48,15 @@ TWO_PI = 2.0 * np.pi
 # 32-48 for Poncelet.
 NARROW_MAX = 16
 
-
-def _poncelet_step(x, R, c, t):
-    """One step of the tangent-line lift, vectorized over x (lift coords)."""
-    theta = TWO_PI * x
-    h2 = np.sin(0.5 * theta) ** 2
-    P = (R - c) + 2.0 * c * h2
-    Q = c * np.sin(theta)
-    S = np.sqrt((R - c - t) * (R - c + t) + 4.0 * R * c * h2)
-    y = np.maximum(S * P + t * Q, 0.0)
-    return x + np.arctan2(y, t * P - S * Q) / np.pi
+# (sin, sqrt, atan2, max) for one python float and for a float64 array
+SCALAR = (math.sin, math.sqrt, math.atan2, max)
+WIDE = (np.sin, np.sqrt, np.arctan2, np.maximum)
 
 
-def poncelet_scalar_step(R, c, t):
-    """``_poncelet_step`` for one python float, with the circle pair bound
-    (a one-argument closure is the cheapest call)."""
+def poncelet_step(R, c, t, fns=SCALAR):
+    """One step of the tangent-line lift in lift coordinates, with the
+    circle pair bound (a one-argument closure is the cheapest call)."""
+    sin, sqrt, atan2, maximum = fns
     R, c, t = float(R), float(c), float(t)
     gap = R - c
     s2_at_0 = (gap - t) * (gap + t)  # S^2 at x = 0, its minimum
@@ -71,17 +70,14 @@ def poncelet_scalar_step(R, c, t):
         P = gap + two_c * h2
         Q = c * sin(theta)
         S = sqrt(s2_at_0 + four_rc * h2)
-        return x + atan2(max(S * P + t * Q, 0.0), t * P - S * Q) / pi
+        return x + atan2(maximum(S * P + t * Q, 0.0), t * P - S * Q) / pi
 
     return step
 
 
-def _arnold_step(x, omega, K):
-    return x + omega + (K / TWO_PI) * np.sin(TWO_PI * x)
-
-
-def arnold_scalar_step(omega, K):
-    """``_arnold_step`` for one python float, with omega and K bound."""
+def arnold_step(omega, K, fns=SCALAR):
+    """One step of the Arnold lift, with omega and K bound."""
+    sin = fns[0]
     omega = float(omega)
     k = float(K) / TWO_PI
 
@@ -114,47 +110,48 @@ def _scalar_orbit(out, step):
 # The scalar loop gives way to numpy on a ValueError: math raises on an
 # infinite argument where numpy returns nan.
 
-def _advance(xs, n, step, scalar_step, params):
+def _advance(xs, n, make_step, params):
     out = np.array(xs, dtype=np.float64, copy=True)
     if out.size <= NARROW_MAX:
         try:
-            return _scalar_advance(out, n, scalar_step(*params))
+            return _scalar_advance(out, n, make_step(*params))
         except ValueError:
             pass
+    step = make_step(*params, WIDE)
     for _ in range(n):
-        out = step(out, *params)
+        out = step(out)
     return out
 
 
-def _orbit(xs, depth, step, scalar_step, params):
+def _orbit(xs, depth, make_step, params):
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
     out[0] = xs
     if xs.size <= NARROW_MAX:
         try:
-            _scalar_orbit(out, scalar_step(*params))
+            _scalar_orbit(out, make_step(*params))
             return out
         except ValueError:
             pass
+    step = make_step(*params, WIDE)
     for k in range(1, depth + 1):
-        out[k] = step(out[k - 1], *params)
+        out[k] = step(out[k - 1])
     return out
 
 
 def poncelet_advance(xs, n, R, c, t):
     """Apply the Poncelet tangent lift n times to each entry of xs."""
-    return _advance(xs, n, _poncelet_step, poncelet_scalar_step, (R, c, t))
+    return _advance(xs, n, poncelet_step, (R, c, t))
 
 
 def poncelet_orbit(xs, depth, R, c, t):
     """Orbit table: row k holds g^k applied to xs, k = 0..depth."""
-    return _orbit(xs, depth, _poncelet_step, poncelet_scalar_step,
-                  (R, c, t))
+    return _orbit(xs, depth, poncelet_step, (R, c, t))
 
 
 def arnold_advance(xs, n, omega, K):
-    return _advance(xs, n, _arnold_step, arnold_scalar_step, (omega, K))
+    return _advance(xs, n, arnold_step, (omega, K))
 
 
 def arnold_orbit(xs, depth, omega, K):
-    return _orbit(xs, depth, _arnold_step, arnold_scalar_step, (omega, K))
+    return _orbit(xs, depth, arnold_step, (omega, K))

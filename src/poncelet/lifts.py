@@ -92,7 +92,7 @@ class ArnoldLift(CircleLift):
             raise LiftContractError(f"Arnold lift needs 0 <= K <= 1, got {K}")
         self.omega = float(omega)
         self.K = float(K)
-        self._step = kernels.arnold_scalar_step(self.omega, self.K)
+        self._step = kernels.arnold_step(self.omega, self.K)
 
     def __call__(self, x):
         return self._step(x)
@@ -112,7 +112,7 @@ class PonceletLift(CircleLift):
 
     def __init__(self, cfg: PonceletConfig):
         self.cfg = cfg
-        self._step = kernels.poncelet_scalar_step(cfg.R, cfg.c, cfg.t)
+        self._step = kernels.poncelet_step(cfg.R, cfg.c, cfg.t)
 
     def __call__(self, x):
         return self._step(x)

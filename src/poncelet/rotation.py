@@ -2,8 +2,9 @@
 pipeline.
 
 The estimator is the plain Birkhoff quotient (g^n(x) - x)/n with the
-rigorous error radius 1/n, preceded by a rational-lock scan: a sign change
-of g^q(x) - x - p on a grid certifies the exact rotation number p/q.
+rigorous error radius 1/n, preceded by a rational-lock scan: an exact zero
+or a sign change of g^q(x) - x - p on a periodic grid certifies the exact
+rotation number p/q.
 """
 
 import math
@@ -17,7 +18,6 @@ from .geometry import TWO_PI, PonceletConfig
 from .lifts import PonceletLift
 
 LOCK_GRID = 512
-LOCK_RESIDUAL = 1e-12
 
 
 class NoSolutionError(ValueError):
@@ -30,6 +30,10 @@ class ResidualFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class RotationEstimate:
+    """A rotation number with a sound error radius.  A lock (p, q) gives
+    value p/q with radius 0, and lock_point is a grid point whose cell
+    holds a root of g^q(x) - x - p."""
+
     value: float
     error_radius: float
     iterations: int
@@ -90,50 +94,26 @@ def euler_totient(n):
     return result
 
 
-def _refine_lock(g, p, q, lo, hi, d_lo):
-    """Bisect d(x) = g^q(x) - x - p on a sign-change bracket."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d_mid = g.advance(mid, q) - mid - p
-        if abs(d_mid) < LOCK_RESIDUAL or hi - lo < 1e-16:
-            return mid
-        if (d_mid > 0) == (d_lo > 0):
-            lo = mid
-            d_lo = d_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def detect_rational_lock(g, p, q, grid=LOCK_GRID):
-    """Search for x0 with g^q(x0) = x0 + p; returns x0 or None.
+    """Search for a root of d(x) = g^q(x) - x - p on a periodic grid.
 
-    Absence on the grid is heuristic evidence only, not a proof.
+    Returns the left grid point of the first cell whose ends hold an exact
+    zero of d or a sign change, so the cell holds a root; None if there is
+    none.  Absence on the grid is heuristic evidence only, not a proof.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
     xs = np.linspace(0.0, 1.0, grid, endpoint=False)
     d = g.orbit_table(xs, q)[q] - xs - p
-    return _lock_from_grid(g, p, q, xs, d)
+    return _lock_from_grid(xs, d)
 
 
-def _lock_from_grid(g, p, q, xs, d):
-    i = int(np.argmin(np.abs(d)))
-    if abs(d[i]) < LOCK_RESIDUAL:
-        return float(xs[i])
-    # sign change across the (periodic) grid
-    d_ring = np.append(d, d[0])
-    x_ring = np.append(xs, xs[0] + 1.0)
-    signs = np.sign(d_ring)
-    for j in range(len(xs)):
-        if signs[j] != signs[j + 1]:
-            # the sign change already certifies a root of the continuous
-            # displacement; bisection only sharpens its location.  Near
-            # internal tangency d has huge slope, so |d| at the refined
-            # point may stay large even though the bracket is machine-thin.
-            x0 = _refine_lock(g, p, q, x_ring[j], x_ring[j + 1], d_ring[j])
-            return float(x0)
-    return None
+def _lock_from_grid(xs, d):
+    # d(x + 1) = d(x), so the last cell closes on d[0]; a nan end has
+    # sign nan and certifies nothing
+    signs = np.sign(d)
+    hits = np.flatnonzero(signs * np.roll(signs, -1) <= 0)
+    return float(xs[hits[0]]) if hits.size else None
 
 
 def rotation_number(g, x0=0.0, tol=1e-4, q_max=64):
@@ -166,7 +146,7 @@ def rotation_number(g, x0=0.0, tol=1e-4, q_max=64):
         table = g.orbit_table(xs, candidates[-1][1])
         for p, q in candidates:
             d = table[q] - xs - p
-            x_lock = _lock_from_grid(g, p, q, xs, d)
+            x_lock = _lock_from_grid(xs, d)
             if x_lock is not None:
                 return RotationEstimate(
                     value=p / q, error_radius=0.0, iterations=n0,

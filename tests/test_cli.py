@@ -259,6 +259,11 @@ def test_prop2_poncelet_passes(tmp_path):
     ["cf", "--random", "0"],
     ["staircase", "--tol", "nan", "--points", "3"],
     ["staircase", "--tol", "inf", "--points", "3"],
+    ["cf", "--x", "1/0"],
+    ["cf", "--x", "0/0"],
+    ["orbit", "--t", "0.3", "--theta0", "nan"],
+    ["orbit", "--t", "0.3", "--theta0", "inf"],
+    ["count", "--R", "inf"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

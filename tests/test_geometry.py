@@ -180,6 +180,8 @@ def test_internal_tangency_fixed_point():
     (1.0, -0.1, 0.0),
     (1.0, 0.3, 0.8),
     (1.0, 0.0, -0.2),
+    (math.inf, 0.0, 0.0),
+    (math.inf, 0.3, 0.2),
 ])
 def test_config_rejects_invalid_geometry(R, c, t):
     with pytest.raises(ValueError):

@@ -200,6 +200,32 @@ def test_estimates_are_pinned_bit_for_bit(case):
         assert abs(est.value - r) <= est.error_radius + 1e-15
 
 
+def _near_rational_cases():
+    # t at and within 1e-11 of the triangle and square radii, and near 0 at
+    # c = 0.9: r lies within ~1e-11 of 1/3, 1/4 or 1/2, so d = g^q(x) - x - p
+    # is tiny, yet it can keep one sign on the whole grid, which certifies
+    # no lock
+    cases = []
+    for c in (0.0, 0.3, 0.6):
+        triangle = (1.0 - c * c) / 2.0
+        square = (1.0 - c * c) / math.sqrt(2.0 * (1.0 + c * c))
+        for t in (triangle, square):
+            cases += [(c, t + dt) for dt in
+                      (0.0, 1e-14, -1e-14, 1e-13, -1e-13, 1e-12, -1e-12,
+                       1e-11)]
+    return cases + [(0.9, t) for t in (1e-13, 5.06e-13, 2e-12)]
+
+
+def test_near_rational_estimates_hold_the_exact_value():
+    wrong = []
+    for c, t in _near_rational_cases():
+        est = rotation_number(PonceletLift(PonceletConfig(1.0, c, t)))
+        r = exact_r(1.0, c, t)
+        if abs(est.value - r) > est.error_radius + 1e-15:
+            wrong.append((c, t, est.lock, est.value - r))
+    assert wrong == []
+
+
 class RecordingLift:
     """A lift that records the (points, depth) of each orbit table."""
 
@@ -274,6 +300,17 @@ def test_concentric_two_fifths_lock():
     x0 = detect_rational_lock(g, 2, 5)
     assert x0 is not None
     assert abs(g.advance(x0, 5) - x0 - 2) < 1e-12
+
+
+def test_lock_point_is_the_left_end_of_a_root_cell():
+    # inside Arnold's 1/2 tongue at K = 0.8, off its centre: the roots of
+    # d = g^2(x) - x - 1 lie strictly inside grid cells
+    g = ArnoldLift(0.51, 0.8)
+    x0 = detect_rational_lock(g, 1, 2)
+    assert (x0 * 512).is_integer()
+    cell = np.array([x0, x0 + 1.0 / 512])
+    d = g.advance(cell, 2) - cell - 1
+    assert d[0] * d[1] <= 0.0
 
 
 def test_lock_rejects_unreduced_fraction():
