@@ -245,6 +245,8 @@ def cmd_cf(args):
         raise ValueError("provide exactly one of --x or --random")
     if args.random is not None and args.random < 1:
         raise ValueError(f"--random must be at least 1, got {args.random}")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     if args.x is not None:
         inputs = [_parse_x(args.x)]
     else:

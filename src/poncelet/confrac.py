@@ -33,6 +33,10 @@ def fibonacci_reciprocal_sum(tol=1e-15):
 
 #: Cached to 1e-15 at import; single source for every e^{2F} expression.
 FIB_RECIP = fibonacci_reciprocal_sum(1e-15)
+#: Half-width, in ulps, of the interval a float input of cf_expand stands for.
+SLACK_ULPS = 4
+#: Indices remainder_series drops from the end of an inexact expansion.
+TAIL_BUFFER = 5
 
 
 def gauss_map(x):
@@ -110,11 +114,11 @@ def _expand_interval(lo: Fraction, hi: Fraction, n_terms):
     return a0, quotients
 
 
-def cf_expand(x, n_terms=64, slack_ulps=4.0):
+def cf_expand(x, n_terms=64):
     """Continued-fraction expansion with exact integer convergents.
 
     Fractions (and ints) expand exactly, as the zero-width interval
-    [x, x]; floats are treated as centers of an interval of +- slack_ulps
+    [x, x]; floats are treated as centers of an interval of +- SLACK_ULPS
     ulps and the expansion is truncated at the last quotient the whole
     interval agrees on.  `exact` means the last convergent equals x.
     """
@@ -127,7 +131,7 @@ def cf_expand(x, n_terms=64, slack_ulps=4.0):
         if not math.isfinite(x):
             raise ValueError(f"cannot expand the non-finite value {x}")
         xf = Fraction(x)
-        slack = Fraction(math.ulp(float(x))) * Fraction(slack_ulps)
+        slack = Fraction(math.ulp(float(x))) * SLACK_ULPS
         a0, quotients = _expand_interval(xf - slack, xf + slack, n_terms)
         x = xf
     convergents = _convergents(a0, quotients)
@@ -150,17 +154,17 @@ class RemainderRecord:
         return abs(self.remainder) <= FIB_RECIP
 
 
-def remainder_series(x, n_max=25, tail_buffer=5):
+def remainder_series(x, n_max=25):
     """Records of R(n, x) = -log q_n - sum_{i<n} log T^i(x), n = 1..n_max.
 
     The denominators q_n come from the exact integer convergents; the
     Gauss-orbit values are evaluated backwards from the quotient tail so
     no forward error accumulates.  For non-exact expansions the last
-    `tail_buffer` indices are dropped (their tails are not trustworthy).
+    TAIL_BUFFER indices are dropped (their tails are not trustworthy).
     """
-    exp = x if isinstance(x, ContinuedFractionExpansion) else cf_expand(x, n_terms=max(n_max + tail_buffer + 2, 64))
+    exp = x if isinstance(x, ContinuedFractionExpansion) else cf_expand(x, n_terms=max(n_max + TAIL_BUFFER + 2, 64))
     N = len(exp)
-    usable = N if exp.exact else max(0, N - tail_buffer)
+    usable = N if exp.exact else max(0, N - TAIL_BUFFER)
     records = []
     gauss_sum = 0.0
     for n in range(1, min(n_max, usable) + 1):
@@ -177,21 +181,19 @@ def remainder_series(x, n_max=25, tail_buffer=5):
     return records
 
 
-def k_epsilon(eps, F=None):
-    """Gap constant (1 - eps) / (e^{2F} (1 + (1 + eps) e^{2F})^2)."""
+def k_epsilon(eps):
+    """Gap constant (1 - eps) / (e^{2F} (1 + (1 + eps) e^{2F})^2), F =
+    FIB_RECIP."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if F is None:
-        F = FIB_RECIP
-    e2f = math.exp(2.0 * F)
+    e2f = math.exp(2.0 * FIB_RECIP)
     return (1.0 - eps) / (e2f * (1.0 + (1.0 + eps) * e2f) ** 2)
 
 
-def second_order_bound(m=1.0, F=None):
-    """m^2 / (e^{2F} (1 + e^{2F})^2); the eps -> 0 limit of k_epsilon."""
-    if F is None:
-        F = FIB_RECIP
-    e2f = math.exp(2.0 * F)
+def second_order_bound(m=1.0):
+    """m^2 / (e^{2F} (1 + e^{2F})^2), F = FIB_RECIP; the eps -> 0 limit of
+    k_epsilon."""
+    e2f = math.exp(2.0 * FIB_RECIP)
     return m * m / (e2f * (1.0 + e2f) ** 2)
 
 

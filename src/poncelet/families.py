@@ -26,11 +26,11 @@ class MonotoneCircleFamily:
             raise ValueError(f"parameter {t} outside [{self.a}, {self.b}]")
         return self._factory(min(max(t, self.a), self.b))
 
-    def dgdt(self, t, x, h=FD_STEP):
+    def dgdt(self, t, x):
         """d g_t(x) / d t; finite differences unless supplied analytically."""
         if self._dgdt is not None:
             return self._dgdt(t, x)
-        h = min(h, (self.b - self.a) / 4.0)
+        h = min(FD_STEP, (self.b - self.a) / 4.0)
         lo = max(self.a, t - 2.0 * h)
         if t + 2.0 * h > self.b:
             lo = self.b - 4.0 * h
@@ -53,9 +53,9 @@ def rigid_family(alpha_fn=None, d_alpha=None, a=0.0, b=1.0):
                                 dgdt=dgdt, name="rigid")
 
 
-def arnold_family(K, a=0.0, b=1.0):
-    """Standard family g_t(x) = x + t + (K / 2 pi) sin(2 pi x)."""
-    return MonotoneCircleFamily(a, b, lambda t: ArnoldLift(t, K),
+def arnold_family(K):
+    """Standard family g_t(x) = x + t + (K / 2 pi) sin(2 pi x), t in [0, 1]."""
+    return MonotoneCircleFamily(0.0, 1.0, lambda t: ArnoldLift(t, K),
                                 dgdt=lambda t, x: 1.0, name="arnold")
 
 
@@ -71,7 +71,7 @@ class PonceletFamily(MonotoneCircleFamily):
         self.R = float(R)
         self.c = float(c)
         self.reverse = reverse
-        self.base_cfg = PonceletConfig(R, c)
+        PonceletConfig(R, c)  # rejects an invalid R or c up front
         super().__init__(0.0, self.R - self.c, self._make,
                          name="poncelet" + ("-reversed" if reverse else ""))
 

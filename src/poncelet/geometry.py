@@ -25,6 +25,8 @@ TWO_PI = 2.0 * math.pi
 
 # Most terms of the potential's Fourier series summed in one numpy array.
 _SERIES_CHUNK = 1 << 16
+# Step of area_twist_check's centered differences.
+JACOBIAN_STEP = 1e-6
 
 
 class DegenerateTangencyError(ValueError):
@@ -222,9 +224,9 @@ def _potential_series(x_prime, rho):
     return 2.0 * total / (math.pi * math.pi)
 
 
-def area_twist_check(p, cfg, h=1e-6):
+def area_twist_check(p, cfg):
     """Centered finite-difference Jacobian determinant and d f1/d y at p."""
-    x, y = p.x, p.y
+    x, y, h = p.x, p.y, JACOBIAN_STEP
 
     def f(xx, yy):
         return twist_map_raw(xx, yy, cfg)

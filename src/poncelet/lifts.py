@@ -11,6 +11,9 @@ import numpy as np
 from . import kernels
 from .geometry import PonceletConfig
 
+#: Largest periodicity defect |g(x + 1) - g(x) - 1| that validate accepts.
+PERIODICITY_TOL = 1e-12
+
 
 class LiftContractError(ValueError):
     """The supplied function is not a valid circle-homeomorphism lift."""
@@ -40,12 +43,12 @@ class CircleLift:
             out[k] = [self(v) for v in out[k - 1]]
         return out
 
-    def validate(self, samples=64, tol=1e-12):
+    def validate(self, samples=64):
         """Spot-check periodicity and monotonicity on a sample grid."""
         xs = np.linspace(0.0, 1.0, samples, endpoint=False)
         vals = np.array([self(x) for x in xs])
         shifted = np.array([self(x + 1.0) for x in xs])
-        if np.max(np.abs(shifted - vals - 1.0)) > tol:
+        if np.max(np.abs(shifted - vals - 1.0)) > PERIODICITY_TOL:
             raise LiftContractError("periodicity defect g(x+1) - g(x) - 1 too large")
         ring = np.append(vals, vals[0] + 1.0)
         if np.any(np.diff(ring) <= 0):
@@ -53,12 +56,11 @@ class CircleLift:
 
 
 class FunctionLift(CircleLift):
-    """Lift wrapping an arbitrary scalar callable."""
+    """Lift wrapping an arbitrary scalar callable, validated on creation."""
 
-    def __init__(self, fn, check=True):
+    def __init__(self, fn):
         self._fn = fn
-        if check:
-            self.validate()
+        self.validate()
 
     def __call__(self, x):
         return self._fn(x)

@@ -14,10 +14,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .geometry import TWO_PI, PonceletConfig
-from .lifts import PonceletLift
+from .geometry import TWO_PI
 
-LOCK_GRID = 512
+LOCK_GRID = 512       # points of the periodic lock-scan grid
+Q_MAX = 64            # largest lock denominator rotation_number tries
+X_REF = 0.375         # start point of solve_rotation's lock residual
+CLOSURE_STARTS = 20   # random start points of verify_closure
+CLOSE_TOL = 1e-8      # largest closure residual (radians) accepted
+EARLY_TOL = 1e-4      # an earlier return this close (radians) is rejected
 
 
 class NoSolutionError(ValueError):
@@ -94,7 +98,7 @@ def euler_totient(n):
     return result
 
 
-def detect_rational_lock(g, p, q, grid=LOCK_GRID):
+def detect_rational_lock(g, p, q):
     """Search for a root of d(x) = g^q(x) - x - p on a periodic grid.
 
     Returns the left grid point of the first cell whose ends hold an exact
@@ -103,7 +107,7 @@ def detect_rational_lock(g, p, q, grid=LOCK_GRID):
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
-    xs = np.linspace(0.0, 1.0, grid, endpoint=False)
+    xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
     d = g.orbit_table(xs, q)[q] - xs - p
     return _lock_from_grid(xs, d)
 
@@ -116,17 +120,18 @@ def _lock_from_grid(xs, d):
     return float(xs[hits[0]]) if hits.size else None
 
 
-def rotation_number(g, x0=0.0, tol=1e-4, q_max=64):
+def rotation_number(g, x0=0.0, tol=1e-4):
     """Estimate r(g) with a sound error radius.
 
     A rough pass of n0 = 1024 steps from x0 picks the candidates p/q,
-    q <= q_max, within 1.5/n0 of its quotient.  The lock scan builds the
+    q <= Q_MAX, within 1.5/n0 of its quotient.  The lock scan builds the
     LOCK_GRID-point orbit table only as deep as the deepest candidate and
     reads row q of each candidate, in ascending q; with no candidate it
     builds none.  A detected rational lock p/q gives the exact value
     (error radius 0); otherwise the Birkhoff quotient over
-    n = ceil(1/tol) iterations is returned with error radius 1/n.  For
-    n <= n0 that orbit is the rough pass's, read at step n.
+    n = ceil(1/tol) iterations is returned with error radius 1/n.  That
+    orbit is the rough pass's: read at step n for n <= n0, and continued
+    from step n0 otherwise.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -137,7 +142,7 @@ def rotation_number(g, x0=0.0, tol=1e-4, q_max=64):
     rough = (orbit[n0] - x0) / n0
 
     candidates = []
-    for q in range(1, q_max + 1):
+    for q in range(1, Q_MAX + 1):
         p = round(q * rough)
         if math.gcd(p, q) == 1 and abs(p / q - rough) <= 1.5 / n0:
             candidates.append((p, q))
@@ -154,9 +159,7 @@ def rotation_number(g, x0=0.0, tol=1e-4, q_max=64):
                 )
 
     n = max(1, math.ceil(1.0 / tol))
-    # a continuation of the rough pass would round differently from one
-    # run of n steps (RigidLift.advance is x + n * alpha)
-    end = orbit[n] if n <= n0 else g.advance(x0, n)
+    end = orbit[n] if n <= n0 else g.advance(orbit[n0], n - n0)
     value = (end - x0) / n
     return RotationEstimate(value=value, error_radius=1.0 / n, iterations=n)
 
@@ -191,21 +194,21 @@ def _lock_displacement(g, x0, q, p):
     return g.advance(x0, q) - x0 - p
 
 
-def solve_rotation(family, target, bracket=None, x_ref=0.375):
+def solve_rotation(family, target):
     """Find t* with r(t*) = target = p/q by bisection on the lock residual
-    s(t) = g_t^q(x_ref) - x_ref - p, which is monotone in t for a monotone
-    family.  Returns (t*, x_ref): x_ref is an exact lock point when
-    s(t*) = 0, and otherwise the opposite-signed residuals on the
-    machine-thin bracket around t* are the certificate."""
+    s(t) = g_t^q(X_REF) - X_REF - p over the family's interval, which is
+    monotone in t for a monotone family.  Returns t*: X_REF is an exact
+    lock point when s(t*) = 0, and otherwise the opposite-signed residuals
+    on the machine-thin bracket around t* are the certificate."""
     target = Fraction(target)
     p, q = target.numerator, target.denominator
-    a, b = bracket if bracket is not None else (family.a, family.b)
+    a, b = family.a, family.b
 
-    s_a = _lock_displacement(family.lift(a), x_ref, q, p)
-    s_b = _lock_displacement(family.lift(b), x_ref, q, p)
+    s_a = _lock_displacement(family.lift(a), X_REF, q, p)
+    s_b = _lock_displacement(family.lift(b), X_REF, q, p)
     for t_end, s_end in ((a, s_a), (b, s_b)):
         if s_end == 0.0:
-            return t_end, x_ref
+            return t_end
     if s_a * s_b > 0:
         raise NoSolutionError(
             f"target {p}/{q} not bracketed on [{a}, {b}] "
@@ -216,9 +219,9 @@ def solve_rotation(family, target, bracket=None, x_ref=0.375):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        s_mid = _lock_displacement(family.lift(mid), x_ref, q, p)
+        s_mid = _lock_displacement(family.lift(mid), X_REF, q, p)
         if s_mid == 0.0:
-            return mid, x_ref
+            return mid
         if (s_mid > 0) == (s_lo > 0):
             lo, s_lo = mid, s_mid
         else:
@@ -231,7 +234,7 @@ def solve_rotation(family, target, bracket=None, x_ref=0.375):
         raise ResidualFailureError(
             f"no rational lock {p}/{q} confirmed at t = {t_star}"
         )
-    return t_star, x_ref
+    return t_star
 
 
 def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
@@ -259,40 +262,39 @@ def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
     return 0.5 * (lo + hi)
 
 
-def verify_closure(pair, base_cfg, starts=20, seed=0,
-                   close_tol=1e-8, early_tol=1e-4):
-    """Closure residual of an n-Poncelet pair from random start angles.
+def verify_closure(g, n, seed=0):
+    """Closure residual of the lift g after n steps from CLOSURE_STARTS
+    seeded random start points.
 
-    Iterates the geometric map n steps; returns the max angular distance
-    (radians) to the start and asserts no earlier return within early_tol.
+    Returns the max angular distance (radians) to the start; raises
+    ResidualFailureError if it is CLOSE_TOL or more, or if an orbit comes
+    back within EARLY_TOL before step n.
     """
-    cfg = PonceletConfig(base_cfg.R, base_cfg.c, pair.t)
-    lift = PonceletLift(cfg)
     rng = np.random.default_rng(seed)
-    xs = rng.random(starts)
-    table = lift.orbit_table(xs, pair.n)
+    xs = rng.random(CLOSURE_STARTS)
+    table = g.orbit_table(xs, n)
 
     def ang_dist(row):
         frac = np.abs((row - xs + 0.5) % 1.0 - 0.5)
         return TWO_PI * frac
 
-    for k in range(1, pair.n):
+    for k in range(1, n):
         early = float(np.min(ang_dist(table[k])))
-        if early <= early_tol:
+        if early <= EARLY_TOL:
             raise ResidualFailureError(
-                f"orbit returned after {k} < {pair.n} steps "
+                f"orbit returned after {k} < {n} steps "
                 f"(distance {early:.3g})"
             )
-    residual = float(np.max(ang_dist(table[pair.n])))
-    if residual >= close_tol:
+    residual = float(np.max(ang_dist(table[n])))
+    if residual >= CLOSE_TOL:
         raise ResidualFailureError(
-            f"orbit failed to close after {pair.n} steps "
+            f"orbit failed to close after {n} steps "
             f"(residual {residual:.3g})"
         )
     return residual
 
 
-def count_poncelet_pairs(family, n, starts=20, seed=0):
+def count_poncelet_pairs(family, n, seed=0):
     """All inner radii t for which (K, L_t) is an n-Poncelet pair.
 
     r(t) falls from exactly 1/2 at t = 0 to exactly 0 at internal
@@ -310,16 +312,12 @@ def count_poncelet_pairs(family, n, starts=20, seed=0):
         if math.gcd(p, n) != 1:
             continue
         try:
-            t_star, _ = solve_rotation(family, Fraction(p, n))
-            t_inner = family.inner_radius(t_star)
-            pair = PonceletPair(t=t_inner, n=n, p=p,
-                                closure_residual=math.nan)
-            residual = verify_closure(pair, family.base_cfg, starts=starts,
-                                      seed=seed)
+            t_star = solve_rotation(family, Fraction(p, n))
+            residual = verify_closure(family.lift(t_star), n, seed=seed)
         except (NoSolutionError, ResidualFailureError) as err:
             missing.append((p, str(err)))
             continue
-        pairs.append(PonceletPair(t=t_inner, n=n, p=p,
+        pairs.append(PonceletPair(t=family.inner_radius(t_star), n=n, p=p,
                                   closure_residual=residual))
     return CountReport(n=n, pairs=pairs, expected=euler_totient(n) // 2,
                        missing=missing)

@@ -9,29 +9,26 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .confrac import FIB_RECIP, cf_expand, find_balanced_pairs, second_order_bound
+from .confrac import cf_expand, find_balanced_pairs, second_order_bound
 from .rotation import RotationEstimate, rotation_number, staircase
+
+MARGIN_X_SAMPLES = 32      # x samples per parameter in twist_margin
+COMPARISON_TOL = 1e-5      # rotation-number tolerance of comparison_check
+SEPARATION_ITERS = 60      # bisection steps of _solve_separation
+PAIR_EPS = 0.5             # eps of second_order_estimate's balanced pairs
+SEPARATION_X_SAMPLES = 128  # x samples of second_order_estimate's separations
 
 
 class TwistConditionError(ValueError):
     """A sampled parameter-derivative (or separation) was not positive."""
 
 
-@dataclass(frozen=True)
-class TwistMargin:
-    m: float
-    t_samples: int
-    x_samples: int
-
-
-def twist_margin(family, t_grid=None, x_grid=None):
-    """Sampled infimum of d g_t(x) / d t over the family."""
+def twist_margin(family, t_grid=None):
+    """Sampled infimum m of d g_t(x) / d t over the family."""
     if t_grid is None:
         t_grid = np.linspace(family.a, family.b, 17)
-    if x_grid is None:
-        x_grid = np.linspace(0.0, 1.0, 32, endpoint=False)
     t_grid = np.asarray(t_grid, dtype=float)
-    x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = np.linspace(0.0, 1.0, MARGIN_X_SAMPLES, endpoint=False)
     m = math.inf
     for t in t_grid:
         for x in x_grid:
@@ -41,7 +38,7 @@ def twist_margin(family, t_grid=None, x_grid=None):
                     f"dg/dt = {d:.3g} <= 0 at (t={t}, x={x})"
                 )
             m = min(m, d)
-    return TwistMargin(m=float(m), t_samples=t_grid.size, x_samples=x_grid.size)
+    return float(m)
 
 
 def separation_alpha(g1, g2, x_grid=None):
@@ -68,13 +65,13 @@ class ComparisonReport:
     sandwich_ok: Optional[bool]          # r1 < p/q <= r2 within error radii
 
 
-def comparison_check(g1, g2, alpha=None, tol=1e-5):
+def comparison_check(g1, g2):
     """Check r1 <= r2 and, via an excess convergent p/q of r1 with
-    q > 1/alpha, the sandwich r1 < p/q <= r2."""
-    if alpha is None:
-        alpha = separation_alpha(g1, g2)
-    r1 = rotation_number(g1, tol=tol)
-    r2 = rotation_number(g2, tol=tol)
+    q > 1/alpha, alpha = separation_alpha(g1, g2), the sandwich
+    r1 < p/q <= r2."""
+    alpha = separation_alpha(g1, g2)
+    r1 = rotation_number(g1, tol=COMPARISON_TOL)
+    r2 = rotation_number(g2, tol=COMPARISON_TOL)
     slack = r1.error_radius + r2.error_radius
     weak_ok = r1.value <= r2.value + slack
 
@@ -120,12 +117,12 @@ def _separation(family, t1, t2, x_grid):
                         - _image(family, t1, x_grid)))
 
 
-def _solve_separation(family, tau, target, side, delta, x_grid, iters=60):
+def _solve_separation(family, tau, target, side, delta, x_grid):
     """Find t with inf_x separation from g_tau equal to target, searching
     t in [tau - delta, tau] (side = -1) or [tau, tau + delta] (side = +1)."""
     g_tau = _image(family, tau, x_grid)
     lo, hi = 0.0, delta
-    for _ in range(iters):
+    for _ in range(SEPARATION_ITERS):
         mid = 0.5 * (lo + hi)
         t = tau + side * mid
         g_t = _image(family, t, x_grid)
@@ -137,8 +134,7 @@ def _solve_separation(family, tau, target, side, delta, x_grid, iters=60):
     return tau + side * hi
 
 
-def second_order_estimate(family, tau, delta_seq=None, tol=1e-5,
-                          eps=0.5, x_samples=128):
+def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
     """Best observed (r(t2) - r(t1)) / (t2 - t1)^2 over shrinking brackets
     around tau, against the bound m^2 / (e^{2F} (1 + e^{2F})^2).
 
@@ -159,15 +155,15 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5,
     margin = twist_margin(
         family,
         t_grid=np.linspace(tau - delta_max, tau + delta_max, 9),
-    ).m
+    )
     bound = second_order_bound(m=margin)
     if est_tau.is_rational_lock:
         return SecondOrderReport(tau=tau, status="inapplicable",
                                  best_ratio=math.nan, bound=bound,
                                  margin=margin)
 
-    x_grid = np.linspace(0.0, 1.0, x_samples, endpoint=False)
-    pairs = find_balanced_pairs(cf_expand(est_tau.value), eps=eps)
+    x_grid = np.linspace(0.0, 1.0, SEPARATION_X_SAMPLES, endpoint=False)
+    pairs = find_balanced_pairs(cf_expand(est_tau.value), eps=PAIR_EPS)
 
     best = -math.inf
     brackets = []

@@ -69,7 +69,7 @@ def test_criterion_2_pair_counting():
     for c in (0.0, 0.3):
         family = poncelet_family(1.0, c)
         for n in range(3, 13):
-            rep = count_poncelet_pairs(family, n, starts=20)
+            rep = count_poncelet_pairs(family, n)
             ok = ok and len(rep.pairs) == euler_totient(n) // 2
             ok = ok and all(p.closure_residual < 1e-8 for p in rep.pairs)
     elapsed = time.perf_counter() - start

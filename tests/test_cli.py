@@ -264,6 +264,8 @@ def test_prop2_poncelet_passes(tmp_path):
     ["orbit", "--t", "0.3", "--theta0", "nan"],
     ["orbit", "--t", "0.3", "--theta0", "inf"],
     ["count", "--R", "inf"],
+    ["cf", "--x", "0.3", "--n-max", "0"],
+    ["cf", "--x", "0.3", "--n-max", "-1"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -11,8 +11,8 @@ from poncelet.families import arnold_family, poncelet_family, rigid_family
 from poncelet.geometry import PonceletConfig
 from poncelet.lifts import ArnoldLift, PonceletLift, RigidLift
 from poncelet.rotation import (
+    X_REF,
     NoSolutionError,
-    PonceletPair,
     ResidualFailureError,
     count_poncelet_pairs,
     detect_rational_lock,
@@ -233,8 +233,8 @@ class RecordingLift:
         self.g = g
         self.tables = []
 
-    def validate(self, samples=64, tol=1e-12):
-        self.g.validate(samples, tol)
+    def validate(self, samples=64):
+        self.g.validate(samples)
 
     def advance(self, xs, n):
         return self.g.advance(xs, n)
@@ -266,14 +266,20 @@ def test_no_lock_table_without_a_candidate():
     RigidLift(math.sqrt(2.0) - 1.0),
 ], ids=["poncelet", "arnold", "rigid"])
 def test_short_birkhoff_run_equals_one_advance(g):
-    # for n <= 1024 the quotient is read off the rough pass's orbit; it
-    # must equal the quotient of one n-step advance bit for bit
+    # for n <= 1024 the quotient is read off the rough pass's orbit, and
+    # for n > 1024 that orbit is continued from step 1024; either must
+    # equal the quotient of one n-step advance bit for bit.  The rigid
+    # lift's closed form x + n * alpha rounds a continuation differently.
     for x0 in (0.0, 0.375):
         for tol in (1e-3, 1.0 / 1024):
             est = rotation_number(g, x0=x0, tol=tol)
             n = est.iterations
             assert est.lock is None and n <= 1024
             assert est.value == (g.advance(x0, n) - x0) / n
+        if not isinstance(g, RigidLift):
+            est = rotation_number(g, x0=x0, tol=1e-4)
+            assert est.lock is None and est.iterations == 10_000
+            assert est.value == (g.advance(x0, 10_000) - x0) / 10_000
 
 
 # ----------------------------------------------------------- lock detection
@@ -361,20 +367,20 @@ def test_staircase_rejects_unsorted_grid():
 
 def test_solve_one_third_gives_half_radius():
     family = poncelet_family(1.0, 0.0)
-    t_star, x0 = solve_rotation(family, Fraction(1, 3))
+    t_star = solve_rotation(family, Fraction(1, 3))
     assert t_star == pytest.approx(0.5, abs=1e-11)
-    assert abs(family.lift(t_star).advance(x0, 3) - x0 - 1) < 1e-9
+    assert abs(family.lift(t_star).advance(X_REF, 3) - X_REF - 1) < 1e-9
 
 
 def test_solve_two_fifths_closed_form():
     family = poncelet_family(1.0, 0.0)
-    t_star, _ = solve_rotation(family, Fraction(2, 5))
+    t_star = solve_rotation(family, Fraction(2, 5))
     assert t_star == pytest.approx(math.cos(2.0 * math.pi / 5.0), abs=1e-11)
 
 
 def test_solve_half_hits_boundary():
     family = poncelet_family(1.0, 0.0)
-    t_star, _ = solve_rotation(family, Fraction(1, 2))
+    t_star = solve_rotation(family, Fraction(1, 2))
     assert t_star == pytest.approx(0.0, abs=1e-11)
 
 
@@ -387,22 +393,19 @@ def test_solve_outside_image_raises():
 # ------------------------------------------------------------------ closure
 
 def test_triangle_pair_closes_tightly():
-    pair = PonceletPair(t=0.5, n=3, p=1, closure_residual=math.nan)
-    residual = verify_closure(pair, PonceletConfig(1.0, 0.0), starts=20)
+    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 3)
     assert residual < 1e-10
 
 
 def test_diameter_closes_in_two_steps():
-    pair = PonceletPair(t=0.0, n=2, p=1, closure_residual=math.nan)
-    residual = verify_closure(pair, PonceletConfig(1.0, 0.0), starts=20)
+    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)), 2)
     assert residual < 1e-12
 
 
 def test_wrong_period_is_rejected():
     # the triangle radius does not close a 5-gon
-    pair = PonceletPair(t=0.5, n=5, p=1, closure_residual=math.nan)
     with pytest.raises(ResidualFailureError):
-        verify_closure(pair, PonceletConfig(1.0, 0.0))
+        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5)
 
 
 # ----------------------------------------------------------------- counting
@@ -455,6 +458,24 @@ def test_offcenter_count_finds_every_pair(c, n):
     assert sorted(p.p for p in report.pairs) == \
         [p for p in range(1, n) if 2 * p < n and math.gcd(p, n) == 1]
     assert all(p.closure_residual < 1e-8 for p in report.pairs)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.6])
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_reversed_family_count_matches_forward(c, n):
+    # s = R - c - t: the same pairs, each closed on the lift at inner
+    # radius t, whichever way the family runs
+    seed = 3
+    forward = count_poncelet_pairs(poncelet_family(1.0, c), n, seed=seed)
+    report = count_poncelet_pairs(poncelet_family(1.0, c, reverse=True), n,
+                                  seed=seed)
+    assert report.ok
+    want = {pair.p: pair.t for pair in forward.pairs}
+    assert sorted(pair.p for pair in report.pairs) == sorted(want)
+    for pair in report.pairs:
+        assert abs(pair.t - want[pair.p]) <= 1e-12
+        lift = PonceletLift(PonceletConfig(1.0, c, pair.t))
+        assert pair.closure_residual == verify_closure(lift, n, seed)
 
 
 def test_counting_rejects_degenerate_period():

@@ -30,14 +30,14 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def test_arnold_margin_is_one():
     margin = twist_margin(arnold_family(0.6))
-    assert margin.m == 1.0
+    assert margin == 1.0
 
 
 def test_quadratic_rigid_margin():
     # alpha(t) = t^2 + t, inf of 2t + 1 on [0, 1] is 1
     family = rigid_family(alpha_fn=lambda t: t * t + t,
                           d_alpha=lambda t: 2.0 * t + 1.0)
-    assert twist_margin(family).m == pytest.approx(1.0, abs=1e-12)
+    assert twist_margin(family) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_poncelet_reversed_fd_margin_matches_arccos_derivative():
@@ -50,7 +50,7 @@ def test_poncelet_reversed_fd_margin_matches_arccos_derivative():
         assert got == pytest.approx(want, rel=1e-4)
     margin = twist_margin(family,
                           t_grid=np.linspace(0.2, 1.0, 9))
-    assert margin.m == pytest.approx(1.0 / math.pi, rel=1e-3)
+    assert margin == pytest.approx(1.0 / math.pi, rel=1e-3)
 
 
 def test_margin_rejects_non_twist_family():
@@ -80,7 +80,7 @@ def test_separation_rejects_unordered_pair():
 def test_lower_separation_inequality():
     # g_{t2}(x) - g_{t1}(x) >= m (t2 - t1) on sampled pairs
     family = poncelet_family(1.0, 0.0, reverse=True)
-    m = twist_margin(family).m
+    m = twist_margin(family)
     xs = np.linspace(0.0, 1.0, 64, endpoint=False)
     for t1, t2 in [(0.1, 0.3), (0.25, 0.7), (0.5, 0.95)]:
         sep = separation_alpha(family.lift(t1), family.lift(t2), xs)
