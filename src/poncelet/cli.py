@@ -32,7 +32,6 @@ from .geometry import (
 from .rotation import (
     count_poncelet_pairs,
     find_parameter_for_value,
-    rotation_number,
     staircase,
 )
 from .twistfam import second_order_estimate

@@ -9,9 +9,9 @@ quotient is certified.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class PrecisionExhaustedError(ValueError):

@@ -29,7 +29,7 @@ class NoSolutionError(ValueError):
 
 
 class ResidualFailureError(RuntimeError):
-    """Bisection converged but the rational lock could not be confirmed."""
+    """The solve converged but the rational lock could not be confirmed."""
 
 
 @dataclass(frozen=True)
@@ -190,22 +190,25 @@ def staircase(family, t_grid, tol=1e-4):
                            violations=violations)
 
 
-def _lock_displacement(g, x0, q, p):
-    return g.advance(x0, q) - x0 - p
-
-
 def solve_rotation(family, target):
-    """Find t* with r(t*) = target = p/q by bisection on the lock residual
+    """Find t* with r(t*) = target = p/q on the lock residual
     s(t) = g_t^q(X_REF) - X_REF - p over the family's interval, which is
-    monotone in t for a monotone family.  Returns t*: X_REF is an exact
-    lock point when s(t*) = 0, and otherwise the opposite-signed residuals
-    on the machine-thin bracket around t* are the certificate."""
+    monotone in t for a monotone family.
+
+    Brent's bracketed method (Brent 1973, ch. 4, "zeroin") shrinks the
+    sign-change bracket with inverse quadratic and secant steps, falling
+    back to bisection, until it is about 4 ulps wide; bisection then
+    takes it to two adjacent floats.  Returns t*: X_REF is an exact lock
+    point when s(t*) = 0, and otherwise the opposite-signed residuals on
+    the machine-thin bracket around t* are the certificate."""
     target = Fraction(target)
     p, q = target.numerator, target.denominator
-    a, b = family.a, family.b
 
-    s_a = _lock_displacement(family.lift(a), X_REF, q, p)
-    s_b = _lock_displacement(family.lift(b), X_REF, q, p)
+    def s(t):
+        return family.lift(t).advance(X_REF, q) - X_REF - p
+
+    a, b = family.a, family.b
+    s_a, s_b = s(a), s(b)
     for t_end, s_end in ((a, s_a), (b, s_b)):
         if s_end == 0.0:
             return t_end
@@ -214,12 +217,52 @@ def solve_rotation(family, target):
             f"target {p}/{q} not bracketed on [{a}, {b}] "
             f"(residuals {s_a:.3g}, {s_b:.3g})"
         )
-    lo, hi, s_lo, s_hi = a, b, s_a, s_b
+    # b is the best iterate, c the contrapoint (s_c of opposite sign, so
+    # [b, c] brackets the root), a the previous b; e is the step before
+    # last, which an interpolation step must beat by half
+    c, s_c = a, s_a
+    d = e = b - a
+    while True:
+        if (s_b > 0) == (s_c > 0):
+            c, s_c = a, s_a
+            d = e = b - a
+        if abs(s_c) < abs(s_b):
+            a, b, c = b, c, b
+            s_a, s_b, s_c = s_b, s_c, s_b
+        tol = 2.0 * math.ulp(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            break
+        if abs(e) >= tol and abs(s_a) > abs(s_b):
+            r = s_b / s_a
+            if a == c:  # secant
+                num, den = 2.0 * m * r, 1.0 - r
+            else:  # inverse quadratic through a, b, c
+                u, v = s_a / s_c, s_b / s_c
+                num = r * (2.0 * m * u * (u - v) - (b - a) * (v - 1.0))
+                den = (u - 1.0) * (v - 1.0) * (r - 1.0)
+            if num > 0:
+                den = -den
+            else:
+                num = -num
+            if 2.0 * num < min(3.0 * m * den - abs(tol * den), abs(e * den)):
+                e, d = d, num / den
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, s_a = b, s_b
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        s_b = s(b)
+        if s_b == 0.0:
+            return b
+
+    lo, hi, s_lo, s_hi = (b, c, s_b, s_c) if b < c else (c, b, s_c, s_b)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        s_mid = _lock_displacement(family.lift(mid), X_REF, q, p)
+        s_mid = s(mid)
         if s_mid == 0.0:
             return mid
         if (s_mid > 0) == (s_lo > 0):

@@ -7,13 +7,11 @@ line; tolerances are pinned in the assertions.
 import math
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from poncelet.cli import main as cli_main
 from poncelet.confrac import (
-    cf_expand,
     fibonacci_reciprocal_sum,
     find_balanced_pairs,
     k_epsilon,

@@ -390,6 +390,74 @@ def test_solve_outside_image_raises():
         solve_rotation(family, Fraction(3, 4))
 
 
+FAMILIES = {"poncelet": poncelet_family, "arnold": arnold_family,
+            "rigid": rigid_family}
+
+
+def _solve_grid():
+    for c in (0.0, 0.3, 0.6):
+        for n in range(3, 13):
+            for p in range(1, (n + 1) // 2):
+                if math.gcd(p, n) == 1:
+                    yield pytest.param(("poncelet", 1.0, c), Fraction(p, n),
+                                       id=f"poncelet-c{c}-{p}/{n}")
+    for spec, target in ((("arnold", 0.8), Fraction(1, 3)),
+                         (("arnold", 0.8), Fraction(2, 5)),
+                         (("rigid",), Fraction(1, 3))):
+        yield pytest.param(spec, target, id=f"{spec[0]}-{target}")
+
+
+SOLVE_GRID = list(_solve_grid())
+
+
+def lock_residual(family, target, t):
+    g = family.lift(t)
+    return g.advance(X_REF, target.denominator) - X_REF - target.numerator
+
+
+def bisection_reference(family, target):
+    """Plain bisection on the lock residual to two adjacent floats."""
+    lo, hi = family.a, family.b
+    s_lo, s_hi = (lock_residual(family, target, t) for t in (lo, hi))
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        s_mid = lock_residual(family, target, mid)
+        if s_mid == 0.0:
+            return mid
+        if (s_mid > 0) == (s_lo > 0):
+            lo, s_lo = mid, s_mid
+        else:
+            hi, s_hi = mid, s_mid
+    return lo if abs(s_lo) <= abs(s_hi) else hi
+
+
+@pytest.mark.parametrize("spec, target", SOLVE_GRID)
+def test_solve_ends_on_machine_thin_certificate(spec, target):
+    family = FAMILIES[spec[0]](*spec[1:])
+    t_star = solve_rotation(family, target)
+    s_star = lock_residual(family, target, t_star)
+    if s_star != 0.0:
+        # t* is the bracket end on the side of the residual's sign; its
+        # neighbour toward the other end has the opposite sign
+        s_a = lock_residual(family, target, family.a)
+        toward = family.b if (s_star > 0) == (s_a > 0) else family.a
+        s_next = lock_residual(family, target, math.nextafter(t_star, toward))
+        assert (s_next > 0) != (s_star > 0)
+    reference = bisection_reference(family, target)
+    assert abs(t_star - reference) <= 4 * math.ulp(reference)
+
+
+@pytest.mark.parametrize("spec, target", SOLVE_GRID)
+def test_solve_builds_at_most_40_lifts(spec, target):
+    # bisection to adjacent floats builds 50-57 on this grid
+    family = FAMILIES[spec[0]](*spec[1:])
+    built = []
+    lift = family.lift
+    family.lift = lambda t: built.append(t) or lift(t)
+    solve_rotation(family, target)
+    assert len(built) <= 40
+
+
 # ------------------------------------------------------------------ closure
 
 def test_triangle_pair_closes_tightly():
