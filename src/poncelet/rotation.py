@@ -35,14 +35,12 @@ class ResidualFailureError(RuntimeError):
 @dataclass(frozen=True)
 class RotationEstimate:
     """A rotation number with a sound error radius.  A lock (p, q) gives
-    value p/q with radius 0, and lock_point is a grid point whose cell
-    holds a root of g^q(x) - x - p."""
+    value p/q with radius 0."""
 
     value: float
     error_radius: float
     iterations: int
     lock: Optional[Tuple[int, int]] = None  # (p, q), gcd = 1
-    lock_point: Optional[float] = None
 
     @property
     def is_rational_lock(self):
@@ -150,13 +148,9 @@ def rotation_number(g, x0=0.0, tol=1e-4):
         xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
         table = g.orbit_table(xs, candidates[-1][1])
         for p, q in candidates:
-            d = table[q] - xs - p
-            x_lock = _lock_from_grid(xs, d)
-            if x_lock is not None:
-                return RotationEstimate(
-                    value=p / q, error_radius=0.0, iterations=n0,
-                    lock=(p, q), lock_point=x_lock,
-                )
+            if _lock_from_grid(xs, table[q] - xs - p) is not None:
+                return RotationEstimate(value=p / q, error_radius=0.0,
+                                        iterations=n0, lock=(p, q))
 
     n = max(1, math.ceil(1.0 / tol))
     end = orbit[n] if n <= n0 else g.advance(orbit[n0], n - n0)
@@ -167,6 +161,8 @@ def rotation_number(g, x0=0.0, tol=1e-4):
 def staircase(family, t_grid, tol=1e-4):
     """Sample r(t) over a sorted grid and check weak monotonicity."""
     t_grid = list(t_grid)
+    if not t_grid:
+        raise ValueError("t_grid must not be empty")
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be sorted ascending")
     points = [(t, rotation_number(family.lift(t), tol=tol)) for t in t_grid]
@@ -190,17 +186,53 @@ def staircase(family, t_grid, tol=1e-4):
                            violations=violations)
 
 
+def shrink_bracket(f, lo, f_lo, hi, f_hi):
+    """Shrink the bracket lo < hi of a sign change of f, whose end values
+    f_lo = f(lo) and f_hi = f(hi) have opposite signs, to an exact zero of
+    f or two adjacent floats.  Returns (lo, f_lo, hi, f_hi).
+
+    Regula falsi on weighted ends with the Illinois rule (Dowell and
+    Jarratt 1971): when the same end is kept twice in a row, its weight is
+    halved, so the secant point soon lands on its side of the root and
+    neither end stalls.  A secant point that rounds onto an end steps to
+    that end's float neighbour inward instead."""
+    if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
+        raise ValueError(f"no sign change: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
+    w_lo, w_hi = f_lo, f_hi
+    kept = 0  # +1 / -1: hi / lo was kept on the last step
+    while f_lo != 0.0 and f_hi != 0.0:
+        inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        if inner_lo == hi:
+            break
+        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        if not x > lo:
+            x = inner_lo
+        elif not x < hi:
+            x = inner_hi
+        f_x = f(x)
+        if (f_x > 0) == (f_lo > 0):
+            lo, f_lo, w_lo = x, f_x, f_x
+            if kept > 0:
+                w_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi, w_hi = x, f_x, f_x
+            if kept < 0:
+                w_lo *= 0.5
+            kept = -1
+    return lo, f_lo, hi, f_hi
+
+
 def solve_rotation(family, target):
     """Find t* with r(t*) = target = p/q on the lock residual
     s(t) = g_t^q(X_REF) - X_REF - p over the family's interval, which is
     monotone in t for a monotone family.
 
-    Brent's bracketed method (Brent 1973, ch. 4, "zeroin") shrinks the
-    sign-change bracket with inverse quadratic and secant steps, falling
-    back to bisection, until it is about 4 ulps wide; bisection then
-    takes it to two adjacent floats.  Returns t*: X_REF is an exact lock
-    point when s(t*) = 0, and otherwise the opposite-signed residuals on
-    the machine-thin bracket around t* are the certificate."""
+    shrink_bracket takes the sign-change bracket [family.a, family.b] to
+    an exact zero or two adjacent floats, and t* is the end with the
+    smaller residual.  X_REF is an exact lock point when s(t*) = 0, and
+    otherwise the opposite-signed residuals on the machine-thin bracket
+    around t* are the certificate."""
     target = Fraction(target)
     p, q = target.numerator, target.denominator
 
@@ -209,71 +241,17 @@ def solve_rotation(family, target):
 
     a, b = family.a, family.b
     s_a, s_b = s(a), s(b)
-    for t_end, s_end in ((a, s_a), (b, s_b)):
-        if s_end == 0.0:
-            return t_end
     if s_a * s_b > 0:
         raise NoSolutionError(
             f"target {p}/{q} not bracketed on [{a}, {b}] "
             f"(residuals {s_a:.3g}, {s_b:.3g})"
         )
-    # b is the best iterate, c the contrapoint (s_c of opposite sign, so
-    # [b, c] brackets the root), a the previous b; e is the step before
-    # last, which an interpolation step must beat by half
-    c, s_c = a, s_a
-    d = e = b - a
-    while True:
-        if (s_b > 0) == (s_c > 0):
-            c, s_c = a, s_a
-            d = e = b - a
-        if abs(s_c) < abs(s_b):
-            a, b, c = b, c, b
-            s_a, s_b, s_c = s_b, s_c, s_b
-        tol = 2.0 * math.ulp(b)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
-            break
-        if abs(e) >= tol and abs(s_a) > abs(s_b):
-            r = s_b / s_a
-            if a == c:  # secant
-                num, den = 2.0 * m * r, 1.0 - r
-            else:  # inverse quadratic through a, b, c
-                u, v = s_a / s_c, s_b / s_c
-                num = r * (2.0 * m * u * (u - v) - (b - a) * (v - 1.0))
-                den = (u - 1.0) * (v - 1.0) * (r - 1.0)
-            if num > 0:
-                den = -den
-            else:
-                num = -num
-            if 2.0 * num < min(3.0 * m * den - abs(tol * den), abs(e * den)):
-                e, d = d, num / den
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, s_a = b, s_b
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        s_b = s(b)
-        if s_b == 0.0:
-            return b
-
-    lo, hi, s_lo, s_hi = (b, c, s_b, s_c) if b < c else (c, b, s_c, s_b)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        s_mid = s(mid)
-        if s_mid == 0.0:
-            return mid
-        if (s_mid > 0) == (s_lo > 0):
-            lo, s_lo = mid, s_mid
-        else:
-            hi, s_hi = mid, s_mid
+    lo, s_lo, hi, s_hi = shrink_bracket(s, a, s_a, b, s_b)
     # the opposite-signed residuals on the machine-thin bracket certify a
     # parameter with lock p/q inside it (the displacement is continuous in
     # t and vanishes exactly at the lock)
     t_star = lo if abs(s_lo) <= abs(s_hi) else hi
-    if (s_lo > 0) == (s_hi > 0):
+    if s_lo != 0.0 and s_hi != 0.0 and (s_lo > 0) == (s_hi > 0):
         raise ResidualFailureError(
             f"no rational lock {p}/{q} confirmed at t = {t_star}"
         )
@@ -316,19 +294,16 @@ def verify_closure(g, n, seed=0):
     rng = np.random.default_rng(seed)
     xs = rng.random(CLOSURE_STARTS)
     table = g.orbit_table(xs, n)
-
-    def ang_dist(row):
-        frac = np.abs((row - xs + 0.5) % 1.0 - 0.5)
-        return TWO_PI * frac
-
-    for k in range(1, n):
-        early = float(np.min(ang_dist(table[k])))
-        if early <= EARLY_TOL:
-            raise ResidualFailureError(
-                f"orbit returned after {k} < {n} steps "
-                f"(distance {early:.3g})"
-            )
-    residual = float(np.max(ang_dist(table[n])))
+    # angular distance to the start of each point of rows 1..n
+    dist = TWO_PI * np.abs((table[1:] - xs + 0.5) % 1.0 - 0.5)
+    early = np.flatnonzero(np.min(dist[:-1], axis=1) <= EARLY_TOL)
+    if early.size:
+        k = int(early[0]) + 1
+        raise ResidualFailureError(
+            f"orbit returned after {k} < {n} steps "
+            f"(distance {float(np.min(dist[k - 1])):.3g})"
+        )
+    residual = float(np.max(dist[-1]))
     if residual >= CLOSE_TOL:
         raise ResidualFailureError(
             f"orbit failed to close after {n} steps "

@@ -10,11 +10,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .confrac import cf_expand, find_balanced_pairs, second_order_bound
-from .rotation import RotationEstimate, rotation_number, staircase
+from .rotation import (RotationEstimate, rotation_number, shrink_bracket,
+                       staircase)
 
 MARGIN_X_SAMPLES = 32      # x samples per parameter in twist_margin
 COMPARISON_TOL = 1e-5      # rotation-number tolerance of comparison_check
-SEPARATION_ITERS = 60      # bisection steps of _solve_separation
 PAIR_EPS = 0.5             # eps of second_order_estimate's balanced pairs
 SEPARATION_X_SAMPLES = 128  # x samples of second_order_estimate's separations
 
@@ -119,19 +119,26 @@ def _separation(family, t1, t2, x_grid):
 
 def _solve_separation(family, tau, target, side, delta, x_grid):
     """Find t with inf_x separation from g_tau equal to target, searching
-    t in [tau - delta, tau] (side = -1) or [tau, tau + delta] (side = +1)."""
+    t in [tau - delta, tau] (side = -1) or [tau, tau + delta] (side = +1).
+
+    Returns the end nearer tau of the machine-thin bracket on which the
+    separation reaches target, or an exact solution; the caller has
+    checked that the separation at tau + side * delta is at least target."""
     g_tau = _image(family, tau, x_grid)
-    lo, hi = 0.0, delta
-    for _ in range(SEPARATION_ITERS):
-        mid = 0.5 * (lo + hi)
-        t = tau + side * mid
-        g_t = _image(family, t, x_grid)
-        sep = float(np.min(g_tau - g_t if side < 0 else g_t - g_tau))
-        if sep < target:
-            lo = mid
-        else:
-            hi = mid
-    return tau + side * hi
+
+    def excess(t):
+        sep = side * (_image(family, t, x_grid) - g_tau)
+        return float(np.min(sep)) - target
+
+    # the excess at tau itself is exactly -target
+    far = tau + side * delta
+    if side < 0:
+        far, e_far, near, e_near = shrink_bracket(excess, far, excess(far),
+                                                  tau, -target)
+    else:
+        near, e_near, far, e_far = shrink_bracket(excess, tau, -target,
+                                                  far, excess(far))
+    return near if e_near >= 0 else far
 
 
 def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):

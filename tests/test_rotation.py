@@ -18,6 +18,7 @@ from poncelet.rotation import (
     detect_rational_lock,
     euler_totient,
     rotation_number,
+    shrink_bracket,
     solve_rotation,
     staircase,
     verify_closure,
@@ -363,6 +364,11 @@ def test_staircase_rejects_unsorted_grid():
         staircase(rigid_family(), [0.3, 0.1])
 
 
+def test_staircase_rejects_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        staircase(rigid_family(), [])
+
+
 # ------------------------------------------------------------------- solver
 
 def test_solve_one_third_gives_half_radius():
@@ -388,6 +394,37 @@ def test_solve_outside_image_raises():
     family = poncelet_family(1.0, 0.0)
     with pytest.raises(NoSolutionError):
         solve_rotation(family, Fraction(3, 4))
+
+
+def test_shrink_bracket_ends_on_adjacent_floats():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    lo, f_lo, hi, f_hi = shrink_bracket(f, 1.0, -1.0, 2.0, 2.0)
+    assert math.nextafter(lo, hi) == hi
+    assert f_lo < 0.0 < f_hi
+    assert (f_lo, f_hi) == (f(lo), f(hi))
+    assert lo <= math.sqrt(2.0) <= hi
+    assert len(calls) <= 12
+
+
+def test_shrink_bracket_stops_at_an_exact_zero():
+    lo, f_lo, hi, f_hi = shrink_bracket(lambda x: x - 0.5, 0.0, -0.5,
+                                        2.0, 1.5)
+    assert (lo, f_lo) == (0.5, 0.0)
+    assert f_hi > 0.0
+    # a zero end needs no step
+    assert shrink_bracket(None, 0.0, 0.0, 1.0, 1.0) == (0.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("f_lo, f_hi", [(1.0, 2.0), (-1.0, -2.0),
+                                        (math.nan, 1.0)])
+def test_shrink_bracket_rejects_ends_without_sign_change(f_lo, f_hi):
+    with pytest.raises(ValueError):
+        shrink_bracket(lambda x: x, 0.0, f_lo, 1.0, f_hi)
 
 
 FAMILIES = {"poncelet": poncelet_family, "arnold": arnold_family,

@@ -13,8 +13,10 @@ from poncelet.families import (
     poncelet_family,
     rigid_family,
 )
+from poncelet import twistfam
 from poncelet.lifts import ArnoldLift, RigidLift
 from poncelet.twistfam import (
+    SEPARATION_X_SAMPLES,
     TwistConditionError,
     comparison_check,
     proposition1_check,
@@ -147,6 +149,39 @@ def test_tau_must_be_interior():
         second_order_estimate(rigid_family(), 0.0)
 
 
+SEPARATION_CASES = [
+    pytest.param(family, tau, q, side, id=f"{name}-q{q}-side{side:+d}")
+    for name, family, tau in (("rigid", rigid_family(), GOLDEN),
+                              ("arnold", arnold_family(0.8), 0.3))
+    for q in (13, 34, 89)
+    for side in (-1, 1)
+]
+
+
+@pytest.mark.parametrize("family, tau, q, side", SEPARATION_CASES)
+def test_separation_solve_ends_where_separation_reaches_target(
+        monkeypatch, family, tau, q, side):
+    x_grid = np.linspace(0.0, 1.0, SEPARATION_X_SAMPLES, endpoint=False)
+    g_tau = family.lift(tau).orbit_table(x_grid, 1)[1]
+
+    def separation(t):
+        g_t = family.lift(t).orbit_table(x_grid, 1)[1]
+        return float(np.min(side * (g_t - g_tau)))
+
+    images = []
+    image = twistfam._image
+    monkeypatch.setattr(twistfam, "_image",
+                        lambda *args: images.append(args) or image(*args))
+    target = 1.0 / q
+    t = twistfam._solve_separation(family, tau, target, side, 0.1, x_grid)
+    assert side * (t - tau) > 0
+    assert separation(t) >= target
+    if separation(t) != target:
+        assert separation(math.nextafter(t, tau)) < target
+    # bisection to the float grid takes about 60
+    assert len(images) <= 20
+
+
 # ------------------------------------------------------------ monotonicity
 
 def test_rigid_family_strictly_increases():
@@ -160,6 +195,11 @@ def test_arnold_staircase_is_nondecreasing():
                                 np.linspace(0.0, 1.0, 21), tol=1e-4)
     assert report.result.monotone_ok
     assert not report.strict_violations
+
+
+def test_monotonicity_check_rejects_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        proposition1_check(rigid_family(), [])
 
 
 def test_reversed_poncelet_family_increases():
