@@ -40,19 +40,13 @@ TAIL_BUFFER = 5
 
 
 def gauss_map(x):
-    """T(x) = frac(1/x) on [0, 1), with T(0) = 0.  Exact on Fractions."""
-    if isinstance(x, Fraction):
-        if not 0 <= x < 1:
-            raise ValueError("gauss_map needs x in [0, 1)")
-        if x == 0:
-            return Fraction(0)
-        inv = 1 / x
-        return inv - math.floor(inv)
-    if not 0.0 <= x < 1.0:
+    """T(x) = frac(1/x) on [0, 1), with T(0) = 0.  Exact on Fractions,
+    float on floats."""
+    if not 0 <= x < 1:
         raise ValueError("gauss_map needs x in [0, 1)")
-    if x == 0.0:
-        return 0.0
-    inv = 1.0 / x
+    if x == 0:
+        return x
+    inv = 1 / x
     return inv - math.floor(inv)
 
 
@@ -201,7 +195,6 @@ def second_order_bound(m=1.0):
 class ApproximationPair:
     excess: Fraction
     defect: Fraction
-    epsilon: float
     index: int              # n with ratio q_{n+1}/q_n inside the window
     ratio: float
     gap_ok: bool            # excess - defect >= K_eps (1/q + 1/q')^2, exact
@@ -247,7 +240,7 @@ def find_balanced_pairs(x, eps, n_max=30):
         else:
             excess, defect = c_n1, c_n
         pairs.append(ApproximationPair(
-            excess=excess, defect=defect, epsilon=eps, index=n,
+            excess=excess, defect=defect, index=n,
             ratio=ratio, gap_ok=check_gap_inequality(excess, defect, eps),
         ))
     return pairs

@@ -12,14 +12,13 @@ FD_STEP = 1e-6
 
 
 class MonotoneCircleFamily:
-    def __init__(self, a, b, lift_factory, dgdt=None, name=""):
+    def __init__(self, a, b, lift_factory, dgdt=None):
         if not b > a:
             raise ValueError("parameter interval must have b > a")
         self.a = float(a)
         self.b = float(b)
         self._factory = lift_factory
         self._dgdt = dgdt
-        self.name = name
 
     def lift(self, t):
         if not self.a - 1e-12 <= t <= self.b + 1e-12:
@@ -43,20 +42,15 @@ class MonotoneCircleFamily:
         return (4.0 * d1h - d2h) / 3.0
 
 
-def rigid_family(alpha_fn=None, d_alpha=None, a=0.0, b=1.0):
-    """g_t(x) = x + alpha(t); defaults to alpha(t) = t."""
-    if alpha_fn is None:
-        alpha_fn = lambda t: t
-        d_alpha = lambda t: 1.0
-    dgdt = None if d_alpha is None else (lambda t, x: d_alpha(t))
-    return MonotoneCircleFamily(a, b, lambda t: RigidLift(alpha_fn(t)),
-                                dgdt=dgdt, name="rigid")
+def rigid_family(a=0.0, b=1.0):
+    """g_t(x) = x + t on [a, b]."""
+    return MonotoneCircleFamily(a, b, RigidLift, dgdt=lambda t, x: 1.0)
 
 
 def arnold_family(K):
     """Standard family g_t(x) = x + t + (K / 2 pi) sin(2 pi x), t in [0, 1]."""
     return MonotoneCircleFamily(0.0, 1.0, lambda t: ArnoldLift(t, K),
-                                dgdt=lambda t, x: 1.0, name="arnold")
+                                dgdt=lambda t, x: 1.0)
 
 
 class PonceletFamily(MonotoneCircleFamily):
@@ -72,8 +66,7 @@ class PonceletFamily(MonotoneCircleFamily):
         self.c = float(c)
         self.reverse = reverse
         PonceletConfig(R, c)  # rejects an invalid R or c up front
-        super().__init__(0.0, self.R - self.c, self._make,
-                         name="poncelet" + ("-reversed" if reverse else ""))
+        super().__init__(0.0, self.R - self.c, self._make)
 
     def inner_radius(self, t):
         return self.b - t if self.reverse else t

@@ -97,14 +97,16 @@ def _scalar_advance(xs, n, step):
     return np.reshape(vals, xs.shape)
 
 
-def _scalar_orbit(out, step):
-    """Fill rows 1.. of the narrow orbit table `out` from row 0."""
-    for i, x in enumerate(out[0].tolist()):
+def _scalar_orbit(xs, depth, step):
+    """Orbit table of the narrow array xs: row k = step^k(xs)."""
+    out = np.empty((depth + 1, xs.size), dtype=np.float64)
+    for i, x in enumerate(xs.ravel().tolist()):
         column = [x]
-        for _ in range(out.shape[0] - 1):
+        for _ in range(depth):
             x = step(x)
             column.append(x)
         out[:, i] = column
+    return out
 
 
 # The scalar loop gives way to numpy on a ValueError: math raises on an
@@ -125,14 +127,13 @@ def _advance(xs, n, make_step, params):
 
 def _orbit(xs, depth, make_step, params):
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty((depth + 1, xs.size), dtype=np.float64)
-    out[0] = xs
     if xs.size <= NARROW_MAX:
         try:
-            _scalar_orbit(out, make_step(*params))
-            return out
+            return _scalar_orbit(xs, depth, make_step(*params))
         except ValueError:
             pass
+    out = np.empty((depth + 1, xs.size), dtype=np.float64)
+    out[0] = xs
     step = make_step(*params, WIDE)
     for k in range(1, depth + 1):
         out[k] = step(out[k - 1])

@@ -1,15 +1,19 @@
 """Lifts of orientation-preserving circle homeomorphisms.
 
 A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
-The Poncelet tangent map and the Arnold map take both their scalar step and
-their bulk iteration from the kernels module, so each map has one scalar
-definition; rigid rotations are iterated in closed form.
+Every lift is a scalar step plus two bulk hooks that iterate it over an
+array; `CircleLift` builds `g(x)`, `advance` and `orbit_table` on them
+once.  The Poncelet tangent map and the Arnold map take the step and both
+hooks from the kernels module, so each map has one scalar definition; a
+`FunctionLift` runs the kernels' scalar loops on its callable; rigid
+rotations are iterated in closed form.
 """
 
 import numpy as np
 
 from . import kernels
 from .geometry import PonceletConfig
+from .kernels._ref import _scalar_advance, _scalar_orbit
 
 #: Largest periodicity defect |g(x + 1) - g(x) - 1| that validate accepts.
 PERIODICITY_TOL = 1e-12
@@ -20,28 +24,29 @@ class LiftContractError(ValueError):
 
 
 class CircleLift:
-    """Base lift; subclasses provide `__call__` and may override the bulk
-    iteration hooks with kernel-backed versions."""
+    """Base lift.  A subclass provides `_step`, g on one float, and may
+    replace the hooks `_advance(xs, n)` and `_orbit(xs, depth)`, which
+    iterate g over an array (`_orbit` gets a float64 one); by default they
+    run `_step` in the kernels' scalar loops."""
 
     def __call__(self, x):
-        raise NotImplementedError
+        return self._step(x)
 
     def advance(self, xs, n):
         """g^n applied elementwise to xs (ndarray or scalar)."""
         scalar = np.isscalar(xs)
-        out = np.atleast_1d(np.array(xs, dtype=np.float64))
-        for _ in range(n):
-            out = np.array([self(v) for v in out])
+        out = self._advance(np.atleast_1d(xs), n)
         return float(out[0]) if scalar else out
 
     def orbit_table(self, xs, depth):
         """Array of shape (depth+1, len(xs)) with row k = g^k(xs)."""
-        xs = np.asarray(xs, dtype=np.float64)
-        out = np.empty((depth + 1, xs.size))
-        out[0] = xs
-        for k in range(1, depth + 1):
-            out[k] = [self(v) for v in out[k - 1]]
-        return out
+        return self._orbit(np.asarray(xs, dtype=np.float64), depth)
+
+    def _advance(self, xs, n):
+        return _scalar_advance(np.asarray(xs, dtype=np.float64), n, self._step)
+
+    def _orbit(self, xs, depth):
+        return _scalar_orbit(xs, depth, self._step)
 
     def validate(self, samples=64):
         """Spot-check periodicity and monotonicity on a sample grid."""
@@ -59,11 +64,8 @@ class FunctionLift(CircleLift):
     """Lift wrapping an arbitrary scalar callable, validated on creation."""
 
     def __init__(self, fn):
-        self._fn = fn
+        self._step = fn
         self.validate()
-
-    def __call__(self, x):
-        return self._fn(x)
 
 
 class RigidLift(CircleLift):
@@ -72,19 +74,19 @@ class RigidLift(CircleLift):
     def __init__(self, alpha):
         self.alpha = float(alpha)
 
-    def __call__(self, x):
+    def _step(self, x):
         return x + self.alpha
 
-    def advance(self, xs, n):
-        if np.isscalar(xs):
-            return float(xs) + n * self.alpha
+    def _advance(self, xs, n):
         return np.asarray(xs, dtype=np.float64) + n * self.alpha
 
-    def orbit_table(self, xs, depth):
-        xs = np.asarray(xs, dtype=np.float64)
+    def _orbit(self, xs, depth):
         steps = self.alpha * np.arange(depth + 1)
         return xs[None, :] + steps[:, None]
 
+
+# The kernel hooks look their kernel up on the module at each call, so a
+# wrapper installed there (a tracer, a profiler) sees every iteration.
 
 class ArnoldLift(CircleLift):
     """Standard circle-map lift g(x) = x + omega + (K / 2 pi) sin(2 pi x)."""
@@ -96,15 +98,10 @@ class ArnoldLift(CircleLift):
         self.K = float(K)
         self._step = kernels.arnold_step(self.omega, self.K)
 
-    def __call__(self, x):
-        return self._step(x)
+    def _advance(self, xs, n):
+        return kernels.arnold_advance(xs, n, self.omega, self.K)
 
-    def advance(self, xs, n):
-        scalar = np.isscalar(xs)
-        out = kernels.arnold_advance(np.atleast_1d(xs), n, self.omega, self.K)
-        return float(out[0]) if scalar else out
-
-    def orbit_table(self, xs, depth):
+    def _orbit(self, xs, depth):
         return kernels.arnold_orbit(xs, depth, self.omega, self.K)
 
 
@@ -114,19 +111,11 @@ class PonceletLift(CircleLift):
 
     def __init__(self, cfg: PonceletConfig):
         self.cfg = cfg
-        self._step = kernels.poncelet_step(cfg.R, cfg.c, cfg.t)
+        self._pair = (cfg.R, cfg.c, cfg.t)
+        self._step = kernels.poncelet_step(*self._pair)
 
-    def __call__(self, x):
-        return self._step(x)
+    def _advance(self, xs, n):
+        return kernels.poncelet_advance(xs, n, *self._pair)
 
-    def advance(self, xs, n):
-        scalar = np.isscalar(xs)
-        out = kernels.poncelet_advance(
-            np.atleast_1d(xs), n, self.cfg.R, self.cfg.c, self.cfg.t
-        )
-        return float(out[0]) if scalar else out
-
-    def orbit_table(self, xs, depth):
-        return kernels.poncelet_orbit(
-            xs, depth, self.cfg.R, self.cfg.c, self.cfg.t
-        )
+    def _orbit(self, xs, depth):
+        return kernels.poncelet_orbit(xs, depth, *self._pair)

@@ -112,19 +112,20 @@ def _image(family, t, x_grid):
     return family.lift(t).orbit_table(x_grid, 1)[1]
 
 
-def _separation(family, t1, t2, x_grid):
-    return float(np.min(_image(family, t2, x_grid)
-                        - _image(family, t1, x_grid)))
+def _separation(family, t, side, g_tau, x_grid):
+    """inf_x side * (g_t - g_tau) over x_grid: the separation of g_t from
+    g_tau, for t on the side = -1 / +1 of tau."""
+    return float(np.min(side * (_image(family, t, x_grid) - g_tau)))
 
 
-def _solve_separation(family, tau, target, side, delta, x_grid):
+def _solve_separation(family, tau, g_tau, target, side, delta, e_far,
+                      x_grid):
     """Find t with inf_x separation from g_tau equal to target, searching
     t in [tau - delta, tau] (side = -1) or [tau, tau + delta] (side = +1).
 
     Returns the end nearer tau of the machine-thin bracket on which the
-    separation reaches target, or an exact solution; the caller has
-    checked that the separation at tau + side * delta is at least target."""
-    g_tau = _image(family, tau, x_grid)
+    separation reaches target, or an exact solution.  e_far >= 0 is the
+    separation at the far end tau + side * delta, less target."""
 
     def excess(t):
         sep = side * (_image(family, t, x_grid) - g_tau)
@@ -133,11 +134,11 @@ def _solve_separation(family, tau, target, side, delta, x_grid):
     # the excess at tau itself is exactly -target
     far = tau + side * delta
     if side < 0:
-        far, e_far, near, e_near = shrink_bracket(excess, far, excess(far),
+        far, e_far, near, e_near = shrink_bracket(excess, far, e_far,
                                                   tau, -target)
     else:
         near, e_near, far, e_far = shrink_bracket(excess, tau, -target,
-                                                  far, excess(far))
+                                                  far, e_far)
     return near if e_near >= 0 else far
 
 
@@ -170,13 +171,14 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
                                  margin=margin)
 
     x_grid = np.linspace(0.0, 1.0, SEPARATION_X_SAMPLES, endpoint=False)
+    g_tau = _image(family, tau, x_grid)
     pairs = find_balanced_pairs(cf_expand(est_tau.value), eps=PAIR_EPS)
 
     best = -math.inf
     brackets = []
     for delta in delta_seq:
-        sep_minus = _separation(family, tau - delta, tau, x_grid)
-        sep_plus = _separation(family, tau, tau + delta, x_grid)
+        sep_minus = _separation(family, tau - delta, -1, g_tau, x_grid)
+        sep_plus = _separation(family, tau + delta, +1, g_tau, x_grid)
         chosen = None
         for pair in pairs:
             q_exc = pair.excess.denominator
@@ -187,8 +189,10 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
         if chosen is None:
             continue
         q_def, q_exc = chosen
-        t1 = _solve_separation(family, tau, 1.0 / q_def, -1, delta, x_grid)
-        t2 = _solve_separation(family, tau, 1.0 / q_exc, +1, delta, x_grid)
+        t1 = _solve_separation(family, tau, g_tau, 1.0 / q_def, -1, delta,
+                               sep_minus - 1.0 / q_def, x_grid)
+        t2 = _solve_separation(family, tau, g_tau, 1.0 / q_exc, +1, delta,
+                               sep_plus - 1.0 / q_exc, x_grid)
         if t2 - t1 <= 0:
             continue
         r1 = rotation_number(family.lift(t1), tol=tol)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, verdicts, exit codes, determinism."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -115,6 +116,31 @@ def test_staircase_ends_at_zero_at_tangency(tmp_path, c):
     assert (last["lock_p"], last["lock_q"]) == ("0", "1")
 
 
+def test_staircase_json_holds_rows_and_verdict(tmp_path):
+    code, out = run(tmp_path, "staircase", "--family", "rigid",
+                    "--points", "5", "--format", "json")
+    assert code == EXIT_OK
+    doc = read_json(out)
+    assert doc["config"]["format"] == "json"
+    assert [row["t"] for row in doc["rows"]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    for row in doc["rows"]:
+        assert abs(row["r"] - row["t"]) <= row["error_radius"]
+    assert doc["verdict"] == {"direction": "increasing",
+                              "monotone_ok": True, "violations": []}
+    assert not Path(str(out) + ".verdict.json").exists()
+
+
+def test_staircase_without_out_writes_csv_then_verdict(capsys):
+    code = main(["staircase", "--family", "rigid", "--points", "3"])
+    assert code == EXIT_OK
+    text = capsys.readouterr().out
+    table, _, verdict = text.partition("{")
+    rows = list(csv.DictReader(io.StringIO(table)))
+    assert [float(row["t"]) for row in rows] == [0.0, 0.5, 1.0]
+    assert json.loads("{" + verdict) == {
+        "direction": "increasing", "monotone_ok": True, "violations": []}
+
+
 def test_staircase_rejects_inverted_grid(tmp_path):
     code, _ = run(tmp_path, "staircase", "--t-min", "0.9", "--t-max", "0.1")
     assert code == EXIT_CONFIG
@@ -209,6 +235,18 @@ def test_cf_random_batch_respects_bound(tmp_path):
     assert code == EXIT_OK
     doc = read_json(out)
     assert len(doc["reports"]) == 20
+    assert doc["total_bound_violations"] == 0
+
+
+def test_cf_reports_an_uncertified_integer_part(tmp_path):
+    # the float's +-4 ulp interval straddles 1, so not even a0 is certain;
+    # the report says so and the run still succeeds
+    code, out = run(tmp_path, "cf", "--x", "0.9999999999999999")
+    assert code == EXIT_OK
+    doc = read_json(out)
+    (report,) = doc["reports"]
+    assert report == {"input": "0.9999999999999999",
+                      "error": "integer part not determined"}
     assert doc["total_bound_violations"] == 0
 
 

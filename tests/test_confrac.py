@@ -112,6 +112,11 @@ def test_gauss_map_exact_rational():
     assert gauss_map(Fraction(0)) == 0
 
 
+@pytest.mark.parametrize("x", [Fraction(2, 5), Fraction(0), 0.4, 0.0])
+def test_gauss_map_keeps_the_input_type(x):
+    assert type(gauss_map(x)) is type(x)
+
+
 def test_gauss_map_fixes_golden():
     assert gauss_map(GOLDEN) == pytest.approx(GOLDEN, abs=1e-15)
 

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and every
+dataclass field is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,10 @@ MODULES = sorted(
     path for base in (ROOT / "src" / "poncelet", ROOT / "tests")
     for path in base.rglob("*.py") if path.name != "__init__.py"
 )
+# where a dataclass field may be read: the library, its tests and the
+# benchmark
+READERS = sorted(path for base in ("src", "tests", "perfbench")
+                 for path in (ROOT / base).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -49,3 +54,62 @@ def test_modules_are_found():
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dataclass_fields(source):
+    """(class, field) for each field declared by a @dataclass class of
+    `source`."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            fields += [(node.name, stmt.target.id) for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)]
+    return fields
+
+
+def attributes_read(source):
+    """Names read as `.name` anywhere in `source`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_scan_finds_declarations_and_reads():
+    source = ("@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    x: int\n"
+              "    y: int = 0\n"
+              "    def f(self):\n"
+              "        self.z = self.x\n"
+              "@dataclass\n"
+              "class B:\n"
+              "    w: float\n"
+              "class C:\n"
+              "    v: float\n")
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "w")]
+    assert attributes_read(source) == {"x"}
+
+
+FIELDS = sorted(
+    f"{path.stem}.{cls}.{name}"
+    for path in (ROOT / "src" / "poncelet").rglob("*.py")
+    for cls, name in dataclass_fields(path.read_text())
+)
+
+
+def test_fields_are_found():
+    assert "rotation.RotationEstimate.error_radius" in FIELDS
+
+
+@pytest.fixture(scope="module")
+def names_read():
+    return set().union(*(attributes_read(path.read_text())
+                         for path in READERS))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELDS)
+def test_every_dataclass_field_is_read(names_read, field):
+    assert field.rsplit(".", 1)[1] in names_read

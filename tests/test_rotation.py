@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poncelet.families import arnold_family, poncelet_family, rigid_family
+from poncelet.families import (
+    MonotoneCircleFamily,
+    arnold_family,
+    poncelet_family,
+    rigid_family,
+)
 from poncelet.geometry import PonceletConfig
 from poncelet.lifts import ArnoldLift, PonceletLift, RigidLift
 from poncelet.rotation import (
@@ -17,6 +22,7 @@ from poncelet.rotation import (
     count_poncelet_pairs,
     detect_rational_lock,
     euler_totient,
+    find_parameter_for_value,
     rotation_number,
     shrink_bracket,
     solve_rotation,
@@ -359,6 +365,20 @@ def test_arnold_staircase_has_wide_half_plateau():
     assert max(locked) - min(locked) > 0.0
 
 
+def test_staircase_flags_a_fall():
+    # alpha(t) = min(t, 1 - t) rises to 1/2 and falls back: not a monotone
+    # family, so the falls show as violations
+    family = MonotoneCircleFamily(0.0, 1.0,
+                                  lambda t: RigidLift(min(t, 1.0 - t)))
+    result = staircase(family, [0.1, 0.3, 0.5, 0.7, 0.8])
+    assert result.direction == "increasing"
+    assert not result.monotone_ok
+    assert [(t1, t2) for t1, t2, _ in result.violations] == \
+        [(0.5, 0.7), (0.7, 0.8)]
+    assert [d for _, _, d in result.violations] == \
+        pytest.approx([-0.2, -0.1], abs=1e-3)
+
+
 def test_staircase_rejects_unsorted_grid():
     with pytest.raises(ValueError):
         staircase(rigid_family(), [0.3, 0.1])
@@ -394,6 +414,12 @@ def test_solve_outside_image_raises():
     family = poncelet_family(1.0, 0.0)
     with pytest.raises(NoSolutionError):
         solve_rotation(family, Fraction(3, 4))
+
+
+def test_find_parameter_rejects_value_outside_estimated_image():
+    family = rigid_family(a=0.2, b=0.4)
+    with pytest.raises(NoSolutionError, match="outside estimated image"):
+        find_parameter_for_value(family, GOLDEN)
 
 
 def test_shrink_bracket_ends_on_adjacent_floats():
@@ -473,13 +499,16 @@ def test_solve_ends_on_machine_thin_certificate(spec, target):
     family = FAMILIES[spec[0]](*spec[1:])
     t_star = solve_rotation(family, target)
     s_star = lock_residual(family, target, t_star)
-    if s_star != 0.0:
-        # t* is the bracket end on the side of the residual's sign; its
-        # neighbour toward the other end has the opposite sign
-        s_a = lock_residual(family, target, family.a)
-        toward = family.b if (s_star > 0) == (s_a > 0) else family.a
-        s_next = lock_residual(family, target, math.nextafter(t_star, toward))
-        assert (s_next > 0) != (s_star > 0)
+    if s_star == 0.0:
+        # an exact zero certifies itself, wherever it lies: the residual
+        # can vanish on a run of floats (11 of them at c = 0.3, 4/9)
+        return
+    # t* is the bracket end on the side of the residual's sign; its
+    # neighbour toward the other end has the opposite sign
+    s_a = lock_residual(family, target, family.a)
+    toward = family.b if (s_star > 0) == (s_a > 0) else family.a
+    s_next = lock_residual(family, target, math.nextafter(t_star, toward))
+    assert (s_next > 0) != (s_star > 0)
     reference = bisection_reference(family, target)
     assert abs(t_star - reference) <= 4 * math.ulp(reference)
 

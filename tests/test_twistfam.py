@@ -37,8 +37,8 @@ def test_arnold_margin_is_one():
 
 def test_quadratic_rigid_margin():
     # alpha(t) = t^2 + t, inf of 2t + 1 on [0, 1] is 1
-    family = rigid_family(alpha_fn=lambda t: t * t + t,
-                          d_alpha=lambda t: 2.0 * t + 1.0)
+    family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(t * t + t),
+                                  dgdt=lambda t, x: 2.0 * t + 1.0)
     assert twist_margin(family) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,12 +168,14 @@ def test_separation_solve_ends_where_separation_reaches_target(
         g_t = family.lift(t).orbit_table(x_grid, 1)[1]
         return float(np.min(side * (g_t - g_tau)))
 
+    target = 1.0 / q
+    e_far = separation(tau + side * 0.1) - target
     images = []
     image = twistfam._image
     monkeypatch.setattr(twistfam, "_image",
                         lambda *args: images.append(args) or image(*args))
-    target = 1.0 / q
-    t = twistfam._solve_separation(family, tau, target, side, 0.1, x_grid)
+    t = twistfam._solve_separation(family, tau, g_tau, target, side, 0.1,
+                                   e_far, x_grid)
     assert side * (t - tau) > 0
     assert separation(t) >= target
     if separation(t) != target:
@@ -195,6 +197,17 @@ def test_arnold_staircase_is_nondecreasing():
                                 np.linspace(0.0, 1.0, 21), tol=1e-4)
     assert report.result.monotone_ok
     assert not report.strict_violations
+
+
+def test_flat_family_fails_strict_increase():
+    # r = GOLDEN for every t: weakly monotone, but no estimate is a lock,
+    # so every pair of neighbours should have increased strictly
+    family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(GOLDEN))
+    report = proposition1_check(family, [0.2, 0.4, 0.6])
+    assert report.result.direction == "flat"
+    assert report.result.monotone_ok
+    assert report.strict_violations == [(0.2, 0.4), (0.4, 0.6)]
+    assert not report.ok
 
 
 def test_monotonicity_check_rejects_empty_grid():
