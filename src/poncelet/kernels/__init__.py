@@ -15,4 +15,5 @@ poncelet_orbit = _ref.poncelet_orbit
 arnold_advance = _ref.arnold_advance
 arnold_orbit = _ref.arnold_orbit
 poncelet_step = _ref.poncelet_step
+poncelet_dgdt = _ref.poncelet_dgdt
 arnold_step = _ref.arnold_step

@@ -53,14 +53,18 @@ SCALAR = (math.sin, math.sqrt, math.atan2, max)
 WIDE = (np.sin, np.sqrt, np.arctan2, np.maximum)
 
 
+def _pair(R, c, t):
+    """c, t, gap = R - c, s2_at_0 and four_rc: S^2 = s2_at_0 + four_rc h^2."""
+    R, c, t = float(R), float(c), float(t)
+    gap = R - c
+    return c, t, gap, (gap - t) * (gap + t), 4.0 * R * c
+
+
 def poncelet_step(R, c, t, fns=SCALAR):
     """One step of the tangent-line lift in lift coordinates, with the
     circle pair bound (a one-argument closure is the cheapest call)."""
     sin, sqrt, atan2, maximum = fns
-    R, c, t = float(R), float(c), float(t)
-    gap = R - c
-    s2_at_0 = (gap - t) * (gap + t)  # S^2 at x = 0, its minimum
-    four_rc = 4.0 * R * c
+    c, t, gap, s2_at_0, four_rc = _pair(R, c, t)
     two_c = 2.0 * c
 
     def step(x):
@@ -73,6 +77,16 @@ def poncelet_step(R, c, t, fns=SCALAR):
         return x + atan2(maximum(S * P + t * Q, 0.0), t * P - S * Q) / pi
 
     return step
+
+
+def poncelet_dgdt(R, c, t, x):
+    """d g_t(x) / d t = -1 / (pi S(x)) over the array x: a tangent turned by
+    dt / S about its start moves the chord's far end 2 dt / S radians.
+    At internal tangency S = 0 at x = 0 (at every x if c = 0): it is -inf."""
+    *_, s2_at_0, four_rc = _pair(R, c, t)
+    h = np.sin(pi * np.asarray(x, dtype=np.float64))
+    with np.errstate(divide="ignore"):
+        return -1.0 / (pi * np.sqrt(s2_at_0 + four_rc * h * h))
 
 
 def arnold_step(omega, K, fns=SCALAR):

@@ -330,12 +330,12 @@ def count_poncelet_pairs(family, n, seed=0):
         if math.gcd(p, n) != 1:
             continue
         try:
-            t_star = solve_rotation(family, Fraction(p, n))
-            residual = verify_closure(family.lift(t_star), n, seed=seed)
+            g = family.lift(solve_rotation(family, Fraction(p, n)))
+            residual = verify_closure(g, n, seed=seed)
         except (NoSolutionError, ResidualFailureError) as err:
             missing.append((p, str(err)))
             continue
-        pairs.append(PonceletPair(t=family.inner_radius(t_star), n=n, p=p,
+        pairs.append(PonceletPair(t=g.cfg.t, n=n, p=p,
                                   closure_residual=residual))
     return CountReport(n=n, pairs=pairs, expected=euler_totient(n) // 2,
                        missing=missing)

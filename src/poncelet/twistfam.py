@@ -24,21 +24,22 @@ class TwistConditionError(ValueError):
 
 
 def twist_margin(family, t_grid=None):
-    """Sampled infimum m of d g_t(x) / d t over the family."""
+    """Sampled infimum m of d g_t(x) / d t; every sample must be > 0."""
     if t_grid is None:
         t_grid = np.linspace(family.a, family.b, 17)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("twist_margin needs a non-empty t_grid")
     x_grid = np.linspace(0.0, 1.0, MARGIN_X_SAMPLES, endpoint=False)
     m = math.inf
     for t in t_grid:
-        for x in x_grid:
-            d = family.dgdt(t, x)
-            if d <= 0:
-                raise TwistConditionError(
-                    f"dg/dt = {d:.3g} <= 0 at (t={t}, x={x})"
-                )
-            m = min(m, d)
-    return float(m)
+        d = np.broadcast_to(family.dgdt(t, x_grid), x_grid.shape)
+        if not np.all(d > 0):  # a nan fails too
+            i = np.argmin(d > 0)
+            raise TwistConditionError(
+                f"dg/dt = {d[i]:.3g} is not > 0 at (t={t}, x={x_grid[i]})")
+        m = min(m, float(np.min(d)))
+    return m
 
 
 def separation_alpha(g1, g2, x_grid=None):
@@ -48,7 +49,7 @@ def separation_alpha(g1, g2, x_grid=None):
     x_grid = np.asarray(x_grid, dtype=float)
     diff = g2.orbit_table(x_grid, 1)[1] - g1.orbit_table(x_grid, 1)[1]
     alpha = float(np.min(diff))
-    if alpha <= 0:
+    if not alpha > 0:
         raise TwistConditionError(
             f"ordering violation: min(g2 - g1) = {alpha:.3g} <= 0"
         )
@@ -128,8 +129,7 @@ def _solve_separation(family, tau, g_tau, target, side, delta, e_far,
     separation at the far end tau + side * delta, less target."""
 
     def excess(t):
-        sep = side * (_image(family, t, x_grid) - g_tau)
-        return float(np.min(sep)) - target
+        return _separation(family, t, side, g_tau, x_grid) - target
 
     # the excess at tau itself is exactly -target
     far = tau + side * delta

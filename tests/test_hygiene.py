@@ -1,7 +1,9 @@
-"""Source hygiene: no module imports a name it never uses, and every
-dataclass field is read somewhere."""
+"""Source hygiene: no module imports a name it never uses, every
+dataclass field is read somewhere, and every name the benchmark's tracer
+binds exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -113,3 +115,46 @@ def names_read():
 @pytest.mark.parametrize("field", FIELDS, ids=FIELDS)
 def test_every_dataclass_field_is_read(names_read, field):
     assert field.rsplit(".", 1)[1] in names_read
+
+
+def tracer_tables():
+    """FUNCTIONS, KERNELS and METHODS of perfbench/tracing.py, read from
+    its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                getattr(node.targets[0], "id", None) in (
+                    "FUNCTIONS", "KERNELS", "METHODS"):
+            # literals and one comprehension over literals
+            expr = ast.Expression(node.value)
+            tables[node.targets[0].id] = eval(
+                compile(expr, "tracing.py", "eval"), {"__builtins__": {}})
+    return tables
+
+
+TRACER = tracer_tables()
+TRACED = sorted(
+    [f"poncelet.{module}.{name}"
+     for module, names in TRACER["FUNCTIONS"].items() for name in names]
+    + [f"poncelet.kernels.{name}" for name in TRACER["KERNELS"]]
+    + [f"poncelet.{module}.{cls}.{method}"
+       for module, classes in TRACER["METHODS"].items()
+       for cls, methods in classes for method in methods]
+)
+
+
+def test_tracer_tables_are_found():
+    assert "poncelet.families.poncelet_family" in TRACED
+    assert "poncelet.families.MonotoneCircleFamily.dgdt" in TRACED
+    assert "poncelet.kernels.poncelet_orbit" in TRACED
+
+
+@pytest.mark.parametrize("name", TRACED, ids=TRACED)
+def test_every_traced_name_exists(name):
+    parts = name.split(".")
+    # the module is poncelet.<module>; the rest is attributes on it
+    obj = importlib.import_module(".".join(parts[:2]))
+    for attr in parts[2:]:
+        assert hasattr(obj, attr), f"{name}: no {attr} on {obj!r}"
+        obj = getattr(obj, attr)

@@ -369,7 +369,8 @@ def test_staircase_flags_a_fall():
     # alpha(t) = min(t, 1 - t) rises to 1/2 and falls back: not a monotone
     # family, so the falls show as violations
     family = MonotoneCircleFamily(0.0, 1.0,
-                                  lambda t: RigidLift(min(t, 1.0 - t)))
+                                  lambda t: RigidLift(min(t, 1.0 - t)),
+                                  lambda t, x: 1.0 if t < 0.5 else -1.0)
     result = staircase(family, [0.1, 0.3, 0.5, 0.7, 0.8])
     assert result.direction == "increasing"
     assert not result.monotone_ok

@@ -2,6 +2,7 @@
 monotonicity, and the second-order growth estimate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,17 +43,43 @@ def test_quadratic_rigid_margin():
     assert twist_margin(family) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_poncelet_reversed_fd_margin_matches_arccos_derivative():
+def test_poncelet_reversed_margin_matches_arccos_derivative():
     # reversed concentric family: g_s(x) = x + arccos((1 - s))/pi, so
     # dg/ds = 1/(pi sqrt(1 - (1-s)^2))
     family = poncelet_family(1.0, 0.0, reverse=True)
     for s in (0.3, 0.5, 0.8):
         want = 1.0 / (math.pi * math.sqrt(1.0 - (1.0 - s) ** 2))
         got = family.dgdt(s, 0.1)
-        assert got == pytest.approx(want, rel=1e-4)
+        assert got == pytest.approx(want, rel=1e-12)
     margin = twist_margin(family,
                           t_grid=np.linspace(0.2, 1.0, 9))
-    assert margin == pytest.approx(1.0 / math.pi, rel=1e-3)
+    assert margin == pytest.approx(1.0 / math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("R, c, t", [(1.0, 0.3, 0.4), (2.0, 0.9, 0.7),
+                                     (1.5, 0.2, 1.1), (1.0, 0.6, 0.05)])
+def test_poncelet_dgdt_matches_centred_difference(R, c, t, reverse):
+    family = poncelet_family(R, c, reverse=reverse)
+    xs = np.array([0.0, 0.1, 0.37, 0.5, 0.8])
+    h = 1e-6
+    want = [(family.lift(t + h)(x) - family.lift(t - h)(x)) / (2.0 * h)
+            for x in xs]
+    assert family.dgdt(t, xs) == pytest.approx(want, rel=1e-8)
+
+
+def test_poncelet_dgdt_is_infinite_at_tangency():
+    # S = 0 at x = 0 on internal tangency, and at every x when c = 0
+    xs = np.linspace(0.0, 1.0, 8, endpoint=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poncelet_family(1.0, 0.3, reverse=True).dgdt(0.0, 0.0) \
+            == math.inf
+        assert poncelet_family(1.0, 0.3).dgdt(0.7, 0.0) == -math.inf
+        # a grid end rounded past R - c is clamped, as the lift is
+        assert poncelet_family(1.0, 0.3).dgdt(0.7 + 1e-13, 0.0) == -math.inf
+        assert np.all(poncelet_family(1.0, 0.0, reverse=True).dgdt(0.0, xs)
+                      == math.inf)
 
 
 def test_margin_rejects_non_twist_family():
@@ -60,6 +87,18 @@ def test_margin_rejects_non_twist_family():
                                   dgdt=lambda t, x: -1.0)
     with pytest.raises(TwistConditionError):
         twist_margin(family)
+
+
+def test_margin_rejects_nan_samples():
+    family = MonotoneCircleFamily(
+        0.0, 1.0, RigidLift, lambda t, x: np.where(x > 0.5, math.nan, 1.0))
+    with pytest.raises(TwistConditionError):
+        twist_margin(family)
+
+
+def test_margin_rejects_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        twist_margin(rigid_family(), t_grid=[])
 
 
 # -------------------------------------------------------------- separation
@@ -77,6 +116,11 @@ def test_arnold_separation_is_parameter_difference():
 def test_separation_rejects_unordered_pair():
     with pytest.raises(TwistConditionError):
         separation_alpha(RigidLift(0.5), RigidLift(0.3))
+
+
+def test_separation_rejects_nan_image():
+    with pytest.raises(TwistConditionError):
+        separation_alpha(RigidLift(0.3), RigidLift(math.nan))
 
 
 def test_lower_separation_inequality():
@@ -202,7 +246,8 @@ def test_arnold_staircase_is_nondecreasing():
 def test_flat_family_fails_strict_increase():
     # r = GOLDEN for every t: weakly monotone, but no estimate is a lock,
     # so every pair of neighbours should have increased strictly
-    family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(GOLDEN))
+    family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(GOLDEN),
+                                  lambda t, x: 0.0)
     report = proposition1_check(family, [0.2, 0.4, 0.6])
     assert report.result.direction == "flat"
     assert report.result.monotone_ok
