@@ -216,7 +216,7 @@ def _parse_x(text):
 
 def _cf_report(x, eps, n_max):
     try:
-        exp = cf_expand(x, n_terms=max(n_max + 8, 64))
+        exp = cf_expand(x)
     except PrecisionExhaustedError as err:
         return {"input": str(x), "error": str(err)}
     records = remainder_series(exp, n_max=n_max)

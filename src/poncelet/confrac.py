@@ -33,6 +33,8 @@ def fibonacci_reciprocal_sum(tol=1e-15):
 
 #: Cached to 1e-15 at import; single source for every e^{2F} expression.
 FIB_RECIP = fibonacci_reciprocal_sum(1e-15)
+#: e^{2F}, F = FIB_RECIP.
+E2F = math.exp(2.0 * FIB_RECIP)
 #: Half-width, in ulps, of the interval a float input of cf_expand stands for.
 SLACK_ULPS = 4
 #: Indices remainder_series drops from the end of an inexact expansion.
@@ -66,39 +68,33 @@ class ContinuedFractionExpansion:
         p, q = self.convergents[n]
         return Fraction(p, q)
 
-    def tail(self, i):
-        """[0; a_{i+1}, a_{i+2}, ...] as a Fraction; equals T^i(frac(x))
-        exactly when the expansion is exact, and to within the truncation
-        of the remaining quotients otherwise."""
-        t = Fraction(0)
-        for a in reversed(self.quotients[i:]):
-            t = Fraction(1, a + t)
-        return t
+    def tails(self):
+        """[0; a_{i+1}, a_{i+2}, ...] as Fractions, i = 0 .. len, from one
+        backward pass; entry i equals T^i(frac(x)) exactly when the
+        expansion is exact, and to within the truncation of the remaining
+        quotients otherwise."""
+        out = [Fraction(0)]
+        for a in reversed(self.quotients):
+            out.append(Fraction(1, a + out[-1]))
+        return out[::-1]
 
 
 def _convergents(a0, quotients):
-    ps = [a0]
-    qs = [1]
-    p_prev, q_prev = 1, 0
+    out = [(1, 0), (a0, 1)]   # (p_{-1}, q_{-1}), (p_0, q_0)
     for a in quotients:
-        ps.append(a * ps[-1] + p_prev)
-        qs.append(a * qs[-1] + q_prev)
-        p_prev, q_prev = ps[-2], qs[-2]
-    return list(zip(ps, qs))
+        (p0, q0), (p1, q1) = out[-2:]
+        out.append((a * p1 + p0, a * q1 + q0))
+    return out[1:]
 
 
-def _expand_interval(lo: Fraction, hi: Fraction, n_terms):
+def _expand_interval(lo: Fraction, hi: Fraction):
     """Common continued-fraction prefix of every number in [lo, hi]."""
-    a_lo = math.floor(lo)
-    a_hi = math.floor(hi)
-    if a_lo != a_hi:
+    a0 = math.floor(lo)
+    if math.floor(hi) != a0:
         raise PrecisionExhaustedError("integer part not determined")
-    a0 = a_lo
     quotients = []
     lo, hi = lo - a0, hi - a0
-    while len(quotients) < n_terms:
-        if lo == 0 or hi == 0:
-            break
+    while lo != 0 and hi != 0:
         lo, hi = 1 / hi, 1 / lo
         a_lo, a_hi = math.floor(lo), math.floor(hi)
         if a_lo != a_hi:
@@ -108,31 +104,28 @@ def _expand_interval(lo: Fraction, hi: Fraction, n_terms):
     return a0, quotients
 
 
-def cf_expand(x, n_terms=64):
+def cf_expand(x):
     """Continued-fraction expansion with exact integer convergents.
 
-    Fractions (and ints) expand exactly, as the zero-width interval
-    [x, x]; floats are treated as centers of an interval of +- SLACK_ULPS
-    ulps and the expansion is truncated at the last quotient the whole
-    interval agrees on.  `exact` means the last convergent equals x.
+    Fractions (and ints) expand exactly, to the end, as the zero-width
+    interval [x, x]; floats are treated as centers of an interval of
+    +- SLACK_ULPS ulps and the expansion is truncated at the last quotient
+    the whole interval agrees on.  `exact` means the last convergent
+    equals x.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     if isinstance(x, (Fraction, int)):
-        x = Fraction(x)
-        a0, quotients = _expand_interval(x, x, n_terms)
+        value, slack = Fraction(x), 0
+    elif not math.isfinite(x):
+        raise ValueError(f"cannot expand the non-finite value {x}")
     else:
-        if not math.isfinite(x):
-            raise ValueError(f"cannot expand the non-finite value {x}")
-        xf = Fraction(x)
+        value = Fraction(x)
         slack = Fraction(math.ulp(float(x))) * SLACK_ULPS
-        a0, quotients = _expand_interval(xf - slack, xf + slack, n_terms)
-        x = xf
+    a0, quotients = _expand_interval(value - slack, value + slack)
     convergents = _convergents(a0, quotients)
     p, q = convergents[-1]
     return ContinuedFractionExpansion(
         a0=a0, quotients=quotients, convergents=convergents,
-        value=x, exact=Fraction(p, q) == x,
+        value=value, exact=Fraction(p, q) == value,
     )
 
 
@@ -148,24 +141,22 @@ class RemainderRecord:
         return abs(self.remainder) <= FIB_RECIP
 
 
-def remainder_series(x, n_max=25):
-    """Records of R(n, x) = -log q_n - sum_{i<n} log T^i(x), n = 1..n_max.
+def remainder_series(exp, n_max=25):
+    """Records of R(n, x) = -log q_n - sum_{i<n} log T^i(x), n = 1..n_max,
+    for the expansion exp of x.
 
     The denominators q_n come from the exact integer convergents; the
-    Gauss-orbit values are evaluated backwards from the quotient tail so
-    no forward error accumulates.  For non-exact expansions the last
+    Gauss-orbit values come from exp.tails(), one backward pass, so no
+    forward error accumulates.  For non-exact expansions the last
     TAIL_BUFFER indices are dropped (their tails are not trustworthy).
     """
-    exp = x if isinstance(x, ContinuedFractionExpansion) else cf_expand(x, n_terms=max(n_max + TAIL_BUFFER + 2, 64))
     N = len(exp)
     usable = N if exp.exact else max(0, N - TAIL_BUFFER)
+    tails = exp.tails()   # T^i(frac(x)), nonzero for i < N
     records = []
     gauss_sum = 0.0
     for n in range(1, min(n_max, usable) + 1):
-        t_prev = exp.tail(n - 1)   # T^{n-1}(frac(x))
-        if t_prev == 0:
-            break
-        gauss_sum += math.log(t_prev)
+        gauss_sum += math.log(tails[n - 1])
         _, q_n = exp.convergents[n]
         log_qn = math.log(q_n)
         records.append(RemainderRecord(
@@ -180,15 +171,13 @@ def k_epsilon(eps):
     FIB_RECIP."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    e2f = math.exp(2.0 * FIB_RECIP)
-    return (1.0 - eps) / (e2f * (1.0 + (1.0 + eps) * e2f) ** 2)
+    return (1.0 - eps) / (E2F * (1.0 + (1.0 + eps) * E2F) ** 2)
 
 
 def second_order_bound(m=1.0):
     """m^2 / (e^{2F} (1 + e^{2F})^2), F = FIB_RECIP; the eps -> 0 limit of
     k_epsilon."""
-    e2f = math.exp(2.0 * FIB_RECIP)
-    return m * m / (e2f * (1.0 + e2f) ** 2)
+    return m * m / (E2F * (1.0 + E2F) ** 2)
 
 
 @dataclass(frozen=True)
@@ -213,9 +202,10 @@ def check_gap_inequality(excess: Fraction, defect: Fraction, eps):
     return lhs >= rhs
 
 
-def find_balanced_pairs(x, eps, n_max=30):
-    """Excess/defect convergent pairs whose denominator ratio falls in the
-    window (2 e^{-2F} / (1+eps), 2 e^{2F} / (1-eps)).
+def find_balanced_pairs(exp, eps, n_max=30):
+    """Excess/defect convergent pairs n of the expansion exp, n <= n_max,
+    whose denominator ratio falls in the window (2 e^{-2F} / (1+eps),
+    2 e^{2F} / (1-eps)).
 
     Orientation follows convergent parity: odd-index truncations of a
     number in (0, 1) over-approximate, even-index ones under-approximate.
@@ -223,9 +213,8 @@ def find_balanced_pairs(x, eps, n_max=30):
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    exp = x if isinstance(x, ContinuedFractionExpansion) else cf_expand(x, n_terms=n_max + 1)
     window_lo = 2.0 * math.exp(-2.0 * FIB_RECIP) / (1.0 + eps)
-    window_hi = 2.0 * math.exp(2.0 * FIB_RECIP) / (1.0 - eps)
+    window_hi = 2.0 * E2F / (1.0 - eps)
     pairs = []
     for n in range(1, min(n_max, len(exp) - 1) + 1):
         _, q_n = exp.convergents[n]

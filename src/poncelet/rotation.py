@@ -133,6 +133,8 @@ def rotation_number(g, x0=0.0, tol=1e-4):
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     g.validate(samples=16)
 
     n0 = 1024
@@ -195,7 +197,8 @@ def shrink_bracket(f, lo, f_lo, hi, f_hi):
     Jarratt 1971): when the same end is kept twice in a row, its weight is
     halved, so the secant point soon lands on its side of the root and
     neither end stalls.  A secant point that rounds onto an end steps to
-    that end's float neighbour inward instead."""
+    that end's float neighbour inward instead.  A nan value of f raises
+    ValueError: every later secant point would be nan."""
     if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
         raise ValueError(f"no sign change: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
     w_lo, w_hi = f_lo, f_hi
@@ -210,6 +213,8 @@ def shrink_bracket(f, lo, f_lo, hi, f_hi):
         elif not x < hi:
             x = inner_hi
         f_x = f(x)
+        if math.isnan(f_x):
+            raise ValueError(f"f({x}) is nan inside the bracket [{lo}, {hi}]")
         if (f_x > 0) == (f_lo > 0):
             lo, f_lo, w_lo = x, f_x, f_x
             if kept > 0:
@@ -291,6 +296,8 @@ def verify_closure(g, n, seed=0):
     ResidualFailureError if it is CLOSE_TOL or more, or if an orbit comes
     back within EARLY_TOL before step n.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     xs = rng.random(CLOSURE_STARTS)
     table = g.orbit_table(xs, n)

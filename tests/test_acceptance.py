@@ -12,6 +12,7 @@ import numpy as np
 
 from poncelet.cli import main as cli_main
 from poncelet.confrac import (
+    cf_expand,
     fibonacci_reciprocal_sum,
     find_balanced_pairs,
     k_epsilon,
@@ -119,7 +120,7 @@ def test_criterion_6_remainder_bound():
     rng = random.Random(6)
     violations = 0
     for _ in range(100):
-        for rec in remainder_series(rng.random(), n_max=25):
+        for rec in remainder_series(cf_expand(rng.random()), n_max=25):
             if abs(rec.remainder) > F:
                 violations += 1
     report(6, "log-denominator remainder bound", violations == 0)
@@ -132,7 +133,7 @@ def test_criterion_7_gap_inequality():
     checked = 0
     for eps in (0.1, 0.5):
         for x in xs:
-            for pair in find_balanced_pairs(x, eps=eps):
+            for pair in find_balanced_pairs(cf_expand(x), eps=eps):
                 checked += 1
                 ok = ok and pair.gap_ok
     report(7, "exact-rational gap inequality", ok and checked > 0)

@@ -230,6 +230,16 @@ def test_cf_exact_rational(tmp_path):
     assert report["exact"]
 
 
+def test_cf_long_exact_rational_expands_to_the_end(tmp_path):
+    # F_70 / F_71: 70 partial quotients, more than any float certifies
+    code, out = run(tmp_path, "cf", "--x", "308061521170129/498454011879264")
+    assert code == EXIT_OK
+    report = read_json(out)["reports"][0]
+    assert report["quotients"] == [1] * 69 + [2]
+    assert report["convergents"][-1] == ["308061521170129", "498454011879264"]
+    assert report["exact"]
+
+
 def test_cf_random_batch_respects_bound(tmp_path):
     code, out = run(tmp_path, "cf", "--random", "20", "--seed", "7")
     assert code == EXIT_OK

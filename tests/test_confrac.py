@@ -80,7 +80,7 @@ def test_float_expansion_prefix_matches_exact_value(x):
         # inputs within a few ulps of a rational with tiny denominator
         # legitimately refuse to certify anything
         return
-    exact = cf_expand(Fraction(x), n_terms=len(exp) + 2)
+    exact = cf_expand(Fraction(x))
     assert exp.a0 == exact.a0
     assert exact.quotients[: len(exp)] == exp.quotients
 
@@ -88,15 +88,35 @@ def test_float_expansion_prefix_matches_exact_value(x):
 def test_tail_of_exact_expansion_is_gauss_orbit():
     x = Fraction(47, 300)
     exp = cf_expand(x)
+    tails = exp.tails()
+    assert len(tails) == len(exp) + 1
     orbit = x
-    for i in range(len(exp)):
-        assert exp.tail(i) == orbit
+    for tail in tails[:-1]:
+        assert tail == orbit
         orbit = gauss_map(orbit)
+    assert tails[-1] == orbit == 0
 
 
-def test_expand_rejects_empty_request():
-    with pytest.raises(ValueError):
-        cf_expand(0.5, n_terms=0)
+def test_tails_match_a_per_index_rebuild():
+    # the one backward pass gives the Fractions that rebuilding
+    # [0; a_{i+1}, a_{i+2}, ...] from scratch at each i gives
+    exp = cf_expand(GOLDEN)
+    for i, tail in enumerate(exp.tails()):
+        t = Fraction(0)
+        for a in reversed(exp.quotients[i:]):
+            t = Fraction(1, a + t)
+        assert tail == t
+
+
+def test_exact_input_expands_to_the_end():
+    # F_70 / F_71 has 70 partial quotients, all 1 but the last (2)
+    x = Fraction(308061521170129, 498454011879264)
+    exp = cf_expand(x)
+    assert len(exp) == 70
+    assert exp.quotients == [1] * 69 + [2]
+    assert exp.exact
+    assert exp.convergent(len(exp)) == x
+    assert len(remainder_series(exp, n_max=100)) == 70
 
 
 def test_interval_guard_trips_on_ill_conditioned_input():
@@ -163,7 +183,7 @@ def test_fibonacci_reciprocal_rejects_bad_tol():
 # ------------------------------------------------------- remainder records
 
 def test_golden_remainders():
-    records = remainder_series(GOLDEN, n_max=10)
+    records = remainder_series(cf_expand(GOLDEN), n_max=10)
     assert len(records) == 10
     by_n = {r.n: r for r in records}
     assert by_n[10].log_qn == pytest.approx(math.log(89.0), abs=1e-12)
@@ -175,24 +195,25 @@ def test_remainders_sit_in_the_tight_window():
     # far inside the +-F bound
     rng = random.Random(12)
     for _ in range(30):
-        records = remainder_series(rng.random(), n_max=20)
+        records = remainder_series(cf_expand(rng.random()), n_max=20)
         assert records
         for r in records:
             assert -1e-9 < r.remainder < math.log(2.0) + 0.05
 
 
 def test_remainder_gauss_sum_is_cumulative():
-    records = remainder_series(GOLDEN, n_max=8)
     exp = cf_expand(GOLDEN)
+    records = remainder_series(exp, n_max=8)
+    tails = exp.tails()
     partial = 0.0
     for r in records:
-        partial += math.log(float(exp.tail(r.n - 1)))
+        partial += math.log(float(tails[r.n - 1]))
         assert r.gauss_sum == pytest.approx(partial, abs=1e-9)
         assert r.remainder == pytest.approx(-r.log_qn - r.gauss_sum, abs=1e-12)
 
 
 def test_exact_input_uses_every_index():
-    records = remainder_series(Fraction(355, 113), n_max=10)
+    records = remainder_series(cf_expand(Fraction(355, 113)), n_max=10)
     assert [r.n for r in records] == [1, 2]
 
 
@@ -237,7 +258,7 @@ def test_pairs_bracket_the_value():
     rng = random.Random(99)
     for _ in range(20):
         x = rng.random()
-        for pair in find_balanced_pairs(x, eps=0.3):
+        for pair in find_balanced_pairs(cf_expand(x), eps=0.3):
             assert pair.defect <= Fraction(x) <= pair.excess
 
 
@@ -251,10 +272,10 @@ def test_gap_inequality_exact_arithmetic():
 
 def test_pair_search_rejects_bad_eps():
     with pytest.raises(ValueError):
-        find_balanced_pairs(GOLDEN, eps=1.5)
+        find_balanced_pairs(cf_expand(GOLDEN), eps=1.5)
 
 
 def test_pair_orientation_follows_parity():
-    for pair in find_balanced_pairs(GOLDEN, eps=0.5):
+    for pair in find_balanced_pairs(cf_expand(GOLDEN), eps=0.5):
         assert pair.excess > pair.defect
         assert pair.gap == pair.excess - pair.defect

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every
-dataclass field is read somewhere, and every name the benchmark's tracer
-binds exists."""
+dataclass field is read somewhere, every name the benchmark's tracer
+binds exists, and the library outside the CLI grows no defaulted
+parameter."""
 
 import ast
 import importlib
@@ -56,6 +57,46 @@ def test_modules_are_found():
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defaulted_parameters(source):
+    """(function, parameter) for each parameter of a function or lambda of
+    `source` that has a default value."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [arg for arg, default in zip(args.kwonlyargs,
+                                                         args.kw_defaults)
+                             if default is not None]
+            found += [(getattr(node, "name", "<lambda>"), arg.arg)
+                      for arg in with_default]
+    return found
+
+
+def test_default_scan_finds_every_kind_of_default():
+    source = ("def f(a, b=1, *, c, d=2):\n"
+              "    return lambda e=3: e\n"
+              "def g(h, /, i=4):\n"
+              "    pass\n")
+    assert sorted(defaulted_parameters(source)) == [
+        ("<lambda>", "e"), ("f", "b"), ("f", "d"), ("g", "i")]
+
+
+#: Defaulted parameters of src/poncelet outside cli.py, whose options are
+#: the program's interface.  Lower it when a default goes.
+MAX_DEFAULTED_PARAMETERS = 23
+
+
+def test_library_grows_no_defaulted_parameter():
+    found = [f"{path.name}:{function}({name})"
+             for path in sorted((ROOT / "src" / "poncelet").rglob("*.py"))
+             if path.name != "cli.py"
+             for function, name in defaulted_parameters(path.read_text())]
+    assert len(found) <= MAX_DEFAULTED_PARAMETERS, found
 
 
 def dataclass_fields(source):

@@ -139,6 +139,16 @@ def test_function_lift_rejects_broken_periodicity():
         FunctionLift(lambda x: 1.5 * x)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda x: math.nan,
+    lambda x: x + 0.2 if x % 1.0 < 0.5 else math.nan,
+], ids=["nan everywhere", "nan on half the circle"])
+def test_function_lift_rejects_nan(fn):
+    # every comparison with nan is false, so each check must fail on it
+    with pytest.raises(LiftContractError):
+        FunctionLift(fn)
+
+
 def test_function_lift_accepts_valid_map():
     g = FunctionLift(lambda x: x + 0.2 + 0.05 * math.sin(2.0 * math.pi * x))
     assert g.advance(0.1, 2) == pytest.approx(g(g(0.1)), abs=1e-15)

@@ -75,6 +75,12 @@ def test_estimate_rejects_bad_tolerance():
             rotation_number(RigidLift(0.3), tol=tol)
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_estimate_rejects_non_finite_start(x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        rotation_number(RigidLift(0.3), x0=x0)
+
+
 def test_conjugation_invariance():
     # rotation number is invariant under conjugation by a circle homeo
     g = ArnoldLift(0.37, 0.5)
@@ -454,6 +460,20 @@ def test_shrink_bracket_rejects_ends_without_sign_change(f_lo, f_hi):
         shrink_bracket(lambda x: x, 0.0, f_lo, 1.0, f_hi)
 
 
+def test_shrink_bracket_rejects_a_nan_value():
+    # after one nan every secant point is nan, so the bracket would only
+    # shrink by one float per step
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        assert len(calls) <= 64, "shrink_bracket did not stop on a nan"
+        return x - 0.5 if x <= 0.3 else math.nan
+
+    with pytest.raises(ValueError, match="nan"):
+        shrink_bracket(f, 0.0, -0.5, 1.0, 1.0)
+
+
 FAMILIES = {"poncelet": poncelet_family, "arnold": arnold_family,
             "rigid": rigid_family}
 
@@ -541,6 +561,12 @@ def test_wrong_period_is_rejected():
     # the triangle radius does not close a 5-gon
     with pytest.raises(ResidualFailureError):
         verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_closure_rejects_fewer_than_one_step(n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), n)
 
 
 # ----------------------------------------------------------------- counting
