@@ -23,10 +23,12 @@ parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
 Two paths, chosen per call by batch width, build it from different tuples:
 
 * narrow batches (at most ``NARROW_MAX`` points) run the step built from
-  ``math`` (``SCALAR``) in a python loop.  Single-point orbits (rough pass,
-  Birkhoff run) are this case; numpy's per-call dispatch on 1-element
-  arrays costs about 20x a scalar step.  The lifts' ``__call__`` is this
-  step too.
+  ``math`` (``SCALAR``) in a python loop.  Single-point orbits are this
+  case: the rotation estimate's orbit, whose floors of g^q(x0) - x0 give
+  its Farey bracket (up to a rounding allowance that is not yet a
+  certified budget), and that orbit's extensions.  numpy's per-call
+  dispatch on 1-element arrays costs about 20x a scalar step.  The lifts'
+  ``__call__`` is this step too.
 * wide batches run the step built from numpy's ufuncs (``WIDE``) on whole
   arrays, which is libm-bound there.
 

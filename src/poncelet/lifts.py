@@ -53,11 +53,13 @@ class CircleLift:
         xs = np.linspace(0.0, 1.0, samples, endpoint=False)
         vals = np.array([self(x) for x in xs])
         shifted = np.array([self(x + 1.0) for x in xs])
-        # a nan sample fails both checks
-        if not np.max(np.abs(shifted - vals - 1.0)) <= PERIODICITY_TOL:
+        # a nan or infinite sample fails both checks (inf - inf is nan)
+        with np.errstate(invalid="ignore"):
+            defect = np.max(np.abs(shifted - vals - 1.0))
+            increasing = np.all(np.diff(np.append(vals, vals[0] + 1.0)) > 0)
+        if not defect <= PERIODICITY_TOL:
             raise LiftContractError("periodicity defect g(x+1) - g(x) - 1 too large")
-        ring = np.append(vals, vals[0] + 1.0)
-        if not np.all(np.diff(ring) > 0):
+        if not increasing:
             raise LiftContractError("lift is not strictly increasing on samples")
 
 

@@ -1,10 +1,21 @@
 """Rotation numbers of circle-map lifts and the Poncelet-pair counting
 pipeline.
 
-The estimator is the plain Birkhoff quotient (g^n(x) - x)/n with the
-rigorous error radius 1/n, preceded by a rational-lock scan: an exact zero
-or a sign change of g^q(x) - x - p on a periodic grid certifies the exact
-rotation number p/q.
+The estimator reads a Farey bracket off one orbit.  For a lift g and any
+q >= 1, g^q(x0) >= x0 + k forces r(g) >= k/q, and g^q(x0) < x0 + k + 1
+forces r(g) <= (k + 1)/q (Katok and Hasselblatt, ch. 11), so the orbit's
+first n steps give
+
+    r(g) in [max_q k_lo/q, min_q k_hi/q],   q = 1..n,
+
+with k_lo and k_hi the floors of g^q(x0) - x0.  Its width is ~1/n^2
+between Farey neighbours of order n, and never more than 2/n.  A
+rational-lock scan comes first: an exact zero or a sign change of
+g^q(x) - x - p on a periodic grid certifies the exact rotation number p/q.
+
+The floors are read off a float orbit, each widened by a rounding
+allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
+yet a certified rounding budget.
 """
 
 import math
@@ -18,6 +29,13 @@ from .geometry import TWO_PI
 
 LOCK_GRID = 512       # points of the periodic lock-scan grid
 Q_MAX = 64            # largest lock denominator rotation_number tries
+ROUGH_STEPS = 1024    # steps of the orbit that the first bracket reads
+CHUNK_MAX = 1 << 16   # most steps one extension of that orbit adds
+# Rounding allowance on the bracket's floors: a displacement g^q(x0) - x0
+# within FLOOR_SLACK, plus q ulps of the orbit's coordinate, of an integer
+# k counts as either side of it.  It is a guess at the float orbit's error,
+# not a certified rounding budget.
+FLOOR_SLACK = 1e-9
 X_REF = 0.375         # start point of solve_rotation's lock residual
 CLOSURE_STARTS = 20   # random start points of verify_closure
 CLOSE_TOL = 1e-8      # largest closure residual (radians) accepted
@@ -118,18 +136,45 @@ def _lock_from_grid(xs, d):
     return float(xs[hits[0]]) if hits.size else None
 
 
-def rotation_number(g, x0=0.0, tol=1e-4):
-    """Estimate r(g) with a sound error radius.
+def _bracket(x0, xs, q):
+    """The Farey bracket ((k_lo, q_lo), (k_hi, q_hi)) of the orbit points
+    xs = g^q(x0) over the float array of steps q: r(g) >= k_lo/q_lo and
+    r(g) <= k_hi/q_hi.  Each floor of d = xs - x0 is widened by the
+    rounding allowance FLOOR_SLACK plus an ulp of the running coordinate
+    per step, so a d that close to an integer widens its q's term by one
+    lap."""
+    d = xs - x0
+    slack = FLOOR_SLACK + q * np.spacing(np.abs(xs) + abs(x0))
+    k_lo = np.floor(d - slack)
+    k_hi = np.floor(d + slack) + 1.0
+    i = int(np.argmax(k_lo / q))
+    j = int(np.argmin(k_hi / q))
+    return (int(k_lo[i]), int(q[i])), (int(k_hi[j]), int(q[j]))
 
-    A rough pass of n0 = 1024 steps from x0 picks the candidates p/q,
-    q <= Q_MAX, within 1.5/n0 of its quotient.  The lock scan builds the
-    LOCK_GRID-point orbit table only as deep as the deepest candidate and
-    reads row q of each candidate, in ascending q; with no candidate it
-    builds none.  A detected rational lock p/q gives the exact value
-    (error radius 0); otherwise the Birkhoff quotient over
-    n = ceil(1/tol) iterations is returned with error radius 1/n.  That
-    orbit is the rough pass's: read at step n for n <= n0, and continued
-    from step n0 otherwise.
+
+def _ratio(fraction):
+    # any k/q that rounds low or high is still a sound (looser) bound
+    return fraction[0] / fraction[1]
+
+
+def rotation_number(g, x0=0.0, tol=1e-4):
+    """Estimate r(g) with an error radius.
+
+    A rough pass of ROUGH_STEPS steps from x0 gives the Farey bracket of
+    the module docstring.  The lock candidates are the reduced p/q,
+    q <= Q_MAX, inside it; the lock scan builds the LOCK_GRID-point orbit
+    table as deep as the deepest candidate and reads row q of each, in
+    ascending q.  A detected rational lock p/q gives the exact value
+    (error radius 0).  Otherwise the orbit is extended (doubling, at most
+    CHUNK_MAX steps at a time) until half the bracket's width is at most
+    tol, and the bracket's midpoint is returned with that radius.  The
+    scan runs once, before any extension: near a low-order rational the
+    bracket narrows only like 1/n.
+
+    The floors are read off a float orbit with the allowance FLOOR_SLACK
+    plus an ulp of the coordinate per step, which is not yet a certified
+    rounding budget.  An orbit that lands on x0 + k exactly is not taken
+    as a lock: in floating point it need not be one.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -137,27 +182,39 @@ def rotation_number(g, x0=0.0, tol=1e-4):
         raise ValueError(f"x0 must be finite, got {x0}")
     g.validate(samples=16)
 
-    n0 = 1024
-    orbit = g.orbit_table([x0], n0)[:, 0].tolist()
-    rough = (orbit[n0] - x0) / n0
+    n = ROUGH_STEPS
+    orbit = g.orbit_table([x0], n)[:, 0]
+    lo, hi = _bracket(x0, orbit[1:], np.arange(1.0, n + 1.0))
 
-    candidates = []
-    for q in range(1, Q_MAX + 1):
-        p = round(q * rough)
-        if math.gcd(p, q) == 1 and abs(p / q - rough) <= 1.5 / n0:
-            candidates.append((p, q))
+    (a, b), (c, d) = lo, hi
+    candidates = [(p, q) for q in range(1, Q_MAX + 1)
+                  for p in range(-(-a * q // b), c * q // d + 1)
+                  if math.gcd(p, q) == 1]
     if candidates:
         xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
         table = g.orbit_table(xs, candidates[-1][1])
         for p, q in candidates:
             if _lock_from_grid(xs, table[q] - xs - p) is not None:
                 return RotationEstimate(value=p / q, error_radius=0.0,
-                                        iterations=n0, lock=(p, q))
+                                        iterations=n, lock=(p, q))
 
-    n = max(1, math.ceil(1.0 / tol))
-    end = orbit[n] if n <= n0 else g.advance(orbit[n0], n - n0)
-    value = (end - x0) / n
-    return RotationEstimate(value=value, error_radius=1.0 / n, iterations=n)
+    end = float(orbit[n])
+    while True:
+        # midpoint and half-width of [a/b, c/d], each rounded once
+        (a, b), (c, d) = lo, hi
+        den = 2 * b * d
+        radius = (c * b - a * d) / den
+        if radius <= tol:
+            return RotationEstimate(value=(a * d + c * b) / den,
+                                    error_radius=radius, iterations=n)
+        m = min(n, CHUNK_MAX)
+        column = g.orbit_table([end], m)[1:, 0]
+        more_lo, more_hi = _bracket(x0, column,
+                                    np.arange(n + 1.0, n + m + 1.0))
+        lo = max(lo, more_lo, key=_ratio)
+        hi = min(hi, more_hi, key=_ratio)
+        end = float(column[-1])
+        n += m
 
 
 def staircase(family, t_grid, tol=1e-4):

@@ -1,6 +1,7 @@
 """The map-iteration kernels and the lift classes built on them."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ def test_function_lift_rejects_nan(fn):
     # every comparison with nan is false, so each check must fail on it
     with pytest.raises(LiftContractError):
         FunctionLift(fn)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: math.inf,
+    lambda x: -math.inf,
+    lambda x: x + 0.2 if x % 1.0 < 0.5 else math.inf,
+    lambda x: math.nan,
+], ids=["inf everywhere", "-inf everywhere", "inf on half the circle",
+        "nan everywhere"])
+def test_function_lift_rejects_non_finite_with_warnings_as_errors(fn):
+    # inf - inf is nan: numpy's invalid-value warning must not replace the
+    # contract error when warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LiftContractError):
+            FunctionLift(fn)
 
 
 def test_function_lift_accepts_valid_map():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poncelet.families import (
     MonotoneCircleFamily,
@@ -16,6 +18,7 @@ from poncelet.families import (
 from poncelet.geometry import PonceletConfig
 from poncelet.lifts import ArnoldLift, PonceletLift, RigidLift
 from poncelet.rotation import (
+    FLOOR_SLACK,
     X_REF,
     NoSolutionError,
     ResidualFailureError,
@@ -37,8 +40,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def test_rigid_rotation_number_is_alpha():
     est = rotation_number(RigidLift(0.3176), tol=1e-6)
-    assert abs(est.value - 0.3176) <= est.error_radius
-    assert est.value == pytest.approx(0.3176, abs=1e-9)
+    assert est.lock is None
+    assert abs(est.value - 0.3176) <= est.error_radius <= 1e-6
 
 
 def test_rigid_rational_alpha_locks_exactly():
@@ -171,7 +174,9 @@ def test_exact_r_matches_closed_forms():
 
 # Every field of the estimate: (lift, x0, tol, value, error_radius, lock).
 # Each Poncelet row must also lie within its radius of exact_r; at internal
-# tangency (t = 0.8 for c = 0.2) that is the lock r = 0.
+# tangency (t = 0.8 for c = 0.2) that is the lock r = 0.  Off a lock the
+# value is the midpoint of the Farey bracket read off the first 1024 steps,
+# so x0 = 0 and 0.375 can give the same bracket (rows 2 and 3).
 TRIANGLE_02 = (1.0 - 0.2 ** 2) / 2.0
 PINNED_ESTIMATES = [
     (PonceletLift(PonceletConfig(1.0, 0.0, 0.0)), 0.0, 1e-4,
@@ -179,25 +184,28 @@ PINNED_ESTIMATES = [
     (PonceletLift(PonceletConfig(1.0, 0.2, TRIANGLE_02)), 0.0, 1e-4,
      "0x1.5555555555555p-2", "0x0.0p+0", (1, 3)),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0, 1e-4,
-     "0x1.9924fe5a5872cp-2", "0x1.a36e2eb1c432dp-14", None),
+     "0x1.9924e569e61a9p-2", "0x1.4c8306210a44fp-20", None),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.375, 1e-3,
-     "0x1.992d3c08ccad8p-2", "0x1.0624dd2f1a9fcp-10", None),
+     "0x1.9924e569e61a9p-2", "0x1.4c8306210a44fp-20", None),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.55)), 0.0, 1e-3,
-     "0x1.3814ea32194fbp-2", "0x1.0624dd2f1a9fcp-10", None),
+     "0x1.38081c06f2176p-2", "0x1.5c459c5dd7f5dp-19", None),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-4,
      "0x0.0p+0", "0x0.0p+0", (0, 1)),
     (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-3,
      "0x0.0p+0", "0x0.0p+0", (0, 1)),
     (ArnoldLift(0.3, 0.8), 0.0, 1e-4,
-     "0x1.200cce69dd669p-2", "0x1.a36e2eb1c432dp-14", None),
+     "0x1.200cfdaceded0p-2", "0x1.514f9ccc2c0cep-20", None),
     (ArnoldLift(0.5, 0.8), 0.0, 1e-4,
      "0x1.0000000000000p-1", "0x0.0p+0", (1, 2)),
     (ArnoldLift(GOLDEN, 0.8), 0.375, 1e-3,
-     "0x1.4136c3400f61ep-1", "0x1.0624dd2f1a9fcp-10", None),
+     "0x1.4124c5cc2fb05p-1", "0x1.9c1858f04131ep-20", None),
     (RigidLift(GOLDEN), 0.0, 1e-4,
-     "0x1.3c6ef372fe950p-1", "0x1.a36e2eb1c432dp-14", None),
+     "0x1.3c6ee6fcb9317p-1", "0x1.bddaaeca16547p-21", None),
     (RigidLift(math.sqrt(2.0) - 1.0), 0.375, 1e-3,
-     "0x1.a827999fcef34p-2", "0x1.0624dd2f1a9fcp-10", None),
+     "0x1.a827d4a9c7ab1p-2", "0x1.4df981f44f463p-20", None),
+    # below the first bracket's radius: the orbit is extended to 4096 steps
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0, 1e-7,
+     "0x1.9924befffaefcp-2", "0x1.7cfe89c44e979p-25", None),
 ]
 
 
@@ -258,7 +266,8 @@ class RecordingLift:
 
 
 def test_lock_table_is_as_deep_as_the_deepest_candidate():
-    # r = 1/2 at t = 0: the only candidate within 1.5/1024 is 1/2
+    # r = 1/2 at t = 0: g(x) = x + 1/2, so the bracket is
+    # [511/1023, 512/1023] and its only candidate is 1/2
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
     est = rotation_number(g, tol=1e-4)
     assert est.lock == (1, 2)
@@ -266,33 +275,76 @@ def test_lock_table_is_as_deep_as_the_deepest_candidate():
 
 
 def test_no_lock_table_without_a_candidate():
-    # no p/q with q <= 64 lies within 1.5/1024 of 0.0123
+    # no p/q with q <= 64 lies in the bracket around 0.0123
     g = RecordingLift(RigidLift(0.0123))
     est = rotation_number(g, tol=1e-4)
     assert est.lock is None
     assert g.tables == [(1, 1024)]
 
 
-@pytest.mark.parametrize("g", [
-    PonceletLift(PonceletConfig(1.0, 0.2, 0.3)),
-    ArnoldLift(GOLDEN, 0.8),
-    RigidLift(math.sqrt(2.0) - 1.0),
+@pytest.mark.parametrize("g, x0", [
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0),
+    (ArnoldLift(GOLDEN, 0.8), 0.375),
+    (RigidLift(math.sqrt(2.0) - 1.0), 0.375),
 ], ids=["poncelet", "arnold", "rigid"])
-def test_short_birkhoff_run_equals_one_advance(g):
-    # for n <= 1024 the quotient is read off the rough pass's orbit, and
-    # for n > 1024 that orbit is continued from step 1024; either must
-    # equal the quotient of one n-step advance bit for bit.  The rigid
-    # lift's closed form x + n * alpha rounds a continuation differently.
-    for x0 in (0.0, 0.375):
-        for tol in (1e-3, 1.0 / 1024):
-            est = rotation_number(g, x0=x0, tol=tol)
-            n = est.iterations
-            assert est.lock is None and n <= 1024
-            assert est.value == (g.advance(x0, n) - x0) / n
-        if not isinstance(g, RigidLift):
-            est = rotation_number(g, x0=x0, tol=1e-4)
-            assert est.lock is None and est.iterations == 10_000
-            assert est.value == (g.advance(x0, 10_000) - x0) / 10_000
+def test_bracket_ends_are_read_off_one_advance(g, x0):
+    # each end is k/q with k the floor of one q-step advance, widened by
+    # FLOOR_SLACK and q ulps; the value and radius are the bracket's
+    # midpoint and half-width, each rounded once
+    est = rotation_number(g, x0=x0, tol=1e-3)
+    n = est.iterations
+    assert est.lock is None and n == 1024
+    los, his = [], []
+    for q in range(1, n + 1):
+        x = g.advance(x0, q)
+        slack = FLOOR_SLACK + q * math.ulp(abs(x) + abs(x0))
+        los.append(Fraction(math.floor(x - x0 - slack), q))
+        his.append(Fraction(math.floor(x - x0 + slack) + 1, q))
+    lo, hi = max(los), min(his)
+    assert (est.value, est.error_radius) == \
+        (float((lo + hi) / 2), float((hi - lo) / 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.floats(0.0, 0.95), u=st.floats(0.0, 1.0),
+       tol=st.sampled_from([1e-3, 1e-4, 1e-5]))
+def test_estimate_holds_the_exact_value(c, u, tol):
+    t = u * (1.0 - c)
+    est = rotation_number(PonceletLift(PonceletConfig(1.0, c, t)), tol=tol)
+    assert abs(est.value - exact_r(1.0, c, t)) <= est.error_radius + 1e-15
+    assert est.lock is not None or 0.0 < est.error_radius <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=st.floats(-2.0, 2.0), tol=st.sampled_from([1e-3, 1e-4, 1e-5]))
+def test_rigid_estimate_holds_alpha(alpha, tol):
+    est = rotation_number(RigidLift(alpha), tol=tol)
+    assert abs(est.value - alpha) <= est.error_radius + 1e-15
+    assert est.lock is not None or 0.0 < est.error_radius <= tol
+
+
+def test_radius_is_positive_and_within_tol_off_a_lock():
+    lifts = [PonceletLift(PonceletConfig(1.0, c, t))
+             for c, t in _near_rational_cases()]
+    lifts += [ArnoldLift(w, K) for K in (0.5, 0.9)
+              for w in np.linspace(0.0, 1.0, 21)]
+    for g in lifts:
+        for tol in (1e-3, 1e-5):
+            est = rotation_number(g, tol=tol)
+            if est.lock is None:
+                assert 0.0 < est.error_radius <= tol
+            else:
+                assert est.error_radius == 0.0
+
+
+def test_lock_scan_runs_before_any_extension():
+    # near the Fuss radius at c = 0 the bracket narrows only like 1/n, so
+    # extending first would run 16,384 steps before the scan finds 1/4
+    g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0,
+                                                  math.sqrt(0.5))))
+    est = rotation_number(g, tol=1e-5)
+    assert est.lock == (1, 4)
+    assert max(depth for points, depth in g.tables if points == 1) == 1024
 
 
 # ----------------------------------------------------------- lock detection
