@@ -68,16 +68,6 @@ class ContinuedFractionExpansion:
         p, q = self.convergents[n]
         return Fraction(p, q)
 
-    def tails(self):
-        """[0; a_{i+1}, a_{i+2}, ...] as Fractions, i = 0 .. len, from one
-        backward pass; entry i equals T^i(frac(x)) exactly when the
-        expansion is exact, and to within the truncation of the remaining
-        quotients otherwise."""
-        out = [Fraction(0)]
-        for a in reversed(self.quotients):
-            out.append(Fraction(1, a + out[-1]))
-        return out[::-1]
-
 
 def _convergents(a0, quotients):
     out = [(1, 0), (a0, 1)]   # (p_{-1}, q_{-1}), (p_0, q_0)
@@ -146,17 +136,19 @@ def remainder_series(exp, n_max=25):
     for the expansion exp of x.
 
     The denominators q_n come from the exact integer convergents; the
-    Gauss-orbit values come from exp.tails(), one backward pass, so no
-    forward error accumulates.  For non-exact expansions the last
+    Gauss-orbit values are gauss_map's exact orbit of the last convergent,
+    taken only as far as the records go, so no forward error accumulates.
+    For non-exact expansions that orbit is the truncated tail, and the last
     TAIL_BUFFER indices are dropped (their tails are not trustworthy).
     """
     N = len(exp)
     usable = N if exp.exact else max(0, N - TAIL_BUFFER)
-    tails = exp.tails()   # T^i(frac(x)), nonzero for i < N
+    tail = exp.convergent(N) - exp.a0   # T^0; T^i is nonzero for i < N
     records = []
     gauss_sum = 0.0
     for n in range(1, min(n_max, usable) + 1):
-        gauss_sum += math.log(tails[n - 1])
+        gauss_sum += math.log(tail)
+        tail = gauss_map(tail)
         _, q_n = exp.convergents[n]
         log_qn = math.log(q_n)
         records.append(RemainderRecord(

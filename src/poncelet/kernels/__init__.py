@@ -3,6 +3,10 @@
 ``_ref`` is the only implementation. It defines each map's step once and
 builds it from ``math`` for narrow batches (single-point orbits) and from
 numpy for wide ones; the lifts' scalar ``__call__`` is the ``math`` build.
+
+The lifts iterate only through ``*_orbit``.  ``*_advance`` (a table's last
+row) stays for the benchmark: its tracer wraps it by name, and its L0 probe
+times the kernels through it.
 """
 
 from . import _ref

@@ -103,16 +103,6 @@ def arnold_step(omega, K, fns=SCALAR):
     return step
 
 
-def _scalar_advance(xs, n, step):
-    """`step` applied n times to each entry of the narrow array xs."""
-    vals = xs.ravel().tolist()
-    for i, x in enumerate(vals):
-        for _ in range(n):
-            x = step(x)
-        vals[i] = x
-    return np.reshape(vals, xs.shape)
-
-
 def _scalar_orbit(xs, depth, step):
     """Orbit table of the narrow array xs: row k = step^k(xs)."""
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
@@ -127,19 +117,6 @@ def _scalar_orbit(xs, depth, step):
 
 # The scalar loop gives way to numpy on a ValueError: math raises on an
 # infinite argument where numpy returns nan.
-
-def _advance(xs, n, make_step, params):
-    out = np.array(xs, dtype=np.float64, copy=True)
-    if out.size <= NARROW_MAX:
-        try:
-            return _scalar_advance(out, n, make_step(*params))
-        except ValueError:
-            pass
-    step = make_step(*params, WIDE)
-    for _ in range(n):
-        out = step(out)
-    return out
-
 
 def _orbit(xs, depth, make_step, params):
     xs = np.asarray(xs, dtype=np.float64)
@@ -157,8 +134,9 @@ def _orbit(xs, depth, make_step, params):
 
 
 def poncelet_advance(xs, n, R, c, t):
-    """Apply the Poncelet tangent lift n times to each entry of xs."""
-    return _advance(xs, n, poncelet_step, (R, c, t))
+    """Apply the Poncelet tangent lift n times to each entry of the 1-d
+    array xs: the last row of its orbit table."""
+    return poncelet_orbit(xs, n, R, c, t)[-1]
 
 
 def poncelet_orbit(xs, depth, R, c, t):
@@ -167,7 +145,7 @@ def poncelet_orbit(xs, depth, R, c, t):
 
 
 def arnold_advance(xs, n, omega, K):
-    return _advance(xs, n, arnold_step, (omega, K))
+    return arnold_orbit(xs, n, omega, K)[-1]
 
 
 def arnold_orbit(xs, depth, omega, K):

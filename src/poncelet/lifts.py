@@ -1,19 +1,21 @@
 """Lifts of orientation-preserving circle homeomorphisms.
 
 A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
-Every lift is a scalar step plus two bulk hooks that iterate it over an
-array; `CircleLift` builds `g(x)`, `advance` and `orbit_table` on them
-once.  The Poncelet tangent map and the Arnold map take the step and both
-hooks from the kernels module, so each map has one scalar definition; a
-`FunctionLift` runs the kernels' scalar loops on its callable; rigid
-rotations are iterated in closed form.
+Every lift is a scalar step plus one bulk hook, `_orbit`, that tabulates
+its iterates over an array; `CircleLift` builds `g(x)`, `orbit_table` and
+`advance` (the table's last row) on them once.  The Poncelet tangent map
+and the Arnold map take the step and the hook from the kernels module, so
+each map has one scalar definition; a `FunctionLift` runs the kernels'
+scalar loop on its callable; rigid rotations are iterated in closed form.
 """
+
+import operator
 
 import numpy as np
 
 from . import kernels
 from .geometry import PonceletConfig
-from .kernels._ref import _scalar_advance, _scalar_orbit
+from .kernels._ref import _scalar_orbit
 
 #: Largest periodicity defect |g(x + 1) - g(x) - 1| that validate accepts.
 PERIODICITY_TOL = 1e-12
@@ -23,27 +25,34 @@ class LiftContractError(ValueError):
     """The supplied function is not a valid circle-homeomorphism lift."""
 
 
+def _step_count(n):
+    """n as an int, rejecting a negative or non-integer number of steps."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"step count must be at least 0, got {n}")
+    return n
+
+
 class CircleLift:
     """Base lift.  A subclass provides `_step`, g on one float, and may
-    replace the hooks `_advance(xs, n)` and `_orbit(xs, depth)`, which
-    iterate g over an array (`_orbit` gets a float64 one); by default they
-    run `_step` in the kernels' scalar loops."""
+    replace the hook `_orbit(xs, depth)`, which tabulates g^0..g^depth over
+    a 1-d float64 array; by default it runs `_step` in the kernels' scalar
+    loop."""
 
     def __call__(self, x):
         return self._step(x)
 
     def advance(self, xs, n):
-        """g^n applied elementwise to xs (ndarray or scalar)."""
-        scalar = np.isscalar(xs)
-        out = self._advance(np.atleast_1d(xs), n)
-        return float(out[0]) if scalar else out
+        """g^n applied elementwise to xs (ndarray, in its shape, or scalar,
+        as a float): the last row of the orbit table."""
+        arr = np.asarray(xs, dtype=np.float64)
+        out = self._orbit(arr.ravel(), _step_count(n))[-1].reshape(arr.shape)
+        return float(out) if np.isscalar(xs) else out
 
     def orbit_table(self, xs, depth):
         """Array of shape (depth+1, len(xs)) with row k = g^k(xs)."""
-        return self._orbit(np.asarray(xs, dtype=np.float64), depth)
-
-    def _advance(self, xs, n):
-        return _scalar_advance(np.asarray(xs, dtype=np.float64), n, self._step)
+        return self._orbit(np.asarray(xs, dtype=np.float64),
+                           _step_count(depth))
 
     def _orbit(self, xs, depth):
         return _scalar_orbit(xs, depth, self._step)
@@ -80,9 +89,6 @@ class RigidLift(CircleLift):
     def _step(self, x):
         return x + self.alpha
 
-    def _advance(self, xs, n):
-        return np.asarray(xs, dtype=np.float64) + n * self.alpha
-
     def _orbit(self, xs, depth):
         steps = self.alpha * np.arange(depth + 1)
         return xs[None, :] + steps[:, None]
@@ -101,9 +107,6 @@ class ArnoldLift(CircleLift):
         self.K = float(K)
         self._step = kernels.arnold_step(self.omega, self.K)
 
-    def _advance(self, xs, n):
-        return kernels.arnold_advance(xs, n, self.omega, self.K)
-
     def _orbit(self, xs, depth):
         return kernels.arnold_orbit(xs, depth, self.omega, self.K)
 
@@ -116,9 +119,6 @@ class PonceletLift(CircleLift):
         self.cfg = cfg
         self._pair = (cfg.R, cfg.c, cfg.t)
         self._step = kernels.poncelet_step(*self._pair)
-
-    def _advance(self, xs, n):
-        return kernels.poncelet_advance(xs, n, *self._pair)
 
     def _orbit(self, xs, depth):
         return kernels.poncelet_orbit(xs, depth, *self._pair)

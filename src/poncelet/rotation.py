@@ -52,8 +52,11 @@ class ResidualFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class RotationEstimate:
-    """A rotation number with a sound error radius.  A lock (p, q) gives
-    value p/q with radius 0."""
+    """A rotation number with an error radius.  A lock (p, q) gives value
+    p/q with radius 0, certified by the lock scan.  Off a lock the radius
+    is half the Farey bracket's width, whose floors rest on the FLOOR_SLACK
+    plus ulp rounding allowance: a guess at the orbit's error, not a
+    certified rounding budget."""
 
     value: float
     error_radius: float

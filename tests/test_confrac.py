@@ -85,29 +85,6 @@ def test_float_expansion_prefix_matches_exact_value(x):
     assert exact.quotients[: len(exp)] == exp.quotients
 
 
-def test_tail_of_exact_expansion_is_gauss_orbit():
-    x = Fraction(47, 300)
-    exp = cf_expand(x)
-    tails = exp.tails()
-    assert len(tails) == len(exp) + 1
-    orbit = x
-    for tail in tails[:-1]:
-        assert tail == orbit
-        orbit = gauss_map(orbit)
-    assert tails[-1] == orbit == 0
-
-
-def test_tails_match_a_per_index_rebuild():
-    # the one backward pass gives the Fractions that rebuilding
-    # [0; a_{i+1}, a_{i+2}, ...] from scratch at each i gives
-    exp = cf_expand(GOLDEN)
-    for i, tail in enumerate(exp.tails()):
-        t = Fraction(0)
-        for a in reversed(exp.quotients[i:]):
-            t = Fraction(1, a + t)
-        assert tail == t
-
-
 def test_exact_input_expands_to_the_end():
     # F_70 / F_71 has 70 partial quotients, all 1 but the last (2)
     x = Fraction(308061521170129, 498454011879264)
@@ -201,15 +178,39 @@ def test_remainders_sit_in_the_tight_window():
             assert -1e-9 < r.remainder < math.log(2.0) + 0.05
 
 
+def _gauss_log_sums(x, n):
+    """Partial sums of log T^i(x), i = 0 .. n - 1, with T = gauss_map."""
+    sums, total = [], 0.0
+    for _ in range(n):
+        total += math.log(x)
+        sums.append(total)
+        x = gauss_map(x)
+    return sums
+
+
 def test_remainder_gauss_sum_is_cumulative():
     exp = cf_expand(GOLDEN)
     records = remainder_series(exp, n_max=8)
-    tails = exp.tails()
-    partial = 0.0
-    for r in records:
-        partial += math.log(float(tails[r.n - 1]))
+    reference = _gauss_log_sums(Fraction(GOLDEN), len(records))
+    for r, partial in zip(records, reference):
         assert r.gauss_sum == pytest.approx(partial, abs=1e-9)
         assert r.remainder == pytest.approx(-r.log_qn - r.gauss_sum, abs=1e-12)
+
+
+def test_remainders_of_a_long_fibonacci_ratio():
+    # F_4999 / F_5000 has 4,998 partial quotients; its 25 records are the
+    # log sums of the first 25 points of its exact Gauss orbit
+    a, b = 1, 1
+    for _ in range(4998):
+        a, b = b, a + b
+    x = Fraction(a, b)
+    exp = cf_expand(x)
+    assert exp.exact and len(exp) == 4998
+    records = remainder_series(exp, n_max=25)
+    assert [r.n for r in records] == list(range(1, 26))
+    for r, partial in zip(records, _gauss_log_sums(x, 25)):
+        assert r.gauss_sum == partial
+        assert r.log_qn == math.log(exp.convergents[r.n][1])
 
 
 def test_exact_input_uses_every_index():

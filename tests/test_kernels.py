@@ -83,6 +83,16 @@ def test_kernel_step_commutes_with_integer_shift():
     np.testing.assert_allclose(b - a, 3.0, rtol=0.0, atol=1e-12)
 
 
+def _every_lift():
+    return [
+        RigidLift(0.3176),
+        ArnoldLift(0.3, 0.8),
+        PonceletLift(PonceletConfig(1.0, 0.2, 0.3)),
+        PonceletLift(PonceletConfig(1.0, 0.2, 0.8)),   # internal tangency
+        FunctionLift(lambda x: x + 0.2 + 0.05 * math.sin(2.0 * math.pi * x)),
+    ]
+
+
 def test_orbit_table_rows_are_iterates():
     xs = np.linspace(0.0, 1.0, 8, endpoint=False)
     tab = kernels.poncelet_orbit(xs, 5, 1.0, 0.2, 0.3)
@@ -92,6 +102,40 @@ def test_orbit_table_rows_are_iterates():
         tab[3], kernels.poncelet_advance(xs, 3, 1.0, 0.2, 0.3),
         rtol=0.0, atol=0.0,
     )
+    # a lift's advance is the last row of its orbit table, at every batch
+    # width on either side of the narrow/wide switch
+    rng = np.random.default_rng(1)
+    for g in _every_lift():
+        for width in (1, _ref.NARROW_MAX, _ref.NARROW_MAX + 1, 64):
+            xs = rng.uniform(-1.0, 2.0, width)
+            for n in (0, 1, 50):
+                assert np.array_equal(g.advance(xs, n),
+                                      g.orbit_table(xs, n)[-1])
+        x = g.advance(0.1, 3)
+        assert type(x) is float and x == g.orbit_table([0.1], 3)[-1, 0]
+        grid = rng.uniform(0.0, 1.0, (3, 7))
+        out = g.advance(grid, 4)
+        assert out.shape == (3, 7)
+        assert np.array_equal(out.ravel(), g.orbit_table(grid.ravel(), 4)[-1])
+
+
+@pytest.mark.parametrize("g", _every_lift(),
+                         ids=["rigid", "arnold", "poncelet", "tangency",
+                              "function"])
+def test_lifts_reject_bad_step_counts(g):
+    for xs in (0.1, np.full(1, 0.1), np.full(20, 0.1)):
+        with pytest.raises(ValueError):
+            g.advance(xs, -1)
+        with pytest.raises(TypeError):
+            g.advance(xs, 2.5)
+    for width in (1, 20):
+        with pytest.raises(ValueError):
+            g.orbit_table(np.full(width, 0.1), -1)
+        with pytest.raises(TypeError):
+            g.orbit_table(np.full(width, 0.1), 2.0)
+    # numpy integers are step counts too
+    assert g.advance(0.1, np.int64(2)) == g.advance(0.1, 2)
+    assert g.orbit_table([0.1], np.int32(2)).shape == (3, 1)
 
 
 # ------------------------------------------------------------------- lifts
