@@ -44,14 +44,24 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Widest batch iterated by the scalar loop.  Measured (Python 3.11, numpy
-# 2.4, x86-64): at 16 points the scalar loop takes 0.55x (Poncelet) and 0.6x
-# (Arnold) of numpy's time; they break even near 24 points for Arnold and
-# 32-48 for Poncelet.
+# Widest batch iterated by the scalar loop.  Measured with the `_max` clamp
+# (Python 3.11, numpy 2.4, x86-64, 2 shared cores, best of 40 repeats of
+# 256 steps): at 16 points the scalar loop takes 0.5-0.7x (Poncelet) and
+# 0.7-0.85x (Arnold) of numpy's time; they break even near 20-24 points
+# for Arnold and 24-32 for Poncelet.  The width also picks the path, and
+# with it the bits, of a 17-32-point batch such as verify_closure's starts.
 NARROW_MAX = 16
 
+
+def _max(a, b):
+    # the builtin max's value, sign of zero and nan included (it keeps a
+    # unless b > a), without its argument handling, which cost a fifth to a
+    # third of a narrow Poncelet step
+    return b if b > a else a
+
+
 # (sin, sqrt, atan2, max) for one python float and for a float64 array
-SCALAR = (math.sin, math.sqrt, math.atan2, max)
+SCALAR = (math.sin, math.sqrt, math.atan2, _max)
 WIDE = (np.sin, np.sqrt, np.arctan2, np.maximum)
 
 

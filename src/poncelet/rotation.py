@@ -13,6 +13,12 @@ between Farey neighbours of order n, and never more than 2/n.  A
 rational-lock scan comes first: an exact zero or a sign change of
 g^q(x) - x - p on a periodic grid certifies the exact rotation number p/q.
 
+The parameter search asks only on which side of a target r lies.  The
+bracket narrows as the orbit grows and the estimate lies inside it, so each
+bisection step reads the shortest doubling prefix of the rough pass whose
+bracket excludes the target; only a target inside the ROUGH_STEPS-step
+bracket is still decided by the estimate.
+
 The floors are read off a float orbit, each widened by a rounding
 allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
 yet a certified rounding budget.
@@ -30,6 +36,7 @@ from .geometry import TWO_PI
 LOCK_GRID = 512       # points of the periodic lock-scan grid
 Q_MAX = 64            # largest lock denominator rotation_number tries
 ROUGH_STEPS = 1024    # steps of the orbit that the first bracket reads
+FIRST_CHUNK = 64      # first prefix the search reads; doubles to ROUGH_STEPS
 CHUNK_MAX = 1 << 16   # most steps one extension of that orbit adds
 # Rounding allowance on the bracket's floors: a displacement g^q(x0) - x0
 # within FLOOR_SLACK, plus q ulps of the orbit's coordinate, of an integer
@@ -184,11 +191,16 @@ def rotation_number(g, x0=0.0, tol=1e-4):
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
     g.validate(samples=16)
+    orbit = g.orbit_table([x0], ROUGH_STEPS)[:, 0]
+    lo, hi = _bracket(x0, orbit[1:], np.arange(1.0, ROUGH_STEPS + 1.0))
+    return _finish(g, x0, tol, lo, hi, float(orbit[-1]))
 
+
+def _finish(g, x0, tol, lo, hi, end):
+    """rotation_number after its rough pass: the bracket (lo, hi) of the
+    ROUGH_STEPS-step orbit from x0, which ends at end.  The lock scan, then
+    the extension."""
     n = ROUGH_STEPS
-    orbit = g.orbit_table([x0], n)[:, 0]
-    lo, hi = _bracket(x0, orbit[1:], np.arange(1.0, n + 1.0))
-
     (a, b), (c, d) = lo, hi
     candidates = [(p, q) for q in range(1, Q_MAX + 1)
                   for p in range(-(-a * q // b), c * q // d + 1)
@@ -201,7 +213,6 @@ def rotation_number(g, x0=0.0, tol=1e-4):
                 return RotationEstimate(value=p / q, error_radius=0.0,
                                         iterations=n, lock=(p, q))
 
-    end = float(orbit[n])
     while True:
         # midpoint and half-width of [a/b, c/d], each rounded once
         (a, b), (c, d) = lo, hi
@@ -211,13 +222,43 @@ def rotation_number(g, x0=0.0, tol=1e-4):
             return RotationEstimate(value=(a * d + c * b) / den,
                                     error_radius=radius, iterations=n)
         m = min(n, CHUNK_MAX)
-        column = g.orbit_table([end], m)[1:, 0]
-        more_lo, more_hi = _bracket(x0, column,
-                                    np.arange(n + 1.0, n + m + 1.0))
-        lo = max(lo, more_lo, key=_ratio)
-        hi = min(hi, more_hi, key=_ratio)
-        end = float(column[-1])
+        lo, hi, end = _extend(g, x0, lo, hi, end, n, m)
         n += m
+
+
+def _extend(g, x0, lo, hi, end, n, m):
+    """Run the orbit from end = g^n(x0) on by m steps and merge the bracket
+    of those steps into (lo, hi).  Returns (lo, hi, g^(n+m)(x0))."""
+    column = g.orbit_table([end], m)[1:, 0]
+    more_lo, more_hi = _bracket(x0, column, np.arange(n + 1.0, n + m + 1.0))
+    return (max(lo, more_lo, key=_ratio), min(hi, more_hi, key=_ratio),
+            float(column[-1]))
+
+
+def _below(g, target, tol):
+    """Whether rotation_number(g, tol=tol).value < target.
+
+    The rough pass from x0 = 0 runs in doubling chunks (FIRST_CHUNK steps,
+    then as many as it has run) up to ROUGH_STEPS, each continuing from
+    the last row.  The bracket only narrows as steps are added, and the
+    estimate lies in the ROUGH_STEPS-step bracket (a lock candidate inside
+    it, or the midpoint of a bracket inside it), so once the target lies
+    outside a prefix's bracket, the estimate lies on the bracket's side of
+    it.  A target still inside at ROUGH_STEPS is decided by the estimate,
+    from the lock scan and extension on the same orbit.  (The rigid lift's
+    closed-form rows round differently when continued from a chunk's last
+    row, by ulps that move a floor only within ulps of the allowance's
+    edge.)"""
+    g.validate(samples=16)
+    column = g.orbit_table([0.0], FIRST_CHUNK)[1:, 0]
+    lo, hi = _bracket(0.0, column, np.arange(1.0, FIRST_CHUNK + 1.0))
+    n, end = FIRST_CHUNK, float(column[-1])
+    while _ratio(lo) <= target <= _ratio(hi):
+        if n == ROUGH_STEPS:
+            return _finish(g, 0.0, tol, lo, hi, end).value < target
+        lo, hi, end = _extend(g, 0.0, lo, hi, end, n, n)
+        n += n
+    return _ratio(hi) < target
 
 
 def staircase(family, t_grid, tol=1e-4):
@@ -328,6 +369,13 @@ def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
 
     Useful for placing tau at a heuristically-irrational rotation value;
     unlike solve_rotation there is no lock certificate, only estimates.
+    The ends are rotation_number estimates.  Each bisection step asks only
+    on which side of target_value r(mid) lies, and reads the answer off
+    the shortest doubling prefix of the rough pass whose Farey bracket
+    excludes the target; only a target inside the ROUGH_STEPS-step bracket
+    is still decided by the estimate.  Each side is the one
+    `rotation_number(lift, tol=tol).value < target_value` gives, so tau is
+    the one bisection on the estimates gives.
     """
     lo, hi = family.a, family.b
     v_lo = rotation_number(family.lift(lo), tol=tol).value
@@ -340,8 +388,7 @@ def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
         )
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        v = rotation_number(family.lift(mid), tol=tol).value
-        if (v < target_value) == increasing:
+        if _below(family.lift(mid), target_value, tol) == increasing:
             lo = mid
         else:
             hi = mid

@@ -83,6 +83,19 @@ def test_kernel_step_commutes_with_integer_shift():
     np.testing.assert_allclose(b - a, 3.0, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [-0.0, 0.0, math.nan, math.inf, -math.inf,
+                               1e-300, -1e-300])
+def test_scalar_clamp_is_the_builtin_max(a):
+    # the narrow step's clamp keeps max's value and sign of zero, and nan
+    clamp = _ref.SCALAR[3](a, 0.0)
+    expected = max(a, 0.0)
+    if math.isnan(expected):
+        assert math.isnan(clamp)
+    else:
+        assert clamp == expected
+        assert math.copysign(1.0, clamp) == math.copysign(1.0, expected)
+
+
 def _every_lift():
     return [
         RigidLift(0.3176),

@@ -19,9 +19,11 @@ from poncelet.geometry import PonceletConfig
 from poncelet.lifts import ArnoldLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     FLOOR_SLACK,
+    ROUGH_STEPS,
     X_REF,
     NoSolutionError,
     ResidualFailureError,
+    _below,
     count_poncelet_pairs,
     detect_rational_lock,
     euler_totient,
@@ -479,6 +481,63 @@ def test_find_parameter_rejects_value_outside_estimated_image():
     family = rigid_family(a=0.2, b=0.4)
     with pytest.raises(NoSolutionError, match="outside estimated image"):
         find_parameter_for_value(family, GOLDEN)
+
+
+# family, target value, tol -> tau, as float.hex
+PINNED_PARAMETERS = [
+    (arnold_family(0.7), GOLDEN, 1e-5, "0x1.392d9f46f0110p-1"),
+    (arnold_family(0.4), GOLDEN, 1e-4, "0x1.3b3ed45654610p-1"),
+    (poncelet_family(1.0, 0.3, reverse=True), 1.0 - GOLDEN, 1e-4,
+     "0x1.76ce40467e7e8p-2"),
+    (poncelet_family(1.0, 0.1, reverse=True), 1.0 - GOLDEN, 1e-3,
+     "0x1.14dde15efd34ep-1"),
+    (rigid_family(0.2, 0.9), GOLDEN, 1e-5, "0x1.3c6f02da61a44p-1"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_PARAMETERS)))
+def test_parameters_are_pinned_bit_for_bit(case):
+    family, target, tol, tau = PINNED_PARAMETERS[case]
+    assert float.hex(find_parameter_for_value(family, target, tol=tol)) \
+        == tau
+
+
+def test_search_runs_under_half_the_rough_passes():
+    # 2 end estimates and 20 bisection steps, each a ROUGH_STEPS-step rough
+    # pass, would iterate 22 * ROUGH_STEPS narrow point-steps; most steps
+    # are decided by a shorter prefix of the orbit
+    family = arnold_family(0.7)
+    lifts = []
+    lift = family.lift
+    family.lift = lambda t: lifts.append(RecordingLift(lift(t))) or lifts[-1]
+    find_parameter_for_value(family, GOLDEN, iters=20, tol=1e-3)
+    narrow = sum(points * depth for g in lifts
+                 for points, depth in g.tables if points == 1)
+    assert len(lifts) == 22
+    assert narrow <= 22 * ROUGH_STEPS // 2
+
+
+LIFTS = st.one_of(
+    st.builds(RigidLift, st.floats(-2.0, 2.0)),
+    st.builds(ArnoldLift, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(lambda c, u: PonceletLift(PonceletConfig(1.0, c, u * (1.0 - c))),
+              st.floats(0.0, 0.95), st.floats(0.0, 1.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=LIFTS, tol=st.sampled_from([1e-3, 1e-4, 1e-5]),
+       u=st.floats(-1.0, 1.0), scale=st.integers(1, 15))
+def test_side_test_takes_the_estimates_side(g, tol, u, scale):
+    # the rigid lift's closed-form orbit rounds differently when continued
+    # from a chunk's last row than in one call; every other lift iterates
+    # the same floats
+    est = rotation_number(g, tol=tol)
+    v, radius = est.value, est.error_radius
+    targets = (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
+               v - radius, v + radius, v + u * 10.0 ** -scale)
+    assert [_below(g, target, tol) for target in targets] \
+        == [v < target for target in targets]
 
 
 def test_shrink_bracket_ends_on_adjacent_floats():
