@@ -13,11 +13,12 @@ between Farey neighbours of order n, and never more than 2/n.  A
 rational-lock scan comes first: an exact zero or a sign change of
 g^q(x) - x - p on a periodic grid certifies the exact rotation number p/q.
 
-The parameter search asks only on which side of a target r lies.  The
-bracket narrows as the orbit grows and the estimate lies inside it, so each
-bisection step reads the shortest doubling prefix of the rough pass whose
-bracket excludes the target; only a target inside the ROUGH_STEPS-step
-bracket is still decided by the estimate.
+One loop runs the orbit in doubling chunks, scans for locks once at
+ROUGH_STEPS steps, and stops at a lock, at a radius of at most tol, or
+with ValueError at MAX_STEPS steps (the float bracket stops narrowing near
+1e-11).  The parameter search asks it only on which side of a target r
+lies; the bracket narrows as the orbit grows and holds the estimate, so
+each bisection step stops at the first bracket that excludes the target.
 
 The floors are read off a float orbit, each widened by a rounding
 allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
@@ -38,6 +39,7 @@ Q_MAX = 64            # largest lock denominator rotation_number tries
 ROUGH_STEPS = 1024    # steps of the orbit that the first bracket reads
 FIRST_CHUNK = 64      # first prefix the search reads; doubles to ROUGH_STEPS
 CHUNK_MAX = 1 << 16   # most steps one extension of that orbit adds
+MAX_STEPS = 1 << 20   # most steps an estimate runs before it gives up
 # Rounding allowance on the bracket's floors: a displacement g^q(x0) - x0
 # within FLOOR_SLACK, plus q ulps of the orbit's coordinate, of an integer
 # k counts as either side of it.  It is a guess at the float orbit's error,
@@ -133,17 +135,26 @@ def detect_rational_lock(g, p, q):
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
+    lock = _first_lock(g, [(p, q)])
+    return None if lock is None else lock[1]
+
+
+def _first_lock(g, candidates):
+    """((p, q), x) for the first (p, q) of candidates with a root cell of
+    d = g^q(x) - x - p on the LOCK_GRID-point grid, x its left end; None
+    if none has one.  One orbit table serves every candidate."""
+    if not candidates:
+        return None
     xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
-    d = g.orbit_table(xs, q)[q] - xs - p
-    return _lock_from_grid(xs, d)
-
-
-def _lock_from_grid(xs, d):
-    # d(x + 1) = d(x), so the last cell closes on d[0]; a nan end has
-    # sign nan and certifies nothing
-    signs = np.sign(d)
-    hits = np.flatnonzero(signs * np.roll(signs, -1) <= 0)
-    return float(xs[hits[0]]) if hits.size else None
+    table = g.orbit_table(xs, max(q for _, q in candidates))
+    for p, q in candidates:
+        # d(x + 1) = d(x), so the last cell closes on d[0]; a nan end has
+        # sign nan and certifies nothing
+        signs = np.sign(table[q] - xs - p)
+        hits = np.flatnonzero(signs * np.roll(signs, -1) <= 0)
+        if hits.size:
+            return (p, q), float(xs[hits[0]])
+    return None
 
 
 def _bracket(x0, xs, q):
@@ -171,15 +182,15 @@ def rotation_number(g, x0=0.0, tol=1e-4):
     """Estimate r(g) with an error radius.
 
     A rough pass of ROUGH_STEPS steps from x0 gives the Farey bracket of
-    the module docstring.  The lock candidates are the reduced p/q,
-    q <= Q_MAX, inside it; the lock scan builds the LOCK_GRID-point orbit
-    table as deep as the deepest candidate and reads row q of each, in
-    ascending q.  A detected rational lock p/q gives the exact value
-    (error radius 0).  Otherwise the orbit is extended (doubling, at most
-    CHUNK_MAX steps at a time) until half the bracket's width is at most
-    tol, and the bracket's midpoint is returned with that radius.  The
-    scan runs once, before any extension: near a low-order rational the
-    bracket narrows only like 1/n.
+    the module docstring.  The lock scan tries the reduced p/q,
+    q <= Q_MAX, inside it, in ascending q, on one LOCK_GRID-point orbit
+    table as deep as the deepest; a detected lock p/q gives the exact
+    value (error radius 0).  It runs once, before any extension: near a
+    low-order rational the bracket narrows only like 1/n.  Otherwise the
+    orbit is extended (doubling, at most CHUNK_MAX steps at a time) until
+    half the bracket's width is at most tol, and the bracket's midpoint is
+    returned with that radius.  A tol not reached by MAX_STEPS steps (the
+    float bracket stops narrowing near 1e-11) raises ValueError.
 
     The floors are read off a float orbit with the allowance FLOOR_SLACK
     plus an ulp of the coordinate per step, which is not yet a certified
@@ -190,75 +201,63 @@ def rotation_number(g, x0=0.0, tol=1e-4):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
-    g.validate(samples=16)
-    orbit = g.orbit_table([x0], ROUGH_STEPS)[:, 0]
-    lo, hi = _bracket(x0, orbit[1:], np.arange(1.0, ROUGH_STEPS + 1.0))
-    return _finish(g, x0, tol, lo, hi, float(orbit[-1]))
-
-
-def _finish(g, x0, tol, lo, hi, end):
-    """rotation_number after its rough pass: the bracket (lo, hi) of the
-    ROUGH_STEPS-step orbit from x0, which ends at end.  The lock scan, then
-    the extension."""
-    n = ROUGH_STEPS
-    (a, b), (c, d) = lo, hi
-    candidates = [(p, q) for q in range(1, Q_MAX + 1)
-                  for p in range(-(-a * q // b), c * q // d + 1)
-                  if math.gcd(p, q) == 1]
-    if candidates:
-        xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
-        table = g.orbit_table(xs, candidates[-1][1])
-        for p, q in candidates:
-            if _lock_from_grid(xs, table[q] - xs - p) is not None:
-                return RotationEstimate(value=p / q, error_radius=0.0,
-                                        iterations=n, lock=(p, q))
-
-    while True:
-        # midpoint and half-width of [a/b, c/d], each rounded once
-        (a, b), (c, d) = lo, hi
-        den = 2 * b * d
-        radius = (c * b - a * d) / den
-        if radius <= tol:
-            return RotationEstimate(value=(a * d + c * b) / den,
-                                    error_radius=radius, iterations=n)
-        m = min(n, CHUNK_MAX)
-        lo, hi, end = _extend(g, x0, lo, hi, end, n, m)
-        n += m
-
-
-def _extend(g, x0, lo, hi, end, n, m):
-    """Run the orbit from end = g^n(x0) on by m steps and merge the bracket
-    of those steps into (lo, hi).  Returns (lo, hi, g^(n+m)(x0))."""
-    column = g.orbit_table([end], m)[1:, 0]
-    more_lo, more_hi = _bracket(x0, column, np.arange(n + 1.0, n + m + 1.0))
-    return (max(lo, more_lo, key=_ratio), min(hi, more_hi, key=_ratio),
-            float(column[-1]))
+    return _estimate(g, x0, tol, ROUGH_STEPS, None)
 
 
 def _below(g, target, tol):
-    """Whether rotation_number(g, tol=tol).value < target.
+    """Whether rotation_number(g, tol=tol).value < target, from the
+    chunks of FIRST_CHUNK, FIRST_CHUNK, 2 FIRST_CHUNK, ... steps.  (The
+    rigid lift's closed-form rows round differently when continued from a
+    chunk's last row, by ulps that move a floor only within ulps of the
+    allowance's edge.)"""
+    return _estimate(g, 0.0, tol, FIRST_CHUNK, target)
 
-    The rough pass from x0 = 0 runs in doubling chunks (FIRST_CHUNK steps,
-    then as many as it has run) up to ROUGH_STEPS, each continuing from
-    the last row.  The bracket only narrows as steps are added, and the
-    estimate lies in the ROUGH_STEPS-step bracket (a lock candidate inside
-    it, or the midpoint of a bracket inside it), so once the target lies
-    outside a prefix's bracket, the estimate lies on the bracket's side of
-    it.  A target still inside at ROUGH_STEPS is decided by the estimate,
-    from the lock scan and extension on the same orbit.  (The rigid lift's
-    closed-form rows round differently when continued from a chunk's last
-    row, by ulps that move a floor only within ulps of the allowance's
-    edge.)"""
+
+def _estimate(g, x0, tol, first, target):
+    """The Farey-bracket loop: the estimate of rotation_number, or given a
+    target, whether it lies below the target.
+
+    The orbit of x0 runs in chunks of first, first, 2 first, ... steps,
+    at most CHUNK_MAX each, and each chunk's bracket narrows the running
+    one.  The lock scan runs once, at ROUGH_STEPS steps; then a lock, or
+    the midpoint once the radius is at most tol, is the estimate, which
+    lies in every bracket, so the first one to exclude a target gives its
+    side.  At MAX_STEPS steps it gives up with ValueError."""
     g.validate(samples=16)
-    column = g.orbit_table([0.0], FIRST_CHUNK)[1:, 0]
-    lo, hi = _bracket(0.0, column, np.arange(1.0, FIRST_CHUNK + 1.0))
-    n, end = FIRST_CHUNK, float(column[-1])
-    while _ratio(lo) <= target <= _ratio(hi):
+    lo, hi = (-math.inf, 1), (math.inf, 1)  # the bracket of no steps
+    n, end, m = 0, x0, first
+    while True:
+        column = g.orbit_table([end], m)[1:, 0]
+        more = _bracket(x0, column, np.arange(n + 1.0, n + m + 1.0))
+        lo, hi = max(lo, more[0], key=_ratio), min(hi, more[1], key=_ratio)
+        n, end = n + m, float(column[-1])
+        if target is not None and not _ratio(lo) <= target <= _ratio(hi):
+            return _ratio(hi) < target
+        (a, b), (c, d) = lo, hi
         if n == ROUGH_STEPS:
-            return _finish(g, 0.0, tol, lo, hi, end).value < target
-        lo, hi, end = _extend(g, 0.0, lo, hi, end, n, n)
-        n += n
-    return _ratio(hi) < target
+            lock = _first_lock(g, [
+                (p, q) for q in range(1, Q_MAX + 1)
+                for p in range(-(-a * q // b), c * q // d + 1)
+                if math.gcd(p, q) == 1])
+            if lock is not None:
+                (p, q), _ = lock
+                est = RotationEstimate(value=p / q, error_radius=0.0,
+                                       iterations=n, lock=(p, q))
+                break
+        if n >= ROUGH_STEPS:
+            # midpoint and half-width of [a/b, c/d], each rounded once
+            den = 2 * b * d
+            radius = (c * b - a * d) / den
+            if radius <= tol:
+                est = RotationEstimate(value=(a * d + c * b) / den,
+                                       error_radius=radius, iterations=n)
+                break
+            if n >= MAX_STEPS:
+                raise ValueError(
+                    f"the bracket's radius {radius:.3g} is still above "
+                    f"tol = {tol:.3g} after {n} steps")
+        m = min(n, CHUNK_MAX)
+    return est if target is None else est.value < target
 
 
 def staircase(family, t_grid, tol=1e-4):
@@ -371,11 +370,12 @@ def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
     unlike solve_rotation there is no lock certificate, only estimates.
     The ends are rotation_number estimates.  Each bisection step asks only
     on which side of target_value r(mid) lies, and reads the answer off
-    the shortest doubling prefix of the rough pass whose Farey bracket
-    excludes the target; only a target inside the ROUGH_STEPS-step bracket
-    is still decided by the estimate.  Each side is the one
+    the shortest doubling prefix of the orbit whose Farey bracket excludes
+    the target; only a target inside the ROUGH_STEPS-step bracket is still
+    decided by the estimate.  Each side is the one
     `rotation_number(lift, tol=tol).value < target_value` gives, so tau is
-    the one bisection on the estimates gives.
+    the one bisection on the estimates gives.  A step whose target stays
+    inside a bracket wider than 2 tol for MAX_STEPS steps raises ValueError.
     """
     lo, hi = family.a, family.b
     v_lo = rotation_number(family.lift(lo), tol=tol).value

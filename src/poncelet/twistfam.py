@@ -17,16 +17,15 @@ MARGIN_X_SAMPLES = 32      # x samples per parameter in twist_margin
 COMPARISON_TOL = 1e-5      # rotation-number tolerance of comparison_check
 PAIR_EPS = 0.5             # eps of second_order_estimate's balanced pairs
 SEPARATION_X_SAMPLES = 128  # x samples of second_order_estimate's separations
+ALPHA_X_SAMPLES = 256      # x samples of separation_alpha
 
 
 class TwistConditionError(ValueError):
     """A sampled parameter-derivative (or separation) was not positive."""
 
 
-def twist_margin(family, t_grid=None):
+def twist_margin(family, t_grid):
     """Sampled infimum m of d g_t(x) / d t; every sample must be > 0."""
-    if t_grid is None:
-        t_grid = np.linspace(family.a, family.b, 17)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("twist_margin needs a non-empty t_grid")
@@ -42,11 +41,9 @@ def twist_margin(family, t_grid=None):
     return m
 
 
-def separation_alpha(g1, g2, x_grid=None):
+def separation_alpha(g1, g2):
     """Sampled infimum of g2 - g1 over one period; must be positive."""
-    if x_grid is None:
-        x_grid = np.linspace(0.0, 1.0, 256, endpoint=False)
-    x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = np.linspace(0.0, 1.0, ALPHA_X_SAMPLES, endpoint=False)
     diff = g2.orbit_table(x_grid, 1)[1] - g1.orbit_table(x_grid, 1)[1]
     alpha = float(np.min(diff))
     if not alpha > 0:

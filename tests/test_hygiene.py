@@ -88,7 +88,7 @@ def test_default_scan_finds_every_kind_of_default():
 
 #: Defaulted parameters of src/poncelet outside cli.py, whose options are
 #: the program's interface.  Lower it when a default goes.
-MAX_DEFAULTED_PARAMETERS = 23
+MAX_DEFAULTED_PARAMETERS = 21
 
 
 def test_library_grows_no_defaulted_parameter():

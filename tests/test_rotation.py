@@ -18,7 +18,9 @@ from poncelet.families import (
 from poncelet.geometry import PonceletConfig
 from poncelet.lifts import ArnoldLift, PonceletLift, RigidLift
 from poncelet.rotation import (
+    CHUNK_MAX,
     FLOOR_SLACK,
+    MAX_STEPS,
     ROUGH_STEPS,
     X_REF,
     NoSolutionError,
@@ -347,6 +349,21 @@ def test_lock_scan_runs_before_any_extension():
     est = rotation_number(g, tol=1e-5)
     assert est.lock == (1, 4)
     assert max(depth for points, depth in g.tables if points == 1) == 1024
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda g: rotation_number(g, tol=1e-12),
+    lambda g: _below(g, exact_r(1.0, 0.2, 0.3), 1e-12),
+], ids=["rotation_number", "side_test"])
+def test_estimate_stops_below_the_bracket_floor(estimate):
+    # the float orbit's bracket stops narrowing near a radius of 2.5e-11
+    # here, so tol 1e-12 is never met: the orbit runs in chunks of at most
+    # CHUNK_MAX steps and gives up at MAX_STEPS
+    g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.2, 0.3)))
+    with pytest.raises(ValueError, match="above tol = 1e-12"):
+        estimate(g)
+    depths = [depth for points, depth in g.tables if points == 1]
+    assert max(depths) <= CHUNK_MAX and sum(depths) <= MAX_STEPS
 
 
 # ----------------------------------------------------------- lock detection

@@ -32,7 +32,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # ------------------------------------------------------------- twist margin
 
 def test_arnold_margin_is_one():
-    margin = twist_margin(arnold_family(0.6))
+    family = arnold_family(0.6)
+    margin = twist_margin(family, np.linspace(family.a, family.b, 17))
     assert margin == 1.0
 
 
@@ -40,7 +41,8 @@ def test_quadratic_rigid_margin():
     # alpha(t) = t^2 + t, inf of 2t + 1 on [0, 1] is 1
     family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(t * t + t),
                                   dgdt=lambda t, x: 2.0 * t + 1.0)
-    assert twist_margin(family) == pytest.approx(1.0, abs=1e-12)
+    assert twist_margin(family, np.linspace(family.a, family.b, 17)) == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_poncelet_reversed_margin_matches_arccos_derivative():
@@ -86,14 +88,14 @@ def test_margin_rejects_non_twist_family():
     family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(-t),
                                   dgdt=lambda t, x: -1.0)
     with pytest.raises(TwistConditionError):
-        twist_margin(family)
+        twist_margin(family, np.linspace(family.a, family.b, 17))
 
 
 def test_margin_rejects_nan_samples():
     family = MonotoneCircleFamily(
         0.0, 1.0, RigidLift, lambda t, x: np.where(x > 0.5, math.nan, 1.0))
     with pytest.raises(TwistConditionError):
-        twist_margin(family)
+        twist_margin(family, np.linspace(family.a, family.b, 17))
 
 
 def test_margin_rejects_empty_grid():
@@ -126,10 +128,9 @@ def test_separation_rejects_nan_image():
 def test_lower_separation_inequality():
     # g_{t2}(x) - g_{t1}(x) >= m (t2 - t1) on sampled pairs
     family = poncelet_family(1.0, 0.0, reverse=True)
-    m = twist_margin(family)
-    xs = np.linspace(0.0, 1.0, 64, endpoint=False)
+    m = twist_margin(family, np.linspace(family.a, family.b, 17))
     for t1, t2 in [(0.1, 0.3), (0.25, 0.7), (0.5, 0.95)]:
-        sep = separation_alpha(family.lift(t1), family.lift(t2), xs)
+        sep = separation_alpha(family.lift(t1), family.lift(t2))
         assert sep >= m * (t2 - t1) - 1e-9
 
 
