@@ -18,11 +18,8 @@ from .confrac import (
 from .families import MonotoneCircleFamily, arnold_family, poncelet_family, rigid_family
 from .geometry import (
     AngleState,
-    LiftPoint,
     PonceletConfig,
-    TorusPoint,
     area_twist_check,
-    b_function,
     generating_potential,
     invariant_circle_phi,
     poncelet_map_analytic,

@@ -165,12 +165,7 @@ def cmd_staircase(args):
         lines = [[_fmt(r["t"]), _fmt(r["r"]), _fmt(r["error_radius"]),
                   str(r["lock_p"]), str(r["lock_q"])] for r in rows]
         _emit(_csv(lines, header), args.out)
-        sidecar = json.dumps(verdict, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            with open(args.out + ".verdict.json", "w", encoding="utf-8") as fh:
-                fh.write(sidecar)
-        else:
-            sys.stdout.write(sidecar)
+        _emit_json(verdict, args.out and args.out + ".verdict.json")
     return EXIT_OK if result.monotone_ok else EXIT_PROPERTY
 
 

@@ -6,14 +6,17 @@ its polar angle theta; a line by its direction angle phi taken mod pi.
 Normalized coordinates are x = theta/(2 pi), y = phi/pi.
 
 The one-step transformation sends the oriented chord (A, r) with r tangent
-to L (L kept on the left) to the next chord.  Analytically
+to L (L kept on the left) to the next chord.  It is written once, as the
+lift F of the paper's twist map (`twist_map`):
 
-    theta' = 2 phi - theta + pi            (mod 2 pi)
-    phi'   = 3 phi - 2 theta + Bc(theta') + pi   (mod pi)
+    f(x, y) = (y - x + 1/2, 3y - 4x + Z(y - x + 1/2) + 1),
+    Z(s) = 2 arctan(c sin 2 pi s / (R - c cos 2 pi s)) / pi.
 
-where Bc(u) = 2 arctan(c sin u / (R - c cos u)) is the tangency correction.
-The formula was cross-validated against the independent tangent-line
-construction (`poncelet_map_geometric`), which is the authority on signs.
+The angle form (`poncelet_map_analytic`) is the coordinate change
+theta = 2 pi x, phi = pi y.  The paper misprints the angle form's tangency
+term (erratum in `z_function`); the form above is the one the independent
+tangent-line construction (`poncelet_map_geometric`), the authority on
+signs, confirms.
 """
 
 import math
@@ -27,10 +30,6 @@ TWO_PI = 2.0 * math.pi
 _SERIES_CHUNK = 1 << 16
 # Step of area_twist_check's centered differences.
 JACOBIAN_STEP = 1e-6
-
-
-class DegenerateTangencyError(ValueError):
-    """Raised when a start point lies strictly inside the inner circle."""
 
 
 @dataclass(frozen=True)
@@ -65,68 +64,28 @@ class AngleState:
         return AngleState(theta % TWO_PI, phi % math.pi)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """(x, y) on the unit torus."""
-
-    x: float
-    y: float
-
-    @staticmethod
-    def reduced(x, y):
-        return TorusPoint(x % 1.0, y % 1.0)
-
-
-@dataclass(frozen=True)
-class LiftPoint:
-    """Un-wrapped plane coordinates of the lift."""
-
-    x: float
-    y: float
-
-
-def b_function(theta_prime, cfg):
-    """Paper-form tangency term 2 arctan(c sin u / (R + c cos u))."""
-    return 2.0 * math.atan(
-        cfg.c * math.sin(theta_prime) / (cfg.R + cfg.c * math.cos(theta_prime))
-    )
-
-
-def b_corrected(theta_prime, cfg):
-    """Tangency term that actually matches the geometric construction.
-
-    Equals -b_function(theta_prime + pi); the published variant carries a
-    figure-convention offset of pi in its argument.
-    """
-    return 2.0 * math.atan(
-        cfg.c * math.sin(theta_prime) / (cfg.R - cfg.c * math.cos(theta_prime))
-    )
-
-
 def z_function(s, cfg):
-    """Forcing term of the twist map in normalized coordinates, period 1."""
-    return b_corrected(TWO_PI * s, cfg) / math.pi
+    """Tangency term Z of the twist map, period 1 in s:
+
+        Z(s) = 2 atan(c sin u / (R - c cos u)) / pi,   u = 2 pi s.
+
+    Erratum: the paper prints the angle-form term as
+    2 atan(c sin u / (R + c cos u)), which equals -pi Z(s + 1/2), a
+    figure-convention offset of pi in u and a flipped sign.
+    """
+    u = TWO_PI * s
+    return 2.0 * math.atan(
+        cfg.c * math.sin(u) / (cfg.R - cfg.c * math.cos(u))) / math.pi
 
 
-def poncelet_map_analytic_raw(theta, phi, cfg):
-    """One analytic step, returning unreduced (theta', phi')."""
-    theta_p = 2.0 * phi - theta + math.pi
-    phi_p = 3.0 * phi - 2.0 * theta + b_corrected(theta_p, cfg) + math.pi
-    return theta_p, phi_p
-
-
-def poncelet_map_analytic(s, cfg):
-    """One analytic step on reduced angle coordinates."""
-    theta_p, phi_p = poncelet_map_analytic_raw(s.theta, s.phi, cfg)
-    return AngleState.reduced(theta_p, phi_p)
-
-
-def twist_map_raw(x, y, cfg):
+def twist_map(x, y, cfg):
     """The lift F of the twist map f; F(x+1, y) = F(x, y) + (1, 0) exactly.
 
     On [0, 1) x R this is f(x, y) = (y - x + 1/2, 3y - 4x + Z(y - x + 1/2) + 1);
     the integer part of x is carried over so the first component has the
-    lift periodicity needed for rotation numbers.
+    lift periodicity needed for rotation numbers.  F(x, y+1) = F(x, y) +
+    (1, 3), so f is well defined on the torus: reduce both components
+    mod 1 there.
     """
     k = math.floor(x)
     xf = x - k
@@ -135,12 +94,11 @@ def twist_map_raw(x, y, cfg):
     return x_p, y_p
 
 
-def twist_map(p, cfg):
-    """Apply f to a TorusPoint (reduced) or LiftPoint (unreduced)."""
-    x_p, y_p = twist_map_raw(p.x, p.y, cfg)
-    if isinstance(p, TorusPoint):
-        return TorusPoint.reduced(x_p, y_p)
-    return LiftPoint(x_p, y_p)
+def poncelet_map_analytic(s, cfg):
+    """One analytic step on reduced angle coordinates: `twist_map` in
+    x = theta / 2 pi, y = phi / pi."""
+    x_p, y_p = twist_map(s.theta / TWO_PI, s.phi / math.pi, cfg)
+    return AngleState.reduced(TWO_PI * x_p, math.pi * y_p)
 
 
 def poncelet_map_geometric(theta, cfg):
@@ -156,10 +114,7 @@ def poncelet_map_geometric(theta, cfg):
     wx = c - ax
     wy = -ay
     D = math.hypot(wx, wy)
-    if D < t - 1e-12:
-        raise DegenerateTangencyError(
-            f"point at theta={theta} lies inside the inner circle"
-        )
+    # PonceletConfig keeps t <= R - c <= D, so the clamp only absorbs rounding
     beta = math.asin(min(1.0, max(0.0, t / D)))
     cb = math.cos(beta)
     sb = math.sin(beta)
@@ -172,7 +127,8 @@ def poncelet_map_geometric(theta, cfg):
 
 
 def tangent_direction(theta, cfg):
-    """Direction parameter y = phi/pi of the tangent line from angle 2*pi*x."""
+    """Direction parameter y = phi/pi of the tangent line from the point of
+    K at polar angle theta."""
     return poncelet_map_geometric(theta, cfg).phi / math.pi
 
 
@@ -224,12 +180,13 @@ def _potential_series(x_prime, rho):
     return 2.0 * total / (math.pi * math.pi)
 
 
-def area_twist_check(p, cfg):
-    """Centered finite-difference Jacobian determinant and d f1/d y at p."""
-    x, y, h = p.x, p.y, JACOBIAN_STEP
+def area_twist_check(x, y, cfg):
+    """Centered finite-difference Jacobian determinant and d f1/d y at
+    (x, y)."""
+    h = JACOBIAN_STEP
 
     def f(xx, yy):
-        return twist_map_raw(xx, yy, cfg)
+        return twist_map(xx, yy, cfg)
 
     fx1, fx2 = f(x + h, y)
     gx1, gx2 = f(x - h, y)

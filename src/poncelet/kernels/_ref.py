@@ -6,8 +6,9 @@ difference of absolute angles.  With theta = 2 pi x and h = sin(theta/2),
 the start point lies P = (R - c) + 2c h^2 along its radius and
 Q = c sin(theta) across it from the inner centre, at tangent length
 S = sqrt((R - c - t)(R - c + t) + 4Rc h^2), which is sqrt(D^2 - t^2)
-without cancellation.  The chord's central angle is twice its angle to the
-outer circle's tangent:
+without cancellation.  The step computes P, Q, S and t in units of R, so
+no square under- or overflows for R far from 1.  The chord's central angle
+is twice its angle to the outer circle's tangent:
 
     x' = x + 2 atan2(max(S P + t Q, 0), t P - S Q) / (2 pi).
 
@@ -66,10 +67,13 @@ WIDE = (np.sin, np.sqrt, np.arctan2, np.maximum)
 
 
 def _pair(R, c, t):
-    """c, t, gap = R - c, s2_at_0 and four_rc: S^2 = s2_at_0 + four_rc h^2."""
+    """c, t, gap = R - c, s2_at_0 and four_rc in units of R:
+    (S/R)^2 = s2_at_0 + four_rc h^2.  R - c - t is taken before dividing,
+    so a t one ulp below R - c stays off tangency."""
     R, c, t = float(R), float(c), float(t)
-    gap = R - c
-    return c, t, gap, (gap - t) * (gap + t), 4.0 * R * c
+    near = (R - c - t) / R
+    c, t, gap = c / R, t / R, (R - c) / R
+    return c, t, gap, near * (gap + t), 4.0 * c
 
 
 def poncelet_step(R, c, t, fns=SCALAR):
@@ -98,7 +102,7 @@ def poncelet_dgdt(R, c, t, x):
     *_, s2_at_0, four_rc = _pair(R, c, t)
     h = np.sin(pi * np.asarray(x, dtype=np.float64))
     with np.errstate(divide="ignore"):
-        return -1.0 / (pi * np.sqrt(s2_at_0 + four_rc * h * h))
+        return -1.0 / (pi * np.sqrt(s2_at_0 + four_rc * h * h)) / R
 
 
 def arnold_step(omega, K, fns=SCALAR):

@@ -192,6 +192,8 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
                                sep_plus - 1.0 / q_exc, x_grid)
         if t2 - t1 <= 0:
             continue
+        if (t2 - t1) ** 2 == 0.0:
+            raise ValueError(f"bracket width {t2 - t1!r} squares to 0")
         r1 = rotation_number(family.lift(t1), tol=tol)
         r2 = rotation_number(family.lift(t2), tol=tol)
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)

@@ -24,12 +24,11 @@ from poncelet.geometry import (
     TWO_PI,
     AngleState,
     PonceletConfig,
-    TorusPoint,
     area_twist_check,
     generating_potential,
     poncelet_map_analytic,
     poncelet_map_geometric,
-    twist_map_raw,
+    twist_map,
 )
 from poncelet.lifts import PonceletLift
 from poncelet.rotation import count_poncelet_pairs, euler_totient, \
@@ -94,7 +93,7 @@ def test_criterion_4_area_and_twist():
     cfg = PonceletConfig(1.0, 0.4, 0.2)
     ok = True
     for x, y in rng.uniform(0.0, 1.0, (1000, 2)):
-        det, d12 = area_twist_check(TorusPoint(x, y), cfg)
+        det, d12 = area_twist_check(x, y, cfg)
         ok = ok and abs(det - 1.0) < 1e-5 and abs(d12 - 1.0) < 1e-8
     report(4, "area preservation and twist condition", ok)
 
@@ -106,7 +105,7 @@ def test_criterion_5_generating_relation():
     ok = True
     for x, x_p in rng.uniform(0.0, 1.0, (100, 2)):
         y = x + x_p - 0.5
-        _, y_p = twist_map_raw(x, y, cfg)
+        _, y_p = twist_map(x, y, cfg)
         d1 = (generating_potential(x + h, x_p, cfg)
               - generating_potential(x - h, x_p, cfg)) / (2.0 * h)
         d2 = (generating_potential(x, x_p + h, cfg)

@@ -316,6 +316,8 @@ def test_prop2_poncelet_passes(tmp_path):
     ["cf", "--x", "0.3", "--n-max", "-1"],
     # tol below the float bracket's floor (at c = 0 all three points lock)
     ["staircase", "--tol", "1e-12", "--points", "3", "--c", "0.2"],
+    # the growth quotient's squared bracket width underflows
+    ["prop2", "--family", "poncelet", "--R", "1e-170"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -5,23 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poncelet.geometry import (
     TWO_PI,
     AngleState,
-    LiftPoint,
     PonceletConfig,
-    TorusPoint,
     area_twist_check,
-    b_corrected,
-    b_function,
     generating_potential,
     invariant_circle_phi,
     poncelet_map_analytic,
     poncelet_map_geometric,
     tangent_direction,
     twist_map,
-    twist_map_raw,
     z_function,
 )
 
@@ -35,30 +32,34 @@ def circ_dist(a, b, period):
 
 def test_b_vanishes_for_concentric():
     cfg = PonceletConfig(1.0, 0.0, 0.2)
-    for u in np.linspace(-7.0, 7.0, 23):
-        assert b_corrected(u, cfg) == 0.0
-        assert b_function(u, cfg) == 0.0
+    for s in np.linspace(-1.1, 1.1, 23):
+        assert z_function(s, cfg) == 0.0
 
 
 def test_b_vanishes_at_pi():
     cfg = PonceletConfig(1.0, 0.45, 0.1)
-    assert abs(b_corrected(math.pi, cfg)) < 1e-15
-    assert abs(b_function(math.pi, cfg)) < 1e-15
+    assert abs(z_function(0.5, cfg)) < 1e-15
 
 
 def test_b_quarter_turn_value():
-    # 2 * atan(0.5), frozen from high-precision evaluation
+    # 2 * atan(0.5) / pi, frozen from high-precision evaluation
     cfg = PonceletConfig(1.0, 0.5, 0.1)
-    assert b_corrected(math.pi / 2.0, cfg) == pytest.approx(
-        0.9272952180016122, abs=1e-15
+    assert z_function(0.25, cfg) == pytest.approx(
+        0.9272952180016122 / math.pi, abs=1e-15
     )
 
 
 def test_b_corrected_is_offset_mirror_of_published_form():
+    # the paper prints the angle form's term as B(u) below; Z is the term
+    # the tangent-line construction confirms, and pi Z(s) = -B(2 pi s + pi)
+    def published_b(u, cfg):
+        return 2.0 * math.atan(cfg.c * math.sin(u)
+                               / (cfg.R + cfg.c * math.cos(u)))
+
     cfg = PonceletConfig(1.3, 0.6, 0.2)
-    for u in np.linspace(0.0, TWO_PI, 37):
-        assert b_corrected(u, cfg) == pytest.approx(
-            -b_function(u + math.pi, cfg), abs=1e-13
+    for s in np.linspace(0.0, 1.0, 37):
+        assert math.pi * z_function(s, cfg) == pytest.approx(
+            -published_b(TWO_PI * s + math.pi, cfg), abs=1e-13
         )
 
 
@@ -105,35 +106,37 @@ def test_cross_validation_spot_value():
 def test_twist_lift_spot_value():
     # f(0, 1/2) = (1, 5/2) for the concentric pair
     cfg = PonceletConfig(1.0, 0.0, 0.0)
-    x_p, y_p = twist_map_raw(0.0, 0.5, cfg)
+    x_p, y_p = twist_map(0.0, 0.5, cfg)
     assert (x_p, y_p) == (1.0, 2.5)
 
 
-def test_lift_periodicity_is_exact():
-    cfg = PonceletConfig(1.0, 0.4, 0.2)
-    rng = np.random.default_rng(3)
-    for x, y in rng.uniform(-2.0, 2.0, (100, 2)):
-        a = twist_map_raw(x, y, cfg)
-        b = twist_map_raw(x + 1.0, y, cfg)
-        assert b[0] - a[0] == 1.0
-        assert b[1] == a[1]
+def _dyadic(v):
+    # v on the 2^-40 grid: x + 1, its integer part and its fraction are
+    # exact there, so F(x + 1, y) can be compared with F(x, y) bit for bit
+    return math.ldexp(round(math.ldexp(v, 40)), -40)
 
 
-def test_twist_map_wraps_torus_points():
-    cfg = PonceletConfig(1.0, 0.0, 0.0)
-    out = twist_map(TorusPoint(0.9, 0.8), cfg)
-    assert isinstance(out, TorusPoint)
-    assert 0.0 <= out.x < 1.0 and 0.0 <= out.y < 1.0
-    lifted = twist_map(LiftPoint(0.9, 0.8), cfg)
-    assert isinstance(lifted, LiftPoint)
-    assert lifted.x % 1.0 == pytest.approx(out.x, abs=1e-12)
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 0.95), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_lift_periodicity_is_exact(c, x, y):
+    # F(x+1, y) = F(x, y) + (1, 0) and F(x, y+1) = F(x, y) + (1, 3): f is
+    # well defined on the torus, and F is a lift of it in x
+    cfg = PonceletConfig(1.0, c, 0.0)
+    x, y = _dyadic(x), _dyadic(y)
+    a = twist_map(x, y, cfg)
+    b = twist_map(x + 1.0, y, cfg)
+    assert b[0] - a[0] == 1.0
+    assert b[1] == a[1]
+    d = twist_map(x, y + 1.0, cfg)
+    assert d[0] - a[0] == pytest.approx(1.0, abs=1e-12)
+    assert d[1] - a[1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_coordinate_change_consistency():
     # f in (x, y) coordinates is the analytic chord map in (theta, phi)
     cfg = PonceletConfig(1.0, 0.4, 0.0)
     x, y = 0.2, 0.6
-    x_p, y_p = twist_map_raw(x, y, cfg)
+    x_p, y_p = twist_map(x, y, cfg)
     out = poncelet_map_analytic(AngleState(TWO_PI * x, math.pi * y), cfg)
     assert circ_dist(x_p % 1.0, out.theta / TWO_PI, 1.0) < 1e-12
     assert circ_dist(y_p % 1.0, out.phi / math.pi, 1.0) < 1e-12
@@ -171,6 +174,22 @@ def test_internal_tangency_fixed_point():
     assert circ_dist(out.theta, 0.0, TWO_PI) < 1e-9
 
 
+def test_near_tangency_starts_at_large_radius():
+    # at R = 3.7e20, t = R - c, some starts near theta = 0 round to D < t;
+    # the clamp of t / D absorbs it.  asin near t / D = 1 loses half the
+    # digits, hence 1e-7 against the same construction at R = 1.
+    R = 3.7e20
+    thetas = np.logspace(-12.0, -1.0, 100)
+    for ratio in np.linspace(0.05, 0.95, 24):
+        big = PonceletConfig(R, ratio * R, R - ratio * R)
+        unit = PonceletConfig(1.0, ratio, 1.0 - ratio)
+        for theta in np.concatenate([-thetas, thetas]):
+            a = poncelet_map_geometric(theta, big)
+            b = poncelet_map_geometric(theta, unit)
+            assert circ_dist(a.theta, b.theta, TWO_PI) < 1e-7
+            assert circ_dist(a.phi, b.phi, math.pi) < 1e-7
+
+
 # ----------------------------------------------------------- config contract
 
 @pytest.mark.parametrize("R,c,t", [
@@ -202,8 +221,8 @@ def test_invariant_circle_graph_is_invariant():
     cfg = PonceletConfig(1.0, 0.3, 0.2)
     y_of = invariant_circle_phi(0.2, cfg)
     for x in np.linspace(0.0, 1.0, 200, endpoint=False):
-        p = twist_map(TorusPoint(x, y_of(x)), cfg)
-        assert circ_dist(p.y, y_of(p.x), 1.0) < 1e-9
+        x_p, y_p = twist_map(x, y_of(x), cfg)
+        assert circ_dist(y_p, y_of(x_p), 1.0) < 1e-9
 
 
 def test_invariant_circles_are_disjoint_graphs():
@@ -235,7 +254,7 @@ def test_generating_relation_partials():
         cfg = PonceletConfig(1.0, c, 0.0)
         for x, x_p in rng.uniform(0.0, 1.0, (100, 2)):
             y = x + x_p - 0.5
-            _, y_p = twist_map_raw(x, y, cfg)
+            _, y_p = twist_map(x, y, cfg)
             d1 = (generating_potential(x + h, x_p, cfg)
                   - generating_potential(x - h, x_p, cfg)) / (2.0 * h)
             d2 = (generating_potential(x, x_p + h, cfg)
@@ -277,7 +296,7 @@ def test_generating_potential_matches_integral_of_z():
 
 def test_affine_case_preserves_area_exactly():
     cfg = PonceletConfig(1.0, 0.0, 0.0)
-    det, d12 = area_twist_check(TorusPoint(0.37, 1.22), cfg)
+    det, d12 = area_twist_check(0.37, 1.22, cfg)
     assert det == pytest.approx(1.0, abs=1e-10)
     assert d12 == pytest.approx(1.0, abs=1e-10)
 
@@ -286,7 +305,7 @@ def test_area_and_twist_conditions_hold_off_center():
     cfg = PonceletConfig(1.0, 0.45, 0.2)
     rng = np.random.default_rng(23)
     for x, y in rng.uniform(0.0, 1.0, (50, 2)):
-        det, d12 = area_twist_check(TorusPoint(x, y), cfg)
+        det, d12 = area_twist_check(x, y, cfg)
         assert det == pytest.approx(1.0, abs=1e-5)
         assert d12 == pytest.approx(1.0, abs=1e-8)
 

@@ -88,6 +88,34 @@ def test_estimate_rejects_non_finite_start(x0):
         rotation_number(RigidLift(0.3), x0=x0)
 
 
+# (c / R, t / (R - c)): 1 is internal tangency
+SCALE_POINTS = [(c, u) for c in (0.0, 0.3, 0.6, 0.9)
+                for u in (0.0, 0.25, 0.5, 1.0)] + [
+    (0.2, 0.375), (0.45, 0.02), (0.9, 0.5), (0.6, 0.75), (0.3, 0.3),
+    (0.75, 0.4), (0.1, 0.999)]
+
+
+@pytest.mark.parametrize("R", [2.0 ** -600, 1e-200, 1.3, 1e200, 2.0 ** 600],
+                         ids=["2^-600", "1e-200", "1.3", "1e200", "2^600"])
+def test_poncelet_estimates_do_not_depend_on_the_scale(R):
+    # the kernel works in units of R, so S^2 neither underflows (R = 1e-200
+    # read 0/1 at t = 0) nor overflows (R = 1e200 failed the periodicity
+    # check), and it forms R - c - t before dividing, so a t one ulp below
+    # R - c keeps r ~ 0.03 instead of the tangency lock 0/1
+    xs = np.linspace(0.05, 0.95, 7)
+    for c, u in SCALE_POINTS:
+        gap = R - c * R
+        for t in {u * gap, math.nextafter(gap, 0.0) if u == 1.0 else 0.0}:
+            est = rotation_number(PonceletLift(PonceletConfig(R, c * R, t)))
+            r = exact_r(R, c * R, t)
+            assert abs(est.value - r) <= est.error_radius + 1e-15, (c, t)
+        np.testing.assert_allclose(
+            R * poncelet_family(R, c * R).dgdt(u * gap, xs),
+            poncelet_family(1.0, c).dgdt(u * (1.0 - c), xs), rtol=1e-13)
+    for n in range(3, 9):
+        assert count_poncelet_pairs(poncelet_family(R, 0.3 * R), n).ok, n
+
+
 def test_conjugation_invariance():
     # rotation number is invariant under conjugation by a circle homeo
     g = ArnoldLift(0.37, 0.5)
@@ -152,11 +180,13 @@ def exact_r(R, c, t):
     a = (R-c-t)(R-c+t), b = 4Rc, whose integral from 0 to phi <= pi/2 is
     F(phi) = sin phi R_F(a cos^2 phi, a + b sin^2 phi, a).  The chord from
     theta = pi ends at 2 pi - 2 beta, sin beta = t/(R+c), so by symmetry
-    about phi = pi/2, r = 1/2 - F(beta) / (2 F(pi/2))."""
-    a = (R - c - t) * (R - c + t)
+    about phi = pi/2, r = 1/2 - F(beta) / (2 F(pi/2)).  R_F is homogeneous,
+    so a and b are taken in units of R^2, which neither under- nor
+    overflows for R far from 1."""
+    a = ((R - c - t) / R) * ((R - c + t) / R)
     if a == 0.0:
         return 0.0
-    b = 4.0 * R * c
+    b = 4.0 * c / R
     sb = t / (R + c)
     cb2 = (1.0 - sb) * (1.0 + sb)
     return 0.5 - sb * _carlson_rf(a * cb2, a + b * sb * sb, a) / (
