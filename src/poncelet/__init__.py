@@ -17,7 +17,6 @@ from .confrac import (
 )
 from .families import MonotoneCircleFamily, arnold_family, poncelet_family, rigid_family
 from .geometry import (
-    AngleState,
     PonceletConfig,
     area_twist_check,
     generating_potential,

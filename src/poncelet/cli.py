@@ -1,12 +1,11 @@
 """Command-line front end: every pipeline as a reproducible experiment
-emitting CSV or JSON.
+emitting CSV or JSON (`orbit` and `staircase` through one table writer).
 
 Exit codes: 0 success (or inapplicable), 2 invalid configuration,
 3 property/theorem check failed.
 """
 
 import argparse
-import io
 import json
 import math
 import random
@@ -24,7 +23,6 @@ from .confrac import (
 from .families import arnold_family, poncelet_family, rigid_family
 from .geometry import (
     TWO_PI,
-    AngleState,
     PonceletConfig,
     poncelet_map_analytic,
     poncelet_map_geometric,
@@ -69,12 +67,22 @@ def _emit_json(payload, out):
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
-def _csv(rows, header):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(row) + "\r\n")
-    return buf.getvalue()
+def _emit_table(args, rows, verdict=None):
+    """Write row dicts as JSON {"config", "rows"[, "verdict"]}, or as CSV
+    (header from the row keys, floats through `_fmt`, CRLF) with the
+    verdict after it on stdout, or in OUT.verdict.json with --out OUT."""
+    if args.format == "json":
+        payload = {"config": _run_config(args), "rows": rows}
+        if verdict is not None:
+            payload["verdict"] = verdict
+        _emit_json(payload, args.out)
+        return
+    lines = [rows[0].keys()] + [
+        [_fmt(v) if isinstance(v, float) else str(v) for v in row.values()]
+        for row in rows]
+    _emit("".join(",".join(line) + "\r\n" for line in lines), args.out)
+    if verdict is not None:
+        _emit_json(verdict, args.out and args.out + ".verdict.json")
 
 
 def _circ_dist(a, b, period):
@@ -102,12 +110,11 @@ def cmd_orbit(args):
     rows = []
     prev = None
     for k in range(args.steps + 1):
-        step = poncelet_map_geometric(theta, cfg)
-        phi = step.phi  # direction of the tangent line at theta
+        theta_next, phi = poncelet_map_geometric(theta, cfg)
         if prev is not None:
-            pred = poncelet_map_analytic(prev, cfg)
-            residual = max(_circ_dist(pred.theta, theta, TWO_PI),
-                           _circ_dist(pred.phi, phi, math.pi))
+            theta_pred, phi_pred = poncelet_map_analytic(*prev, cfg)
+            residual = max(_circ_dist(theta_pred, theta, TWO_PI),
+                           _circ_dist(phi_pred, phi, math.pi))
         else:
             residual = 0.0
         rows.append({
@@ -115,18 +122,9 @@ def cmd_orbit(args):
             "x": theta / TWO_PI, "y": phi / math.pi,
             "residual": residual,
         })
-        prev = AngleState(theta, phi)
-        theta = step.theta
-
-    if args.format == "json":
-        _emit_json({"config": _run_config(args), "rows": rows}, args.out)
-    else:
-        header = ["k", "theta", "phi", "x", "y", "residual"]
-        text = _csv(
-            [[str(r["k"])] + [_fmt(r[h]) for h in header[1:]] for r in rows],
-            header,
-        )
-        _emit(text, args.out)
+        prev = theta, phi
+        theta = theta_next
+    _emit_table(args, rows)
     return EXIT_OK
 
 
@@ -156,16 +154,7 @@ def cmd_staircase(args):
         "monotone_ok": result.monotone_ok,
         "violations": [[t1, t2, d] for t1, t2, d in result.violations],
     }
-
-    if args.format == "json":
-        _emit_json({"config": _run_config(args), "rows": rows,
-                    "verdict": verdict}, args.out)
-    else:
-        header = ["t", "r", "error_radius", "lock_p", "lock_q"]
-        lines = [[_fmt(r["t"]), _fmt(r["r"]), _fmt(r["error_radius"]),
-                  str(r["lock_p"]), str(r["lock_q"])] for r in rows]
-        _emit(_csv(lines, header), args.out)
-        _emit_json(verdict, args.out and args.out + ".verdict.json")
+    _emit_table(args, rows, verdict)
     return EXIT_OK if result.monotone_ok else EXIT_PROPERTY
 
 

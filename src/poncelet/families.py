@@ -21,7 +21,8 @@ class MonotoneCircleFamily:
         self._dgdt = dgdt
 
     def lift(self, t):
-        if not self.a - 1e-12 <= t <= self.b + 1e-12:
+        slack = 1e-12 * (self.b - self.a)
+        if not self.a - slack <= t <= self.b + slack:
             raise ValueError(f"parameter {t} outside [{self.a}, {self.b}]")
         return self._factory(min(max(t, self.a), self.b))
 

@@ -13,10 +13,11 @@ lift F of the paper's twist map (`twist_map`):
     Z(s) = 2 arctan(c sin 2 pi s / (R - c cos 2 pi s)) / pi.
 
 The angle form (`poncelet_map_analytic`) is the coordinate change
-theta = 2 pi x, phi = pi y.  The paper misprints the angle form's tangency
-term (erratum in `z_function`); the form above is the one the independent
-tangent-line construction (`poncelet_map_geometric`), the authority on
-signs, confirms.
+theta = 2 pi x, phi = pi y, on plain floats.  The paper misprints its
+tangency term (erratum in `z_function`); the form above is the one the
+independent tangent-line construction (`poncelet_map_geometric`), the
+authority on signs, confirms.  Both angle steps return (theta', phi')
+reduced to [0, 2 pi) x [0, pi).
 """
 
 import math
@@ -52,18 +53,6 @@ class PonceletConfig:
             )
 
 
-@dataclass(frozen=True)
-class AngleState:
-    """(theta, phi) with theta in [0, 2 pi) and phi in [0, pi)."""
-
-    theta: float
-    phi: float
-
-    @staticmethod
-    def reduced(theta, phi):
-        return AngleState(theta % TWO_PI, phi % math.pi)
-
-
 def z_function(s, cfg):
     """Tangency term Z of the twist map, period 1 in s:
 
@@ -94,19 +83,19 @@ def twist_map(x, y, cfg):
     return x_p, y_p
 
 
-def poncelet_map_analytic(s, cfg):
-    """One analytic step on reduced angle coordinates: `twist_map` in
-    x = theta / 2 pi, y = phi / pi."""
-    x_p, y_p = twist_map(s.theta / TWO_PI, s.phi / math.pi, cfg)
-    return AngleState.reduced(TWO_PI * x_p, math.pi * y_p)
+def poncelet_map_analytic(theta, phi, cfg):
+    """One analytic step on angles: `twist_map` in x = theta / 2 pi,
+    y = phi / pi."""
+    x_p, y_p = twist_map(theta / TWO_PI, phi / math.pi, cfg)
+    return (TWO_PI * x_p) % TWO_PI, (math.pi * y_p) % math.pi
 
 
 def poncelet_map_geometric(theta, cfg):
     """One step of the tangent-line construction.
 
     From A = (R cos theta, R sin theta) draw the tangent to L that keeps L
-    on the left of the oriented line; return the second intersection angle
-    theta' and the line direction phi.
+    on the left of the oriented line; return theta', the second
+    intersection angle, and phi, the line direction.
     """
     R, c, t = cfg.R, cfg.c, cfg.t
     ax = R * math.cos(theta)
@@ -123,13 +112,13 @@ def poncelet_map_geometric(theta, cfg):
     s = -2.0 * (ax * ux + ay * uy)
     theta_p = math.atan2(ay + s * uy, ax + s * ux) % TWO_PI
     phi = math.atan2(uy, ux) % math.pi
-    return AngleState(theta_p, phi)
+    return theta_p, phi
 
 
 def tangent_direction(theta, cfg):
     """Direction parameter y = phi/pi of the tangent line from the point of
     K at polar angle theta."""
-    return poncelet_map_geometric(theta, cfg).phi / math.pi
+    return poncelet_map_geometric(theta, cfg)[1] / math.pi
 
 
 def invariant_circle_phi(t, base_cfg):
@@ -184,14 +173,10 @@ def area_twist_check(x, y, cfg):
     """Centered finite-difference Jacobian determinant and d f1/d y at
     (x, y)."""
     h = JACOBIAN_STEP
-
-    def f(xx, yy):
-        return twist_map(xx, yy, cfg)
-
-    fx1, fx2 = f(x + h, y)
-    gx1, gx2 = f(x - h, y)
-    fy1, fy2 = f(x, y + h)
-    gy1, gy2 = f(x, y - h)
+    fx1, fx2 = twist_map(x + h, y, cfg)
+    gx1, gx2 = twist_map(x - h, y, cfg)
+    fy1, fy2 = twist_map(x, y + h, cfg)
+    gy1, gy2 = twist_map(x, y - h, cfg)
     d11 = (fx1 - gx1) / (2.0 * h)
     d21 = (fx2 - gx2) / (2.0 * h)
     d12 = (fy1 - gy1) / (2.0 * h)

@@ -92,6 +92,9 @@ def comparison_check(g1, g2):
 
 @dataclass(frozen=True)
 class SecondOrderReport:
+    """Margin, bound and bracket quotients take t in units of the
+    parameter interval's width b - a, so the family's scale drops out."""
+
     tau: float
     status: str                  # "ok" | "inapplicable"
     best_ratio: float
@@ -140,8 +143,10 @@ def _solve_separation(family, tau, g_tau, target, side, delta, e_far,
 
 
 def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
-    """Best observed (r(t2) - r(t1)) / (t2 - t1)^2 over shrinking brackets
-    around tau, against the bound m^2 / (e^{2F} (1 + e^{2F})^2).
+    """Best observed (r(t2) - r(t1)) / ((t2 - t1) / w)^2 over shrinking
+    brackets around tau, against the bound m^2 / (e^{2F} (1 + e^{2F})^2),
+    with m = w inf dg/dt: everything is in units of the interval width
+    w = b - a, and so are the default deltas 0.1 w 2^-k, k = 1..12.
 
     Brackets follow the proof construction: t1 and t2 are placed so the
     pointwise separations from g_tau equal 1/q' and 1/q for an excess /
@@ -151,13 +156,14 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
     """
     if not family.a < tau < family.b:
         raise ValueError("tau must be interior to the parameter interval")
+    w = family.b - family.a
     if delta_seq is None:
-        delta_seq = [0.1 * 2.0 ** (-k) for k in range(1, 13)]
+        delta_seq = [0.1 * w * 2.0 ** (-k) for k in range(1, 13)]
     delta_max = min(max(delta_seq), tau - family.a, family.b - tau)
     delta_seq = sorted({min(d, delta_max) for d in delta_seq}, reverse=True)
 
     est_tau = rotation_number(family.lift(tau), tol=tol)
-    margin = twist_margin(
+    margin = w * twist_margin(
         family,
         t_grid=np.linspace(tau - delta_max, tau + delta_max, 9),
     )
@@ -192,12 +198,10 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
                                sep_plus - 1.0 / q_exc, x_grid)
         if t2 - t1 <= 0:
             continue
-        if (t2 - t1) ** 2 == 0.0:
-            raise ValueError(f"bracket width {t2 - t1!r} squares to 0")
         r1 = rotation_number(family.lift(t1), tol=tol)
         r2 = rotation_number(family.lift(t2), tol=tol)
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)
-        quotient = num / (t2 - t1) ** 2
+        quotient = num / ((t2 - t1) / w) ** 2
         brackets.append((t1, t2, quotient))
         best = max(best, quotient)
 

@@ -22,7 +22,6 @@ from poncelet.confrac import (
 from poncelet.families import arnold_family, rigid_family
 from poncelet.geometry import (
     TWO_PI,
-    AngleState,
     PonceletConfig,
     area_twist_check,
     generating_potential,
@@ -82,9 +81,9 @@ def test_criterion_3_map_consistency():
     for c, t in configs:
         cfg = PonceletConfig(1.0, c, t)
         for theta in rng.uniform(0.0, TWO_PI, per_config):
-            step = poncelet_map_geometric(theta, cfg)
-            pred = poncelet_map_analytic(AngleState(theta, step.phi), cfg)
-            ok = ok and circ_dist(pred.theta, step.theta, TWO_PI) < 1e-9
+            theta_p, phi = poncelet_map_geometric(theta, cfg)
+            pred = poncelet_map_analytic(theta, phi, cfg)
+            ok = ok and circ_dist(pred[0], theta_p, TWO_PI) < 1e-9
     report(3, "analytic/geometric agreement", ok)
 
 

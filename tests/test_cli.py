@@ -141,6 +141,36 @@ def test_staircase_without_out_writes_csv_then_verdict(capsys):
         "direction": "increasing", "monotone_ok": True, "violations": []}
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--c", "0.3", "--t", "0.2", "--theta0", "1.3", "--steps", "40"],
+    ["orbit", "--t", "0", "--steps", "3"],
+    ["staircase", "--family", "arnold", "--K", "0.8", "--t-min", "0.3",
+     "--t-max", "0.7", "--points", "13"],
+    ["staircase", "--c", "0.3", "--points", "9"],
+], ids=["orbit", "orbit-diameter", "staircase-arnold", "staircase-poncelet"])
+def test_csv_and_json_tables_hold_the_same_numbers(tmp_path, argv):
+    # one writer prints both formats: every CSV cell is the JSON cell's
+    # float to the bit, its int, or its string (an empty lock)
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(csv_out)]) == EXIT_OK
+    assert main(argv + ["--out", str(json_out), "--format", "json"]) == EXIT_OK
+    doc = read_json(json_out)
+    rows = read_csv(csv_out)
+    assert len(rows) == len(doc["rows"]) > 1
+    for row, want in zip(rows, doc["rows"]):
+        assert set(row) == set(want)
+        for key, cell in row.items():
+            value = want[key]
+            if isinstance(value, float):
+                assert float(cell).hex() == value.hex()
+            elif isinstance(value, int):
+                assert int(cell) == value
+            else:
+                assert cell == value
+    if argv[0] == "staircase":
+        assert read_json(str(csv_out) + ".verdict.json") == doc["verdict"]
+
+
 def test_staircase_rejects_inverted_grid(tmp_path):
     code, _ = run(tmp_path, "staircase", "--t-min", "0.9", "--t-max", "0.1")
     assert code == EXIT_CONFIG
@@ -294,6 +324,43 @@ def test_prop2_poncelet_passes(tmp_path):
     assert doc["status"] == "ok" and doc["pass"] is True
 
 
+@pytest.fixture(scope="module")
+def prop2_at_unit_radius(tmp_path_factory):
+    code, out = run(tmp_path_factory.mktemp("unit"), "prop2",
+                    "--family", "poncelet")
+    assert code == EXIT_OK
+    return read_json(out)
+
+
+@pytest.mark.parametrize("R", [
+    pytest.param(0.5, id="0.5"), pytest.param(2.0, id="2"),
+    pytest.param(2.0 ** 500, id="2^500"),
+    pytest.param(2.0 ** -500, id="2^-500"),
+    pytest.param(1e150, id="1e150"), pytest.param(1e-160, id="1e-160"),
+    pytest.param(1e-170, id="1e-170"),
+])
+def test_prop2_poncelet_does_not_depend_on_the_scale(tmp_path, R,
+                                                     prop2_at_unit_radius):
+    # the estimate works in units of the interval width w = R - c: a power
+    # of two scales every t exactly, so the report is R = 1's to the bit;
+    # elsewhere t / w rounds.  In absolute units of t, 1e150 found no
+    # bracket, 1e-160 an infinite bound and 1e-170 underflowed.
+    code, out = run(tmp_path, "prop2", "--family", "poncelet", "--R", repr(R))
+    assert code == EXIT_OK
+    doc = read_json(out)
+    unit = prop2_at_unit_radius
+    assert doc["status"] == "ok" and doc["pass"] is True
+    assert len(doc["brackets"]) == len(unit["brackets"]) == 12
+    keys = ("best_ratio", "bound", "margin")
+    if math.frexp(R)[0] == 0.5:
+        assert [doc[k] for k in keys] == [unit[k] for k in keys]
+        assert [[t1 / R, t2 / R, q] for t1, t2, q in doc["brackets"]] \
+            == unit["brackets"]
+    else:
+        for k in keys:
+            assert doc[k] == pytest.approx(unit[k], rel=1e-10)
+
+
 # -------------------------------------------------------------- exit codes
 
 @pytest.mark.parametrize("argv", [
@@ -316,8 +383,6 @@ def test_prop2_poncelet_passes(tmp_path):
     ["cf", "--x", "0.3", "--n-max", "-1"],
     # tol below the float bracket's floor (at c = 0 all three points lock)
     ["staircase", "--tol", "1e-12", "--points", "3", "--c", "0.2"],
-    # the growth quotient's squared bracket width underflows
-    ["prop2", "--family", "poncelet", "--R", "1e-170"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from poncelet.geometry import (
     TWO_PI,
-    AngleState,
     PonceletConfig,
     area_twist_check,
     generating_potential,
@@ -76,8 +75,8 @@ def test_z_has_period_one():
 def test_fixed_position_point_of_chord_map():
     # theta = pi, phi = pi/2, c = 0: the chord returns to the same position
     cfg = PonceletConfig(1.0, 0.0, 0.0)
-    out = poncelet_map_analytic(AngleState(math.pi, math.pi / 2.0), cfg)
-    assert circ_dist(out.theta, math.pi, TWO_PI) < 1e-12
+    theta_p, _ = poncelet_map_analytic(math.pi, math.pi / 2.0, cfg)
+    assert circ_dist(theta_p, math.pi, TWO_PI) < 1e-12
 
 
 def test_analytic_agrees_with_geometric_on_invariant_circle():
@@ -85,20 +84,19 @@ def test_analytic_agrees_with_geometric_on_invariant_circle():
     for R, c, t in [(1.0, 0.3, 0.2), (1.0, 0.45, 0.3), (2.0, 0.5, 0.7)]:
         cfg = PonceletConfig(R, c, t)
         for theta in rng.uniform(0.0, TWO_PI, 25):
-            step = poncelet_map_geometric(theta, cfg)
-            state = AngleState(theta, step.phi)
-            pred = poncelet_map_analytic(state, cfg)
-            next_step = poncelet_map_geometric(step.theta, cfg)
-            assert circ_dist(pred.theta, step.theta, TWO_PI) < 1e-10
-            assert circ_dist(pred.phi, next_step.phi, math.pi) < 1e-10
+            theta_p, phi = poncelet_map_geometric(theta, cfg)
+            pred = poncelet_map_analytic(theta, phi, cfg)
+            _, phi_p = poncelet_map_geometric(theta_p, cfg)
+            assert circ_dist(pred[0], theta_p, TWO_PI) < 1e-10
+            assert circ_dist(pred[1], phi_p, math.pi) < 1e-10
 
 
 def test_cross_validation_spot_value():
     cfg = PonceletConfig(1.0, 0.25, 0.5)
     theta = 1.1
-    step = poncelet_map_geometric(theta, cfg)
-    pred = poncelet_map_analytic(AngleState(theta, step.phi), cfg)
-    assert circ_dist(pred.theta, step.theta, TWO_PI) < 1e-10
+    theta_p, phi = poncelet_map_geometric(theta, cfg)
+    pred = poncelet_map_analytic(theta, phi, cfg)
+    assert circ_dist(pred[0], theta_p, TWO_PI) < 1e-10
 
 
 # -------------------------------------------------------------- twist lift f
@@ -137,9 +135,9 @@ def test_coordinate_change_consistency():
     cfg = PonceletConfig(1.0, 0.4, 0.0)
     x, y = 0.2, 0.6
     x_p, y_p = twist_map(x, y, cfg)
-    out = poncelet_map_analytic(AngleState(TWO_PI * x, math.pi * y), cfg)
-    assert circ_dist(x_p % 1.0, out.theta / TWO_PI, 1.0) < 1e-12
-    assert circ_dist(y_p % 1.0, out.phi / math.pi, 1.0) < 1e-12
+    theta_p, phi_p = poncelet_map_analytic(TWO_PI * x, math.pi * y, cfg)
+    assert circ_dist(x_p % 1.0, theta_p / TWO_PI, 1.0) < 1e-12
+    assert circ_dist(y_p % 1.0, phi_p / math.pi, 1.0) < 1e-12
 
 
 # ------------------------------------------------------ tangent construction
@@ -147,15 +145,15 @@ def test_coordinate_change_consistency():
 def test_concentric_diameter_orbit_is_period_two():
     cfg = PonceletConfig(1.0, 0.0, 0.0)
     for theta in np.linspace(0.0, TWO_PI, 13, endpoint=False):
-        out = poncelet_map_geometric(theta, cfg)
-        assert circ_dist(out.theta, theta + math.pi, TWO_PI) < 1e-12
+        theta_p, _ = poncelet_map_geometric(theta, cfg)
+        assert circ_dist(theta_p, theta + math.pi, TWO_PI) < 1e-12
 
 
 def test_concentric_half_radius_step():
     # arccos(1/2) = pi/3, so the chord advances by 2 pi / 3
     cfg = PonceletConfig(1.0, 0.0, 0.5)
-    out = poncelet_map_geometric(0.0, cfg)
-    assert out.theta == pytest.approx(2.0 * math.pi / 3.0, abs=1e-12)
+    theta_p, _ = poncelet_map_geometric(0.0, cfg)
+    assert theta_p == pytest.approx(2.0 * math.pi / 3.0, abs=1e-12)
 
 
 def test_concentric_step_matches_arccos_formula():
@@ -163,15 +161,15 @@ def test_concentric_step_matches_arccos_formula():
     for t in (0.1, 0.3, 0.8):
         cfg = PonceletConfig(1.0, 0.0, t)
         for theta in rng.uniform(0.0, TWO_PI, 10):
-            out = poncelet_map_geometric(theta, cfg)
+            theta_p, _ = poncelet_map_geometric(theta, cfg)
             expect = (theta + 2.0 * math.acos(t)) % TWO_PI
-            assert circ_dist(out.theta, expect, TWO_PI) < 1e-12
+            assert circ_dist(theta_p, expect, TWO_PI) < 1e-12
 
 
 def test_internal_tangency_fixed_point():
     cfg = PonceletConfig(1.0, 0.3, 0.7)
-    out = poncelet_map_geometric(0.0, cfg)
-    assert circ_dist(out.theta, 0.0, TWO_PI) < 1e-9
+    theta_p, _ = poncelet_map_geometric(0.0, cfg)
+    assert circ_dist(theta_p, 0.0, TWO_PI) < 1e-9
 
 
 def test_near_tangency_starts_at_large_radius():
@@ -186,8 +184,8 @@ def test_near_tangency_starts_at_large_radius():
         for theta in np.concatenate([-thetas, thetas]):
             a = poncelet_map_geometric(theta, big)
             b = poncelet_map_geometric(theta, unit)
-            assert circ_dist(a.theta, b.theta, TWO_PI) < 1e-7
-            assert circ_dist(a.phi, b.phi, math.pi) < 1e-7
+            assert circ_dist(a[0], b[0], TWO_PI) < 1e-7
+            assert circ_dist(a[1], b[1], math.pi) < 1e-7
 
 
 # ----------------------------------------------------------- config contract
@@ -314,5 +312,5 @@ def test_tangent_direction_matches_geometric_step():
     cfg = PonceletConfig(1.0, 0.2, 0.3)
     theta = 2.1
     assert tangent_direction(theta, cfg) == (
-        poncelet_map_geometric(theta, cfg).phi / math.pi
+        poncelet_map_geometric(theta, cfg)[1] / math.pi
     )

@@ -167,7 +167,7 @@ def test_poncelet_lift_scalar_matches_kernel():
     g = PonceletLift(cfg)
     for x in np.linspace(0.0, 1.0, 17, endpoint=False):
         assert g(x) == g.advance(x, 1)
-        landing = poncelet_map_geometric(2.0 * math.pi * x, cfg).theta
+        landing = poncelet_map_geometric(2.0 * math.pi * x, cfg)[0]
         assert (g(x) - landing / (2.0 * math.pi) + 0.5) % 1.0 == \
             pytest.approx(0.5, abs=1e-13)
 

@@ -84,6 +84,24 @@ def test_poncelet_dgdt_is_infinite_at_tangency():
                       == math.inf)
 
 
+@pytest.mark.parametrize("family", [poncelet_family(1e-200),
+                                    rigid_family(0.0, 1e-20),
+                                    rigid_family()],
+                         ids=["poncelet-1e-200", "rigid-1e-20", "rigid-1"])
+def test_lift_slack_is_relative_to_the_interval_width(family):
+    # a parameter within 1e-12 (b - a) outside [a, b] is clamped onto it;
+    # an absolute 1e-12 would take in all of a 1e-200-wide interval
+    w = family.b - family.a
+    for end, side in ((family.a, -1.0), (family.b, 1.0)):
+        assert family.lift(end + side * 0.5e-12 * w)(0.25) == \
+            family.lift(end)(0.25)
+        with pytest.raises(ValueError, match="outside"):
+            family.lift(end + side * 2e-12 * w)
+    if w < 1e-12:
+        with pytest.raises(ValueError, match="outside"):
+            family.lift(1e-13)
+
+
 def test_margin_rejects_non_twist_family():
     family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(-t),
                                   dgdt=lambda t, x: -1.0)
