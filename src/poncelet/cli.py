@@ -1,6 +1,12 @@
 """Command-line front end: every pipeline as a reproducible experiment
 emitting CSV or JSON (`orbit` and `staircase` through one table writer).
 
+Only the scalar geometry and the exact continued fractions are imported
+here, and neither loads numpy.  The commands that iterate lifts
+(`staircase`, `count`, `prop2`) import the numeric modules themselves,
+after their argument checks, so `orbit`, `cf` and every rejected input
+start without numpy.
+
 Exit codes: 0 success (or inapplicable), 2 invalid configuration,
 3 property/theorem check failed.
 """
@@ -20,19 +26,12 @@ from .confrac import (
     find_balanced_pairs,
     remainder_series,
 )
-from .families import arnold_family, poncelet_family, rigid_family
 from .geometry import (
     TWO_PI,
     PonceletConfig,
     poncelet_map_analytic,
     poncelet_map_geometric,
 )
-from .rotation import (
-    count_poncelet_pairs,
-    find_parameter_for_value,
-    staircase,
-)
-from .twistfam import second_order_estimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,6 +90,8 @@ def _circ_dist(a, b, period):
 
 
 def _make_family(args):
+    from .families import arnold_family, poncelet_family, rigid_family
+
     if args.family == "poncelet":
         return poncelet_family(args.R, args.c)
     if args.family == "arnold":
@@ -133,6 +134,8 @@ def cmd_orbit(args):
 def cmd_staircase(args):
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
+    from .rotation import staircase
+
     family = _make_family(args)
     t_lo = family.a if args.t_min is None else args.t_min
     t_hi = family.b if args.t_max is None else args.t_max
@@ -163,6 +166,9 @@ def cmd_staircase(args):
 def cmd_count(args):
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
+    from .families import poncelet_family
+    from .rotation import count_poncelet_pairs
+
     family = poncelet_family(args.R, args.c)
     results = []
     all_ok = True
@@ -246,6 +252,10 @@ def cmd_cf(args):
 # ---------------------------------------------------------------- prop2
 
 def cmd_prop2(args):
+    from .families import poncelet_family
+    from .rotation import find_parameter_for_value
+    from .twistfam import second_order_estimate
+
     if args.family == "poncelet":
         # r(t) falls from 1/2 to 0: flip the parameter to make the family
         # increasing, and aim at the golden-mean value inside [0, 1/2]

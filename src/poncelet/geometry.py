@@ -23,8 +23,6 @@ reduced to [0, 2 pi) x [0, pi).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 # Most terms of the potential's Fourier series summed in one numpy array.
@@ -156,8 +154,12 @@ def _potential_series(x_prime, rho):
     by term, and has period 1.  The tail after n terms is below
     (2/pi^2) rho^n / (1 - rho), so n = log(1e-16 (1 - rho)) / log(rho)
     terms give absolute error under 1e-17.  They are summed in chunks, so
-    memory stays bounded as rho -> 1 (time grows like n).
+    memory stays bounded as rho -> 1 (time grows like n).  numpy is
+    imported here, its one use in this module, so the scalar steps load
+    without it.
     """
+    import numpy as np
+
     n = math.ceil(math.log(1e-16 * (1.0 - rho)) / math.log(rho))
     x = x_prime % 1.0  # keeps the sine arguments small
     total = 0.0

@@ -15,10 +15,14 @@ g^q(x) - x - p on a periodic grid certifies the exact rotation number p/q.
 
 One loop runs the orbit in doubling chunks, scans for locks once at
 ROUGH_STEPS steps, and stops at a lock, at a radius of at most tol, or
-with ValueError at MAX_STEPS steps (the float bracket stops narrowing near
-1e-11).  The parameter search asks it only on which side of a target r
-lies; the bracket narrows as the orbit grows and holds the estimate, so
-each bisection step stops at the first bracket that excludes the target.
+with ValueError once the bracket stops narrowing (near 1e-11 in floats)
+or at MAX_STEPS steps.  In exact arithmetic the bracket [a/b, c/d] of n
+steps has b, d <= n, so the mediant (a + c)/(b + d), which lies strictly
+inside it, is read by step 2n: a doubling of n that leaves the bracket
+unchanged means the floors are lost in the rounding allowance.  The
+parameter search asks it only on which side of a target r lies; the
+bracket narrows as the orbit grows and holds the estimate, so each
+bisection step stops at the first bracket that excludes the target.
 
 The floors are read off a float orbit, each widened by a rounding
 allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
@@ -189,8 +193,9 @@ def rotation_number(g, x0=0.0, tol=1e-4):
     low-order rational the bracket narrows only like 1/n.  Otherwise the
     orbit is extended (doubling, at most CHUNK_MAX steps at a time) until
     half the bracket's width is at most tol, and the bracket's midpoint is
-    returned with that radius.  A tol not reached by MAX_STEPS steps (the
-    float bracket stops narrowing near 1e-11) raises ValueError.
+    returned with that radius.  A tol not reached when a doubling of the
+    orbit leaves the bracket unchanged (the float bracket stops narrowing
+    near 1e-11), or by MAX_STEPS steps, raises ValueError.
 
     The floors are read off a float orbit with the allowance FLOOR_SLACK
     plus an ulp of the coordinate per step, which is not yet a certified
@@ -222,10 +227,12 @@ def _estimate(g, x0, tol, first, target):
     one.  The lock scan runs once, at ROUGH_STEPS steps; then a lock, or
     the midpoint once the radius is at most tol, is the estimate, which
     lies in every bracket, so the first one to exclude a target gives its
-    side.  At MAX_STEPS steps it gives up with ValueError."""
+    side.  From ROUGH_STEPS on, it gives up with ValueError at the first
+    doubling of n that leaves the bracket unchanged, or at MAX_STEPS."""
     g.validate(samples=16)
     lo, hi = (-math.inf, 1), (math.inf, 1)  # the bracket of no steps
     n, end, m = 0, x0, first
+    n_ref, ref = 0, None  # the bracket the next doubling of n must narrow
     while True:
         column = g.orbit_table([end], m)[1:, 0]
         more = _bracket(x0, column, np.arange(n + 1.0, n + m + 1.0))
@@ -252,10 +259,13 @@ def _estimate(g, x0, tol, first, target):
                 est = RotationEstimate(value=(a * d + c * b) / den,
                                        error_radius=radius, iterations=n)
                 break
-            if n >= MAX_STEPS:
+            doubled = n >= 2 * n_ref
+            if doubled and (lo, hi) == ref or n >= MAX_STEPS:
                 raise ValueError(
                     f"the bracket's radius {radius:.3g} is still above "
                     f"tol = {tol:.3g} after {n} steps")
+            if doubled:
+                n_ref, ref = n, (lo, hi)
         m = min(n, CHUNK_MAX)
     return est if target is None else est.value < target
 

@@ -407,10 +407,15 @@ def test_count_unclosed_pair_exits_property(tmp_path):
     assert missing["reason"].startswith("orbit failed to close after 12 steps")
 
 
-def test_cli_imports_only_numpy_and_the_standard_library():
-    # a fresh process importing the same package as this test run
+def fresh_env():
+    """The environment of a fresh process that imports the same package as
+    this test run."""
     src = Path(poncelet.__file__).parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # numpy is loaded by the commands that iterate lifts, not by the import
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -418,8 +423,39 @@ def test_cli_imports_only_numpy_and_the_standard_library():
         "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
         "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          env=fresh_env(), capture_output=True, text=True)
     third_party = {m for m in proc.stdout.split()
                    if not m.startswith("_sysconfigdata")}  # stdlib, per platform
-    assert third_party <= {"numpy", "poncelet"}
+    assert third_party == {"poncelet"}
+
+
+@pytest.mark.parametrize("argv, exit_code, loads_numpy", [
+    (["orbit", "--t", "0.5", "--steps", "10"], EXIT_OK, False),
+    (["cf", "--x", "golden"], EXIT_OK, False),
+    (["staircase", "--points", "1"], EXIT_CONFIG, False),
+    (["cf", "--x", "inf"], EXIT_CONFIG, False),
+    (["count", "--n-max", "3"], EXIT_OK, True),
+], ids=["orbit", "cf-golden", "staircase-points-1", "cf-x-inf", "count"])
+def test_commands_load_numpy_only_to_iterate_lifts(tmp_path, argv, exit_code,
+                                                   loads_numpy):
+    # -X importtime logs every module the process imports on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "poncelet.cli", *argv],
+        env=fresh_env(), cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == exit_code
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "poncelet.confrac" in imported  # the log holds the CLI's imports
+    assert ("numpy" in imported) == loads_numpy
+
+
+@pytest.mark.parametrize("c", ["0.99999", "0.999999"])
+def test_staircase_runs_near_tangency(tmp_path, c):
+    # every lift's periodicity defect there is rounding times its slope
+    code, out = run(tmp_path, "staircase", "--c", c, "--points", "5")
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert float(rows[0]["r"]) == 0.5
+    assert (rows[-1]["lock_p"], rows[-1]["lock_q"]) == ("0", "1")

@@ -176,6 +176,21 @@ def test_poncelet_lift_validates():
     PonceletLift(PonceletConfig(1.0, 0.4, 0.3)).validate()
 
 
+@pytest.mark.parametrize("c", [0.99999, 0.999999])
+@pytest.mark.parametrize("u", [0.0, 0.3, 0.7, 1.0])
+def test_poncelet_lift_validates_near_tangency(c, u):
+    # the slope g'(0) = (R + c)/(R - c) turns sin(2 pi) != 0 into a
+    # periodicity defect of 7.8e-12 (c = 0.99999) and 7.8e-11
+    # (c = 0.999999), above PERIODICITY_TOL: an argument error of 4e-17
+    PonceletLift(PonceletConfig(1.0, c, u * (1.0 - c))).validate()
+
+
+def test_function_lift_rejects_a_real_defect_at_unit_slope():
+    # g(x + 1) - g(x) - 1 = 1e-9 where the slope is 1 + 1e-9: not rounding
+    with pytest.raises(LiftContractError, match="periodicity"):
+        FunctionLift(lambda x: x + 0.2 + 1e-9 * x)
+
+
 def test_arnold_lift_scalar_matches_kernel():
     g = ArnoldLift(0.25, 0.4)
     for x in np.linspace(0.0, 1.0, 17, endpoint=False):

@@ -388,12 +388,27 @@ def test_lock_scan_runs_before_any_extension():
 def test_estimate_stops_below_the_bracket_floor(estimate):
     # the float orbit's bracket stops narrowing near a radius of 2.5e-11
     # here, so tol 1e-12 is never met: the orbit runs in chunks of at most
-    # CHUNK_MAX steps and gives up at MAX_STEPS
+    # CHUNK_MAX steps and gives up by MAX_STEPS
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.2, 0.3)))
     with pytest.raises(ValueError, match="above tol = 1e-12"):
         estimate(g)
     depths = [depth for points, depth in g.tables if points == 1]
     assert max(depths) <= CHUNK_MAX and sum(depths) <= MAX_STEPS
+
+
+@pytest.mark.parametrize("lift", [
+    PonceletLift(PonceletConfig(1.0, 0.2, 0.3)),
+    ArnoldLift(GOLDEN, 0.8),
+], ids=["poncelet", "arnold"])
+def test_estimate_gives_up_when_a_doubling_leaves_the_bracket(lift):
+    # the bracket's radius is the same to the bit at 2^18, 2^19 and 2^20
+    # steps (2.51e-11 and 2.78e-11): the doubling to 2^19 that reads no
+    # narrower bracket ends the estimate, half of MAX_STEPS
+    g = RecordingLift(lift)
+    with pytest.raises(ValueError, match="above tol = 1e-12"):
+        rotation_number(g, tol=1e-12)
+    assert sum(depth for points, depth in g.tables if points == 1) \
+        == MAX_STEPS // 2
 
 
 # ----------------------------------------------------------- lock detection
