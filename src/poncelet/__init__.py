@@ -4,9 +4,10 @@ generic monotone twist families.
 
 The public names below are resolved lazily (PEP 562): `import poncelet`
 loads no submodule, and the first read of a name imports only the
-submodule that defines it, so `poncelet.cf_expand` costs no numpy while
-`poncelet.rotation_number` loads the numeric modules.  A name is looked
-up on its submodule at each read, so it is always that module's object.
+submodule that defines it (`poncelet.cf_expand` loads `confrac` alone).
+Only `twistfam` imports numpy at module level; elsewhere the functions
+that build arrays load it, so counting pairs never does.  A name is looked up on its
+submodule at each read, so it is always that module's object.
 """
 
 import importlib

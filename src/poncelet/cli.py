@@ -3,12 +3,15 @@ emitting CSV or JSON (`orbit` and `staircase` through one table writer).
 
 Only the scalar geometry and the exact continued fractions are imported
 here, and neither loads numpy.  The commands that iterate lifts
-(`staircase`, `count`, `prop2`) import the numeric modules themselves,
-after their argument checks, so `orbit`, `cf` and every rejected input
-start without numpy.
+(`staircase`, `count`, `prop2`) import the lift modules themselves, after
+their argument checks.  Of those, only `staircase` and `prop2` tabulate
+orbits over arrays and load numpy: `orbit`, `cf`, `count` and every
+rejected input start without it.
 
-Exit codes: 0 success (or inapplicable), 2 invalid configuration,
-3 property/theorem check failed.
+Exit codes: 0 success (or inapplicable: `prop2` at a locked tau, status
+"inapplicable", or with no bracket found, status "no-brackets"), 2 invalid
+configuration, 3 property/theorem check failed.  JSON output is strict:
+no NaN or Infinity.
 """
 
 import argparse
@@ -63,7 +66,8 @@ def _emit(text, out):
 
 
 def _emit_json(payload, out):
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+          + "\n", out)
 
 
 def _emit_table(args, rows, verdict=None):
@@ -282,7 +286,7 @@ def cmd_prop2(args):
         "brackets": [[t1, t2, q] for t1, t2, q in report.brackets],
     }
     _emit_json(payload, args.out)
-    if report.status == "inapplicable":
+    if report.status != "ok":  # nothing was tested
         return EXIT_OK
     return EXIT_OK if report.passed else EXIT_PROPERTY
 

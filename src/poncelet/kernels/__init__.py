@@ -4,8 +4,9 @@
 builds it from ``math`` for narrow batches (single-point orbits) and from
 numpy for wide ones; the lifts' scalar ``__call__`` is the ``math`` build.
 
-The lifts iterate only through ``*_orbit``.  ``*_advance`` (a table's last
-row) stays for the benchmark: its tracer wraps it by name, and its L0 probe
+The lifts tabulate only through ``*_orbit``, and iterate one float on the
+``*_step`` they bound at construction.  ``*_advance`` (a table's last row)
+stays for the benchmark: its tracer wraps it by name, and its L0 probe
 times the kernels through it.
 """
 

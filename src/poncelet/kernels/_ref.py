@@ -29,28 +29,30 @@ Two paths, chosen per call by batch width, build it from different tuples:
   its Farey bracket (up to a rounding allowance that is not yet a
   certified budget), and that orbit's extensions.  numpy's per-call
   dispatch on 1-element arrays costs about 20x a scalar step.  The lifts'
-  ``__call__`` is this step too.
-* wide batches run the step built from numpy's ufuncs (``WIDE``) on whole
-  arrays, which is libm-bound there.
+  ``__call__``, their ``advance`` of one float and ``verify_closure``'s
+  starts run this step directly, with no table.
+* wide batches run the step built from numpy's ufuncs on whole arrays,
+  which is libm-bound there.
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
-``math.atan2``.
+``math.atan2``.  The steps themselves need only ``math``: numpy is
+imported by the functions that build arrays, so a caller that never
+tabulates (the pair count) never loads it.
 """
 
 import math
 from math import pi
 
-import numpy as np
-
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * pi
 
 # Widest batch iterated by the scalar loop.  Measured with the `_max` clamp
 # (Python 3.11, numpy 2.4, x86-64, 2 shared cores, best of 40 repeats of
 # 256 steps): at 16 points the scalar loop takes 0.5-0.7x (Poncelet) and
 # 0.7-0.85x (Arnold) of numpy's time; they break even near 20-24 points
 # for Arnold and 24-32 for Poncelet.  The width also picks the path, and
-# with it the bits, of a 17-32-point batch such as verify_closure's starts.
+# with it the bits, of a 17-32-point batch (none of the library's own: the
+# lock table and the estimator's batches are 128-512 points wide).
 NARROW_MAX = 16
 
 
@@ -61,9 +63,8 @@ def _max(a, b):
     return b if b > a else a
 
 
-# (sin, sqrt, atan2, max) for one python float and for a float64 array
+# (sin, sqrt, atan2, max) for one python float
 SCALAR = (math.sin, math.sqrt, math.atan2, _max)
-WIDE = (np.sin, np.sqrt, np.arctan2, np.maximum)
 
 
 def _pair(R, c, t):
@@ -99,6 +100,8 @@ def poncelet_dgdt(R, c, t, x):
     """d g_t(x) / d t = -1 / (pi S(x)) over the array x: a tangent turned by
     dt / S about its start moves the chord's far end 2 dt / S radians.
     At internal tangency S = 0 at x = 0 (at every x if c = 0): it is -inf."""
+    import numpy as np
+
     *_, s2_at_0, four_rc = _pair(R, c, t)
     h = np.sin(pi * np.asarray(x, dtype=np.float64))
     with np.errstate(divide="ignore"):
@@ -119,6 +122,8 @@ def arnold_step(omega, K, fns=SCALAR):
 
 def _scalar_orbit(xs, depth, step):
     """Orbit table of the narrow array xs: row k = step^k(xs)."""
+    import numpy as np
+
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
     for i, x in enumerate(xs.ravel().tolist()):
         column = [x]
@@ -133,6 +138,8 @@ def _scalar_orbit(xs, depth, step):
 # infinite argument where numpy returns nan.
 
 def _orbit(xs, depth, make_step, params):
+    import numpy as np
+
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size <= NARROW_MAX:
         try:
@@ -141,7 +148,7 @@ def _orbit(xs, depth, make_step, params):
             pass
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
     out[0] = xs
-    step = make_step(*params, WIDE)
+    step = make_step(*params, (np.sin, np.sqrt, np.arctan2, np.maximum))
     for k in range(1, depth + 1):
         out[k] = step(out[k - 1])
     return out

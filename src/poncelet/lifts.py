@@ -7,11 +7,13 @@ its iterates over an array; `CircleLift` builds `g(x)`, `orbit_table` and
 and the Arnold map take the step and the hook from the kernels module, so
 each map has one scalar definition; a `FunctionLift` runs the kernels'
 scalar loop on its callable; rigid rotations are iterated in closed form.
+
+`advance` of one python float loops the step itself, with no table, and
+`validate` samples plain floats: neither loads numpy, which only the
+array paths import.
 """
 
 import operator
-
-import numpy as np
 
 from . import kernels
 from .geometry import PonceletConfig
@@ -38,24 +40,41 @@ def _step_count(n):
 
 class CircleLift:
     """Base lift.  A subclass provides `_step`, g on one float, and may
-    replace the hook `_orbit(xs, depth)`, which tabulates g^0..g^depth over
-    a 1-d float64 array; by default it runs `_step` in the kernels' scalar
-    loop."""
+    replace the hooks `_orbit(xs, depth)`, which tabulates g^0..g^depth over
+    a 1-d float64 array, and `_advance(x, n)`, g^n of one float; by default
+    both run `_step` in a python loop."""
 
     def __call__(self, x):
         return self._step(x)
 
     def advance(self, xs, n):
         """g^n applied elementwise to xs (ndarray, in its shape, or scalar,
-        as a float): the last row of the orbit table."""
+        as a float): the last row of the orbit table.  A python float runs
+        `_advance`, the same bits without the table."""
+        n = _step_count(n)
+        if isinstance(xs, float):
+            try:
+                return float(self._advance(xs, n))
+            except ValueError:  # math raises where the table gives nan
+                pass
+        import numpy as np
+
         arr = np.asarray(xs, dtype=np.float64)
-        out = self._orbit(arr.ravel(), _step_count(n))[-1].reshape(arr.shape)
+        out = self._orbit(arr.ravel(), n)[-1].reshape(arr.shape)
         return float(out) if np.isscalar(xs) else out
 
     def orbit_table(self, xs, depth):
         """Array of shape (depth+1, len(xs)) with row k = g^k(xs)."""
+        import numpy as np
+
         return self._orbit(np.asarray(xs, dtype=np.float64),
                            _step_count(depth))
+
+    def _advance(self, x, n):
+        step = self._step
+        for _ in range(n):
+            x = step(x)
+        return x
 
     def _orbit(self, xs, depth):
         return _scalar_orbit(xs, depth, self._step)
@@ -69,21 +88,22 @@ class CircleLift:
         c/R = 0.99999.  So a sample whose defect exceeds PERIODICITY_TOL
         passes if the defect over the slope measured there, the argument
         error it amounts to, is at most PERIODICITY_TOL."""
-        xs = np.linspace(0.0, 1.0, samples, endpoint=False)
-        vals = np.array([self(x) for x in xs])
-        shifted = np.array([self(x + 1.0) for x in xs])
+        step = 1.0 / samples
+        xs = [i * step for i in range(samples)]  # numpy's linspace, bitwise
+        vals = [self(x) for x in xs]
+        shifted = [self(x + 1.0) for x in xs]
         # a nan or infinite sample fails both checks (inf - inf is nan)
-        with np.errstate(invalid="ignore"):
-            defect = np.abs(shifted - vals - 1.0)
-            increasing = np.all(np.diff(np.append(vals, vals[0] + 1.0)) > 0)
-            for i in np.flatnonzero(~(defect <= PERIODICITY_TOL)):
-                x = xs[i]
-                slope = ((self(x + SLOPE_STEP) - self(x - SLOPE_STEP))
-                         / (2.0 * SLOPE_STEP))
-                if not defect[i] <= PERIODICITY_TOL * slope:
-                    raise LiftContractError(
-                        "periodicity defect g(x+1) - g(x) - 1 too large")
-        if not increasing:
+        for x, val, val_1 in zip(xs, vals, shifted):
+            defect = abs(val_1 - val - 1.0)
+            if defect <= PERIODICITY_TOL:
+                continue
+            slope = ((self(x + SLOPE_STEP) - self(x - SLOPE_STEP))
+                     / (2.0 * SLOPE_STEP))
+            if not defect <= PERIODICITY_TOL * slope:
+                raise LiftContractError(
+                    "periodicity defect g(x+1) - g(x) - 1 too large")
+        ends = zip(vals, vals[1:] + [vals[0] + 1.0])
+        if not all(b - a > 0 for a, b in ends):
             raise LiftContractError("lift is not strictly increasing on samples")
 
 
@@ -104,7 +124,12 @@ class RigidLift(CircleLift):
     def _step(self, x):
         return x + self.alpha
 
+    def _advance(self, x, n):
+        return x + self.alpha * n
+
     def _orbit(self, xs, depth):
+        import numpy as np
+
         steps = self.alpha * np.arange(depth + 1)
         return xs[None, :] + steps[:, None]
 

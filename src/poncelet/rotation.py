@@ -27,14 +27,18 @@ bisection step stops at the first bracket that excludes the target.
 The floors are read off a float orbit, each widened by a rounding
 allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
 yet a certified rounding budget.
+
+The estimator's orbit columns, brackets and lock table are numpy arrays,
+imported where they are built.  The pair count needs none: solve_rotation
+advances one float and verify_closure iterates its starts one at a time,
+both on the lift's scalar step.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .geometry import TWO_PI
 
@@ -149,6 +153,8 @@ def _first_lock(g, candidates):
     if none has one.  One orbit table serves every candidate."""
     if not candidates:
         return None
+    import numpy as np
+
     xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
     table = g.orbit_table(xs, max(q for _, q in candidates))
     for p, q in candidates:
@@ -168,6 +174,8 @@ def _bracket(x0, xs, q):
     rounding allowance FLOOR_SLACK plus an ulp of the running coordinate
     per step, so a d that close to an integer widens its q's term by one
     lap."""
+    import numpy as np
+
     d = xs - x0
     slack = FLOOR_SLACK + q * np.spacing(np.abs(xs) + abs(x0))
     k_lo = np.floor(d - slack)
@@ -229,6 +237,8 @@ def _estimate(g, x0, tol, first, target):
     lies in every bracket, so the first one to exclude a target gives its
     side.  From ROUGH_STEPS on, it gives up with ValueError at the first
     doubling of n that leaves the bracket unchanged, or at MAX_STEPS."""
+    import numpy as np
+
     g.validate(samples=16)
     lo, hi = (-math.inf, 1), (math.inf, 1)  # the bracket of no steps
     n, end, m = 0, x0, first
@@ -407,28 +417,41 @@ def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
 
 def verify_closure(g, n, seed=0):
     """Closure residual of the lift g after n steps from CLOSURE_STARTS
-    seeded random start points.
+    start points drawn from random.Random(seed), each iterated one float at
+    a time on g's scalar step.
 
     Returns the max angular distance (radians) to the start; raises
-    ResidualFailureError if it is CLOSE_TOL or more, or if an orbit comes
-    back within EARLY_TOL before step n.
+    ResidualFailureError if it is CLOSE_TOL or more (or nan), or if an
+    orbit comes back within EARLY_TOL before step n: the error names the
+    smallest such step over all starts, and the least distance there.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
-    xs = rng.random(CLOSURE_STARTS)
-    table = g.orbit_table(xs, n)
-    # angular distance to the start of each point of rows 1..n
-    dist = TWO_PI * np.abs((table[1:] - xs + 0.5) % 1.0 - 0.5)
-    early = np.flatnonzero(np.min(dist[:-1], axis=1) <= EARLY_TOL)
-    if early.size:
-        k = int(early[0]) + 1
+    step = g._step  # not g(x): its method call is a third of the loop
+    rng = random.Random(seed)
+    early = None  # (k, distance) of the earliest return before step n
+    ends = []
+    for _ in range(CLOSURE_STARTS):
+        x0 = x = rng.random()
+        for k in range(1, n + 1):
+            x = step(x)
+            # angular distance to the start
+            dist = TWO_PI * abs((x - x0 + 0.5) % 1.0 - 0.5)
+            if k < n and dist <= EARLY_TOL:
+                if early is None or k < early[0]:
+                    early = (k, dist)
+                elif k == early[0]:
+                    early = (k, min(early[1], dist))
+                break
+        ends.append(dist)
+    if early is not None:
+        k, dist = early
         raise ResidualFailureError(
-            f"orbit returned after {k} < {n} steps "
-            f"(distance {float(np.min(dist[k - 1])):.3g})"
+            f"orbit returned after {k} < {n} steps (distance {dist:.3g})"
         )
-    residual = float(np.max(dist[-1]))
-    if residual >= CLOSE_TOL:
+    # a nan distance counts as the largest
+    residual = max(ends, key=lambda d: (math.isnan(d), d))
+    if not residual < CLOSE_TOL:
         raise ResidualFailureError(
             f"orbit failed to close after {n} steps "
             f"(residual {residual:.3g})"

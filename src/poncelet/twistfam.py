@@ -93,10 +93,12 @@ def comparison_check(g1, g2):
 @dataclass(frozen=True)
 class SecondOrderReport:
     """Margin, bound and bracket quotients take t in units of the
-    parameter interval's width b - a, so the family's scale drops out."""
+    parameter interval's width b - a, so the family's scale drops out.
+    Status "inapplicable" (tau is locked) and "no-brackets" (no delta
+    admitted a balanced pair) test nothing: best_ratio is nan."""
 
     tau: float
-    status: str                  # "ok" | "inapplicable"
+    status: str                  # "ok" | "inapplicable" | "no-brackets"
     best_ratio: float
     bound: float
     margin: float
@@ -177,7 +179,6 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
     g_tau = _image(family, tau, x_grid)
     pairs = find_balanced_pairs(cf_expand(est_tau.value), eps=PAIR_EPS)
 
-    best = -math.inf
     brackets = []
     for delta in delta_seq:
         sep_minus = _separation(family, tau - delta, -1, g_tau, x_grid)
@@ -203,9 +204,13 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)
         quotient = num / ((t2 - t1) / w) ** 2
         brackets.append((t1, t2, quotient))
-        best = max(best, quotient)
 
-    return SecondOrderReport(tau=tau, status="ok", best_ratio=best,
+    if not brackets:
+        return SecondOrderReport(tau=tau, status="no-brackets",
+                                 best_ratio=math.nan, bound=bound,
+                                 margin=margin)
+    return SecondOrderReport(tau=tau, status="ok",
+                             best_ratio=max(q for _, _, q in brackets),
                              bound=bound, margin=margin, brackets=brackets)
 
 

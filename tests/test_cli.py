@@ -16,6 +16,7 @@ from poncelet.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PROPERTY,
+    _emit_json,
     main,
 )
 
@@ -324,6 +325,29 @@ def test_prop2_poncelet_passes(tmp_path):
     assert doc["status"] == "ok" and doc["pass"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_prop2_without_brackets_is_inapplicable_strict_json(tmp_path):
+    # near tangency no delta admits a balanced pair: nothing is tested, so
+    # the status says so, best_ratio is null (not -Infinity) and exit is 0
+    code, out = run(tmp_path, "prop2", "--family", "poncelet",
+                    "--c", "0.9999")
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text(encoding="utf-8"),
+                     parse_constant=_reject_constant)
+    assert doc["status"] == "no-brackets"
+    assert doc["brackets"] == []
+    assert doc["best_ratio"] is None and doc["pass"] is None
+    assert math.isfinite(doc["bound"]) and math.isfinite(doc["margin"])
+
+
+def test_json_output_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        _emit_json({"x": math.inf}, str(tmp_path / "x.json"))
+
+
 @pytest.fixture(scope="module")
 def prop2_at_unit_radius(tmp_path_factory):
     code, out = run(tmp_path_factory.mktemp("unit"), "prop2",
@@ -394,7 +418,7 @@ def test_invalid_input_exits_config(tmp_path, capsys, argv):
 
 def test_count_unclosed_pair_exits_property(tmp_path):
     # p = 1, n = 12 at c = 0.6 sits within 1e-9 of internal tangency and
-    # closes only to 4.57e-8 rad against the 1e-8 gate; the other n keep
+    # closes only to 4.55e-8 rad against the 1e-8 gate; the other n keep
     # their results
     code, out = run(tmp_path, "count", "--n-min", "3", "--n-max", "12",
                     "--c", "0.6", "--seed", "5")
@@ -430,13 +454,17 @@ def test_cli_imports_only_numpy_and_the_standard_library():
     assert third_party == {"poncelet"}
 
 
+# count iterates its lifts one float at a time on the math step; only the
+# array paths (the estimator's tables, staircase and prop2) load numpy
 @pytest.mark.parametrize("argv, exit_code, loads_numpy", [
     (["orbit", "--t", "0.5", "--steps", "10"], EXIT_OK, False),
     (["cf", "--x", "golden"], EXIT_OK, False),
     (["staircase", "--points", "1"], EXIT_CONFIG, False),
     (["cf", "--x", "inf"], EXIT_CONFIG, False),
-    (["count", "--n-max", "3"], EXIT_OK, True),
-], ids=["orbit", "cf-golden", "staircase-points-1", "cf-x-inf", "count"])
+    (["count", "--n-max", "3"], EXIT_OK, False),
+    (["staircase", "--points", "3"], EXIT_OK, True),
+], ids=["orbit", "cf-golden", "staircase-points-1", "cf-x-inf", "count",
+        "staircase"])
 def test_commands_load_numpy_only_to_iterate_lifts(tmp_path, argv, exit_code,
                                                    loads_numpy):
     # -X importtime logs every module the process imports on stderr

@@ -151,6 +151,42 @@ def test_lifts_reject_bad_step_counts(g):
     assert g.orbit_table([0.1], np.int32(2)).shape == (3, 1)
 
 
+def _scalar_path_lifts():
+    return [
+        PonceletLift(PonceletConfig(1.0, 0.0, 0.5)),
+        PonceletLift(PonceletConfig(1.0, 0.3, 0.2)),
+        PonceletLift(PonceletConfig(1.0, 0.99999, 0.3 * (1.0 - 0.99999))),
+        PonceletLift(PonceletConfig(1e-200, 3e-201, 2e-201)),
+        ArnoldLift(0.3, 0.8),
+        FunctionLift(lambda x: x + 0.2 + 0.05 * math.sin(2.0 * math.pi * x)),
+        RigidLift(0.3176),
+    ]
+
+
+@pytest.mark.parametrize("g", _scalar_path_lifts(),
+                         ids=["poncelet-c0", "poncelet-c0.3",
+                              "poncelet-c0.99999", "poncelet-R1e-200",
+                              "arnold", "function", "rigid"])
+def test_advance_of_one_float_is_the_tables_last_row(g):
+    # a python float skips the table; the bits must not change
+    for x in (0.0, 0.375, -0.7, 1.9, 123.456):
+        for n in (0, 1, 6, 12, 200):
+            got = g.advance(x, n)
+            want = g.orbit_table([x], n)[-1, 0]
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), (x, n)
+
+
+@pytest.mark.parametrize("g", _every_lift()[1:4],
+                         ids=["arnold", "poncelet", "tangency"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_advance_of_a_non_finite_float_is_nan(g, x):
+    # math raises on inf; the table's numpy step gives nan instead
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(g.advance(x, 3))
+    assert g.advance(x, 0) == x or math.isnan(x)
+
+
 # ------------------------------------------------------------------- lifts
 
 def test_rigid_lift_is_exact():
@@ -236,6 +272,23 @@ def test_function_lift_rejects_non_finite_with_warnings_as_errors(fn):
         warnings.simplefilter("error")
         with pytest.raises(LiftContractError):
             FunctionLift(fn)
+
+
+@pytest.mark.parametrize("fn, message", [
+    (lambda x: math.nan, "periodicity defect"),
+    (lambda x: x + 0.2 if x % 1.0 < 0.5 else math.nan, "periodicity defect"),
+    (lambda x: x + 0.2 if x != 0.25 else math.nan, "periodicity defect"),
+    (lambda x: x + 0.2 + 0.3 * math.sin(2.0 * math.pi * x),
+     "not strictly increasing"),
+    # rises between every two samples, and falls from the last to 1 + the
+    # first
+    (lambda x: x + 0.5 * (x % 1.0), "not strictly increasing"),
+], ids=["nan everywhere", "nan on half the circle", "nan at one sample",
+        "periodic, not monotone", "falls across the period"])
+def test_validate_verdict_on_plain_floats(fn, message):
+    # the samples are python floats; every nan comparison is still false
+    with pytest.raises(LiftContractError, match=message):
+        FunctionLift(fn)
 
 
 def test_function_lift_accepts_valid_map():

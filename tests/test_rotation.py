@@ -16,7 +16,7 @@ from poncelet.families import (
     rigid_family,
 )
 from poncelet.geometry import PonceletConfig
-from poncelet.lifts import ArnoldLift, PonceletLift, RigidLift
+from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     CHUNK_MAX,
     FLOOR_SLACK,
@@ -736,6 +736,38 @@ def test_wrong_period_is_rejected():
         verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5)
 
 
+class TwoBands(CircleLift):
+    """An interval exchange that rotates [0, 1/2) by a half-turn of its own
+    (period 2) and [1/2, 1) by a third (period 3), so a start's return
+    time depends on its band."""
+
+    def _step(self, x):
+        k, y = divmod(x, 1.0)
+        if y < 0.5:
+            return k + 0.5 * ((2.0 * y + 0.5) % 1.0)
+        return k + 0.5 + 0.5 * ((2.0 * y - 1.0 + 1.0 / 3.0) % 1.0)
+
+
+def test_closure_reports_the_earliest_return_over_all_starts():
+    # the first start of seed 0 (0.844) returns after 3 steps; later starts
+    # in [0, 1/2) return after 2, and the error must name 2
+    with pytest.raises(ResidualFailureError,
+                       match=r"^orbit returned after 2 < 6 steps"):
+        verify_closure(TwoBands(), 6)
+
+
+class NanAbove(CircleLift):
+    """x + 1/2 below 1/2, nan from there: every orbit is nan by step 2."""
+
+    def _step(self, x):
+        return x + 0.5 if x < 0.5 else math.nan
+
+
+def test_closure_of_a_nan_orbit_fails():
+    with pytest.raises(ResidualFailureError, match=r"residual nan"):
+        verify_closure(NanAbove(), 2)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_closure_rejects_fewer_than_one_step(n):
     with pytest.raises(ValueError, match="n must be at least 1"):
@@ -810,6 +842,34 @@ def test_reversed_family_count_matches_forward(c, n):
         assert abs(pair.t - want[pair.p]) <= 1e-12
         lift = PonceletLift(PonceletConfig(1.0, c, pair.t))
         assert pair.closure_residual == verify_closure(lift, n, seed)
+
+
+# float.hex of each pair's t by p, and the p's that fail closure, at seed 0
+PINNED_PAIRS = {
+    (0.3, 3): ({1: "0x1.d1eb851eb8520p-2"}, []),
+    (0.3, 4): ({1: "0x1.3b8f935aef37ep-1"}, []),
+    (0.3, 5): ({1: "0x1.589557b2cbb5dp-1", 2: "0x1.2493d7c51437fp-2"}, []),
+    (0.3, 6): ({1: "0x1.6229a8ed77128p-1"}, []),
+    (0.3, 7): ({1: "0x1.6523081b431acp-1", 2: "0x1.1ca6e22f61538p-1",
+                3: "0x1.a6f8058065d1ap-3"}, []),
+    (0.3, 8): ({1: "0x1.6607329802a46p-1", 3: "0x1.68a402f471490p-2"}, []),
+    (0.9, 3): ({1: "0x1.851eb851eb84ep-4"}, []),
+    (0.9, 4): ({1: "0x1.9908ab3d18d65p-4"}, []),
+    (0.9, 5): ({1: "0x1.9995c69682506p-4", 2: "0x1.2e1304a4d60d9p-4"}, []),
+    (0.9, 6): ({1: "0x1.99997fd11c547p-4"}, []),
+    (0.9, 7): ({1: "0x1.999998ebc8347p-4", 2: "0x1.96240e22acc2ep-4",
+                3: "0x1.d2a1a561c7740p-5"}, []),
+    (0.9, 8): ({3: "0x1.5a4483589b5d9p-4"}, [1]),
+}
+
+
+@pytest.mark.parametrize("c, n", sorted(PINNED_PAIRS))
+def test_count_pins_each_pairs_radius_to_the_bit(c, n):
+    # only the closure residuals may move when the pipeline changes
+    report = count_poncelet_pairs(poncelet_family(1.0, c), n)
+    ts, missing = PINNED_PAIRS[c, n]
+    assert {pair.p: pair.t.hex() for pair in report.pairs} == ts
+    assert [p for p, _ in report.missing] == missing
 
 
 def test_counting_rejects_degenerate_period():
