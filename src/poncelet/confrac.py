@@ -6,12 +6,14 @@ Floating inputs are expanded through the exact rational value of the
 float; the expansion stops as soon as an ulp-sized interval around the
 input no longer determines the next partial quotient, so every emitted
 quotient is certified.
+The arithmetic runs on integer pairs (Euclid's algorithm expands and
+walks the Gauss orbit; the gap check is one integer inequality), and the
+records are `NamedTuple` classes.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 
 class PrecisionExhaustedError(ValueError):
@@ -52,8 +54,9 @@ def gauss_map(x):
     return inv - math.floor(inv)
 
 
-@dataclass(frozen=True)
-class ContinuedFractionExpansion:
+class ContinuedFractionExpansion(NamedTuple):
+    """len() counts the quotients a1, a2, ...: `_make`, `_replace` fail."""
+
     a0: int
     quotients: List[int]                 # a1, a2, ... (all >= 1)
     convergents: List[Tuple[int, int]]   # (p_n, q_n), n = 0 .. len(quotients)
@@ -78,19 +81,22 @@ def _convergents(a0, quotients):
 
 
 def _expand_interval(lo: Fraction, hi: Fraction):
-    """Common continued-fraction prefix of every number in [lo, hi]."""
-    a0 = math.floor(lo)
-    if math.floor(hi) != a0:
+    """Common continued-fraction prefix of every number in [lo, hi]:
+    Euclid's algorithm on lo = ln/ld and hi = hn/hd at once."""
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    a0 = ln // ld
+    if hn // hd != a0:
         raise PrecisionExhaustedError("integer part not determined")
     quotients = []
-    lo, hi = lo - a0, hi - a0
-    while lo != 0 and hi != 0:
-        lo, hi = 1 / hi, 1 / lo
-        a_lo, a_hi = math.floor(lo), math.floor(hi)
-        if a_lo != a_hi:
+    ln, hn = ln % ld, hn % hd
+    while ln and hn:
+        # floors of 1/hi (the new lo) and 1/lo (the new hi)
+        a = hd // hn
+        if ld // ln != a:
             break
-        quotients.append(a_lo)
-        lo, hi = lo - a_lo, hi - a_lo
+        quotients.append(a)
+        ln, ld, hn, hd = hd - a * hn, hn, ld - a * ln, ln
     return a0, quotients
 
 
@@ -115,12 +121,10 @@ def cf_expand(x):
     p, q = convergents[-1]
     return ContinuedFractionExpansion(
         a0=a0, quotients=quotients, convergents=convergents,
-        value=value, exact=Fraction(p, q) == value,
-    )
+        value=value, exact=Fraction(p, q) == value)
 
 
-@dataclass(frozen=True)
-class RemainderRecord:
+class RemainderRecord(NamedTuple):
     n: int
     log_qn: float
     gauss_sum: float
@@ -140,17 +144,18 @@ def remainder_series(exp, n_max=25):
     taken only as far as the records go, so no forward error accumulates.
     For non-exact expansions that orbit is the truncated tail, and the last
     TAIL_BUFFER indices are dropped (their tails are not trustworthy).
+    T(num/den) = (den mod num)/num; num/den rounds as float(Fraction) does.
     """
     N = len(exp)
     usable = N if exp.exact else max(0, N - TAIL_BUFFER)
-    tail = exp.convergent(N) - exp.a0   # T^0; T^i is nonzero for i < N
+    p, den = exp.convergents[N]
+    num = p - exp.a0 * den   # T^0 = num/den; T^i is nonzero for i < N
     records = []
     gauss_sum = 0.0
     for n in range(1, min(n_max, usable) + 1):
-        gauss_sum += math.log(tail)
-        tail = gauss_map(tail)
-        _, q_n = exp.convergents[n]
-        log_qn = math.log(q_n)
+        gauss_sum += math.log(num / den)
+        num, den = den % num, num
+        log_qn = math.log(exp.convergents[n][1])
         records.append(RemainderRecord(
             n=n, log_qn=log_qn, gauss_sum=gauss_sum,
             remainder=-log_qn - gauss_sum,
@@ -172,8 +177,7 @@ def second_order_bound(m=1.0):
     return m * m / (E2F * (1.0 + E2F) ** 2)
 
 
-@dataclass(frozen=True)
-class ApproximationPair:
+class ApproximationPair(NamedTuple):
     excess: Fraction
     defect: Fraction
     index: int              # n with ratio q_{n+1}/q_n inside the window
@@ -186,12 +190,12 @@ class ApproximationPair:
 
 
 def check_gap_inequality(excess: Fraction, defect: Fraction, eps):
-    """Exact-rational check of the gap inequality for one pair."""
-    k = Fraction(k_epsilon(eps))
-    lhs = excess - defect
-    rhs = k * (Fraction(1, excess.denominator)
-               + Fraction(1, defect.denominator)) ** 2
-    return lhs >= rhs
+    """Exact check of the gap inequality for one pair, multiplied through
+    by k_den q^2 q'^2 (K_eps = k_num/k_den; q, q' the denominators)."""
+    k_num, k_den = k_epsilon(eps).as_integer_ratio()
+    q, q2 = excess.denominator, defect.denominator
+    gap_qq2 = excess.numerator * q2 - defect.numerator * q   # gap * q q'
+    return gap_qq2 * q * q2 * k_den >= k_num * (q + q2) ** 2
 
 
 def find_balanced_pairs(exp, eps, n_max=30):
@@ -214,12 +218,9 @@ def find_balanced_pairs(exp, eps, n_max=30):
         ratio = q_n1 / q_n
         if not window_lo < ratio < window_hi:
             continue
-        c_n = exp.convergent(n)
-        c_n1 = exp.convergent(n + 1)
-        if n % 2 == 1:
-            excess, defect = c_n, c_n1
-        else:
-            excess, defect = c_n1, c_n
+        excess, defect = exp.convergent(n), exp.convergent(n + 1)
+        if n % 2 == 0:
+            excess, defect = defect, excess
         pairs.append(ApproximationPair(
             excess=excess, defect=defect, index=n,
             ratio=ratio, gap_ok=check_gap_inequality(excess, defect, eps),

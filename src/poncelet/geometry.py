@@ -17,11 +17,11 @@ theta = 2 pi x, phi = pi y, on plain floats.  The paper misprints its
 tangency term (erratum in `z_function`); the form above is the one the
 independent tangent-line construction (`poncelet_map_geometric`), the
 authority on signs, confirms.  Both angle steps return (theta', phi')
-reduced to [0, 2 pi) x [0, pi).
+reduced to [0, 2 pi) x [0, pi).  `PonceletConfig` is a `NamedTuple`.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,24 +31,31 @@ _SERIES_CHUNK = 1 << 16
 JACOBIAN_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class PonceletConfig:
-    """Circle pair: outer radius R, center offset c, inner radius t."""
-
+class _CirclePair(NamedTuple):
     R: float
     c: float = 0.0
     t: float = 0.0
 
-    def __post_init__(self):
-        if not 0 < self.R < math.inf:
+
+class PonceletConfig(_CirclePair):
+    """Circle pair: outer radius R, center offset c, inner radius t,
+    checked on construction (the tuple helpers `_make` and `_replace` skip
+    the check)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        R, c, t = self
+        if not 0 < R < math.inf:
             raise ValueError(
-                f"outer radius must satisfy 0 < R < inf, got R={self.R}")
-        if not 0 <= self.c < self.R:
-            raise ValueError(f"center offset must satisfy 0 <= c < R, got c={self.c}")
-        if not 0 <= self.t <= self.R - self.c:
+                f"outer radius must satisfy 0 < R < inf, got R={R}")
+        if not 0 <= c < R:
+            raise ValueError(f"center offset must satisfy 0 <= c < R, got c={c}")
+        if not 0 <= t <= R - c:
             raise ValueError(
-                f"inner radius must satisfy 0 <= t <= R - c, got t={self.t}"
-            )
+                f"inner radius must satisfy 0 <= t <= R - c, got t={t}")
+        return self
 
 
 def z_function(s, cfg):

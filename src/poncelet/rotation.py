@@ -31,14 +31,13 @@ yet a certified rounding budget.
 The estimator's orbit columns, brackets and lock table are numpy arrays,
 imported where they are built.  The pair count needs none: solve_rotation
 advances one float and verify_closure iterates its starts one at a time,
-both on the lift's scalar step.
+both on the lift's scalar step.  The records are `NamedTuple` classes.
 """
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import TWO_PI
 
@@ -67,8 +66,7 @@ class ResidualFailureError(RuntimeError):
     """The solve converged but the rational lock could not be confirmed."""
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
+class RotationEstimate(NamedTuple):
     """A rotation number with an error radius.  A lock (p, q) gives value
     p/q with radius 0, certified by the lock scan.  Off a lock the radius
     is half the Farey bracket's width, whose floors rest on the FLOOR_SLACK
@@ -85,16 +83,14 @@ class RotationEstimate:
         return self.lock is not None
 
 
-@dataclass(frozen=True)
-class PonceletPair:
+class PonceletPair(NamedTuple):
     t: float
     n: int
     p: int
     closure_residual: float
 
 
-@dataclass(frozen=True)
-class StaircaseResult:
+class StaircaseResult(NamedTuple):
     points: List[Tuple[float, RotationEstimate]]
     direction: str  # "increasing" | "decreasing" | "flat"
     violations: List[Tuple[float, float, float]]  # (t_i, t_j, defect)
@@ -104,8 +100,7 @@ class StaircaseResult:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     n: int
     pairs: List[PonceletPair]
     expected: int

@@ -1,11 +1,11 @@
 """Twist-in-parameter analysis of monotone lift families: twist margin,
 pointwise comparison checks, and the second-order growth estimate of the
-rotation number around heuristically-irrational parameters.
+rotation number around heuristically-irrational parameters.  The reports
+are `NamedTuple` classes.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ def separation_alpha(g1, g2):
     return alpha
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     r1: RotationEstimate
     r2: RotationEstimate
     alpha: float
@@ -90,8 +89,7 @@ def comparison_check(g1, g2):
                             weak_ok=weak_ok, sandwich_ok=sandwich_ok)
 
 
-@dataclass(frozen=True)
-class SecondOrderReport:
+class SecondOrderReport(NamedTuple):
     """Margin, bound and bracket quotients take t in units of the
     parameter interval's width b - a, so the family's scale drops out.
     Status "inapplicable" (tau is locked) and "no-brackets" (no delta
@@ -102,8 +100,7 @@ class SecondOrderReport:
     best_ratio: float
     bound: float
     margin: float
-    brackets: List[Tuple[float, float, float]] = field(default_factory=list)
-    # (t1, t2, conservative quotient)
+    brackets: Sequence[Tuple[float, float, float]] = ()  # t1, t2, quotient
 
     @property
     def passed(self):
@@ -214,8 +211,7 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
                              bound=bound, margin=margin, brackets=brackets)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     result: object                      # StaircaseResult
     strict_violations: List[Tuple[float, float]]
 

@@ -454,6 +454,17 @@ def test_cli_imports_only_numpy_and_the_standard_library():
     assert third_party == {"poncelet"}
 
 
+def imported_modules(cwd, *args):
+    """Exit code and the modules a fresh `python -X importtime ARGS`
+    imports, read off the import log it writes on stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=fresh_env(), cwd=cwd, capture_output=True,
+                          text=True)
+    return proc.returncode, {line.rsplit("|", 1)[1].strip()
+                             for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
 # count iterates its lifts one float at a time on the math step; only the
 # array paths (the estimator's tables, staircase and prop2) load numpy
 @pytest.mark.parametrize("argv, exit_code, loads_numpy", [
@@ -467,16 +478,35 @@ def test_cli_imports_only_numpy_and_the_standard_library():
         "staircase"])
 def test_commands_load_numpy_only_to_iterate_lifts(tmp_path, argv, exit_code,
                                                    loads_numpy):
-    # -X importtime logs every module the process imports on stderr
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "poncelet.cli", *argv],
-        env=fresh_env(), cwd=tmp_path, capture_output=True, text=True)
-    assert proc.returncode == exit_code
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    code, imported = imported_modules(tmp_path, "-m", "poncelet.cli", *argv)
+    assert code == exit_code
     assert "poncelet.confrac" in imported  # the log holds the CLI's imports
     assert ("numpy" in imported) == loads_numpy
+
+
+@pytest.fixture(scope="module")
+def startup_modules(tmp_path_factory):
+    """What the interpreter imports before any command: a `site` may load
+    dataclasses or inspect itself."""
+    return imported_modules(tmp_path_factory.mktemp("startup"), "-c", "")[1]
+
+
+# the records are NamedTuple classes: importing dataclasses would cost
+# ~10 ms a process, most of it for the inspect module it loads
+@pytest.mark.parametrize("args, exit_code", [
+    (["-c", "import poncelet.cli"], EXIT_OK),
+    (["-m", "poncelet.cli", "orbit", "--t", "0.5", "--steps", "10"], EXIT_OK),
+    (["-m", "poncelet.cli", "cf", "--random", "3"], EXIT_OK),
+    (["-m", "poncelet.cli", "count", "--n-max", "3"], EXIT_OK),
+    (["-m", "poncelet.cli", "staircase", "--points", "1"], EXIT_CONFIG),
+    (["-m", "poncelet.cli", "cf", "--x", "inf"], EXIT_CONFIG),
+], ids=["import", "orbit", "cf", "count", "staircase-points-1", "cf-x-inf"])
+def test_commands_load_neither_dataclasses_nor_inspect(
+        tmp_path, startup_modules, args, exit_code):
+    code, imported = imported_modules(tmp_path, *args)
+    assert code == exit_code
+    assert "poncelet.confrac" in imported
+    assert not {"dataclasses", "inspect"} & (imported - startup_modules)
 
 
 @pytest.mark.parametrize("c", ["0.99999", "0.999999"])

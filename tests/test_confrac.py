@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poncelet import confrac
 from poncelet.confrac import (
     FIB_RECIP,
+    SLACK_ULPS,
     PrecisionExhaustedError,
+    _expand_interval,
     cf_expand,
     check_gap_inequality,
     fibonacci_reciprocal_sum,
@@ -280,3 +283,137 @@ def test_pair_orientation_follows_parity():
     for pair in find_balanced_pairs(cf_expand(GOLDEN), eps=0.5):
         assert pair.excess > pair.defect
         assert pair.gap == pair.excess - pair.defect
+
+
+# ------------------------------------ integers against Fraction arithmetic
+# The expansion, the Gauss orbit and the gap inequality run on integer
+# pairs; these are the same algorithms on normalising Fraction operations,
+# kept as the reference.
+
+def fraction_expand_interval(lo, hi):
+    a0 = math.floor(lo)
+    if math.floor(hi) != a0:
+        raise PrecisionExhaustedError("integer part not determined")
+    quotients = []
+    lo, hi = lo - a0, hi - a0
+    while lo != 0 and hi != 0:
+        lo, hi = 1 / hi, 1 / lo
+        a_lo, a_hi = math.floor(lo), math.floor(hi)
+        if a_lo != a_hi:
+            break
+        quotients.append(a_lo)
+        lo, hi = lo - a_lo, hi - a_lo
+    return a0, quotients
+
+
+def fraction_remainder_series(exp, n_max):
+    N = len(exp)
+    usable = N if exp.exact else max(0, N - confrac.TAIL_BUFFER)
+    tail = exp.convergent(N) - exp.a0
+    records = []
+    gauss_sum = 0.0
+    for n in range(1, min(n_max, usable) + 1):
+        gauss_sum += math.log(tail)
+        tail = gauss_map(tail)
+        log_qn = math.log(exp.convergents[n][1])
+        records.append((n, log_qn, gauss_sum, -log_qn - gauss_sum))
+    return records
+
+
+def fraction_gap_inequality(excess, defect, eps):
+    k = Fraction(confrac.k_epsilon(eps))
+    return excess - defect >= k * (Fraction(1, excess.denominator)
+                                   + Fraction(1, defect.denominator)) ** 2
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+# negative, subnormal, huge and integral floats, and everything between
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.5e-320, 1e-300, 1e308, -1e308, 1.7976931348623157e308,
+     0.0, -0.0, 1.0, -3.0, 2.0 ** 52, 2.0 ** 53 + 2, 0.5, 1.0 - 1e-17])
+RATIONALS = st.fractions() | st.fractions(max_denominator=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOATS)
+def test_float_interval_expands_as_with_fractions(x):
+    value = Fraction(x)
+    slack = Fraction(math.ulp(x)) * SLACK_ULPS
+    lo, hi = value - slack, value + slack
+    assert outcome(_expand_interval, lo, hi) == \
+        outcome(fraction_expand_interval, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_rational_interval_expands_as_with_fractions(lo, hi):
+    assert outcome(_expand_interval, lo, hi) == \
+        outcome(fraction_expand_interval, lo, hi)
+    assert _expand_interval(lo, lo) == fraction_expand_interval(lo, lo)
+
+
+def record_bits(records):
+    return [(n, *map(float.hex, values)) for n, *values in records]
+
+
+@settings(max_examples=200, deadline=None)
+@given(FLOATS | RATIONALS, st.integers(min_value=1, max_value=60))
+def test_remainder_records_match_the_fraction_orbit_bit_for_bit(x, n_max):
+    try:
+        exp = cf_expand(x)
+    except PrecisionExhaustedError:
+        return
+    records = [(r.n, r.log_qn, r.gauss_sum, r.remainder)
+               for r in remainder_series(exp, n_max=n_max)]
+    assert record_bits(records) == \
+        record_bits(fraction_remainder_series(exp, n_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS,
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True))
+def test_gap_inequality_matches_the_fraction_comparison(excess, defect, eps):
+    assert check_gap_inequality(excess, defect, eps) == \
+        fraction_gap_inequality(excess, defect, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True))
+def test_gap_inequality_of_the_convergent_pairs(x):
+    try:
+        exp = cf_expand(x)
+    except PrecisionExhaustedError:
+        return
+    for n in range(1, len(exp)):
+        excess, defect = exp.convergent(n), exp.convergent(n + 1)
+        if n % 2 == 0:
+            excess, defect = defect, excess
+        for eps in (1e-9, 0.5, 1.0 - 1e-9):
+            assert check_gap_inequality(excess, defect, eps) == \
+                fraction_gap_inequality(excess, defect, eps)
+
+
+# excess - defect == K (1/q + 1/q')^2 exactly: no K_eps of a float eps
+# meets a gap exactly, so the test replaces it, with K itself and with the
+# floats on either side of it
+@pytest.mark.parametrize("k, excess, defect", [
+    (0.25, Fraction(2), Fraction(1)),          # 1 = (1/4) 2^2
+    (3 / 16, Fraction(1), Fraction(2, 3)),     # 1/3 = (3/16) (4/3)^2
+    (3.0, Fraction(13), Fraction(1)),          # 12 = 3 * 2^2
+])
+def test_gap_inequality_holds_at_exact_equality(monkeypatch, k, excess,
+                                                defect):
+    for k_eps, holds in ((k, True), (math.nextafter(k, 0.0), True),
+                         (math.nextafter(k, math.inf), False)):
+        monkeypatch.setattr(confrac, "k_epsilon", lambda eps: k_eps)
+        assert check_gap_inequality(excess, defect, 0.5) == holds
+        assert fraction_gap_inequality(excess, defect, 0.5) == holds

@@ -201,8 +201,37 @@ def test_near_tangency_starts_at_large_radius():
     (math.inf, 0.3, 0.2),
 ])
 def test_config_rejects_invalid_geometry(R, c, t):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as positional:
         PonceletConfig(R, c, t)
+    with pytest.raises(ValueError) as keyword:
+        PonceletConfig(R=R, c=c, t=t)
+    assert str(keyword.value) == str(positional.value)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0.0,), {}, "outer radius must satisfy 0 < R < inf, got R=0.0"),
+    ((), {"R": math.inf}, "outer radius must satisfy 0 < R < inf, got R=inf"),
+    ((), {"R": math.nan}, "outer radius must satisfy 0 < R < inf, got R=nan"),
+    ((1.0, 1.0), {}, "center offset must satisfy 0 <= c < R, got c=1.0"),
+    ((1.0,), {"c": -0.1}, "center offset must satisfy 0 <= c < R, got c=-0.1"),
+    ((1.0, 0.5, 0.6), {}, "inner radius must satisfy 0 <= t <= R - c, "
+                          "got t=0.6"),
+    ((), {"R": 1.0, "t": -1e-9}, "inner radius must satisfy 0 <= t <= R - c, "
+                                 "got t=-1e-09"),
+])
+def test_config_names_the_invalid_value(args, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        PonceletConfig(*args, **kwargs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}), ((1.0, 0.0, 0.0, 0.0), {}), ((1.0,), {"R": 1.0}),
+    ((), {"R": 1.0, "s": 0.0}),
+])
+def test_config_rejects_a_wrong_signature(args, kwargs):
+    with pytest.raises(TypeError):
+        PonceletConfig(*args, **kwargs)
 
 
 # --------------------------------------------------------- invariant circles

@@ -1,7 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, every
-dataclass field is read somewhere, every name the benchmark's tracer
-binds exists, and the library outside the CLI grows no defaulted
-parameter."""
+"""Source hygiene: no module imports a name it never uses, every record
+field (dataclass or NamedTuple) is read somewhere, every name the
+benchmark's tracer binds exists, and the library outside the CLI grows no
+defaulted parameter."""
 
 import ast
 import importlib
@@ -15,7 +15,7 @@ MODULES = sorted(
     path for base in (ROOT / "src" / "poncelet", ROOT / "tests")
     for path in base.rglob("*.py") if path.name != "__init__.py"
 )
-# where a dataclass field may be read: the library, its tests and the
+# where a record field may be read: the library, its tests and the
 # benchmark
 READERS = sorted(path for base in ("src", "tests", "perfbench")
                  for path in (ROOT / base).rglob("*.py"))
@@ -99,18 +99,27 @@ def test_library_grows_no_defaulted_parameter():
     assert len(found) <= MAX_DEFAULTED_PARAMETERS, found
 
 
-def dataclass_fields(source):
-    """(class, field) for each field declared by a @dataclass class of
-    `source`."""
-    fields = []
+def record_fields(source):
+    """(class, field) for each field of a record class of `source`: one
+    decorated with @dataclass or based on NamedTuple declares its annotated
+    names, and a class based on a record class of `source` has that
+    class's fields too."""
+    fields = {}
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and any(
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = [getattr(base, "id", getattr(base, "attr", None))
+                 for base in node.bases]
+        names = [name for base in bases for name in fields.get(base, [])]
+        if "NamedTuple" in bases or any(
                 getattr(getattr(d, "func", d), "id", None) == "dataclass"
                 for d in node.decorator_list):
-            fields += [(node.name, stmt.target.id) for stmt in node.body
-                       if isinstance(stmt, ast.AnnAssign)
-                       and isinstance(stmt.target, ast.Name)]
-    return fields
+            names += [stmt.target.id for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+        if names:
+            fields[node.name] = names
+    return [(cls, name) for cls, names in fields.items() for name in names]
 
 
 def attributes_read(source):
@@ -131,20 +140,30 @@ def test_field_scan_finds_declarations_and_reads():
               "class B:\n"
               "    w: float\n"
               "class C:\n"
-              "    v: float\n")
-    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "w")]
-    assert attributes_read(source) == {"x"}
+              "    v: float\n"
+              "class D(NamedTuple):\n"
+              "    u: int\n"
+              "    s: str = ''\n"
+              "class E(D):\n"
+              "    __slots__ = ()\n"
+              "class F(typing.NamedTuple):\n"
+              "    r: int\n")
+    assert record_fields(source) == [
+        ("A", "x"), ("A", "y"), ("B", "w"), ("D", "u"), ("D", "s"),
+        ("E", "u"), ("E", "s"), ("F", "r")]
+    assert attributes_read(source) == {"x", "NamedTuple"}
 
 
 FIELDS = sorted(
     f"{path.stem}.{cls}.{name}"
     for path in (ROOT / "src" / "poncelet").rglob("*.py")
-    for cls, name in dataclass_fields(path.read_text())
+    for cls, name in record_fields(path.read_text())
 )
 
 
 def test_fields_are_found():
     assert "rotation.RotationEstimate.error_radius" in FIELDS
+    assert "geometry.PonceletConfig.R" in FIELDS
 
 
 @pytest.fixture(scope="module")

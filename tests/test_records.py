@@ -1,0 +1,64 @@
+"""The result records: immutable NamedTuple classes with the fields,
+defaults and properties they had as frozen dataclasses."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from poncelet.confrac import (ApproximationPair, ContinuedFractionExpansion,
+                              RemainderRecord, cf_expand)
+from poncelet.geometry import PonceletConfig
+from poncelet.rotation import (CountReport, PonceletPair, RotationEstimate,
+                               StaircaseResult)
+from poncelet.twistfam import (ComparisonReport, MonotonicityReport,
+                               SecondOrderReport)
+
+ESTIMATE = RotationEstimate(0.5, 0.0, 64, (1, 2))
+STAIRCASE = StaircaseResult([(0.1, ESTIMATE)], "flat", [])
+PAIR = ApproximationPair(Fraction(22, 7), Fraction(355, 113), 1, 16.1, True)
+COUNT = CountReport(3, [], 1, [(1, "no lock")])
+MONOTONE = MonotonicityReport(STAIRCASE, [])
+RECORDS = [
+    PonceletConfig(1.0, 0.2, 0.3),
+    cf_expand(Fraction(355, 113)),
+    RemainderRecord(1, 0.0, -0.5, 0.5),
+    PAIR,
+    ESTIMATE,
+    PonceletPair(0.5, 3, 1, 1e-12),
+    STAIRCASE,
+    COUNT,
+    ComparisonReport(ESTIMATE, ESTIMATE, 0.1, None, True, None),
+    SecondOrderReport(0.4, "no-brackets", math.nan, 1e-9, 0.5),
+    MONOTONE,
+]
+
+
+@pytest.mark.parametrize("record", RECORDS,
+                         ids=[type(record).__name__ for record in RECORDS])
+def test_fields_cannot_be_assigned(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # no instance dictionary either
+
+
+def test_expansion_length_counts_quotients():
+    for x in (Fraction(355, 113), Fraction(3), (math.sqrt(5.0) - 1.0) / 2.0):
+        exp = cf_expand(x)
+        assert isinstance(exp, ContinuedFractionExpansion)
+        assert len(exp) == len(exp.quotients)
+    assert len(cf_expand(Fraction(3))) == 0
+
+
+def test_defaults_and_properties():
+    assert PonceletConfig(2.0) == PonceletConfig(R=2.0, c=0.0, t=0.0)
+    assert RotationEstimate(0.3, 1e-6, 100).lock is None
+    assert not RotationEstimate(0.3, 1e-6, 100).is_rational_lock
+    assert ESTIMATE.is_rational_lock
+    report = SecondOrderReport(0.4, "ok", 1.0, 0.5, 1.0)
+    assert report.brackets == ()
+    assert report.passed
+    assert PAIR.gap == Fraction(22, 7) - Fraction(355, 113)
+    assert STAIRCASE.monotone_ok and MONOTONE.ok
+    assert not COUNT.ok
