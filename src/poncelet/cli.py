@@ -10,8 +10,9 @@ rejected input start without it.
 
 Exit codes: 0 success (or inapplicable: `prop2` at a locked tau, status
 "inapplicable", or with no bracket found, status "no-brackets"), 2 invalid
-configuration, 3 property/theorem check failed.  JSON output is strict:
-no NaN or Infinity.
+configuration (`count` with n above MAX_STEPS = 2^20 among them: each
+residual would run n steps), 3 property/theorem check failed.  JSON output
+is strict: no NaN or Infinity.
 """
 
 import argparse
@@ -93,11 +94,11 @@ def _circ_dist(a, b, period):
     return min(d, period - d)
 
 
-def _make_family(args):
+def _make_family(args, reverse=False):
     from .families import arnold_family, poncelet_family, rigid_family
 
     if args.family == "poncelet":
-        return poncelet_family(args.R, args.c)
+        return poncelet_family(args.R, args.c, reverse)
     if args.family == "arnold":
         return arnold_family(args.K)
     return rigid_family()
@@ -256,18 +257,14 @@ def cmd_cf(args):
 # ---------------------------------------------------------------- prop2
 
 def cmd_prop2(args):
-    from .families import poncelet_family
     from .rotation import find_parameter_for_value
     from .twistfam import second_order_estimate
 
-    if args.family == "poncelet":
-        # r(t) falls from 1/2 to 0: flip the parameter to make the family
-        # increasing, and aim at the golden-mean value inside [0, 1/2]
-        family = poncelet_family(args.R, args.c, reverse=True)
-        target = 1.0 - GOLDEN_CONJUGATE
-    else:
-        family = _make_family(args)
-        target = GOLDEN_CONJUGATE
+    # the Poncelet r(t) falls from 1/2 to 0: flip the parameter to make the
+    # family increasing, and aim at the golden-mean value inside [0, 1/2]
+    family = _make_family(args, reverse=True)
+    target = (1.0 - GOLDEN_CONJUGATE if args.family == "poncelet"
+              else GOLDEN_CONJUGATE)
     if args.tau is not None:
         tau = args.tau
     elif args.family == "rigid":
@@ -295,69 +292,68 @@ def cmd_prop2(args):
 
 def build_parser():
     # each subcommand takes only the options it reads, so the embedded
-    # config lists only settings that reached the computation
+    # config lists only settings that reached the computation; an option
+    # that several read is declared once, in a parent parser
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--R", type=float, default=1.0)
+    pair.add_argument("--c", type=float, default=0.0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help="output path (stdout if absent)")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=["csv", "json"], default="csv")
+
     parser = argparse.ArgumentParser(
         prog="poncelet",
         description="Poncelet billiard twist-map experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("orbit", help="iterate the tangent-line map")
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.0)
+    p = sub.add_parser("orbit", parents=[pair, table],
+                       help="iterate the tangent-line map")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--theta0", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--out", default=None, help="output path (stdout if absent)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("staircase", help="rotation number over a parameter grid")
+    p = sub.add_parser("staircase", parents=[pair, table],
+                       help="rotation number over a parameter grid")
     p.add_argument("--family", choices=["poncelet", "arnold", "rigid"],
                    default="poncelet")
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--K", type=float, default=0.8)
     p.add_argument("--t-min", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--out", default=None, help="output path (stdout if absent)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="rotation-number tolerance")
     p.set_defaults(func=cmd_staircase)
 
-    p = sub.add_parser("count", help="n-Poncelet pair counting")
+    p = sub.add_parser("count", parents=[pair, out],
+                       help="n-Poncelet pair counting")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--out", default=None, help="output path (stdout if absent)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("cf", help="continued-fraction reports")
+    p = sub.add_parser("cf", parents=[out], help="continued-fraction reports")
     p.add_argument("--x", default=None,
                    help="decimal, p/q, or 'golden'")
     p.add_argument("--random", type=int, default=None,
                    help="number of seeded random samples in (0,1)")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--n-max", type=int, default=25)
-    p.add_argument("--out", default=None, help="output path (stdout if absent)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cf)
 
-    p = sub.add_parser("prop2", help="second-order growth estimate")
+    p = sub.add_parser("prop2", parents=[pair, out],
+                       help="second-order growth estimate")
     p.add_argument("--family", choices=["poncelet", "arnold", "rigid"],
                    default="arnold")
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--K", type=float, default=0.7)
     p.add_argument("--tau", type=float, default=None,
                    help="parameter (for poncelet, s = R - c - t); "
                         "auto-located at the golden-mean rotation value "
                         "if absent")
-    p.add_argument("--out", default=None, help="output path (stdout if absent)")
     p.add_argument("--tol", type=float, default=1e-5,
                    help="rotation-number tolerance")
     p.set_defaults(func=cmd_prop2)

@@ -55,10 +55,9 @@ def poncelet_family(R, c=0.0, reverse=False):
     R, c = float(R), float(c)
     PonceletConfig(R, c)  # rejects an invalid R or c up front
     b = R - c
-    if reverse:
-        return MonotoneCircleFamily(
-            0.0, b, lambda s: PonceletLift(PonceletConfig(R, c, b - s)),
-            lambda s, x: -kernels.poncelet_dgdt(R, c, b - s, x))
+    # parameter s -> inner radius t0 + sign * s, and dg/ds = sign * dg/dt:
+    # -0.0 + s is s itself, signed zeros included, and b + -s is b - s
+    t0, sign = (b, -1.0) if reverse else (-0.0, 1.0)
     return MonotoneCircleFamily(
-        0.0, b, lambda t: PonceletLift(PonceletConfig(R, c, t)),
-        lambda t, x: kernels.poncelet_dgdt(R, c, t, x))
+        0.0, b, lambda s: PonceletLift(PonceletConfig(R, c, t0 + sign * s)),
+        lambda s, x: sign * kernels.poncelet_dgdt(R, c, t0 + sign * s, x))

@@ -39,8 +39,7 @@ class _CirclePair(NamedTuple):
 
 class PonceletConfig(_CirclePair):
     """Circle pair: outer radius R, center offset c, inner radius t,
-    checked on construction (the tuple helpers `_make` and `_replace` skip
-    the check)."""
+    checked on construction."""
 
     __slots__ = ()
 
@@ -56,6 +55,10 @@ class PonceletConfig(_CirclePair):
             raise ValueError(
                 f"inner radius must satisfy 0 <= t <= R - c, got t={t}")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it too
+        return cls(*iterable)
 
 
 def z_function(s, cfg):

@@ -1,16 +1,17 @@
 """Lifts of orientation-preserving circle homeomorphisms.
 
 A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
-Every lift is a scalar step plus one bulk hook, `_orbit`, that tabulates
-its iterates over an array; `CircleLift` builds `g(x)`, `orbit_table` and
-`advance` (the table's last row) on them once.  The Poncelet tangent map
-and the Arnold map take the step and the hook from the kernels module, so
-each map has one scalar definition; a `FunctionLift` runs the kernels'
-scalar loop on its callable; rigid rotations are iterated in closed form.
+Every lift is a scalar step plus two hooks, `_orbit`, the iterates of an
+array, and `_advance`, those of one float; `CircleLift` builds `g(x)`,
+`orbit_table` and `advance` (the table's last row) on them once.  The
+Poncelet tangent map and the Arnold map take the step and the table hook
+from the kernels module, so each map has one scalar definition; a
+`FunctionLift` runs the kernels' scalar loop on its callable; rigid
+rotations are iterated in closed form.
 
-`advance` of one python float loops the step itself, with no table, and
+`advance` takes one python float and loops the step, with no table, and
 `validate` samples plain floats: neither loads numpy, which only the
-array paths import.
+tables import.
 """
 
 import operator
@@ -41,27 +42,19 @@ def _step_count(n):
 class CircleLift:
     """Base lift.  A subclass provides `_step`, g on one float, and may
     replace the hooks `_orbit(xs, depth)`, which tabulates g^0..g^depth over
-    a 1-d float64 array, and `_advance(x, n)`, g^n of one float; by default
-    both run `_step` in a python loop."""
+    a 1-d float64 array, and `_advance(x, n)`, g^n of one float."""
 
     def __call__(self, x):
         return self._step(x)
 
-    def advance(self, xs, n):
-        """g^n applied elementwise to xs (ndarray, in its shape, or scalar,
-        as a float): the last row of the orbit table.  A python float runs
-        `_advance`, the same bits without the table."""
+    def advance(self, x, n):
+        """g^n(x) of one float x: the orbit table's last row, bit for bit,
+        without the table (`orbit_table(xs, n)[-1]` advances an array)."""
         n = _step_count(n)
-        if isinstance(xs, float):
-            try:
-                return float(self._advance(xs, n))
-            except ValueError:  # math raises where the table gives nan
-                pass
-        import numpy as np
-
-        arr = np.asarray(xs, dtype=np.float64)
-        out = self._orbit(arr.ravel(), n)[-1].reshape(arr.shape)
-        return float(out) if np.isscalar(xs) else out
+        try:
+            return float(self._advance(x, n))
+        except ValueError:  # math raises where the table's step gives nan
+            return float(self.orbit_table([x], n)[-1, 0])
 
     def orbit_table(self, xs, depth):
         """Array of shape (depth+1, len(xs)) with row k = g^k(xs)."""
@@ -88,6 +81,8 @@ class CircleLift:
         c/R = 0.99999.  So a sample whose defect exceeds PERIODICITY_TOL
         passes if the defect over the slope measured there, the argument
         error it amounts to, is at most PERIODICITY_TOL."""
+        if samples < 1:
+            raise ValueError(f"sample count must be at least 1, got {samples}")
         step = 1.0 / samples
         xs = [i * step for i in range(samples)]  # numpy's linspace, bitwise
         vals = [self(x) for x in xs]
@@ -157,8 +152,7 @@ class PonceletLift(CircleLift):
 
     def __init__(self, cfg: PonceletConfig):
         self.cfg = cfg
-        self._pair = (cfg.R, cfg.c, cfg.t)
-        self._step = kernels.poncelet_step(*self._pair)
+        self._step = kernels.poncelet_step(*cfg)
 
     def _orbit(self, xs, depth):
-        return kernels.poncelet_orbit(xs, depth, *self._pair)
+        return kernels.poncelet_orbit(xs, depth, *self.cfg)

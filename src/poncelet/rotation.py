@@ -352,9 +352,14 @@ def solve_rotation(family, target):
     an exact zero or two adjacent floats, and t* is the end with the
     smaller residual.  X_REF is an exact lock point when s(t*) = 0, and
     otherwise the opposite-signed residuals on the machine-thin bracket
-    around t* are the certificate."""
+    around t* are the certificate.  A denominator above MAX_STEPS (the
+    float 0.1 is 3602879701896397/2^55) raises ValueError at once."""
     target = Fraction(target)
     p, q = target.numerator, target.denominator
+    if q > MAX_STEPS:
+        raise ValueError(f"target {target} has denominator {q} > MAX_STEPS"
+                         f" = {MAX_STEPS}: each residual would run {q} steps"
+                         " (give a float target as Fraction(p, q))")
 
     def s(t):
         return family.lift(t).advance(X_REF, q) - X_REF - p

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, verdicts, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -17,6 +18,7 @@ from poncelet.cli import (
     EXIT_OK,
     EXIT_PROPERTY,
     _emit_json,
+    build_parser,
     main,
 )
 
@@ -230,6 +232,51 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# dest -> (default, type, choices) of each subcommand's options: the
+# parent parsers that declare --R, --c, --out and --format once must give
+# each subcommand exactly these, so its embedded config stays the same
+CSV_JSON = ["csv", "json"]
+FAMILIES = ["poncelet", "arnold", "rigid"]
+OPTIONS = {
+    "orbit": {
+        "R": (1.0, float, None), "c": (0.0, float, None),
+        "t": (None, float, None), "theta0": (0.0, float, None),
+        "steps": (100, int, None), "out": (None, None, None),
+        "format": ("csv", None, CSV_JSON)},
+    "staircase": {
+        "family": ("poncelet", None, FAMILIES), "R": (1.0, float, None),
+        "c": (0.0, float, None), "K": (0.8, float, None),
+        "t_min": (None, float, None), "t_max": (None, float, None),
+        "points": (101, int, None), "out": (None, None, None),
+        "format": ("csv", None, CSV_JSON), "tol": (1e-4, float, None)},
+    "count": {
+        "n_min": (3, int, None), "n_max": (12, int, None),
+        "R": (1.0, float, None), "c": (0.0, float, None),
+        "out": (None, None, None), "seed": (0, int, None)},
+    "cf": {
+        "x": (None, None, None), "random": (None, int, None),
+        "eps": (0.5, float, None), "n_max": (25, int, None),
+        "out": (None, None, None), "seed": (0, int, None)},
+    "prop2": {
+        "family": ("arnold", None, FAMILIES), "R": (1.0, float, None),
+        "c": (0.0, float, None), "K": (0.7, float, None),
+        "tau": (None, float, None), "out": (None, None, None),
+        "tol": (1e-5, float, None)},
+}
+
+
+def test_each_subcommand_declares_exactly_its_options():
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(OPTIONS)
+    for name, parser in sub.choices.items():
+        got = {a.dest: (a.default, a.type, a.choices)
+               for a in parser._actions if a.dest != "help"}
+        assert got == OPTIONS[name], name
+        required = [a.dest for a in parser._actions if a.required]
+        assert required == (["t"] if name == "orbit" else []), name
+
+
 def test_count_is_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -407,6 +454,8 @@ def test_prop2_poncelet_does_not_depend_on_the_scale(tmp_path, R,
     ["cf", "--x", "0.3", "--n-max", "-1"],
     # tol below the float bracket's floor (at c = 0 all three points lock)
     ["staircase", "--tol", "1e-12", "--points", "3", "--c", "0.2"],
+    # n above MAX_STEPS = 2^20: each residual would run n steps
+    ["count", "--n-min", "1048577", "--n-max", "1048577"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -234,6 +234,20 @@ def test_config_rejects_a_wrong_signature(args, kwargs):
         PonceletConfig(*args, **kwargs)
 
 
+def test_config_tuple_helpers_validate():
+    # _replace builds through _make, and _make through the constructor
+    cfg = PonceletConfig(1.0, 0.3, 0.4)
+    for made in (cfg._replace(t=0.7), PonceletConfig._make([1.0, 0.3, 0.7])):
+        assert type(made) is PonceletConfig and made == (1.0, 0.3, 0.7)
+    with pytest.raises(ValueError) as err:
+        cfg._replace(t=0.9)
+    assert str(err.value) == \
+        "inner radius must satisfy 0 <= t <= R - c, got t=0.9"
+    with pytest.raises(ValueError) as err:
+        PonceletConfig._make([1.0, 1.0, 0.0])
+    assert str(err.value) == "center offset must satisfy 0 <= c < R, got c=1.0"
+
+
 # --------------------------------------------------------- invariant circles
 
 def test_degenerate_invariant_circle_is_doubled_angle():

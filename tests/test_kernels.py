@@ -115,32 +115,27 @@ def test_orbit_table_rows_are_iterates():
         tab[3], kernels.poncelet_advance(xs, 3, 1.0, 0.2, 0.3),
         rtol=0.0, atol=0.0,
     )
-    # a lift's advance is the last row of its orbit table, at every batch
-    # width on either side of the narrow/wide switch
+    # a lift's table of depth n is the first rows of a deeper one, at every
+    # batch width on either side of the narrow/wide switch
     rng = np.random.default_rng(1)
     for g in _every_lift():
         for width in (1, _ref.NARROW_MAX, _ref.NARROW_MAX + 1, 64):
             xs = rng.uniform(-1.0, 2.0, width)
+            deep = g.orbit_table(xs, 50)
             for n in (0, 1, 50):
-                assert np.array_equal(g.advance(xs, n),
-                                      g.orbit_table(xs, n)[-1])
+                assert np.array_equal(g.orbit_table(xs, n)[-1], deep[n])
         x = g.advance(0.1, 3)
         assert type(x) is float and x == g.orbit_table([0.1], 3)[-1, 0]
-        grid = rng.uniform(0.0, 1.0, (3, 7))
-        out = g.advance(grid, 4)
-        assert out.shape == (3, 7)
-        assert np.array_equal(out.ravel(), g.orbit_table(grid.ravel(), 4)[-1])
 
 
 @pytest.mark.parametrize("g", _every_lift(),
                          ids=["rigid", "arnold", "poncelet", "tangency",
                               "function"])
 def test_lifts_reject_bad_step_counts(g):
-    for xs in (0.1, np.full(1, 0.1), np.full(20, 0.1)):
-        with pytest.raises(ValueError):
-            g.advance(xs, -1)
-        with pytest.raises(TypeError):
-            g.advance(xs, 2.5)
+    with pytest.raises(ValueError):
+        g.advance(0.1, -1)
+    with pytest.raises(TypeError):
+        g.advance(0.1, 2.5)
     for width in (1, 20):
         with pytest.raises(ValueError):
             g.orbit_table(np.full(width, 0.1), -1)
@@ -289,6 +284,13 @@ def test_validate_verdict_on_plain_floats(fn, message):
     # the samples are python floats; every nan comparison is still false
     with pytest.raises(LiftContractError, match=message):
         FunctionLift(fn)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_validate_needs_a_sample(samples):
+    with pytest.raises(ValueError) as err:
+        RigidLift(0.3).validate(samples)
+    assert str(err.value) == f"sample count must be at least 1, got {samples}"
 
 
 def test_function_lift_accepts_valid_map():

@@ -133,14 +133,6 @@ def test_conjugation_invariance():
         def __call__(self, x):
             return h_inv(g(h(x)))
 
-        def advance(self, xs, n):
-            scalar = np.isscalar(xs)
-            out = np.atleast_1d(np.array(xs, dtype=float))
-            out = np.array([h(v) for v in out])
-            out = g.advance(out, n)
-            out = np.array([h_inv(v) for v in out])
-            return float(out[0]) if scalar else out
-
         def orbit_table(self, xs, depth):
             xs = np.asarray(xs, dtype=float)
             out = np.empty((depth + 1, xs.size))
@@ -291,8 +283,8 @@ class RecordingLift:
     def validate(self, samples=64):
         self.g.validate(samples)
 
-    def advance(self, xs, n):
-        return self.g.advance(xs, n)
+    def advance(self, x, n):
+        return self.g.advance(x, n)
 
     def orbit_table(self, xs, depth):
         self.tables.append((len(xs), depth))
@@ -444,7 +436,7 @@ def test_lock_point_is_the_left_end_of_a_root_cell():
     x0 = detect_rational_lock(g, 1, 2)
     assert (x0 * 512).is_integer()
     cell = np.array([x0, x0 + 1.0 / 512])
-    d = g.advance(cell, 2) - cell - 1
+    d = g.orbit_table(cell, 2)[-1] - cell - 1
     assert d[0] * d[1] <= 0.0
 
 
@@ -531,6 +523,30 @@ def test_solve_half_hits_boundary():
     family = poncelet_family(1.0, 0.0)
     t_star = solve_rotation(family, Fraction(1, 2))
     assert t_star == pytest.approx(0.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("target", [0.1, 1.0 / 3.0])
+def test_solve_rejects_a_denominator_above_max_steps(target):
+    # a float is a dyadic fraction: Fraction(0.1) has denominator 2^55, and
+    # each residual would run that many steps
+    family = poncelet_family(1.0, 0.3)
+
+    def lift(t):
+        raise AssertionError(f"a residual ran, at t = {t}")
+
+    family.lift = lift
+    q = Fraction(target).denominator
+    assert q > MAX_STEPS
+    with pytest.raises(ValueError, match=f"denominator {q} > MAX_STEPS"):
+        solve_rotation(family, target)
+
+
+@pytest.mark.parametrize("target", [Fraction(1, 3), 0.25])
+def test_solve_takes_a_target_with_a_small_denominator(target):
+    family = poncelet_family(1.0, 0.3)
+    t_star = solve_rotation(family, target)
+    p, q = Fraction(target).as_integer_ratio()
+    assert abs(family.lift(t_star).advance(X_REF, q) - X_REF - p) < 1e-9
 
 
 def test_solve_outside_image_raises():

@@ -70,6 +70,27 @@ def test_poncelet_dgdt_matches_centred_difference(R, c, t, reverse):
     assert family.dgdt(t, xs) == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.9])
+def test_reversed_family_is_the_forward_one_at_r_minus_c_minus_s(c):
+    # parameter s of the reversed family is inner radius t = R - c - s:
+    # the same lift, bit for bit, and exactly the negated dg/dt.  Forward,
+    # the parameter is the inner radius itself, signed zeros included.
+    R, b = 1.0, 1.0 - c
+    forward = poncelet_family(R, c)
+    flipped = poncelet_family(R, c, reverse=True)
+    for t in (-0.0, 0.0, 0.3 * b, b):
+        assert forward.lift(t).cfg.t.hex() == t.hex()
+    grid = [0.0, 0.375, -0.7, 1.9, 123.456]
+    xs = np.linspace(0.0, 1.0, 512, endpoint=False)
+    for s in (0.0, 0.1 * b, 0.5 * b, 0.77 * b, b):
+        g, h = flipped.lift(s), forward.lift(b - s)
+        assert g.cfg == (R, c, b - s)
+        assert [g(x).hex() for x in grid] == [h(x).hex() for x in grid]
+        assert g.orbit_table(xs, 8).tobytes() == h.orbit_table(xs, 8).tobytes()
+        assert [v.hex() for v in flipped.dgdt(s, xs).tolist()] == \
+            [(-v).hex() for v in forward.dgdt(b - s, xs).tolist()]
+
+
 def test_poncelet_dgdt_is_infinite_at_tangency():
     # S = 0 at x = 0 on internal tangency, and at every x when c = 0
     xs = np.linspace(0.0, 1.0, 8, endpoint=False)
