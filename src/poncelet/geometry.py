@@ -132,7 +132,7 @@ def tangent_direction(theta, cfg):
 def invariant_circle_phi(t, base_cfg):
     """The graph function x -> y of the rotational invariant circle for
     inner radius t over the base geometry (R, c)."""
-    cfg = PonceletConfig(base_cfg.R, base_cfg.c, t)
+    cfg = base_cfg._replace(t=t)
 
     def phi_t(x):
         return tangent_direction(TWO_PI * (x % 1.0), cfg)

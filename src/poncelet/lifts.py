@@ -11,7 +11,10 @@ rotations are iterated in closed form.
 
 `advance` takes one python float and loops the step, with no table, and
 `validate` samples plain floats: neither loads numpy, which only the
-tables import.
+tables import.  A start that `math` rejects (an infinite one) falls back
+to the table, whose numpy step gives the Poncelet and Arnold lifts `nan`;
+a `FunctionLift` runs its callable in both, so the callable's error
+passes through.
 """
 
 import operator
@@ -103,7 +106,10 @@ class CircleLift:
 
 
 class FunctionLift(CircleLift):
-    """Lift wrapping an arbitrary scalar callable, validated on creation."""
+    """Lift wrapping an arbitrary scalar callable, validated on creation.
+    Its table runs the same callable, so an error it raises, such as
+    math's on an infinite start, passes through `advance` (a `nan` would
+    hide the callable's real errors at finite starts too)."""
 
     def __init__(self, fn):
         self._step = fn

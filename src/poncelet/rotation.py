@@ -13,16 +13,23 @@ between Farey neighbours of order n, and never more than 2/n.  A
 rational-lock scan comes first: an exact zero or a sign change of
 g^q(x) - x - p on a periodic grid certifies the exact rotation number p/q.
 
-One loop runs the orbit in doubling chunks, scans for locks once at
+One loop runs the orbit in chunks, scans for locks in stages up to
 ROUGH_STEPS steps, and stops at a lock, at a radius of at most tol, or
 with ValueError once the bracket stops narrowing (near 1e-11 in floats)
-or at MAX_STEPS steps.  In exact arithmetic the bracket [a/b, c/d] of n
-steps has b, d <= n, so the mediant (a + c)/(b + d), which lies strictly
-inside it, is read by step 2n: a doubling of n that leaves the bracket
-unchanged means the floors are lost in the rounding allowance.  The
-parameter search asks it only on which side of a target r lies; the
-bracket narrows as the orbit grows and holds the estimate, so each
-bisection step stops at the first bracket that excludes the target.
+or at MAX_STEPS steps.  At n steps the scan tries the p/q inside the
+bracket with q <= Q_MAX n / ROUGH_STEPS not tried at an earlier stage:
+q <= 4 after the first chunk of FIRST_CHUNK steps, so the low-order locks
+of a staircase (1/2, 1/3, 1/4, 0/1) cost 64 steps and a 4-row table.
+Brackets only narrow, and row q of a lock table has the same bits at any
+depth, so the stages find the lock one scan at ROUGH_STEPS would.
+
+In exact arithmetic the bracket [a/b, c/d] of n steps has b, d <= n, so
+the mediant (a + c)/(b + d), which lies strictly inside it, is read by
+step 2n: a doubling of n that leaves the bracket unchanged means the
+floors are lost in the rounding allowance.  The parameter search asks
+it only on which side of a target r lies; the bracket narrows as the
+orbit grows and holds the estimate, so each bisection step stops at the
+first bracket that excludes the target.
 
 The floors are read off a float orbit, each widened by a rounding
 allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
@@ -43,8 +50,8 @@ from .geometry import TWO_PI
 
 LOCK_GRID = 512       # points of the periodic lock-scan grid
 Q_MAX = 64            # largest lock denominator rotation_number tries
-ROUGH_STEPS = 1024    # steps of the orbit that the first bracket reads
-FIRST_CHUNK = 64      # first prefix the search reads; doubles to ROUGH_STEPS
+ROUGH_STEPS = 1024    # steps by which the lock scan has tried q <= Q_MAX
+FIRST_CHUNK = 64      # first prefix read, and first lock scan (q <= 4)
 CHUNK_MAX = 1 << 16   # most steps one extension of that orbit adds
 MAX_STEPS = 1 << 20   # most steps an estimate runs before it gives up
 # Rounding allowance on the bracket's floors: a displacement g^q(x0) - x0
@@ -71,7 +78,8 @@ class RotationEstimate(NamedTuple):
     p/q with radius 0, certified by the lock scan.  Off a lock the radius
     is half the Farey bracket's width, whose floors rest on the FLOOR_SLACK
     plus ulp rounding allowance: a guess at the orbit's error, not a
-    certified rounding budget."""
+    certified rounding budget.  `iterations` is the number of orbit steps
+    read: FIRST_CHUNK for a lock certified from the first chunk."""
 
     value: float
     error_radius: float
@@ -188,14 +196,16 @@ def _ratio(fraction):
 def rotation_number(g, x0=0.0, tol=1e-4):
     """Estimate r(g) with an error radius.
 
-    A rough pass of ROUGH_STEPS steps from x0 gives the Farey bracket of
-    the module docstring.  The lock scan tries the reduced p/q,
-    q <= Q_MAX, inside it, in ascending q, on one LOCK_GRID-point orbit
-    table as deep as the deepest; a detected lock p/q gives the exact
-    value (error radius 0).  It runs once, before any extension: near a
-    low-order rational the bracket narrows only like 1/n.  Otherwise the
-    orbit is extended (doubling, at most CHUNK_MAX steps at a time) until
-    half the bracket's width is at most tol, and the bracket's midpoint is
+    The orbit of x0 runs FIRST_CHUNK steps, then on to ROUGH_STEPS, and
+    gives the Farey bracket of the module docstring.  After each of the
+    two chunks the lock scan tries the reduced p/q inside the bracket,
+    q <= 4 after the first and 5 <= q <= Q_MAX after the second, in
+    ascending q, on one LOCK_GRID-point orbit table as deep as the
+    deepest; a detected lock p/q gives the exact value (error radius 0).
+    The scan is done before any extension: near a low-order rational the
+    bracket narrows only like 1/n.  Otherwise the orbit is extended
+    (doubling, at most CHUNK_MAX steps at a time) until half the
+    bracket's width is at most tol, and the bracket's midpoint is
     returned with that radius.  A tol not reached when a doubling of the
     orbit leaves the bracket unchanged (the float bracket stops narrowing
     near 1e-11), or by MAX_STEPS steps, raises ValueError.
@@ -209,34 +219,37 @@ def rotation_number(g, x0=0.0, tol=1e-4):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
-    return _estimate(g, x0, tol, ROUGH_STEPS, None)
+    return _estimate(g, x0, tol, None)
 
 
 def _below(g, target, tol):
     """Whether rotation_number(g, tol=tol).value < target, from the
-    chunks of FIRST_CHUNK, FIRST_CHUNK, 2 FIRST_CHUNK, ... steps.  (The
-    rigid lift's closed-form rows round differently when continued from a
-    chunk's last row, by ulps that move a floor only within ulps of the
-    allowance's edge.)"""
-    return _estimate(g, 0.0, tol, FIRST_CHUNK, target)
+    chunks of FIRST_CHUNK, FIRST_CHUNK, 2 FIRST_CHUNK, ... steps."""
+    return _estimate(g, 0.0, tol, target)
 
 
-def _estimate(g, x0, tol, first, target):
+def _estimate(g, x0, tol, target):
     """The Farey-bracket loop: the estimate of rotation_number, or given a
     target, whether it lies below the target.
 
-    The orbit of x0 runs in chunks of first, first, 2 first, ... steps,
-    at most CHUNK_MAX each, and each chunk's bracket narrows the running
-    one.  The lock scan runs once, at ROUGH_STEPS steps; then a lock, or
-    the midpoint once the radius is at most tol, is the estimate, which
-    lies in every bracket, so the first one to exclude a target gives its
+    The orbit of x0 runs in chunks of FIRST_CHUNK steps, then of as
+    many steps as ran before, at most CHUNK_MAX each, and each chunk's
+    bracket narrows the running one; an estimate (no target) runs its
+    second chunk straight on to ROUGH_STEPS.  At each n <= ROUGH_STEPS
+    the lock scan tries the p/q inside the bracket with
+    q <= Q_MAX n / ROUGH_STEPS that it has not tried yet.  A lock, or the
+    midpoint once the radius is at most tol, is the estimate, which lies
+    in every bracket, so the first one to exclude a target gives its
     side.  From ROUGH_STEPS on, it gives up with ValueError at the first
-    doubling of n that leaves the bracket unchanged, or at MAX_STEPS."""
+    doubling of n that leaves the bracket unchanged, or at MAX_STEPS.
+    (The rigid lift's closed-form rows round differently when continued
+    from a chunk's last row, by ulps that move a floor only within ulps of
+    the allowance's edge.)"""
     import numpy as np
 
     g.validate(samples=16)
     lo, hi = (-math.inf, 1), (math.inf, 1)  # the bracket of no steps
-    n, end, m = 0, x0, first
+    n, end, m = 0, x0, FIRST_CHUNK
     n_ref, ref = 0, None  # the bracket the next doubling of n must narrow
     while True:
         column = g.orbit_table([end], m)[1:, 0]
@@ -246,9 +259,11 @@ def _estimate(g, x0, tol, first, target):
         if target is not None and not _ratio(lo) <= target <= _ratio(hi):
             return _ratio(hi) < target
         (a, b), (c, d) = lo, hi
-        if n == ROUGH_STEPS:
+        if n <= ROUGH_STEPS:
+            # the q the last stage scanned, at n - m steps, are not retried
             lock = _first_lock(g, [
-                (p, q) for q in range(1, Q_MAX + 1)
+                (p, q) for q in range(Q_MAX * (n - m) // ROUGH_STEPS + 1,
+                                      Q_MAX * n // ROUGH_STEPS + 1)
                 for p in range(-(-a * q // b), c * q // d + 1)
                 if math.gcd(p, q) == 1])
             if lock is not None:
@@ -271,7 +286,10 @@ def _estimate(g, x0, tol, first, target):
                     f"tol = {tol:.3g} after {n} steps")
             if doubled:
                 n_ref, ref = n, (lo, hi)
-        m = min(n, CHUNK_MAX)
+        if target is None and n < ROUGH_STEPS:
+            m = ROUGH_STEPS - n
+        else:
+            m = min(n, CHUNK_MAX)
     return est if target is None else est.value < target
 
 
@@ -391,10 +409,10 @@ def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
     The ends are rotation_number estimates.  Each bisection step asks only
     on which side of target_value r(mid) lies, and reads the answer off
     the shortest doubling prefix of the orbit whose Farey bracket excludes
-    the target; only a target inside the ROUGH_STEPS-step bracket is still
-    decided by the estimate.  Each side is the one
-    `rotation_number(lift, tol=tol).value < target_value` gives, so tau is
-    the one bisection on the estimates gives.  A step whose target stays
+    the target, or that certifies a lock; only a target inside the
+    ROUGH_STEPS-step bracket is still decided by the estimate.  Each side
+    is the one `rotation_number(lift, tol=tol).value < target_value`
+    gives, so tau is the one bisection on the estimates gives.  A step whose target stays
     inside a bracket wider than 2 tol for MAX_STEPS steps raises ValueError.
     """
     lo, hi = family.a, family.b

@@ -182,6 +182,15 @@ def test_advance_of_a_non_finite_float_is_nan(g, x):
     assert g.advance(x, 0) == x or math.isnan(x)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_function_lift_passes_its_callables_error_through(x):
+    # the table's fallback runs the same callable, which raises again
+    g = FunctionLift(lambda x: x + 0.2 + 0.05 * math.sin(2.0 * math.pi * x))
+    with pytest.raises(ValueError, match="math domain error"):
+        g.advance(x, 3)
+    assert g.advance(x, 0) == x
+
+
 # ------------------------------------------------------------------- lifts
 
 def test_rigid_lift_is_exact():

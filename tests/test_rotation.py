@@ -19,13 +19,18 @@ from poncelet.geometry import PonceletConfig
 from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     CHUNK_MAX,
+    FIRST_CHUNK,
     FLOOR_SLACK,
     MAX_STEPS,
+    Q_MAX,
     ROUGH_STEPS,
     X_REF,
     NoSolutionError,
     ResidualFailureError,
     _below,
+    _bracket,
+    _first_lock,
+    _ratio,
     count_poncelet_pairs,
     detect_rational_lock,
     euler_totient,
@@ -292,20 +297,32 @@ class RecordingLift:
 
 
 def test_lock_table_is_as_deep_as_the_deepest_candidate():
-    # r = 1/2 at t = 0: g(x) = x + 1/2, so the bracket is
-    # [511/1023, 512/1023] and its only candidate is 1/2
+    # r = 1/2 at t = 0: g(x) = x + 1/2, so the first chunk's bracket is
+    # [31/63, 32/63] and its only candidate with q <= 4 is 1/2, certified
+    # before the orbit runs on to ROUGH_STEPS
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
     est = rotation_number(g, tol=1e-4)
-    assert est.lock == (1, 2)
-    assert g.tables == [(1, 1024), (512, 2)]
+    assert (est.lock, est.iterations) == ((1, 2), 64)
+    assert g.tables == [(1, 64), (512, 2)]
 
 
 def test_no_lock_table_without_a_candidate():
-    # no p/q with q <= 64 lies in the bracket around 0.0123
+    # no p/q with q <= 4 lies in the 64-step bracket around 0.1234, and
+    # none with q <= 64 in the 1024-step one
+    g = RecordingLift(RigidLift(0.1234))
+    est = rotation_number(g, tol=1e-4)
+    assert (est.lock, est.iterations) == (None, 1024)
+    assert g.tables == [(1, 64), (1, 960)]
+
+
+def test_a_bracket_from_zero_scans_zero_after_the_first_chunk():
+    # 64 steps of 0.0123 stay below 1, so the first chunk's bracket starts
+    # at 0/1: its candidate 0/1 is scanned, with no lock, before the orbit
+    # runs on to ROUGH_STEPS, whose bracket holds no p/q with q <= 64
     g = RecordingLift(RigidLift(0.0123))
     est = rotation_number(g, tol=1e-4)
-    assert est.lock is None
-    assert g.tables == [(1, 1024)]
+    assert (est.lock, est.iterations) == (None, 1024)
+    assert g.tables == [(1, 64), (512, 1), (1, 960)]
 
 
 @pytest.mark.parametrize("g, x0", [
@@ -365,12 +382,13 @@ def test_radius_is_positive_and_within_tol_off_a_lock():
 
 def test_lock_scan_runs_before_any_extension():
     # near the Fuss radius at c = 0 the bracket narrows only like 1/n, so
-    # extending first would run 16,384 steps before the scan finds 1/4
+    # extending first would run 16,384 steps before the scan finds 1/4;
+    # with q = 4 the lock is certified from the first chunk
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0,
                                                   math.sqrt(0.5))))
     est = rotation_number(g, tol=1e-5)
-    assert est.lock == (1, 4)
-    assert max(depth for points, depth in g.tables if points == 1) == 1024
+    assert (est.lock, est.iterations) == ((1, 4), 64)
+    assert g.tables == [(1, 64), (512, 4)]
 
 
 @pytest.mark.parametrize("estimate", [
@@ -401,6 +419,103 @@ def test_estimate_gives_up_when_a_doubling_leaves_the_bracket(lift):
         rotation_number(g, tol=1e-12)
     assert sum(depth for points, depth in g.tables if points == 1) \
         == MAX_STEPS // 2
+
+
+def _one_scan_estimate(g, x0, tol, first, target):
+    """The estimator before its lock scan was staged, kept as the
+    reference: chunks of first, first, 2 first, ... steps and one lock scan
+    of every q <= Q_MAX, at ROUGH_STEPS steps."""
+    g.validate(samples=16)
+    lo, hi = (-math.inf, 1), (math.inf, 1)
+    n, end, m = 0, x0, first
+    n_ref, ref = 0, None
+    while True:
+        column = g.orbit_table([end], m)[1:, 0]
+        more = _bracket(x0, column, np.arange(n + 1.0, n + m + 1.0))
+        lo, hi = max(lo, more[0], key=_ratio), min(hi, more[1], key=_ratio)
+        n, end = n + m, float(column[-1])
+        if target is not None and not _ratio(lo) <= target <= _ratio(hi):
+            return _ratio(hi) < target
+        (a, b), (c, d) = lo, hi
+        if n == ROUGH_STEPS:
+            lock = _first_lock(g, [
+                (p, q) for q in range(1, Q_MAX + 1)
+                for p in range(-(-a * q // b), c * q // d + 1)
+                if math.gcd(p, q) == 1])
+            if lock is not None:
+                (p, q), _ = lock
+                est = (p / q, 0.0, (p, q))
+                break
+        if n >= ROUGH_STEPS:
+            den = 2 * b * d
+            radius = (c * b - a * d) / den
+            if radius <= tol:
+                est = ((a * d + c * b) / den, radius, None)
+                break
+            doubled = n >= 2 * n_ref
+            if doubled and (lo, hi) == ref or n >= MAX_STEPS:
+                raise ValueError(f"above tol = {tol:.3g} after {n} steps")
+            if doubled:
+                n_ref, ref = n, (lo, hi)
+        m = min(n, CHUNK_MAX)
+    return est if target is None else est[0] < target
+
+
+@st.composite
+def _poncelet_lifts(draw):
+    # a random radius, or one of the locks t = 0 (1/2), Euler's (1/3),
+    # Fuss's (1/4) and internal tangency (0/1)
+    c = draw(st.floats(0.0, 0.95))
+    t = draw(st.one_of(
+        st.floats(0.0, 1.0).map(lambda u: u * (1.0 - c)),
+        st.sampled_from([0.0, (1.0 - c * c) / 2.0,
+                         (1.0 - c * c) / math.sqrt(2.0 * (1.0 + c * c)),
+                         1.0 - c])))
+    return PonceletLift(PonceletConfig(1.0, c, t))
+
+
+# omega at p/q with q <= 4, where the low-order plateaus start at K = 0
+STAGED_LIFTS = st.one_of(
+    _poncelet_lifts(),
+    st.builds(ArnoldLift,
+              st.one_of(st.floats(0.0, 1.0),
+                        st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3])),
+              st.floats(0.0, 1.0)),
+    st.builds(RigidLift, st.one_of(
+        st.floats(-2.0, 2.0),
+        st.builds(lambda p, q: p / q, st.integers(-8, 8),
+                  st.integers(1, 8)))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=STAGED_LIFTS, x0=st.sampled_from([0.0, 0.375]),
+       tol=st.sampled_from([1e-3, 1e-4, 1e-5]))
+def test_staged_lock_scan_gives_the_one_scan_estimate(g, x0, tol):
+    # brackets only narrow and row q of a lock table has the same bits at
+    # any depth, so scanning q <= 4 after the first chunk changes only
+    # the steps an early lock reports
+    est = rotation_number(g, x0=x0, tol=tol)
+    value, radius, lock = _one_scan_estimate(g, x0, tol, ROUGH_STEPS, None)
+    assert (float.hex(est.value), float.hex(est.error_radius), est.lock) \
+        == (float.hex(value), float.hex(radius), lock)
+    if lock is None:
+        assert est.iterations >= ROUGH_STEPS
+    else:
+        assert est.iterations == (FIRST_CHUNK if lock[1] <= 4
+                                  else ROUGH_STEPS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=STAGED_LIFTS, tol=st.sampled_from([1e-3, 1e-4, 1e-5]),
+       u=st.floats(-1.0, 1.0), scale=st.integers(1, 15))
+def test_staged_side_test_gives_the_one_scan_side(g, tol, u, scale):
+    v = rotation_number(g, tol=tol).value
+    targets = (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
+               v + u * 10.0 ** -scale, u)
+    assert [_below(g, target, tol) for target in targets] \
+        == [_one_scan_estimate(g, 0.0, tol, FIRST_CHUNK, target)
+            for target in targets]
 
 
 # ----------------------------------------------------------- lock detection
