@@ -20,7 +20,7 @@ class PrecisionExhaustedError(ValueError):
     """The floating residual cannot certify the next partial quotient."""
 
 
-def fibonacci_reciprocal_sum(tol=1e-15):
+def fibonacci_reciprocal_sum(tol):
     """Sum of reciprocals of 1, 1, 2, 3, 5, 8, ... until the next term
     drops below tol."""
     if not 0.0 < tol < math.inf:
@@ -135,7 +135,7 @@ class RemainderRecord(NamedTuple):
         return abs(self.remainder) <= FIB_RECIP
 
 
-def remainder_series(exp, n_max=25):
+def remainder_series(exp, n_max):
     """Records of R(n, x) = -log q_n - sum_{i<n} log T^i(x), n = 1..n_max,
     for the expansion exp of x.
 
@@ -171,7 +171,7 @@ def k_epsilon(eps):
     return (1.0 - eps) / (E2F * (1.0 + (1.0 + eps) * E2F) ** 2)
 
 
-def second_order_bound(m=1.0):
+def second_order_bound(m):
     """m^2 / (e^{2F} (1 + e^{2F})^2), F = FIB_RECIP; the eps -> 0 limit of
     k_epsilon."""
     return m * m / (E2F * (1.0 + E2F) ** 2)
@@ -183,10 +183,6 @@ class ApproximationPair(NamedTuple):
     index: int              # n with ratio q_{n+1}/q_n inside the window
     ratio: float
     gap_ok: bool            # excess - defect >= K_eps (1/q + 1/q')^2, exact
-
-    @property
-    def gap(self):
-        return self.excess - self.defect
 
 
 def check_gap_inequality(excess: Fraction, defect: Fraction, eps):

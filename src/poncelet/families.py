@@ -43,7 +43,7 @@ def arnold_family(K):
                                 lambda t, x: 1.0)
 
 
-def poncelet_family(R, c=0.0, reverse=False):
+def poncelet_family(R, c, reverse=False):
     """Tangent-map lifts of the circle pair (R, c) over the inner radius
     t in [0, R - c].
 

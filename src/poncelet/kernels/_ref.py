@@ -17,7 +17,8 @@ t = R - c the fixed point x = 0 maps to 0 exactly.  One limit: at exact
 tangency, once |x - k| < ~1e-154 for an integer k, h^2 underflows, the orbit
 can cross the fixed point by rounding, and the narrow and wide paths can
 split by a lap (seen at c = 0.9 after 200 steps).  No library path iterates
-there: `rotation_number` starts at the exact fixed point x0 = 0.
+there: `rotation_number` takes no start point, and its orbit starts
+at the exact fixed point 0.
 
 Each map's step is defined once, as a factory that binds the map's
 parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
@@ -25,7 +26,7 @@ Two paths, chosen per call by batch width, build it from different tuples:
 
 * narrow batches (at most ``NARROW_MAX`` points) run the step built from
   ``math`` (``SCALAR``) in a python loop.  Single-point orbits are this
-  case: the rotation estimate's orbit, whose floors of g^q(x0) - x0 give
+  case: the rotation estimate's orbit, whose floors of g^q(0) give
   its Farey bracket (up to a rounding allowance that is not yet a
   certified budget), and that orbit's extensions.  numpy's per-call
   dispatch on 1-element arrays costs about 20x a scalar step.  The lifts'
@@ -52,7 +53,8 @@ TWO_PI = 2.0 * pi
 # 0.7-0.85x (Arnold) of numpy's time; they break even near 20-24 points
 # for Arnold and 24-32 for Poncelet.  The width also picks the path, and
 # with it the bits, of a 17-32-point batch (none of the library's own: the
-# lock table and the estimator's batches are 128-512 points wide).
+# estimator's orbit is one point, the lock table 512 points, and
+# `twistfam`'s tables 128 and 256 points).
 NARROW_MAX = 16
 
 

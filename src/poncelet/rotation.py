@@ -1,15 +1,16 @@
 """Rotation numbers of circle-map lifts and the Poncelet-pair counting
 pipeline.
 
-The estimator reads a Farey bracket off one orbit.  For a lift g and any
-q >= 1, g^q(x0) >= x0 + k forces r(g) >= k/q, and g^q(x0) < x0 + k + 1
-forces r(g) <= (k + 1)/q (Katok and Hasselblatt, ch. 11), so the orbit's
-first n steps give
+The estimator reads a Farey bracket off the orbit of 0.  For a lift g
+and any q >= 1, g^q(0) >= k forces r(g) >= k/q, and g^q(0) < k + 1 forces
+r(g) <= (k + 1)/q (Katok and Hasselblatt, ch. 11), so the orbit's first n
+steps give
 
     r(g) in [max_q k_lo/q, min_q k_hi/q],   q = 1..n,
 
-with k_lo and k_hi the floors of g^q(x0) - x0.  Its width is ~1/n^2
-between Farey neighbours of order n, and never more than 2/n.  A
+with k_lo and k_hi the floors of g^q(0).  Its width is ~1/n^2 between
+Farey neighbours of order n, and never more than 2/n.  The start 0 is
+the exact fixed point of the Poncelet lift at internal tangency.  A
 rational-lock scan comes first: an exact zero or a sign change of
 g^q(x) - x - p on a periodic grid certifies the exact rotation number p/q.
 
@@ -54,10 +55,10 @@ ROUGH_STEPS = 1024    # steps by which the lock scan has tried q <= Q_MAX
 FIRST_CHUNK = 64      # first prefix read, and first lock scan (q <= 4)
 CHUNK_MAX = 1 << 16   # most steps one extension of that orbit adds
 MAX_STEPS = 1 << 20   # most steps an estimate runs before it gives up
-# Rounding allowance on the bracket's floors: a displacement g^q(x0) - x0
-# within FLOOR_SLACK, plus q ulps of the orbit's coordinate, of an integer
-# k counts as either side of it.  It is a guess at the float orbit's error,
-# not a certified rounding budget.
+# Rounding allowance on the bracket's floors: an orbit point g^q(0) within
+# FLOOR_SLACK, plus q ulps of its coordinate, of an integer k counts as
+# either side of it.  It is a guess at the float orbit's error, not a
+# certified rounding budget.
 FLOOR_SLACK = 1e-9
 X_REF = 0.375         # start point of solve_rotation's lock residual
 CLOSURE_STARTS = 20   # random start points of verify_closure
@@ -86,14 +87,9 @@ class RotationEstimate(NamedTuple):
     iterations: int
     lock: Optional[Tuple[int, int]] = None  # (p, q), gcd = 1
 
-    @property
-    def is_rational_lock(self):
-        return self.lock is not None
-
 
 class PonceletPair(NamedTuple):
     t: float
-    n: int
     p: int
     closure_residual: float
 
@@ -109,7 +105,6 @@ class StaircaseResult(NamedTuple):
 
 
 class CountReport(NamedTuple):
-    n: int
     pairs: List[PonceletPair]
     expected: int
     missing: List[Tuple[int, str]]  # (p, reason) of each uncertified pair
@@ -144,6 +139,8 @@ def detect_rational_lock(g, p, q):
     zero of d or a sign change, so the cell holds a root; None if there is
     none.  Absence on the grid is heuristic evidence only, not a proof.
     """
+    if q < 1:
+        raise ValueError(f"p/q needs q >= 1, got {p}/{q}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
     lock = _first_lock(g, [(p, q)])
@@ -170,19 +167,17 @@ def _first_lock(g, candidates):
     return None
 
 
-def _bracket(x0, xs, q):
+def _bracket(xs, q):
     """The Farey bracket ((k_lo, q_lo), (k_hi, q_hi)) of the orbit points
-    xs = g^q(x0) over the float array of steps q: r(g) >= k_lo/q_lo and
-    r(g) <= k_hi/q_hi.  Each floor of d = xs - x0 is widened by the
-    rounding allowance FLOOR_SLACK plus an ulp of the running coordinate
-    per step, so a d that close to an integer widens its q's term by one
-    lap."""
+    xs = g^q(0) over the float array of steps q: r(g) >= k_lo/q_lo and
+    r(g) <= k_hi/q_hi.  Each floor of xs is widened by the rounding
+    allowance FLOOR_SLACK plus an ulp of the running coordinate per step,
+    so a point that close to an integer widens its q's term by one lap."""
     import numpy as np
 
-    d = xs - x0
-    slack = FLOOR_SLACK + q * np.spacing(np.abs(xs) + abs(x0))
-    k_lo = np.floor(d - slack)
-    k_hi = np.floor(d + slack) + 1.0
+    slack = FLOOR_SLACK + q * np.spacing(np.abs(xs))
+    k_lo = np.floor(xs - slack)
+    k_hi = np.floor(xs + slack) + 1.0
     i = int(np.argmax(k_lo / q))
     j = int(np.argmin(k_hi / q))
     return (int(k_lo[i]), int(q[i])), (int(k_hi[j]), int(q[j]))
@@ -193,10 +188,10 @@ def _ratio(fraction):
     return fraction[0] / fraction[1]
 
 
-def rotation_number(g, x0=0.0, tol=1e-4):
+def rotation_number(g, tol=1e-4):
     """Estimate r(g) with an error radius.
 
-    The orbit of x0 runs FIRST_CHUNK steps, then on to ROUGH_STEPS, and
+    The orbit of 0 runs FIRST_CHUNK steps, then on to ROUGH_STEPS, and
     gives the Farey bracket of the module docstring.  After each of the
     two chunks the lock scan tries the reduced p/q inside the bracket,
     q <= 4 after the first and 5 <= q <= Q_MAX after the second, in
@@ -212,27 +207,25 @@ def rotation_number(g, x0=0.0, tol=1e-4):
 
     The floors are read off a float orbit with the allowance FLOOR_SLACK
     plus an ulp of the coordinate per step, which is not yet a certified
-    rounding budget.  An orbit that lands on x0 + k exactly is not taken
+    rounding budget.  An orbit that lands on an integer exactly is not taken
     as a lock: in floating point it need not be one.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    return _estimate(g, x0, tol, None)
+    return _estimate(g, tol, None)
 
 
 def _below(g, target, tol):
     """Whether rotation_number(g, tol=tol).value < target, from the
     chunks of FIRST_CHUNK, FIRST_CHUNK, 2 FIRST_CHUNK, ... steps."""
-    return _estimate(g, 0.0, tol, target)
+    return _estimate(g, tol, target)
 
 
-def _estimate(g, x0, tol, target):
+def _estimate(g, tol, target):
     """The Farey-bracket loop: the estimate of rotation_number, or given a
     target, whether it lies below the target.
 
-    The orbit of x0 runs in chunks of FIRST_CHUNK steps, then of as
+    The orbit of 0 runs in chunks of FIRST_CHUNK steps, then of as
     many steps as ran before, at most CHUNK_MAX each, and each chunk's
     bracket narrows the running one; an estimate (no target) runs its
     second chunk straight on to ROUGH_STEPS.  At each n <= ROUGH_STEPS
@@ -249,11 +242,11 @@ def _estimate(g, x0, tol, target):
 
     g.validate(samples=16)
     lo, hi = (-math.inf, 1), (math.inf, 1)  # the bracket of no steps
-    n, end, m = 0, x0, FIRST_CHUNK
+    n, end, m = 0, 0.0, FIRST_CHUNK
     n_ref, ref = 0, None  # the bracket the next doubling of n must narrow
     while True:
         column = g.orbit_table([end], m)[1:, 0]
-        more = _bracket(x0, column, np.arange(n + 1.0, n + m + 1.0))
+        more = _bracket(column, np.arange(n + 1.0, n + m + 1.0))
         lo, hi = max(lo, more[0], key=_ratio), min(hi, more[1], key=_ratio)
         n, end = n + m, float(column[-1])
         if target is not None and not _ratio(lo) <= target <= _ratio(hi):
@@ -293,8 +286,11 @@ def _estimate(g, x0, tol, target):
     return est if target is None else est.value < target
 
 
-def staircase(family, t_grid, tol=1e-4):
-    """Sample r(t) over a sorted grid and check weak monotonicity."""
+def staircase(family, t_grid, tol):
+    """Sample r(t) over a sorted grid and check weak monotonicity: a
+    step against the direction from the first value to the last is a
+    violation, and with equal ends (a "flat" staircase, which is weakly
+    monotone only if constant) so is any step."""
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("t_grid must not be empty")
@@ -314,7 +310,8 @@ def staircase(family, t_grid, tol=1e-4):
     violations = []
     for (t1, e1), (t2, e2) in zip(points, points[1:]):
         slack = 2.0 * (e1.error_radius + e2.error_radius) + 1e-12
-        defect = sign * (e2.value - e1.value)
+        step = e2.value - e1.value
+        defect = sign * step if sign else -abs(step)
         if defect < -slack:
             violations.append((t1, t2, float(defect)))
     return StaircaseResult(points=points, direction=direction,
@@ -401,7 +398,7 @@ def solve_rotation(family, target):
     return t_star
 
 
-def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
+def find_parameter_for_value(family, target_value, iters=48, *, tol):
     """Bisect for a parameter tau with r(tau) close to target_value.
 
     Useful for placing tau at a heuristically-irrational rotation value;
@@ -433,7 +430,7 @@ def find_parameter_for_value(family, target_value, iters=48, tol=1e-5):
     return 0.5 * (lo + hi)
 
 
-def verify_closure(g, n, seed=0):
+def verify_closure(g, n, seed):
     """Closure residual of the lift g after n steps from CLOSURE_STARTS
     start points drawn from random.Random(seed), each iterated one float at
     a time on g's scalar step.
@@ -500,7 +497,6 @@ def count_poncelet_pairs(family, n, seed=0):
         except (NoSolutionError, ResidualFailureError) as err:
             missing.append((p, str(err)))
             continue
-        pairs.append(PonceletPair(t=g.cfg.t, n=n, p=p,
-                                  closure_residual=residual))
-    return CountReport(n=n, pairs=pairs, expected=euler_totient(n) // 2,
+        pairs.append(PonceletPair(t=g.cfg.t, p=p, closure_residual=residual))
+    return CountReport(pairs=pairs, expected=euler_totient(n) // 2,
                        missing=missing)

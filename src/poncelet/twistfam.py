@@ -141,7 +141,7 @@ def _solve_separation(family, tau, g_tau, target, side, delta, e_far,
     return near if e_near >= 0 else far
 
 
-def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
+def second_order_estimate(family, tau, delta_seq=None, *, tol):
     """Best observed (r(t2) - r(t1)) / ((t2 - t1) / w)^2 over shrinking
     brackets around tau, against the bound m^2 / (e^{2F} (1 + e^{2F})^2),
     with m = w inf dg/dt: everything is in units of the interval width
@@ -167,7 +167,7 @@ def second_order_estimate(family, tau, delta_seq=None, tol=1e-5):
         t_grid=np.linspace(tau - delta_max, tau + delta_max, 9),
     )
     bound = second_order_bound(m=margin)
-    if est_tau.is_rational_lock:
+    if est_tau.lock is not None:
         return SecondOrderReport(tau=tau, status="inapplicable",
                                  best_ratio=math.nan, bound=bound,
                                  margin=margin)
@@ -220,7 +220,7 @@ class MonotonicityReport(NamedTuple):
         return self.result.monotone_ok and not self.strict_violations
 
 
-def proposition1_check(family, t_grid, tol=1e-5):
+def proposition1_check(family, t_grid, tol):
     """Staircase over t_grid: nondecreasing within error radii, strictly
     increasing across sample pairs where either endpoint is lock-free
     (the heuristic-irrational proxy)."""
@@ -229,8 +229,7 @@ def proposition1_check(family, t_grid, tol=1e-5):
     strict = []
     pts = result.points
     for (t1, e1), (t2, e2) in zip(pts, pts[1:]):
-        heuristically_irrational = not (e1.is_rational_lock
-                                        and e2.is_rational_lock)
+        heuristically_irrational = e1.lock is None or e2.lock is None
         if heuristically_irrational and not sign * (e2.value - e1.value) > 0:
             strict.append((t1, t2))
     return MonotonicityReport(result=result, strict_violations=strict)

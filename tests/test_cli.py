@@ -109,6 +109,19 @@ def test_staircase_arnold_flags_plateau_locks(tmp_path):
     assert any(row["lock_p"] == "1" and row["lock_q"] == "2" for row in rows)
 
 
+def test_staircase_inside_one_tongue_is_flat_and_monotone(tmp_path):
+    # every point of [0.47, 0.53] at K = 0.9 locks at 1/2: equal ends and
+    # equal steps, so the flat staircase passes
+    code, out = run(tmp_path, "staircase", "--family", "arnold",
+                    "--K", "0.9", "--t-min", "0.47", "--t-max", "0.53",
+                    "--points", "7")
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert {(row["lock_p"], row["lock_q"]) for row in rows} == {("1", "2")}
+    assert read_json(str(out) + ".verdict.json") == {
+        "direction": "flat", "monotone_ok": True, "violations": []}
+
+
 @pytest.mark.parametrize("c", ["0.2", "0.3", "0.9"])
 def test_staircase_ends_at_zero_at_tangency(tmp_path, c):
     code, out = run(tmp_path, "staircase", "--c", c, "--points", "11")

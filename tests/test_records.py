@@ -17,7 +17,7 @@ from poncelet.twistfam import (ComparisonReport, MonotonicityReport,
 ESTIMATE = RotationEstimate(0.5, 0.0, 64, (1, 2))
 STAIRCASE = StaircaseResult([(0.1, ESTIMATE)], "flat", [])
 PAIR = ApproximationPair(Fraction(22, 7), Fraction(355, 113), 1, 16.1, True)
-COUNT = CountReport(3, [], 1, [(1, "no lock")])
+COUNT = CountReport([], 1, [(1, "no lock")])
 MONOTONE = MonotonicityReport(STAIRCASE, [])
 RECORDS = [
     PonceletConfig(1.0, 0.2, 0.3),
@@ -25,7 +25,7 @@ RECORDS = [
     RemainderRecord(1, 0.0, -0.5, 0.5),
     PAIR,
     ESTIMATE,
-    PonceletPair(0.5, 3, 1, 1e-12),
+    PonceletPair(0.5, 1, 1e-12),
     STAIRCASE,
     COUNT,
     ComparisonReport(ESTIMATE, ESTIMATE, 0.1, None, True, None),
@@ -54,11 +54,8 @@ def test_expansion_length_counts_quotients():
 def test_defaults_and_properties():
     assert PonceletConfig(2.0) == PonceletConfig(R=2.0, c=0.0, t=0.0)
     assert RotationEstimate(0.3, 1e-6, 100).lock is None
-    assert not RotationEstimate(0.3, 1e-6, 100).is_rational_lock
-    assert ESTIMATE.is_rational_lock
     report = SecondOrderReport(0.4, "ok", 1.0, 0.5, 1.0)
     assert report.brackets == ()
     assert report.passed
-    assert PAIR.gap == Fraction(22, 7) - Fraction(355, 113)
     assert STAIRCASE.monotone_ok and MONOTONE.ok
     assert not COUNT.ok

@@ -87,12 +87,6 @@ def test_estimate_rejects_bad_tolerance():
             rotation_number(RigidLift(0.3), tol=tol)
 
 
-@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
-def test_estimate_rejects_non_finite_start(x0):
-    with pytest.raises(ValueError, match="x0 must be finite"):
-        rotation_number(RigidLift(0.3), x0=x0)
-
-
 # (c / R, t / (R - c)): 1 is internal tangency
 SCALE_POINTS = [(c, u) for c in (0.0, 0.3, 0.6, 0.9)
                 for u in (0.0, 0.25, 0.5, 1.0)] + [
@@ -203,47 +197,47 @@ def test_exact_r_matches_closed_forms():
         assert exact_r(R, c, R - c) == 0.0
 
 
-# Every field of the estimate: (lift, x0, tol, value, error_radius, lock).
+# Every field of the estimate: (lift, tol, value, error_radius, lock).
 # Each Poncelet row must also lie within its radius of exact_r; at internal
 # tangency (t = 0.8 for c = 0.2) that is the lock r = 0.  Off a lock the
 # value is the midpoint of the Farey bracket read off the first 1024 steps,
-# so x0 = 0 and 0.375 can give the same bracket (rows 2 and 3).
+# so tol = 1e-4 and 1e-3 can give the same bracket (rows 2 and 3).
 TRIANGLE_02 = (1.0 - 0.2 ** 2) / 2.0
 PINNED_ESTIMATES = [
-    (PonceletLift(PonceletConfig(1.0, 0.0, 0.0)), 0.0, 1e-4,
+    (PonceletLift(PonceletConfig(1.0, 0.0, 0.0)), 1e-4,
      "0x1.0000000000000p-1", "0x0.0p+0", (1, 2)),
-    (PonceletLift(PonceletConfig(1.0, 0.2, TRIANGLE_02)), 0.0, 1e-4,
+    (PonceletLift(PonceletConfig(1.0, 0.2, TRIANGLE_02)), 1e-4,
      "0x1.5555555555555p-2", "0x0.0p+0", (1, 3)),
-    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0, 1e-4,
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 1e-4,
      "0x1.9924e569e61a9p-2", "0x1.4c8306210a44fp-20", None),
-    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.375, 1e-3,
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 1e-3,
      "0x1.9924e569e61a9p-2", "0x1.4c8306210a44fp-20", None),
-    (PonceletLift(PonceletConfig(1.0, 0.2, 0.55)), 0.0, 1e-3,
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.55)), 1e-3,
      "0x1.38081c06f2176p-2", "0x1.5c459c5dd7f5dp-19", None),
-    (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-4,
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 1e-4,
      "0x0.0p+0", "0x0.0p+0", (0, 1)),
-    (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 0.0, 1e-3,
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.8)), 1e-3,
      "0x0.0p+0", "0x0.0p+0", (0, 1)),
-    (ArnoldLift(0.3, 0.8), 0.0, 1e-4,
+    (ArnoldLift(0.3, 0.8), 1e-4,
      "0x1.200cfdaceded0p-2", "0x1.514f9ccc2c0cep-20", None),
-    (ArnoldLift(0.5, 0.8), 0.0, 1e-4,
+    (ArnoldLift(0.5, 0.8), 1e-4,
      "0x1.0000000000000p-1", "0x0.0p+0", (1, 2)),
-    (ArnoldLift(GOLDEN, 0.8), 0.375, 1e-3,
+    (ArnoldLift(GOLDEN, 0.8), 1e-3,
      "0x1.4124c5cc2fb05p-1", "0x1.9c1858f04131ep-20", None),
-    (RigidLift(GOLDEN), 0.0, 1e-4,
+    (RigidLift(GOLDEN), 1e-4,
      "0x1.3c6ee6fcb9317p-1", "0x1.bddaaeca16547p-21", None),
-    (RigidLift(math.sqrt(2.0) - 1.0), 0.375, 1e-3,
+    (RigidLift(math.sqrt(2.0) - 1.0), 1e-3,
      "0x1.a827d4a9c7ab1p-2", "0x1.4df981f44f463p-20", None),
     # below the first bracket's radius: the orbit is extended to 4096 steps
-    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0, 1e-7,
+    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 1e-7,
      "0x1.9924befffaefcp-2", "0x1.7cfe89c44e979p-25", None),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(PINNED_ESTIMATES)))
 def test_estimates_are_pinned_bit_for_bit(case):
-    g, x0, tol, value, radius, lock = PINNED_ESTIMATES[case]
-    est = rotation_number(g, x0=x0, tol=tol)
+    g, tol, value, radius, lock = PINNED_ESTIMATES[case]
+    est = rotation_number(g, tol=tol)
     assert (float.hex(est.value), float.hex(est.error_radius), est.lock) \
         == (value, radius, lock)
     if isinstance(g, PonceletLift):
@@ -325,24 +319,24 @@ def test_a_bracket_from_zero_scans_zero_after_the_first_chunk():
     assert g.tables == [(1, 64), (512, 1), (1, 960)]
 
 
-@pytest.mark.parametrize("g, x0", [
-    (PonceletLift(PonceletConfig(1.0, 0.2, 0.3)), 0.0),
-    (ArnoldLift(GOLDEN, 0.8), 0.375),
-    (RigidLift(math.sqrt(2.0) - 1.0), 0.375),
+@pytest.mark.parametrize("g", [
+    PonceletLift(PonceletConfig(1.0, 0.2, 0.3)),
+    ArnoldLift(GOLDEN, 0.8),
+    RigidLift(math.sqrt(2.0) - 1.0),
 ], ids=["poncelet", "arnold", "rigid"])
-def test_bracket_ends_are_read_off_one_advance(g, x0):
-    # each end is k/q with k the floor of one q-step advance, widened by
-    # FLOOR_SLACK and q ulps; the value and radius are the bracket's
+def test_bracket_ends_are_read_off_one_advance(g):
+    # each end is k/q with k the floor of one q-step advance of 0, widened
+    # by FLOOR_SLACK and q ulps; the value and radius are the bracket's
     # midpoint and half-width, each rounded once
-    est = rotation_number(g, x0=x0, tol=1e-3)
+    est = rotation_number(g, tol=1e-3)
     n = est.iterations
     assert est.lock is None and n == 1024
     los, his = [], []
     for q in range(1, n + 1):
-        x = g.advance(x0, q)
-        slack = FLOOR_SLACK + q * math.ulp(abs(x) + abs(x0))
-        los.append(Fraction(math.floor(x - x0 - slack), q))
-        his.append(Fraction(math.floor(x - x0 + slack) + 1, q))
+        x = g.advance(0.0, q)
+        slack = FLOOR_SLACK + q * math.ulp(abs(x))
+        los.append(Fraction(math.floor(x - slack), q))
+        his.append(Fraction(math.floor(x + slack) + 1, q))
     lo, hi = max(los), min(his)
     assert (est.value, est.error_radius) == \
         (float((lo + hi) / 2), float((hi - lo) / 2))
@@ -421,17 +415,17 @@ def test_estimate_gives_up_when_a_doubling_leaves_the_bracket(lift):
         == MAX_STEPS // 2
 
 
-def _one_scan_estimate(g, x0, tol, first, target):
+def _one_scan_estimate(g, tol, first, target):
     """The estimator before its lock scan was staged, kept as the
     reference: chunks of first, first, 2 first, ... steps and one lock scan
     of every q <= Q_MAX, at ROUGH_STEPS steps."""
     g.validate(samples=16)
     lo, hi = (-math.inf, 1), (math.inf, 1)
-    n, end, m = 0, x0, first
+    n, end, m = 0, 0.0, first
     n_ref, ref = 0, None
     while True:
         column = g.orbit_table([end], m)[1:, 0]
-        more = _bracket(x0, column, np.arange(n + 1.0, n + m + 1.0))
+        more = _bracket(column, np.arange(n + 1.0, n + m + 1.0))
         lo, hi = max(lo, more[0], key=_ratio), min(hi, more[1], key=_ratio)
         n, end = n + m, float(column[-1])
         if target is not None and not _ratio(lo) <= target <= _ratio(hi):
@@ -489,14 +483,13 @@ STAGED_LIFTS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(g=STAGED_LIFTS, x0=st.sampled_from([0.0, 0.375]),
-       tol=st.sampled_from([1e-3, 1e-4, 1e-5]))
-def test_staged_lock_scan_gives_the_one_scan_estimate(g, x0, tol):
+@given(g=STAGED_LIFTS, tol=st.sampled_from([1e-3, 1e-4, 1e-5]))
+def test_staged_lock_scan_gives_the_one_scan_estimate(g, tol):
     # brackets only narrow and row q of a lock table has the same bits at
     # any depth, so scanning q <= 4 after the first chunk changes only
     # the steps an early lock reports
-    est = rotation_number(g, x0=x0, tol=tol)
-    value, radius, lock = _one_scan_estimate(g, x0, tol, ROUGH_STEPS, None)
+    est = rotation_number(g, tol=tol)
+    value, radius, lock = _one_scan_estimate(g, tol, ROUGH_STEPS, None)
     assert (float.hex(est.value), float.hex(est.error_radius), est.lock) \
         == (float.hex(value), float.hex(radius), lock)
     if lock is None:
@@ -514,7 +507,7 @@ def test_staged_side_test_gives_the_one_scan_side(g, tol, u, scale):
     targets = (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
                v + u * 10.0 ** -scale, u)
     assert [_below(g, target, tol) for target in targets] \
-        == [_one_scan_estimate(g, 0.0, tol, FIRST_CHUNK, target)
+        == [_one_scan_estimate(g, tol, FIRST_CHUNK, target)
             for target in targets]
 
 
@@ -560,6 +553,12 @@ def test_lock_rejects_unreduced_fraction():
         detect_rational_lock(RigidLift(0.5), 2, 4)
 
 
+@pytest.mark.parametrize("p, q", [(1, 0), (1, -1)])
+def test_lock_rejects_a_denominator_below_one(p, q):
+    with pytest.raises(ValueError, match=f"got {p}/{q}$"):
+        detect_rational_lock(RigidLift(0.5), p, q)
+
+
 # ---------------------------------------------------------------- staircase
 
 def test_concentric_staircase_matches_arccos_oracle():
@@ -600,7 +599,7 @@ def test_staircase_flags_a_fall():
     family = MonotoneCircleFamily(0.0, 1.0,
                                   lambda t: RigidLift(min(t, 1.0 - t)),
                                   lambda t, x: 1.0 if t < 0.5 else -1.0)
-    result = staircase(family, [0.1, 0.3, 0.5, 0.7, 0.8])
+    result = staircase(family, [0.1, 0.3, 0.5, 0.7, 0.8], tol=1e-4)
     assert result.direction == "increasing"
     assert not result.monotone_ok
     assert [(t1, t2) for t1, t2, _ in result.violations] == \
@@ -609,14 +608,33 @@ def test_staircase_flags_a_fall():
         pytest.approx([-0.2, -0.1], abs=1e-3)
 
 
+def test_staircase_with_equal_ends_flags_any_step():
+    # r rises from 0.164 to 0.264 and falls back: the ends are equal, so a
+    # weakly monotone staircase would be constant, and every step of
+    # 0.05 is a violation
+    family = MonotoneCircleFamily(
+        0.0, 1.0,
+        lambda t: RigidLift(0.15 + 0.2 * min(t, 1.0 - t)
+                            + 0.01 * math.sqrt(2.0)),
+        lambda t, x: 1.0 if t < 0.5 else -1.0)
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    result = staircase(family, grid, tol=1e-4)
+    assert result.direction == "flat"
+    assert not result.monotone_ok
+    assert [(t1, t2) for t1, t2, _ in result.violations] == \
+        list(zip(grid, grid[1:]))
+    assert [d for _, _, d in result.violations] == \
+        pytest.approx([-0.05] * 4, abs=1e-5)
+
+
 def test_staircase_rejects_unsorted_grid():
     with pytest.raises(ValueError):
-        staircase(rigid_family(), [0.3, 0.1])
+        staircase(rigid_family(), [0.3, 0.1], tol=1e-4)
 
 
 def test_staircase_rejects_empty_grid():
     with pytest.raises(ValueError, match="empty"):
-        staircase(rigid_family(), [])
+        staircase(rigid_family(), [], tol=1e-4)
 
 
 # ------------------------------------------------------------------- solver
@@ -673,7 +691,7 @@ def test_solve_outside_image_raises():
 def test_find_parameter_rejects_value_outside_estimated_image():
     family = rigid_family(a=0.2, b=0.4)
     with pytest.raises(NoSolutionError, match="outside estimated image"):
-        find_parameter_for_value(family, GOLDEN)
+        find_parameter_for_value(family, GOLDEN, tol=1e-5)
 
 
 # family, target value, tol -> tau, as float.hex
@@ -852,19 +870,21 @@ def test_solve_builds_at_most_40_lifts(spec, target):
 # ------------------------------------------------------------------ closure
 
 def test_triangle_pair_closes_tightly():
-    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 3)
+    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)),
+                              3, 0)
     assert residual < 1e-10
 
 
 def test_diameter_closes_in_two_steps():
-    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)), 2)
+    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)),
+                              2, 0)
     assert residual < 1e-12
 
 
 def test_wrong_period_is_rejected():
     # the triangle radius does not close a 5-gon
     with pytest.raises(ResidualFailureError):
-        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5)
+        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5, 0)
 
 
 class TwoBands(CircleLift):
@@ -884,7 +904,7 @@ def test_closure_reports_the_earliest_return_over_all_starts():
     # in [0, 1/2) return after 2, and the error must name 2
     with pytest.raises(ResidualFailureError,
                        match=r"^orbit returned after 2 < 6 steps"):
-        verify_closure(TwoBands(), 6)
+        verify_closure(TwoBands(), 6, 0)
 
 
 class NanAbove(CircleLift):
@@ -896,13 +916,13 @@ class NanAbove(CircleLift):
 
 def test_closure_of_a_nan_orbit_fails():
     with pytest.raises(ResidualFailureError, match=r"residual nan"):
-        verify_closure(NanAbove(), 2)
+        verify_closure(NanAbove(), 2, 0)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_closure_rejects_fewer_than_one_step(n):
     with pytest.raises(ValueError, match="n must be at least 1"):
-        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), n)
+        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), n, 0)
 
 
 # ----------------------------------------------------------------- counting
