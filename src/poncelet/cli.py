@@ -2,17 +2,18 @@
 emitting CSV or JSON (`orbit` and `staircase` through one table writer).
 
 Only the scalar geometry and the exact continued fractions are imported
-here, and neither loads numpy.  The commands that iterate lifts
-(`staircase`, `count`, `prop2`) import the lift modules themselves, after
-their argument checks.  Of those, only `staircase` and `prop2` tabulate
-orbits over arrays and load numpy: `orbit`, `cf`, `count` and every
-rejected input start without it.
+here, and neither loads numpy.  The commands that iterate circle maps
+(`staircase`, `count`, `prop2`) import the family modules themselves,
+after their argument checks (`count` checks --n-max against
+`rotation.MAX_STEPS` first; `rotation` loads no numpy on import).  Of
+those, only `staircase` and `prop2` tabulate orbits over arrays and load
+numpy: `orbit`, `cf`, `count` and every rejected input start without it.
 
 Exit codes: 0 success (or inapplicable: `prop2` at a locked tau, status
 "inapplicable", or with no bracket found, status "no-brackets"), 2 invalid
-configuration (`count` with n above MAX_STEPS = 2^20 among them: each
-residual would run n steps), 3 property/theorem check failed.  JSON output
-is strict: no NaN or Infinity.
+configuration (`count` with --n-max above MAX_STEPS = 2^20 among them,
+before any counting: each residual would run n steps), 3 property/theorem
+check failed.  JSON output is strict: no NaN or Infinity.
 """
 
 import argparse
@@ -169,10 +170,13 @@ def cmd_staircase(args):
 # ---------------------------------------------------------------- count
 
 def cmd_count(args):
+    from .rotation import MAX_STEPS, count_poncelet_pairs
+
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
+    if args.n_max > MAX_STEPS:
+        raise ValueError(f"--n-max {args.n_max} > MAX_STEPS = {MAX_STEPS}")
     from .families import poncelet_family
-    from .rotation import count_poncelet_pairs
 
     family = poncelet_family(args.R, args.c)
     results = []

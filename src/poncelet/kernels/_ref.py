@@ -30,8 +30,9 @@ Two paths, chosen per call by batch width, build it from different tuples:
   its Farey bracket (up to a rounding allowance that is not yet a
   certified budget), and that orbit's extensions.  numpy's per-call
   dispatch on 1-element arrays costs about 20x a scalar step.  The lifts'
-  ``__call__``, their ``advance`` of one float and ``verify_closure``'s
-  starts run this step directly, with no table.
+  ``__call__`` and the families' ``step``, which the pair count's lock
+  residual and ``verify_closure``'s starts iterate, run this step
+  directly, with no table.
 * wide batches run the step built from numpy's ufuncs on whole arrays,
   which is libm-bound there.
 

@@ -1,20 +1,19 @@
 """Lifts of orientation-preserving circle homeomorphisms.
 
 A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
-Every lift is a scalar step plus two hooks, `_orbit`, the iterates of an
-array, and `_advance`, those of one float; `CircleLift` builds `g(x)`,
-`orbit_table` and `advance` (the table's last row) on them once.  The
-Poncelet tangent map and the Arnold map take the step and the table hook
-from the kernels module, so each map has one scalar definition; a
-`FunctionLift` runs the kernels' scalar loop on its callable; rigid
-rotations are iterated in closed form.
+Every lift is a scalar step plus one hook, `_orbit`, the iterates of an
+array; `CircleLift` builds `g(x)`, `orbit_table` and `advance` (the
+table's last row) on them once.  The Poncelet tangent map and the Arnold
+map take the step and the table hook from the kernels module, so each map
+has one scalar definition; a `FunctionLift` runs the kernels' scalar loop
+on its callable; rigid rotations are tabulated in closed form.
 
-`advance` takes one python float and loops the step, with no table, and
-`validate` samples plain floats: neither loads numpy, which only the
-tables import.  A start that `math` rejects (an infinite one) falls back
-to the table, whose numpy step gives the Poncelet and Arnold lifts `nan`;
-a `FunctionLift` runs its callable in both, so the callable's error
-passes through.
+`g(x)` and `validate` run the step on plain floats and load no numpy;
+`orbit_table` and `advance` do.  A code path that iterates one float
+without numpy iterates the step itself (the pair count takes it from its
+family).  An infinite start gives the Poncelet and Arnold tables `nan`,
+from their numpy step; a `FunctionLift` runs its callable in the table,
+so the callable's error passes through.
 """
 
 import operator
@@ -44,20 +43,16 @@ def _step_count(n):
 
 class CircleLift:
     """Base lift.  A subclass provides `_step`, g on one float, and may
-    replace the hooks `_orbit(xs, depth)`, which tabulates g^0..g^depth over
-    a 1-d float64 array, and `_advance(x, n)`, g^n of one float."""
+    replace the hook `_orbit(xs, depth)`, which tabulates g^0..g^depth over
+    a 1-d float64 array."""
 
     def __call__(self, x):
         return self._step(x)
 
     def advance(self, x, n):
-        """g^n(x) of one float x: the orbit table's last row, bit for bit,
-        without the table (`orbit_table(xs, n)[-1]` advances an array)."""
-        n = _step_count(n)
-        try:
-            return float(self._advance(x, n))
-        except ValueError:  # math raises where the table's step gives nan
-            return float(self.orbit_table([x], n)[-1, 0])
+        """g^n(x) of one float x: the orbit table's last row
+        (`orbit_table(xs, n)[-1]` advances an array)."""
+        return float(self.orbit_table([x], n)[-1, 0])
 
     def orbit_table(self, xs, depth):
         """Array of shape (depth+1, len(xs)) with row k = g^k(xs)."""
@@ -65,12 +60,6 @@ class CircleLift:
 
         return self._orbit(np.asarray(xs, dtype=np.float64),
                            _step_count(depth))
-
-    def _advance(self, x, n):
-        step = self._step
-        for _ in range(n):
-            x = step(x)
-        return x
 
     def _orbit(self, xs, depth):
         return _scalar_orbit(xs, depth, self._step)
@@ -124,9 +113,6 @@ class RigidLift(CircleLift):
 
     def _step(self, x):
         return x + self.alpha
-
-    def _advance(self, x, n):
-        return x + self.alpha * n
 
     def _orbit(self, xs, depth):
         import numpy as np

@@ -37,9 +37,10 @@ allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
 yet a certified rounding budget.
 
 The estimator's orbit columns, brackets and lock table are numpy arrays,
-imported where they are built.  The pair count needs none: solve_rotation
-advances one float and verify_closure iterates its starts one at a time,
-both on the lift's scalar step.  The records are `NamedTuple` classes.
+imported where they are built.  The pair count needs none, and builds no
+lift: solve_rotation's residual and verify_closure's starts iterate one
+float at a time on the family's scalar step, `family.step(t)`.  The
+records are `NamedTuple` classes.
 """
 
 import math
@@ -89,6 +90,9 @@ class RotationEstimate(NamedTuple):
 
 
 class PonceletPair(NamedTuple):
+    """An n-Poncelet pair: the family parameter t at which r(t) = p/n,
+    which on poncelet_family(R, c) is the inner radius."""
+
     t: float
     p: int
     closure_residual: float
@@ -213,12 +217,6 @@ def rotation_number(g, tol=1e-4):
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return _estimate(g, tol, None)
-
-
-def _below(g, target, tol):
-    """Whether rotation_number(g, tol=tol).value < target, from the
-    chunks of FIRST_CHUNK, FIRST_CHUNK, 2 FIRST_CHUNK, ... steps."""
-    return _estimate(g, tol, target)
 
 
 def _estimate(g, tol, target):
@@ -361,7 +359,8 @@ def shrink_bracket(f, lo, f_lo, hi, f_hi):
 def solve_rotation(family, target):
     """Find t* with r(t*) = target = p/q on the lock residual
     s(t) = g_t^q(X_REF) - X_REF - p over the family's interval, which is
-    monotone in t for a monotone family.
+    monotone in t for a monotone family.  Each residual iterates the
+    family's scalar step `family.step(t)` q times: no lift is built.
 
     shrink_bracket takes the sign-change bracket [family.a, family.b] to
     an exact zero or two adjacent floats, and t* is the end with the
@@ -377,7 +376,10 @@ def solve_rotation(family, target):
                          " (give a float target as Fraction(p, q))")
 
     def s(t):
-        return family.lift(t).advance(X_REF, q) - X_REF - p
+        step, x = family.step(t), X_REF
+        for _ in range(q):
+            x = step(x)
+        return x - X_REF - p
 
     a, b = family.a, family.b
     s_a, s_b = s(a), s(b)
@@ -423,17 +425,17 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
         )
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if _below(family.lift(mid), target_value, tol) == increasing:
+        if _estimate(family.lift(mid), tol, target_value) == increasing:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def verify_closure(g, n, seed):
-    """Closure residual of the lift g after n steps from CLOSURE_STARTS
-    start points drawn from random.Random(seed), each iterated one float at
-    a time on g's scalar step.
+def verify_closure(step, n, seed):
+    """Closure residual of the one-float map `step` (a family's scalar
+    step, or a lift) after n steps from CLOSURE_STARTS start points drawn
+    from random.Random(seed), each iterated one float at a time.
 
     Returns the max angular distance (radians) to the start; raises
     ResidualFailureError if it is CLOSE_TOL or more (or nan), or if an
@@ -442,7 +444,6 @@ def verify_closure(g, n, seed):
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    step = g._step  # not g(x): its method call is a third of the loop
     rng = random.Random(seed)
     early = None  # (k, distance) of the earliest return before step n
     ends = []
@@ -475,14 +476,16 @@ def verify_closure(g, n, seed):
 
 
 def count_poncelet_pairs(family, n, seed=0):
-    """All inner radii t for which (K, L_t) is an n-Poncelet pair.
+    """All parameters t of the family for which (K, L_t) is an
+    n-Poncelet pair: on poncelet_family(R, c), the inner radii.
 
     r(t) falls from exactly 1/2 at t = 0 to exactly 0 at internal
     tangency, so the candidates are the reduced fractions p/n < 1/2, one
     pair each: euler_totient(n)/2 of them (the family's theorem check).
-    Each is certified by solve_rotation and verify_closure; a pair that
-    fails either is recorded in `missing` with the reason, and the report
-    comes up short.
+    Each is certified by solve_rotation and by verify_closure on the
+    family's scalar step at the solved t, and reported with that t; a pair
+    that fails either is recorded in `missing` with the reason, and the
+    report comes up short.  No lift is built.
     """
     if n < 3:
         raise ValueError("counting starts at n = 3")
@@ -492,11 +495,11 @@ def count_poncelet_pairs(family, n, seed=0):
         if math.gcd(p, n) != 1:
             continue
         try:
-            g = family.lift(solve_rotation(family, Fraction(p, n)))
-            residual = verify_closure(g, n, seed=seed)
+            t = solve_rotation(family, Fraction(p, n))
+            residual = verify_closure(family.step(t), n, seed=seed)
         except (NoSolutionError, ResidualFailureError) as err:
             missing.append((p, str(err)))
             continue
-        pairs.append(PonceletPair(t=g.cfg.t, p=p, closure_residual=residual))
+        pairs.append(PonceletPair(t=t, p=p, closure_residual=residual))
     return CountReport(pairs=pairs, expected=euler_totient(n) // 2,
                        missing=missing)

@@ -467,8 +467,10 @@ def test_prop2_poncelet_does_not_depend_on_the_scale(tmp_path, R,
     ["cf", "--x", "0.3", "--n-max", "-1"],
     # tol below the float bracket's floor (at c = 0 all three points lock)
     ["staircase", "--tol", "1e-12", "--points", "3", "--c", "0.2"],
-    # n above MAX_STEPS = 2^20: each residual would run n steps
+    # n above MAX_STEPS = 2^20: each residual would run n steps, and an
+    # --n-max above it is rejected before the smaller n are counted
     ["count", "--n-min", "1048577", "--n-max", "1048577"],
+    ["count", "--n-min", "3", "--n-max", "1048577"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -527,7 +529,7 @@ def imported_modules(cwd, *args):
                              if line.startswith("import time:")}
 
 
-# count iterates its lifts one float at a time on the math step; only the
+# count iterates its family's math step one float at a time; only the
 # array paths (the estimator's tables, staircase and prop2) load numpy
 @pytest.mark.parametrize("argv, exit_code, loads_numpy", [
     (["orbit", "--t", "0.5", "--steps", "10"], EXIT_OK, False),

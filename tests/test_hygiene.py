@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every record
-field (dataclass or NamedTuple) is read somewhere, every name the
-benchmark's tracer binds exists, and the library outside the CLI grows no
-defaulted parameter."""
+field and property (dataclass or NamedTuple) is read somewhere, every
+name the benchmark's tracer binds exists, and the library outside the CLI
+grows no defaulted parameter."""
 
 import ast
 import importlib
@@ -119,8 +119,8 @@ def test_library_grows_no_defaulted_parameter():
 def record_fields(source):
     """(class, field) for each field of a record class of `source`: one
     decorated with @dataclass or based on NamedTuple declares its annotated
-    names, and a class based on a record class of `source` has that
-    class's fields too."""
+    names and its properties, and a class based on a record class of
+    `source` has that class's fields too."""
     fields = {}
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
@@ -134,6 +134,10 @@ def record_fields(source):
             names += [stmt.target.id for stmt in node.body
                       if isinstance(stmt, ast.AnnAssign)
                       and isinstance(stmt.target, ast.Name)]
+            names += [stmt.name for stmt in node.body
+                      if isinstance(stmt, ast.FunctionDef)
+                      and any(getattr(d, "id", None) == "property"
+                              for d in stmt.decorator_list)]
         if names:
             fields[node.name] = names
     return [(cls, name) for cls, names in fields.items() for name in names]
@@ -161,14 +165,19 @@ def test_field_scan_finds_declarations_and_reads():
               "class D(NamedTuple):\n"
               "    u: int\n"
               "    s: str = ''\n"
+              "    @property\n"
+              "    def ok(self):\n"
+              "        return not self.s\n"
+              "    def helper(self):\n"
+              "        pass\n"
               "class E(D):\n"
               "    __slots__ = ()\n"
               "class F(typing.NamedTuple):\n"
               "    r: int\n")
     assert record_fields(source) == [
         ("A", "x"), ("A", "y"), ("B", "w"), ("D", "u"), ("D", "s"),
-        ("E", "u"), ("E", "s"), ("F", "r")]
-    assert attributes_read(source) == {"x", "NamedTuple"}
+        ("D", "ok"), ("E", "u"), ("E", "s"), ("E", "ok"), ("F", "r")]
+    assert attributes_read(source) == {"x", "s", "NamedTuple"}
 
 
 FIELDS = sorted(

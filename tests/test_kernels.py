@@ -163,7 +163,7 @@ def _scalar_path_lifts():
                               "poncelet-c0.99999", "poncelet-R1e-200",
                               "arnold", "function", "rigid"])
 def test_advance_of_one_float_is_the_tables_last_row(g):
-    # a python float skips the table; the bits must not change
+    # advance of one float is the table's last row, as a python float
     for x in (0.0, 0.375, -0.7, 1.9, 123.456):
         for n in (0, 1, 6, 12, 200):
             got = g.advance(x, n)
@@ -184,7 +184,7 @@ def test_advance_of_a_non_finite_float_is_nan(g, x):
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf])
 def test_function_lift_passes_its_callables_error_through(x):
-    # the table's fallback runs the same callable, which raises again
+    # the table runs the callable itself, so its error passes through
     g = FunctionLift(lambda x: x + 0.2 + 0.05 * math.sin(2.0 * math.pi * x))
     with pytest.raises(ValueError, match="math domain error"):
         g.advance(x, 3)

@@ -27,8 +27,8 @@ from poncelet.rotation import (
     X_REF,
     NoSolutionError,
     ResidualFailureError,
-    _below,
     _bracket,
+    _estimate,
     _first_lock,
     _ratio,
     count_poncelet_pairs,
@@ -387,7 +387,7 @@ def test_lock_scan_runs_before_any_extension():
 
 @pytest.mark.parametrize("estimate", [
     lambda g: rotation_number(g, tol=1e-12),
-    lambda g: _below(g, exact_r(1.0, 0.2, 0.3), 1e-12),
+    lambda g: _estimate(g, 1e-12, exact_r(1.0, 0.2, 0.3)),
 ], ids=["rotation_number", "side_test"])
 def test_estimate_stops_below_the_bracket_floor(estimate):
     # the float orbit's bracket stops narrowing near a radius of 2.5e-11
@@ -506,7 +506,7 @@ def test_staged_side_test_gives_the_one_scan_side(g, tol, u, scale):
     v = rotation_number(g, tol=tol).value
     targets = (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
                v + u * 10.0 ** -scale, u)
-    assert [_below(g, target, tol) for target in targets] \
+    assert [_estimate(g, tol, target) for target in targets] \
         == [_one_scan_estimate(g, tol, FIRST_CHUNK, target)
             for target in targets]
 
@@ -596,8 +596,10 @@ def test_arnold_staircase_has_wide_half_plateau():
 def test_staircase_flags_a_fall():
     # alpha(t) = min(t, 1 - t) rises to 1/2 and falls back: not a monotone
     # family, so the falls show as violations
-    family = MonotoneCircleFamily(0.0, 1.0,
-                                  lambda t: RigidLift(min(t, 1.0 - t)),
+    def lift(t):
+        return RigidLift(min(t, 1.0 - t))
+
+    family = MonotoneCircleFamily(0.0, 1.0, lift, lift,
                                   lambda t, x: 1.0 if t < 0.5 else -1.0)
     result = staircase(family, [0.1, 0.3, 0.5, 0.7, 0.8], tol=1e-4)
     assert result.direction == "increasing"
@@ -612,11 +614,11 @@ def test_staircase_with_equal_ends_flags_any_step():
     # r rises from 0.164 to 0.264 and falls back: the ends are equal, so a
     # weakly monotone staircase would be constant, and every step of
     # 0.05 is a violation
-    family = MonotoneCircleFamily(
-        0.0, 1.0,
-        lambda t: RigidLift(0.15 + 0.2 * min(t, 1.0 - t)
-                            + 0.01 * math.sqrt(2.0)),
-        lambda t, x: 1.0 if t < 0.5 else -1.0)
+    def lift(t):
+        return RigidLift(0.15 + 0.2 * min(t, 1.0 - t) + 0.01 * math.sqrt(2.0))
+
+    family = MonotoneCircleFamily(0.0, 1.0, lift, lift,
+                                  lambda t, x: 1.0 if t < 0.5 else -1.0)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     result = staircase(family, grid, tol=1e-4)
     assert result.direction == "flat"
@@ -664,10 +666,10 @@ def test_solve_rejects_a_denominator_above_max_steps(target):
     # each residual would run that many steps
     family = poncelet_family(1.0, 0.3)
 
-    def lift(t):
+    def step(t):
         raise AssertionError(f"a residual ran, at t = {t}")
 
-    family.lift = lift
+    family.step = step
     q = Fraction(target).denominator
     assert q > MAX_STEPS
     with pytest.raises(ValueError, match=f"denominator {q} > MAX_STEPS"):
@@ -747,7 +749,7 @@ def test_side_test_takes_the_estimates_side(g, tol, u, scale):
     v, radius = est.value, est.error_radius
     targets = (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
                v - radius, v + radius, v + u * 10.0 ** -scale)
-    assert [_below(g, target, tol) for target in targets] \
+    assert [_estimate(g, tol, target) for target in targets] \
         == [v < target for target in targets]
 
 
@@ -858,13 +860,15 @@ def test_solve_ends_on_machine_thin_certificate(spec, target):
 
 @pytest.mark.parametrize("spec, target", SOLVE_GRID)
 def test_solve_builds_at_most_40_lifts(spec, target):
-    # bisection to adjacent floats builds 50-57 on this grid
+    # each residual builds the family's step (and no lift): bisection to
+    # adjacent floats builds 50-57 on this grid
     family = FAMILIES[spec[0]](*spec[1:])
     built = []
-    lift = family.lift
-    family.lift = lambda t: built.append(t) or lift(t)
+    step = family.step
+    family.step = lambda t: built.append(t) or step(t)
+    family.lift = None
     solve_rotation(family, target)
-    assert len(built) <= 40
+    assert 2 <= len(built) <= 40
 
 
 # ------------------------------------------------------------------ closure
@@ -980,8 +984,9 @@ def test_offcenter_count_finds_every_pair(c, n):
 @pytest.mark.parametrize("c", [0.3, 0.6])
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_reversed_family_count_matches_forward(c, n):
-    # s = R - c - t: the same pairs, each closed on the lift at inner
-    # radius t, whichever way the family runs
+    # a pair reports the family parameter: on the reversed family that is
+    # s, at inner radius t = R - c - s, and the pairs are the same, each
+    # closed on the lift at that radius, whichever way the family runs
     seed = 3
     forward = count_poncelet_pairs(poncelet_family(1.0, c), n, seed=seed)
     report = count_poncelet_pairs(poncelet_family(1.0, c, reverse=True), n,
@@ -990,8 +995,9 @@ def test_reversed_family_count_matches_forward(c, n):
     want = {pair.p: pair.t for pair in forward.pairs}
     assert sorted(pair.p for pair in report.pairs) == sorted(want)
     for pair in report.pairs:
-        assert abs(pair.t - want[pair.p]) <= 1e-12
-        lift = PonceletLift(PonceletConfig(1.0, c, pair.t))
+        radius = (1.0 - c) - pair.t
+        assert abs(radius - want[pair.p]) <= 1e-12
+        lift = PonceletLift(PonceletConfig(1.0, c, radius))
         assert pair.closure_residual == verify_closure(lift, n, seed)
 
 

@@ -15,7 +15,7 @@ from poncelet.families import (
     rigid_family,
 )
 from poncelet import twistfam
-from poncelet.lifts import ArnoldLift, RigidLift
+from poncelet.lifts import ArnoldLift, LiftContractError, RigidLift
 from poncelet.twistfam import (
     SEPARATION_X_SAMPLES,
     TwistConditionError,
@@ -39,7 +39,10 @@ def test_arnold_margin_is_one():
 
 def test_quadratic_rigid_margin():
     # alpha(t) = t^2 + t, inf of 2t + 1 on [0, 1] is 1
-    family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(t * t + t),
+    def lift(t):
+        return RigidLift(t * t + t)
+
+    family = MonotoneCircleFamily(0.0, 1.0, lift, lift,
                                   dgdt=lambda t, x: 2.0 * t + 1.0)
     assert twist_margin(family, np.linspace(family.a, family.b, 17)) == \
         pytest.approx(1.0, abs=1e-12)
@@ -123,8 +126,57 @@ def test_lift_slack_is_relative_to_the_interval_width(family):
             family.lift(1e-13)
 
 
+FAMILIES = {f"poncelet-{c}{'-reversed' * reverse}":
+            poncelet_family(1.0, c, reverse=reverse)
+            for c in (0.0, 0.3, 0.9) for reverse in (False, True)}
+FAMILIES.update({"arnold-0.5": arnold_family(0.5),
+                 "arnold-0.9": arnold_family(0.9), "rigid": rigid_family()})
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_family_step_is_the_lifts_step(family):
+    # step(t) is the bare scalar step that lift(t) wraps: the same bits
+    xs = np.linspace(-0.7, 1.9, 27).tolist()
+    for t in (family.a, 0.37 * family.a + 0.63 * family.b, family.b):
+        step, g = family.step(t), family.lift(t)
+        assert [step(x).hex() for x in xs] == [g(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_step_and_dgdt_reject_the_parameters_the_lift_rejects(family):
+    # one range check serves all three; dgdt used to clamp any t, and gave
+    # nan for a nan t
+    w = family.b - family.a
+    for t in (family.a - 2e-12 * w, family.b + 2e-12 * w, -1.0, 5.0,
+              math.nan):
+        with pytest.raises(ValueError, match="outside") as want:
+            family.lift(t)
+        for method in (family.step, lambda t: family.dgdt(t, 0.25)):
+            with pytest.raises(ValueError) as got:
+                method(t)
+            assert str(got.value) == str(want.value)
+
+
+def test_margin_rejects_a_parameter_outside_the_interval():
+    # t = 5.0 was read as b = 0.7 (margin 0.2449), and a nan t as a nan
+    # sample, reported as a failed twist condition
+    family = poncelet_family(1.0, 0.3, reverse=True)
+    for t in (5.0, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            twist_margin(family, [0.1, t])
+
+
+def test_arnold_family_rejects_an_invalid_k_up_front():
+    # its step does not check K, so the family does, as the lift would
+    with pytest.raises(LiftContractError, match="0 <= K <= 1"):
+        arnold_family(1.5)
+
+
 def test_margin_rejects_non_twist_family():
-    family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(-t),
+    def lift(t):
+        return RigidLift(-t)
+
+    family = MonotoneCircleFamily(0.0, 1.0, lift, lift,
                                   dgdt=lambda t, x: -1.0)
     with pytest.raises(TwistConditionError):
         twist_margin(family, np.linspace(family.a, family.b, 17))
@@ -132,7 +184,8 @@ def test_margin_rejects_non_twist_family():
 
 def test_margin_rejects_nan_samples():
     family = MonotoneCircleFamily(
-        0.0, 1.0, RigidLift, lambda t, x: np.where(x > 0.5, math.nan, 1.0))
+        0.0, 1.0, RigidLift, RigidLift,
+        lambda t, x: np.where(x > 0.5, math.nan, 1.0))
     with pytest.raises(TwistConditionError):
         twist_margin(family, np.linspace(family.a, family.b, 17))
 
@@ -287,8 +340,10 @@ def test_arnold_staircase_is_nondecreasing():
 def test_flat_family_fails_strict_increase():
     # r = GOLDEN for every t: weakly monotone, but no estimate is a lock,
     # so every pair of neighbours should have increased strictly
-    family = MonotoneCircleFamily(0.0, 1.0, lambda t: RigidLift(GOLDEN),
-                                  lambda t, x: 0.0)
+    def lift(t):
+        return RigidLift(GOLDEN)
+
+    family = MonotoneCircleFamily(0.0, 1.0, lift, lift, lambda t, x: 0.0)
     report = proposition1_check(family, [0.2, 0.4, 0.6], tol=1e-5)
     assert report.result.direction == "flat"
     assert report.result.monotone_ok
