@@ -147,7 +147,10 @@ def cmd_staircase(args):
     t_hi = family.b if args.t_max is None else args.t_max
     if not family.a <= t_lo < t_hi <= family.b:
         raise ValueError(f"grid [{t_lo}, {t_hi}] outside parameter interval")
-    grid = [t_lo + (t_hi - t_lo) * i / (args.points - 1)
+    # the width scaled into [1/2, 1) and back, exactly: (t_hi - t_lo) * i
+    # would overflow for an R near the float maximum
+    width, e = math.frexp(t_hi - t_lo)
+    grid = [t_lo + math.ldexp(width * i / (args.points - 1), e)
             for i in range(args.points)]
     result = staircase(family, grid, tol=args.tol)
 

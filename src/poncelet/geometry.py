@@ -21,6 +21,7 @@ reduced to [0, 2 pi) x [0, pi).  `PonceletConfig` is a `NamedTuple`.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
@@ -39,7 +40,9 @@ class _CirclePair(NamedTuple):
 
 class PonceletConfig(_CirclePair):
     """Circle pair: outer radius R, center offset c, inner radius t,
-    checked on construction."""
+    checked on construction.  R must be a normal float, at least
+    sys.float_info.min (about 2.2e-308): at a subnormal R, c / R and t / R
+    keep few bits and the derivative's 1 / R overflows."""
 
     __slots__ = ()
 
@@ -49,6 +52,9 @@ class PonceletConfig(_CirclePair):
         if not 0 < R < math.inf:
             raise ValueError(
                 f"outer radius must satisfy 0 < R < inf, got R={R}")
+        if R < sys.float_info.min:
+            raise ValueError(f"outer radius must be a normal float, R >= "
+                             f"{sys.float_info.min!r}, got R={R}")
         if not 0 <= c < R:
             raise ValueError(f"center offset must satisfy 0 <= c < R, got c={c}")
         if not 0 <= t <= R - c:
@@ -103,11 +109,14 @@ def poncelet_map_geometric(theta, cfg):
 
     From A = (R cos theta, R sin theta) draw the tangent to L that keeps L
     on the left of the oriented line; return theta', the second
-    intersection angle, and phi, the line direction.
+    intersection angle, and phi, the line direction.  The construction
+    runs in units of R, as the kernel step does, so the chord length
+    s <= 2 cannot overflow at any R, and scaling the circle pair by a
+    power of two changes no bit of the result.
     """
-    R, c, t = cfg.R, cfg.c, cfg.t
-    ax = R * math.cos(theta)
-    ay = R * math.sin(theta)
+    c, t = cfg.c / cfg.R, cfg.t / cfg.R
+    ax = math.cos(theta)
+    ay = math.sin(theta)
     wx = c - ax
     wy = -ay
     D = math.hypot(wx, wy)

@@ -30,7 +30,8 @@ step 2n: a doubling of n that leaves the bracket unchanged means the
 floors are lost in the rounding allowance.  The parameter search asks
 it only on which side of a target r lies; the bracket narrows as the
 orbit grows and holds the estimate, so each bisection step stops at the
-first bracket that excludes the target.
+first bracket that excludes the target and takes that bracket's
+midpoint as its estimate.
 
 The floors are read off a float orbit, each widened by a rounding
 allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
@@ -68,11 +69,14 @@ EARLY_TOL = 1e-4      # an earlier return this close (radians) is rejected
 
 
 class NoSolutionError(ValueError):
-    """Requested rotation value is outside the image of r."""
+    """No root is bracketed: the ends handed to shrink_bracket hold no sign
+    change (or a nan), or a requested rotation value lies outside the
+    estimated image of r."""
 
 
 class ResidualFailureError(RuntimeError):
-    """The solve converged but the rational lock could not be confirmed."""
+    """verify_closure found an orbit that does not close after n steps,
+    or that comes back before step n."""
 
 
 class RotationEstimate(NamedTuple):
@@ -220,22 +224,25 @@ def rotation_number(g, tol=1e-4):
 
 
 def _estimate(g, tol, target):
-    """The Farey-bracket loop: the estimate of rotation_number, or given a
-    target, whether it lies below the target.
+    """The Farey-bracket loop of rotation_number and of the parameter
+    search's side test; it returns a RotationEstimate on every path.
 
     The orbit of 0 runs in chunks of FIRST_CHUNK steps, then of as
     many steps as ran before, at most CHUNK_MAX each, and each chunk's
     bracket narrows the running one; an estimate (no target) runs its
-    second chunk straight on to ROUGH_STEPS.  At each n <= ROUGH_STEPS
-    the lock scan tries the p/q inside the bracket with
-    q <= Q_MAX n / ROUGH_STEPS that it has not tried yet.  A lock, or the
-    midpoint once the radius is at most tol, is the estimate, which lies
-    in every bracket, so the first one to exclude a target gives its
-    side.  From ROUGH_STEPS on, it gives up with ValueError at the first
-    doubling of n that leaves the bracket unchanged, or at MAX_STEPS.
-    (The rigid lift's closed-form rows round differently when continued
-    from a chunk's last row, by ulps that move a floor only within ulps of
-    the allowance's edge.)"""
+    second chunk straight on to ROUGH_STEPS.  After every chunk the
+    estimate is the bracket's midpoint with its half-width as radius, and
+    `iterations` the steps read so far.  At each n <= ROUGH_STEPS the lock
+    scan tries the p/q inside the bracket with q <= Q_MAX n / ROUGH_STEPS
+    that it has not tried yet, and a lock is the estimate.  Otherwise the
+    estimate is returned once its radius is at most tol, or, given a
+    target, at the first bracket that excludes the target: the final
+    estimate lies in every bracket, and rounding is monotone, so
+    `value < target` is the final estimate's side.  From ROUGH_STEPS on,
+    it gives up with ValueError at the first doubling of n that leaves the
+    bracket unchanged, or at MAX_STEPS.  (The rigid lift's closed-form
+    rows round differently when continued from a chunk's last row, by ulps
+    that move a floor only within ulps of the allowance's edge.)"""
     import numpy as np
 
     g.validate(samples=16)
@@ -247,9 +254,14 @@ def _estimate(g, tol, target):
         more = _bracket(column, np.arange(n + 1.0, n + m + 1.0))
         lo, hi = max(lo, more[0], key=_ratio), min(hi, more[1], key=_ratio)
         n, end = n + m, float(column[-1])
-        if target is not None and not _ratio(lo) <= target <= _ratio(hi):
-            return _ratio(hi) < target
         (a, b), (c, d) = lo, hi
+        # midpoint and half-width of [a/b, c/d], each rounded once
+        den = 2 * b * d
+        est = RotationEstimate(value=(a * d + c * b) / den,
+                               error_radius=(c * b - a * d) / den,
+                               iterations=n)
+        if target is not None and not _ratio(lo) <= target <= _ratio(hi):
+            return est
         if n <= ROUGH_STEPS:
             # the q the last stage scanned, at n - m steps, are not retried
             lock = _first_lock(g, [
@@ -259,29 +271,22 @@ def _estimate(g, tol, target):
                 if math.gcd(p, q) == 1])
             if lock is not None:
                 (p, q), _ = lock
-                est = RotationEstimate(value=p / q, error_radius=0.0,
-                                       iterations=n, lock=(p, q))
-                break
+                return RotationEstimate(value=p / q, error_radius=0.0,
+                                        iterations=n, lock=(p, q))
         if n >= ROUGH_STEPS:
-            # midpoint and half-width of [a/b, c/d], each rounded once
-            den = 2 * b * d
-            radius = (c * b - a * d) / den
-            if radius <= tol:
-                est = RotationEstimate(value=(a * d + c * b) / den,
-                                       error_radius=radius, iterations=n)
-                break
+            if est.error_radius <= tol:
+                return est
             doubled = n >= 2 * n_ref
             if doubled and (lo, hi) == ref or n >= MAX_STEPS:
                 raise ValueError(
-                    f"the bracket's radius {radius:.3g} is still above "
-                    f"tol = {tol:.3g} after {n} steps")
+                    f"the bracket's radius {est.error_radius:.3g} is still "
+                    f"above tol = {tol:.3g} after {n} steps")
             if doubled:
                 n_ref, ref = n, (lo, hi)
         if target is None and n < ROUGH_STEPS:
             m = ROUGH_STEPS - n
         else:
             m = min(n, CHUNK_MAX)
-    return est if target is None else est.value < target
 
 
 def staircase(family, t_grid, tol):
@@ -318,24 +323,38 @@ def staircase(family, t_grid, tol):
 
 def shrink_bracket(f, lo, f_lo, hi, f_hi):
     """Shrink the bracket lo < hi of a sign change of f, whose end values
-    f_lo = f(lo) and f_hi = f(hi) have opposite signs, to an exact zero of
-    f or two adjacent floats.  Returns (lo, f_lo, hi, f_hi).
+    f_lo = f(lo) and f_hi = f(hi) have opposite signs (or one is an exact
+    zero), to an exact zero of f or two adjacent floats.  Returns
+    (lo, f_lo, hi, f_hi), whose values keep opposite signs or hold an
+    exact zero.  This is the one check of a bracket: ends without a sign
+    change, or with a nan value, raise NoSolutionError.
 
     Regula falsi on weighted ends with the Illinois rule (Dowell and
     Jarratt 1971): when the same end is kept twice in a row, its weight is
     halved, so the secant point soon lands on its side of the root and
-    neither end stalls.  A secant point that rounds onto an end steps to
-    that end's float neighbour inward instead.  A nan value of f raises
+    neither end stalls.  Each secant point is formed on the ends scaled by
+    the power of two that takes the larger into [1/4, 1/2).  The scaling
+    is exact, so the point has the unscaled formula's bits wherever those
+    products are normal, and at any scale of the bracket it keeps the
+    products lo * w_hi and hi * w_lo finite and off the subnormal range,
+    where the point would round onto an end and each step move the
+    bracket by one float.  f's values are not rescaled, so values in the
+    subnormal range can still do that (no residual solved here comes near
+    them).  A secant point that rounds onto an end steps to that end's
+    float neighbour inward instead.  A nan value of f inside the bracket raises
     ValueError: every later secant point would be nan."""
     if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
-        raise ValueError(f"no sign change: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
+        raise NoSolutionError(
+            f"no sign change: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
     w_lo, w_hi = f_lo, f_hi
     kept = 0  # +1 / -1: hi / lo was kept on the last step
     while f_lo != 0.0 and f_hi != 0.0:
         inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
         if inner_lo == hi:
             break
-        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        e = math.frexp(max(abs(lo), abs(hi)))[1] + 1
+        x = math.ldexp((math.ldexp(lo, -e) * w_hi - math.ldexp(hi, -e) * w_lo)
+                       / (w_hi - w_lo), e)
         if not x > lo:
             x = inner_lo
         elif not x < hi:
@@ -362,12 +381,15 @@ def solve_rotation(family, target):
     monotone in t for a monotone family.  Each residual iterates the
     family's scalar step `family.step(t)` q times: no lift is built.
 
-    shrink_bracket takes the sign-change bracket [family.a, family.b] to
-    an exact zero or two adjacent floats, and t* is the end with the
-    smaller residual.  X_REF is an exact lock point when s(t*) = 0, and
-    otherwise the opposite-signed residuals on the machine-thin bracket
-    around t* are the certificate.  A denominator above MAX_STEPS (the
-    float 0.1 is 3602879701896397/2^55) raises ValueError at once."""
+    shrink_bracket checks the bracket [family.a, family.b] (residuals
+    without a sign change, the target outside the image of r, raise its
+    NoSolutionError) and takes it to an exact zero or two adjacent floats,
+    and t* is the end with the smaller residual.  X_REF is an exact lock
+    point when s(t*) = 0, and otherwise the opposite-signed residuals on
+    the machine-thin bracket around t* are the certificate: the
+    displacement is continuous in t and vanishes exactly at the lock.  A
+    denominator above MAX_STEPS (the float 0.1 is 3602879701896397/2^55)
+    raises ValueError at once."""
     target = Fraction(target)
     p, q = target.numerator, target.denominator
     if q > MAX_STEPS:
@@ -381,23 +403,9 @@ def solve_rotation(family, target):
             x = step(x)
         return x - X_REF - p
 
-    a, b = family.a, family.b
-    s_a, s_b = s(a), s(b)
-    if s_a * s_b > 0:
-        raise NoSolutionError(
-            f"target {p}/{q} not bracketed on [{a}, {b}] "
-            f"(residuals {s_a:.3g}, {s_b:.3g})"
-        )
-    lo, s_lo, hi, s_hi = shrink_bracket(s, a, s_a, b, s_b)
-    # the opposite-signed residuals on the machine-thin bracket certify a
-    # parameter with lock p/q inside it (the displacement is continuous in
-    # t and vanishes exactly at the lock)
-    t_star = lo if abs(s_lo) <= abs(s_hi) else hi
-    if s_lo != 0.0 and s_hi != 0.0 and (s_lo > 0) == (s_hi > 0):
-        raise ResidualFailureError(
-            f"no rational lock {p}/{q} confirmed at t = {t_star}"
-        )
-    return t_star
+    lo, s_lo, hi, s_hi = shrink_bracket(s, family.a, s(family.a),
+                                        family.b, s(family.b))
+    return lo if abs(s_lo) <= abs(s_hi) else hi
 
 
 def find_parameter_for_value(family, target_value, iters=48, *, tol):
@@ -409,10 +417,13 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
     on which side of target_value r(mid) lies, and reads the answer off
     the shortest doubling prefix of the orbit whose Farey bracket excludes
     the target, or that certifies a lock; only a target inside the
-    ROUGH_STEPS-step bracket is still decided by the estimate.  Each side
-    is the one `rotation_number(lift, tol=tol).value < target_value`
-    gives, so tau is the one bisection on the estimates gives.  A step whose target stays
-    inside a bracket wider than 2 tol for MAX_STEPS steps raises ValueError.
+    ROUGH_STEPS-step bracket is still decided by the estimate.  The side
+    is `value < target_value` of the estimate that step stopped at, the
+    one `rotation_number(lift, tol=tol)` gives, so tau is the one
+    bisection on the estimates gives.  A step whose target stays inside a
+    bracket wider than 2 tol for MAX_STEPS steps raises ValueError.  The
+    midpoints halve each end before adding, so they do not overflow near
+    the float maximum.
     """
     lo, hi = family.a, family.b
     v_lo = rotation_number(family.lift(lo), tol=tol).value
@@ -424,12 +435,13 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
             f"[{min(v_lo, v_hi)}, {max(v_lo, v_hi)}]"
         )
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if _estimate(family.lift(mid), tol, target_value) == increasing:
+        mid = 0.5 * lo + 0.5 * hi
+        est = _estimate(family.lift(mid), tol, target_value)
+        if (est.value < target_value) == increasing:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def verify_closure(step, n, seed):
@@ -484,8 +496,9 @@ def count_poncelet_pairs(family, n, seed=0):
     pair each: euler_totient(n)/2 of them (the family's theorem check).
     Each is certified by solve_rotation and by verify_closure on the
     family's scalar step at the solved t, and reported with that t; a pair
-    that fails either is recorded in `missing` with the reason, and the
-    report comes up short.  No lift is built.
+    that fails either (NoSolutionError, a nan residual at an end among
+    them, or ResidualFailureError) is recorded in `missing` with the
+    reason, and the report comes up short.  No lift is built.
     """
     if n < 3:
         raise ValueError("counting starts at n = 3")

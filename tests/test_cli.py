@@ -68,6 +68,17 @@ def test_orbit_rows_stay_consistent(tmp_path):
     assert all(float(r["residual"]) < 1e-9 for r in rows)
 
 
+def test_orbit_at_the_largest_radii_stays_consistent(tmp_path):
+    # the tangent construction runs in units of R: in absolute units its
+    # chord length reached 2R and overflowed, and the residual was 0.93 rad
+    code, out = run(tmp_path, "orbit", "--R", "1e308", "--c", "3e307",
+                    "--t", "2e307", "--theta0", "1", "--steps", "200")
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert len(rows) == 201
+    assert max(float(r["residual"]) for r in rows) < 1e-12
+
+
 def test_orbit_json_embeds_config(tmp_path):
     code, out = run(tmp_path, "orbit", "--t", "0.4", "--steps", "5",
                     "--format", "json")
@@ -130,6 +141,17 @@ def test_staircase_ends_at_zero_at_tangency(tmp_path, c):
     assert float(last["r"]) == 0.0
     assert float(last["error_radius"]) == 0.0
     assert (last["lock_p"], last["lock_q"]) == ("0", "1")
+
+
+def test_staircase_grid_reaches_the_largest_radii(capsys):
+    # the grid scales its width into [1/2, 1) and back: (t_hi - t_lo) * i
+    # overflowed at R = 1e308
+    code = main(["staircase", "--points", "3", "--R", "1e308"])
+    assert code == EXIT_OK
+    table = capsys.readouterr().out.partition("{")[0]
+    assert table.split("\r\n")[1:4] == [
+        "0,0.5,0,1,2", "5.0000000000000001e+307,0.33333333333333331,0,1,3",
+        "1e+308,0,0,0,1"]
 
 
 def test_staircase_json_holds_rows_and_verdict(tmp_path):
@@ -422,13 +444,18 @@ def prop2_at_unit_radius(tmp_path_factory):
     pytest.param(2.0 ** -500, id="2^-500"),
     pytest.param(1e150, id="1e150"), pytest.param(1e-160, id="1e-160"),
     pytest.param(1e-170, id="1e-170"),
+    pytest.param(2.0 ** -1020, id="2^-1020"),
+    pytest.param(sys.float_info.max, id="float-max"),
 ])
 def test_prop2_poncelet_does_not_depend_on_the_scale(tmp_path, R,
                                                      prop2_at_unit_radius):
     # the estimate works in units of the interval width w = R - c: a power
     # of two scales every t exactly, so the report is R = 1's to the bit;
     # elsewhere t / w rounds.  In absolute units of t, 1e150 found no
-    # bracket, 1e-160 an infinite bound and 1e-170 underflowed.
+    # bracket, 1e-160 an infinite bound and 1e-170 underflowed.  The
+    # bracketed solves scale their ends, so 2^-1020 does not crawl one
+    # float per step, and the search's midpoints halve each end, so the
+    # float maximum does not overflow.
     code, out = run(tmp_path, "prop2", "--family", "poncelet", "--R", repr(R))
     assert code == EXIT_OK
     doc = read_json(out)
@@ -471,6 +498,9 @@ def test_prop2_poncelet_does_not_depend_on_the_scale(tmp_path, R,
     # --n-max above it is rejected before the smaller n are counted
     ["count", "--n-min", "1048577", "--n-max", "1048577"],
     ["count", "--n-min", "3", "--n-max", "1048577"],
+    # a subnormal R: c / R and t / R keep few bits, and 1 / R overflows
+    ["count", "--n-max", "5", "--R", "1e-320"],
+    ["prop2", "--family", "poncelet", "--R", "1e-310"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -188,6 +188,21 @@ def test_near_tangency_starts_at_large_radius():
             assert circ_dist(a[1], b[1], math.pi) < 1e-7
 
 
+@pytest.mark.parametrize("k", [-1000, -3, 5, 1023])
+def test_tangent_construction_does_not_depend_on_a_power_of_two_scale(k):
+    # the construction runs in units of R, so scaling the circle pair by
+    # 2^k changes no bit; in absolute units a chord near 2R overflows at
+    # R = 2^1023
+    rng = np.random.default_rng(k % 97)
+    for _ in range(200):
+        c = float(rng.uniform(0.0, 0.99))
+        t = float(rng.uniform(0.0, 1.0)) * (1.0 - c)
+        theta = float(rng.uniform(0.0, TWO_PI))
+        scaled = PonceletConfig(*(math.ldexp(v, k) for v in (1.0, c, t)))
+        assert poncelet_map_geometric(theta, scaled) == \
+            poncelet_map_geometric(theta, PonceletConfig(1.0, c, t))
+
+
 # ----------------------------------------------------------- config contract
 
 @pytest.mark.parametrize("R,c,t", [
@@ -218,6 +233,8 @@ def test_config_rejects_invalid_geometry(R, c, t):
                           "got t=0.6"),
     ((), {"R": 1.0, "t": -1e-9}, "inner radius must satisfy 0 <= t <= R - c, "
                                  "got t=-1e-09"),
+    ((1e-310,), {}, "outer radius must be a normal float, "
+                    "R >= 2.2250738585072014e-308, got R=1e-310"),
 ])
 def test_config_names_the_invalid_value(args, kwargs, message):
     with pytest.raises(ValueError) as err:

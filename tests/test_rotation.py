@@ -2,11 +2,12 @@
 the Poncelet-pair counting pipeline."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poncelet.families import (
@@ -506,7 +507,7 @@ def test_staged_side_test_gives_the_one_scan_side(g, tol, u, scale):
     v = rotation_number(g, tol=tol).value
     targets = (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
                v + u * 10.0 ** -scale, u)
-    assert [_estimate(g, tol, target) for target in targets] \
+    assert [_estimate(g, tol, target).value < target for target in targets] \
         == [_one_scan_estimate(g, tol, FIRST_CHUNK, target)
             for target in targets]
 
@@ -690,6 +691,28 @@ def test_solve_outside_image_raises():
         solve_rotation(family, Fraction(3, 4))
 
 
+def test_solve_names_the_ends_without_a_sign_change():
+    # shrink_bracket is the one check of the bracket: its error names both
+    # ends and their residuals
+    family = poncelet_family(1.0, 0.0)
+    with pytest.raises(NoSolutionError, match=r"^no sign change: f\(0\.0\) = "
+                                              r".*, f\(1\.0\) = "):
+        solve_rotation(family, Fraction(3, 4))
+
+
+def test_count_records_a_nan_residual_as_missing():
+    # a nan residual at the ends is no sign change, so each p is missing
+    # with the reason, where it used to escape as a bare ValueError
+    family = MonotoneCircleFamily(0.0, 1.0, RigidLift,
+                                  lambda t: lambda x: math.nan,
+                                  lambda t, x: 1.0)
+    report = count_poncelet_pairs(family, 5)
+    assert report.pairs == [] and report.expected == 2
+    assert [p for p, _ in report.missing] == [1, 2]
+    assert all(reason.startswith("no sign change: f(0.0) = nan")
+               for _, reason in report.missing)
+
+
 def test_find_parameter_rejects_value_outside_estimated_image():
     family = rigid_family(a=0.2, b=0.4)
     with pytest.raises(NoSolutionError, match="outside estimated image"):
@@ -749,7 +772,7 @@ def test_side_test_takes_the_estimates_side(g, tol, u, scale):
     v, radius = est.value, est.error_radius
     targets = (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
                v - radius, v + radius, v + u * 10.0 ** -scale)
-    assert [_estimate(g, tol, target) for target in targets] \
+    assert [_estimate(g, tol, target).value < target for target in targets] \
         == [v < target for target in targets]
 
 
@@ -766,6 +789,77 @@ def test_shrink_bracket_ends_on_adjacent_floats():
     assert (f_lo, f_hi) == (f(lo), f(hi))
     assert lo <= math.sqrt(2.0) <= hi
     assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("k", [0, -1000, -1020, 1000])
+def test_shrink_bracket_does_not_depend_on_the_scale(k):
+    # y^2 - 2 over [1, 2] scaled by 2^k: each secant point is formed on
+    # ends scaled by a power of two, so every scale takes the unscaled
+    # problem's steps and ends on its ends scaled.  Formed on the unscaled
+    # ends, the products lo * w_hi of k = -1020 are subnormal near the
+    # root, the point rounds onto an end, and each step moves the bracket
+    # by one float (24,188 evaluations).
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        y = math.ldexp(x, -k)
+        return y * y - 2.0
+
+    lo, f_lo, hi, f_hi = shrink_bracket(f, math.ldexp(1.0, k), -1.0,
+                                        math.ldexp(2.0, k), 2.0)
+    assert len(calls) == 9
+    assert (math.ldexp(lo, -k), math.ldexp(hi, -k)) == (
+        float.fromhex("0x1.6a09e667f3bccp+0"),
+        float.fromhex("0x1.6a09e667f3bcdp+0"))
+    assert (f_lo, f_hi) == (f(lo), f(hi))
+
+
+@st.composite
+def _monotone_problems(draw):
+    """(f, lo, hi): a monotone f, zero on a plateau [r1, r2] (a single
+    root when r1 == r2), rising or falling through an odd map, on ends
+    lo < hi around the plateau, all scaled by 2^k.  f's values in the
+    subnormal range are flushed to zero, which widens the plateau and
+    keeps f monotone: shrink_bracket rescales its ends, not f's values,
+    and no residual it solves comes near that range."""
+    lo, r1, r2, hi = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=4,
+                                          max_size=4)))
+    k = draw(st.integers(-1070, 1013))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    shape = draw(st.sampled_from([
+        lambda u: u, lambda u: u ** 3, math.atan,
+        lambda u: math.copysign(math.sqrt(abs(u)), u)]))
+
+    def f(x):
+        y = math.ldexp(x, -k)
+        value = sign * shape(min(y - r1, 0.0) + max(y - r2, 0.0))
+        return value if abs(value) >= sys.float_info.min else 0.0
+
+    return f, math.ldexp(lo, k), math.ldexp(hi, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_monotone_problems())
+def test_shrink_bracket_keeps_its_contract(problem):
+    f, lo, hi = problem
+    # ends that round into the subnormal range can lose the sign change
+    assume(lo < hi and (f(lo) <= 0.0 <= f(hi) or f(hi) <= 0.0 <= f(lo)))
+    calls = []
+
+    def counted(x):
+        # a triple root at 0 takes up to ~800 steps, down to the plateau of
+        # flushed values; a crawl of one float per step would not end
+        calls.append(x)
+        assert len(calls) <= 2000, "shrink_bracket crawled"
+        return f(x)
+
+    lo2, f_lo, hi2, f_hi = shrink_bracket(counted, lo, f(lo), hi, f(hi))
+    assert lo <= lo2 < hi2 <= hi
+    assert (f_lo, f_hi) == (f(lo2), f(hi2))
+    assert f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0) != (f_hi > 0.0)
+    if f_lo != 0.0 and f_hi != 0.0:
+        assert math.nextafter(lo2, hi2) == hi2
 
 
 def test_shrink_bracket_stops_at_an_exact_zero():
