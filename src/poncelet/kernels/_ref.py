@@ -53,9 +53,10 @@ TWO_PI = 2.0 * pi
 # 256 steps): at 16 points the scalar loop takes 0.5-0.7x (Poncelet) and
 # 0.7-0.85x (Arnold) of numpy's time; they break even near 20-24 points
 # for Arnold and 24-32 for Poncelet.  The width also picks the path, and
-# with it the bits, of a 17-32-point batch (none of the library's own: the
-# estimator's orbit is one point, the lock table 512 points, and
-# `twistfam`'s tables 128 and 256 points).
+# with it the bits, of a 17-32-point batch.  The library's one is the
+# 32-point lock subgrid, which must stay on numpy's path to get the
+# 512-point lock table's bits; its other batches are the estimator's
+# one-point orbit and `twistfam`'s 128- and 256-point tables.
 NARROW_MAX = 16
 
 

@@ -75,16 +75,17 @@ class CircleLift:
         error it amounts to, is at most PERIODICITY_TOL."""
         if samples < 1:
             raise ValueError(f"sample count must be at least 1, got {samples}")
-        step = 1.0 / samples
-        xs = [i * step for i in range(samples)]  # numpy's linspace, bitwise
-        vals = [self(x) for x in xs]
-        shifted = [self(x + 1.0) for x in xs]
+        g = self._step  # g(x), without the call's dispatch
+        width = 1.0 / samples
+        xs = [i * width for i in range(samples)]  # numpy's linspace, bitwise
+        vals = [g(x) for x in xs]
+        shifted = [g(x + 1.0) for x in xs]
         # a nan or infinite sample fails both checks (inf - inf is nan)
         for x, val, val_1 in zip(xs, vals, shifted):
             defect = abs(val_1 - val - 1.0)
             if defect <= PERIODICITY_TOL:
                 continue
-            slope = ((self(x + SLOPE_STEP) - self(x - SLOPE_STEP))
+            slope = ((g(x + SLOPE_STEP) - g(x - SLOPE_STEP))
                      / (2.0 * SLOPE_STEP))
             if not defect <= PERIODICITY_TOL * slope:
                 raise LiftContractError(

@@ -22,7 +22,10 @@ bracket with q <= Q_MAX n / ROUGH_STEPS not tried at an earlier stage:
 q <= 4 after the first chunk of FIRST_CHUNK steps, so the low-order locks
 of a staircase (1/2, 1/3, 1/4, 0/1) cost 64 steps and a 4-row table.
 Brackets only narrow, and row q of a lock table has the same bits at any
-depth, so the stages find the lock one scan at ROUGH_STEPS would.
+depth, so the stages find the lock one scan at ROUGH_STEPS would.  That
+first stage scans the LOCK_SUBGRID-point subgrid of the grid before the
+grid itself: a subgrid point has the grid's bits, and a root cell of the
+subgrid holds one of the grid, so a hit there is the grid scan's hit.
 
 In exact arithmetic the bracket [a/b, c/d] of n steps has b, d <= n, so
 the mediant (a + c)/(b + d), which lies strictly inside it, is read by
@@ -44,6 +47,7 @@ float at a time on the family's scalar step, `family.step(t)`.  The
 records are `NamedTuple` classes.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -52,6 +56,11 @@ from typing import List, NamedTuple, Optional, Tuple
 from .geometry import TWO_PI
 
 LOCK_GRID = 512       # points of the periodic lock-scan grid
+# Points of its subgrid, every 16th, which the first-stage scan tries before
+# the grid: a lock's root cell turns up almost anywhere on the grid, and
+# a 32-point table takes the grid table's numpy path (32 > NARROW_MAX),
+# so its points get the grid table's bits.
+LOCK_SUBGRID = 32
 Q_MAX = 64            # largest lock denominator rotation_number tries
 ROUGH_STEPS = 1024    # steps by which the lock scan has tried q <= Q_MAX
 FIRST_CHUNK = 64      # first prefix read, and first lock scan (q <= 4)
@@ -143,36 +152,78 @@ def euler_totient(n):
 def detect_rational_lock(g, p, q):
     """Search for a root of d(x) = g^q(x) - x - p on a periodic grid.
 
-    Returns the left grid point of the first cell whose ends hold an exact
-    zero of d or a sign change, so the cell holds a root; None if there is
-    none.  Absence on the grid is heuristic evidence only, not a proof.
+    Returns the left grid point of the first cell of the LOCK_GRID-point
+    grid whose ends hold an exact zero of d or a sign change, so the cell
+    holds a root; None if there is none.  Absence on the grid is heuristic
+    evidence only, not a proof.
     """
     if q < 1:
         raise ValueError(f"p/q needs q >= 1, got {p}/{q}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
-    lock = _first_lock(g, [(p, q)])
-    return None if lock is None else lock[1]
+    xs = _lock_grids()[0]
+    cell = _root_cell(g.orbit_table(xs, q)[q] - xs - p)
+    return None if cell is None else float(xs[cell])
+
+
+@functools.cache
+def _lock_grids():
+    """The LOCK_GRID-point lock grid on [0, 1) and its LOCK_SUBGRID-point
+    subgrid, built on first use as read-only arrays."""
+    import numpy as np
+
+    grid = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
+    subgrid = grid[::LOCK_GRID // LOCK_SUBGRID].copy()
+    grid.flags.writeable = subgrid.flags.writeable = False
+    return grid, subgrid
+
+
+def _root_cell(d):
+    """Index of the first cell of a periodic grid whose ends hold an exact
+    zero of d or a sign change, or None.  d(x + 1) = d(x), so the last
+    cell closes on d[0]; a nan end has sign nan and certifies nothing."""
+    import numpy as np
+
+    signs = np.sign(d)
+    hits = np.flatnonzero(signs[:-1] * signs[1:] <= 0)
+    if hits.size:
+        return int(hits[0])
+    return d.size - 1 if signs[-1] * signs[0] <= 0 else None
+
+
+def _locked(g, xs, candidates):
+    """The (p, q) of candidates, in order, with a root cell of
+    d = g^q(x) - x - p on the grid xs.  One orbit table serves them all."""
+    table = g.orbit_table(xs, max(q for _, q in candidates))
+    for p, q in candidates:
+        if _root_cell(table[q] - xs - p) is not None:
+            yield p, q
 
 
 def _first_lock(g, candidates):
-    """((p, q), x) for the first (p, q) of candidates with a root cell of
-    d = g^q(x) - x - p on the LOCK_GRID-point grid, x its left end; None
-    if none has one.  One orbit table serves every candidate."""
+    """The first (p, q) of candidates with a root cell of d = g^q(x) - x - p
+    on the LOCK_GRID-point grid; None if none has one.
+
+    Candidates of the first stage (q <= Q_MAX FIRST_CHUNK / ROUGH_STEPS)
+    are scanned on the LOCK_SUBGRID-point subgrid first.  Its points have
+    the grid's bits, and a sign change or exact zero of d between two of
+    them forces one between two neighbouring grid points (a lift's d has
+    no nan on the grid), so a subgrid hit is a grid hit.  The first
+    candidate's subgrid hit is returned with no grid table built.  A
+    later candidate's cuts the list after it, and the grid scans the
+    rest: an earlier candidate may still hit between subgrid points.
+    Deeper lists go straight to the grid: they are almost always
+    rejections, which the subgrid cannot give."""
     if not candidates:
         return None
-    import numpy as np
-
-    xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
-    table = g.orbit_table(xs, max(q for _, q in candidates))
-    for p, q in candidates:
-        # d(x + 1) = d(x), so the last cell closes on d[0]; a nan end has
-        # sign nan and certifies nothing
-        signs = np.sign(table[q] - xs - p)
-        hits = np.flatnonzero(signs * np.roll(signs, -1) <= 0)
-        if hits.size:
-            return (p, q), float(xs[hits[0]])
-    return None
+    grid, subgrid = _lock_grids()
+    if max(q for _, q in candidates) <= Q_MAX * FIRST_CHUNK // ROUGH_STEPS:
+        hit = next(_locked(g, subgrid, candidates), None)
+        if hit == candidates[0]:
+            return hit
+        if hit is not None:
+            candidates = candidates[:candidates.index(hit) + 1]
+    return next(_locked(g, grid, candidates), None)
 
 
 def _bracket(xs, q):
@@ -204,7 +255,9 @@ def rotation_number(g, tol=1e-4):
     two chunks the lock scan tries the reduced p/q inside the bracket,
     q <= 4 after the first and 5 <= q <= Q_MAX after the second, in
     ascending q, on one LOCK_GRID-point orbit table as deep as the
-    deepest; a detected lock p/q gives the exact value (error radius 0).
+    deepest (q <= 4 on its LOCK_SUBGRID-point subgrid first, see
+    _first_lock); a detected lock p/q gives the exact value (error
+    radius 0).
     The scan is done before any extension: near a low-order rational the
     bracket narrows only like 1/n.  Otherwise the orbit is extended
     (doubling, at most CHUNK_MAX steps at a time) until half the
@@ -270,7 +323,7 @@ def _estimate(g, tol, target):
                 for p in range(-(-a * q // b), c * q // d + 1)
                 if math.gcd(p, q) == 1])
             if lock is not None:
-                (p, q), _ = lock
+                p, q = lock
                 return RotationEstimate(value=p / q, error_radius=0.0,
                                         iterations=n, lock=(p, q))
         if n >= ROUGH_STEPS:

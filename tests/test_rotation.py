@@ -17,11 +17,14 @@ from poncelet.families import (
     rigid_family,
 )
 from poncelet.geometry import PonceletConfig
+from poncelet.kernels._ref import NARROW_MAX
 from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     CHUNK_MAX,
     FIRST_CHUNK,
     FLOOR_SLACK,
+    LOCK_GRID,
+    LOCK_SUBGRID,
     MAX_STEPS,
     Q_MAX,
     ROUGH_STEPS,
@@ -31,7 +34,9 @@ from poncelet.rotation import (
     _bracket,
     _estimate,
     _first_lock,
+    _lock_grids,
     _ratio,
+    _root_cell,
     count_poncelet_pairs,
     detect_rational_lock,
     euler_totient,
@@ -294,11 +299,11 @@ class RecordingLift:
 def test_lock_table_is_as_deep_as_the_deepest_candidate():
     # r = 1/2 at t = 0: g(x) = x + 1/2, so the first chunk's bracket is
     # [31/63, 32/63] and its only candidate with q <= 4 is 1/2, certified
-    # before the orbit runs on to ROUGH_STEPS
+    # on the subgrid before the orbit runs on to ROUGH_STEPS
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
     est = rotation_number(g, tol=1e-4)
     assert (est.lock, est.iterations) == ((1, 2), 64)
-    assert g.tables == [(1, 64), (512, 2)]
+    assert g.tables == [(1, 64), (LOCK_SUBGRID, 2)]
 
 
 def test_no_lock_table_without_a_candidate():
@@ -312,12 +317,14 @@ def test_no_lock_table_without_a_candidate():
 
 def test_a_bracket_from_zero_scans_zero_after_the_first_chunk():
     # 64 steps of 0.0123 stay below 1, so the first chunk's bracket starts
-    # at 0/1: its candidate 0/1 is scanned, with no lock, before the orbit
-    # runs on to ROUGH_STEPS, whose bracket holds no p/q with q <= 64
+    # at 0/1: its candidate 0/1 is scanned, with no lock on the subgrid
+    # and then none on the grid, before the orbit runs on to ROUGH_STEPS,
+    # whose bracket holds no p/q with q <= 64
     g = RecordingLift(RigidLift(0.0123))
     est = rotation_number(g, tol=1e-4)
     assert (est.lock, est.iterations) == (None, 1024)
-    assert g.tables == [(1, 64), (512, 1), (1, 960)]
+    assert g.tables == [(1, 64), (LOCK_SUBGRID, 1), (LOCK_GRID, 1),
+                        (1, 960)]
 
 
 @pytest.mark.parametrize("g", [
@@ -378,12 +385,12 @@ def test_radius_is_positive_and_within_tol_off_a_lock():
 def test_lock_scan_runs_before_any_extension():
     # near the Fuss radius at c = 0 the bracket narrows only like 1/n, so
     # extending first would run 16,384 steps before the scan finds 1/4;
-    # with q = 4 the lock is certified from the first chunk
+    # with q = 4 the lock is certified from the first chunk, on the subgrid
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0,
                                                   math.sqrt(0.5))))
     est = rotation_number(g, tol=1e-5)
     assert (est.lock, est.iterations) == ((1, 4), 64)
-    assert g.tables == [(1, 64), (512, 4)]
+    assert g.tables == [(1, 64), (LOCK_SUBGRID, 4)]
 
 
 @pytest.mark.parametrize("estimate", [
@@ -438,7 +445,7 @@ def _one_scan_estimate(g, tol, first, target):
                 for p in range(-(-a * q // b), c * q // d + 1)
                 if math.gcd(p, q) == 1])
             if lock is not None:
-                (p, q), _ = lock
+                p, q = lock
                 est = (p / q, 0.0, (p, q))
                 break
         if n >= ROUGH_STEPS:
@@ -547,6 +554,162 @@ def test_lock_point_is_the_left_end_of_a_root_cell():
     cell = np.array([x0, x0 + 1.0 / 512])
     d = g.orbit_table(cell, 2)[-1] - cell - 1
     assert d[0] * d[1] <= 0.0
+
+
+def test_lock_subgrid_takes_the_grid_tables_path():
+    # wider than the scalar loop, so the subgrid runs the grid's numpy
+    # step; every 16th grid point, so a subgrid cell is 16 grid cells
+    assert LOCK_SUBGRID > NARROW_MAX
+    assert LOCK_GRID % LOCK_SUBGRID == 0
+
+
+def test_lock_grids_are_built_once_and_read_only():
+    grid, subgrid = _lock_grids()
+    assert _lock_grids()[0] is grid and _lock_grids()[1] is subgrid
+    want = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
+    assert grid.tobytes() == want.tobytes()
+    assert subgrid.tobytes() == want[::LOCK_GRID // LOCK_SUBGRID].tobytes()
+    for xs in (grid, subgrid):
+        with pytest.raises(ValueError):
+            xs[0] = 0.5
+
+
+def _subgrid_lifts():
+    lifts = []
+    for c in (0.0, 0.3, 0.6, 0.9):
+        euler = (1.0 - c * c) / 2.0
+        fuss = (1.0 - c * c) / math.sqrt(2.0 * (1.0 + c * c))
+        for t in (0.0, euler, fuss, 0.37 * (1.0 - c), 1.0 - c):
+            lifts.append(PonceletLift(PonceletConfig(1.0, c, t)))
+    return lifts + [ArnoldLift(omega, K) for K in (0.5, 0.9)
+                    for omega in (0.0, 0.25, 0.51, GOLDEN)]
+
+
+@pytest.mark.parametrize("g", _subgrid_lifts())
+def test_subgrid_table_has_the_grid_tables_bits(g):
+    # the subgrid scan certifies a grid lock only if its points are the
+    # grid table's points to the bit
+    xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
+    step = LOCK_GRID // LOCK_SUBGRID
+    assert g.orbit_table(xs[::step], 4).tobytes() \
+        == g.orbit_table(xs, 4)[:, ::step].tobytes()
+    assert g.orbit_table(_lock_grids()[1], 4).tobytes() \
+        == g.orbit_table(xs, 4)[:, ::step].tobytes()
+
+
+def _rolled_root_cell(d):
+    # the reference: each end against its cyclic right neighbour
+    signs = np.sign(d)
+    hits = np.flatnonzero(signs * np.roll(signs, -1) <= 0)
+    return int(hits[0]) if hits.size else None
+
+
+@pytest.mark.parametrize("d, cell", [
+    ([1.0, 2.0, 3.0, -1.0], 2),
+    ([1.0, 2.0, 3.0, 4.0], None),
+    ([-1.0, 2.0, 3.0, 4.0], 0),
+    ([1.0, 2.0, 3.0, -4.0], 2),
+    ([-1.0, -2.0, -3.0, 4.0], 2),
+    ([4.0, -1.0, -2.0, -3.0], 0),
+    ([-1.0, -2.0, -3.0, -4.0], None),
+    ([1.0, 2.0, 0.0, 4.0], 1),
+    ([0.0, 2.0, 3.0, 4.0], 0),
+    ([-0.0, 2.0, 3.0, 4.0], 0),
+    ([math.nan, 2.0, -3.0, 4.0], 1),
+    ([math.nan, 2.0, 3.0, -4.0], 2),
+    ([-1.0, 2.0, 3.0, math.nan], 0),
+    ([1.0, 2.0, 3.0, math.nan], None),
+    ([-1.0, math.nan, math.nan, 1.0], 3),
+    ([2.0, math.nan, math.nan, 0.0], 3),
+    ([math.nan, 2.0, 3.0, 4.0], None),
+    ([1e-200, 1e-200, 1e-200, 1e-200], None),
+    ([2.0], None),
+    ([0.0], 0),
+], ids=lambda v: str(v))
+def test_root_cell_is_the_first_cyclic_cell(d, cell):
+    # the last cell closes on d[0]; a nan end certifies nothing; products
+    # of d itself would underflow to 0 on tiny values, signs do not
+    d = np.array(d)
+    assert _root_cell(d) == cell == _rolled_root_cell(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.lists(st.sampled_from([-2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0,
+                                   math.nan, math.inf, -math.inf]),
+                  min_size=1, max_size=40))
+def test_root_cell_matches_the_rolled_scan(d):
+    d = np.array(d)
+    assert _root_cell(d) == _rolled_root_cell(d)
+
+
+def test_a_later_subgrid_hit_scans_the_earlier_candidates_on_the_grid():
+    # 0/1 has no subgrid hit, 1/2 does: the grid table ends at 1/2, and
+    # 0/1 is ruled out on it before 1/2 is returned
+    g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
+    assert _first_lock(g, [(0, 1), (1, 2), (1, 3), (1, 4)]) == (1, 2)
+    assert g.tables == [(LOCK_SUBGRID, 4), (LOCK_GRID, 2)]
+
+
+class SteppedTable:
+    """Not a lift: a table whose d = g^q(x) - x - p is -1 or +1, so each
+    candidate's root cells are set by hand.  For 0/1 d is +1 only at grid
+    point 5, between two subgrid points; for 1/2 it changes sign at 1/2."""
+
+    def orbit_table(self, xs, depth):
+        xs = np.asarray(xs)
+        d_01 = np.where(xs == 5.0 / LOCK_GRID, 1.0, -1.0)
+        d_12 = np.where(xs < 0.5, -1.0, 1.0)
+        return np.array([xs, xs + d_01, xs + 1.0 + d_12])[:depth + 1]
+
+
+def test_an_earlier_grid_hit_beats_a_later_subgrid_hit():
+    # the subgrid misses 0/1 and hits 1/2, but 0/1 comes first and has a
+    # root cell on the grid
+    candidates = [(0, 1), (1, 2)]
+    g = SteppedTable()
+    assert _first_lock(g, candidates) == (0, 1)
+    assert _grid_first_lock(g, candidates) == (0, 1)
+    assert _first_lock(g, candidates[1:]) == (1, 2)
+
+
+def _grid_first_lock(g, candidates):
+    """The reference scan: the first candidate with a root cell on the
+    LOCK_GRID-point grid."""
+    if not candidates:
+        return None
+    xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
+    table = g.orbit_table(xs, max(q for _, q in candidates))
+    for p, q in candidates:
+        if _rolled_root_cell(table[q] - xs - p) is not None:
+            return p, q
+    return None
+
+
+@st.composite
+def _candidates(draw):
+    # the reduced p/q with q <= q_max around a centre: near the lift's
+    # rotation number, where the locks are, or anywhere; in ascending q as
+    # the estimator lists them, or in any order
+    g = draw(STAGED_LIFTS)
+    q_max = draw(st.sampled_from([1, 2, 3, 4, 4, 8, 64]))
+    centre = draw(st.one_of(
+        st.just(rotation_number(g, tol=1e-3).value),
+        st.floats(-2.0, 2.0)))
+    width = draw(st.sampled_from([1e-3, 0.02, 0.2]))
+    candidates = [(p, q) for q in range(1, q_max + 1)
+                  for p in range(math.ceil((centre - width) * q),
+                                 math.floor((centre + width) * q) + 1)
+                  if math.gcd(p, q) == 1]
+    if draw(st.booleans()):
+        candidates = draw(st.permutations(candidates))
+    return g, list(candidates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_candidates())
+def test_first_lock_is_the_grid_scans_first_lock(case):
+    g, candidates = case
+    assert _first_lock(g, candidates) == _grid_first_lock(g, candidates)
 
 
 def test_lock_rejects_unreduced_fraction():
