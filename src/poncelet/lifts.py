@@ -16,6 +16,7 @@ from their numpy step; a `FunctionLift` runs its callable in the table,
 so the callable's error passes through.
 """
 
+import functools
 import operator
 
 from . import kernels
@@ -39,6 +40,15 @@ def _step_count(n):
     if n < 0:
         raise ValueError(f"step count must be at least 0, got {n}")
     return n
+
+
+@functools.cache
+def _sample_points(samples):
+    """validate's sample grid i / samples, i = 0..samples - 1 (numpy's
+    linspace, bitwise), and each point plus 1."""
+    width = 1.0 / samples
+    xs = tuple(i * width for i in range(samples))
+    return xs, tuple(x + 1.0 for x in xs)
 
 
 class CircleLift:
@@ -76,10 +86,9 @@ class CircleLift:
         if samples < 1:
             raise ValueError(f"sample count must be at least 1, got {samples}")
         g = self._step  # g(x), without the call's dispatch
-        width = 1.0 / samples
-        xs = [i * width for i in range(samples)]  # numpy's linspace, bitwise
-        vals = [g(x) for x in xs]
-        shifted = [g(x + 1.0) for x in xs]
+        xs, xs_1 = _sample_points(samples)
+        vals = list(map(g, xs))
+        shifted = list(map(g, xs_1))
         # a nan or infinite sample fails both checks (inf - inf is nan)
         for x, val, val_1 in zip(xs, vals, shifted):
             defect = abs(val_1 - val - 1.0)

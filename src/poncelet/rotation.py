@@ -22,10 +22,12 @@ bracket with q <= Q_MAX n / ROUGH_STEPS not tried at an earlier stage:
 q <= 4 after the first chunk of FIRST_CHUNK steps, so the low-order locks
 of a staircase (1/2, 1/3, 1/4, 0/1) cost 64 steps and a 4-row table.
 Brackets only narrow, and row q of a lock table has the same bits at any
-depth, so the stages find the lock one scan at ROUGH_STEPS would.  That
-first stage scans the LOCK_SUBGRID-point subgrid of the grid before the
-grid itself: a subgrid point has the grid's bits, and a root cell of the
-subgrid holds one of the grid, so a hit there is the grid scan's hit.
+depth, so the stages find the lock one scan at ROUGH_STEPS would.  Below
+q = ceil((b + d) / (b c - a d)) only the ends of the bracket [a/b, c/d]
+can be candidates, so a stage loops over no smaller q (see _candidates).
+The first stage scans the LOCK_SUBGRID-point subgrid of the grid before
+the grid itself: a subgrid point has the grid's bits, and a root cell of
+the subgrid holds one of the grid, so a hit there is the grid scan's hit.
 
 In exact arithmetic the bracket [a/b, c/d] of n steps has b, d <= n, so
 the mediant (a + c)/(b + d), which lies strictly inside it, is read by
@@ -234,12 +236,42 @@ def _bracket(xs, q):
     so a point that close to an integer widens its q's term by one lap."""
     import numpy as np
 
-    slack = FLOOR_SLACK + q * np.spacing(np.abs(xs))
-    k_lo = np.floor(xs - slack)
-    k_hi = np.floor(xs + slack) + 1.0
-    i = int(np.argmax(k_lo / q))
-    j = int(np.argmin(k_hi / q))
+    # FLOOR_SLACK + q * spacing(|xs|) and the floors, formed in place; the
+    # ndarray methods skip np.argmax's Python wrapper
+    slack = np.abs(xs)
+    np.spacing(slack, out=slack)
+    slack *= q
+    slack += FLOOR_SLACK
+    k_lo = xs - slack
+    np.floor(k_lo, out=k_lo)
+    k_hi = np.add(xs, slack, out=slack)
+    np.floor(k_hi, out=k_hi)
+    k_hi += 1.0
+    ratio = k_lo / q
+    i = int(ratio.argmax())
+    j = int(np.divide(k_hi, q, out=ratio).argmin())
     return (int(k_lo[i]), int(q[i])), (int(k_hi[j]), int(q[j]))
+
+
+def _candidates(lo, hi, q_first, q_last):
+    """The reduced p/q in [a/b, c/d] = [lo, hi] (b, d >= 1) with
+    q_first <= q <= q_last, in ascending q, then p.
+
+    A p/q strictly inside has p b - a q >= 1 and c q - p d >= 1, so
+    (b c - a d) q >= b + d: below q = ceil((b + d) / (b c - a d)) only the
+    ends' reduced forms can be candidates, and the loop over q starts
+    there.  Off a lock, the bracket at ROUGH_STEPS is usually a Farey pair
+    (b c - a d = 1) with b + d > ROUGH_STEPS, and the loop runs no q."""
+    (a, b), (c, d) = lo, hi
+    width = b * c - a * d
+    q_min = -(-(b + d) // width) if width else q_last + 1
+    ends = sorted({(q // math.gcd(k, q), k // math.gcd(k, q))  # (q, p)
+                   for k, q in (lo, hi)})
+    return [(p, q) for q, p in ends
+            if q_first <= q < min(q_min, q_last + 1)] + [
+        (p, q) for q in range(max(q_first, q_min), q_last + 1)
+        for p in range(-(-a * q // b), c * q // d + 1)
+        if math.gcd(p, q) == 1]
 
 
 def _ratio(fraction):
@@ -317,11 +349,9 @@ def _estimate(g, tol, target):
             return est
         if n <= ROUGH_STEPS:
             # the q the last stage scanned, at n - m steps, are not retried
-            lock = _first_lock(g, [
-                (p, q) for q in range(Q_MAX * (n - m) // ROUGH_STEPS + 1,
-                                      Q_MAX * n // ROUGH_STEPS + 1)
-                for p in range(-(-a * q // b), c * q // d + 1)
-                if math.gcd(p, q) == 1])
+            lock = _first_lock(g, _candidates(
+                lo, hi, Q_MAX * (n - m) // ROUGH_STEPS + 1,
+                Q_MAX * n // ROUGH_STEPS))
             if lock is not None:
                 p, q = lock
                 return RotationEstimate(value=p / q, error_radius=0.0,

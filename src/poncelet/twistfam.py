@@ -151,17 +151,31 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
     pointwise separations from g_tau equal 1/q' and 1/q for an excess /
     defect convergent pair of r(tau).  The quotient is evaluated
     conservatively (error radii subtracted), so finite sampling can only
-    under-report, never falsely pass.
+    under-report, never falsely pass.  Each parameter's rotation number is
+    estimated once per call: deltas that choose the same pair solve to the
+    same t1 or t2.  A delta_seq that is empty, or holds a delta that is not
+    positive and finite, raises ValueError.
     """
     if not family.a < tau < family.b:
         raise ValueError("tau must be interior to the parameter interval")
     w = family.b - family.a
     if delta_seq is None:
         delta_seq = [0.1 * w * 2.0 ** (-k) for k in range(1, 13)]
+    if not delta_seq or not all(0.0 < d < math.inf for d in delta_seq):
+        raise ValueError("delta_seq must hold at least one delta, each "
+                         f"positive and finite, got {delta_seq!r}")
     delta_max = min(max(delta_seq), tau - family.a, family.b - tau)
     delta_seq = sorted({min(d, delta_max) for d in delta_seq}, reverse=True)
 
-    est_tau = rotation_number(family.lift(tau), tol=tol)
+    estimates = {}  # t.hex() -> r(t): -0.0 and 0.0 are kept apart
+
+    def estimate(t):
+        key = float(t).hex()
+        if key not in estimates:
+            estimates[key] = rotation_number(family.lift(t), tol=tol)
+        return estimates[key]
+
+    est_tau = estimate(tau)
     margin = w * twist_margin(
         family,
         t_grid=np.linspace(tau - delta_max, tau + delta_max, 9),
@@ -196,8 +210,7 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
                                sep_plus - 1.0 / q_exc, x_grid)
         if t2 - t1 <= 0:
             continue
-        r1 = rotation_number(family.lift(t1), tol=tol)
-        r2 = rotation_number(family.lift(t2), tol=tol)
+        r1, r2 = estimate(t1), estimate(t2)
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)
         quotient = num / ((t2 - t1) / w) ** 2
         brackets.append((t1, t2, quotient))

@@ -32,6 +32,7 @@ from poncelet.rotation import (
     NoSolutionError,
     ResidualFailureError,
     _bracket,
+    _candidates,
     _estimate,
     _first_lock,
     _lock_grids,
@@ -348,6 +349,106 @@ def test_bracket_ends_are_read_off_one_advance(g):
     lo, hi = max(los), min(his)
     assert (est.value, est.error_radius) == \
         (float((lo + hi) / 2), float((hi - lo) / 2))
+
+
+def _bracket_formula(xs, q):
+    """_bracket before it formed its arrays in place, kept as the
+    reference."""
+    slack = FLOOR_SLACK + q * np.spacing(np.abs(xs))
+    k_lo = np.floor(xs - slack)
+    k_hi = np.floor(xs + slack) + 1.0
+    i = int(np.argmax(k_lo / q))
+    j = int(np.argmin(k_hi / q))
+    return (int(k_lo[i]), int(q[i])), (int(k_hi[j]), int(q[j]))
+
+
+# orbit coordinates: anywhere up to 2^40, integers, zeros of either sign,
+# and points within the rounding allowance of an integer
+ORBIT_POINTS = st.one_of(
+    st.floats(-2.0 ** 40, 2.0 ** 40),
+    st.integers(-2 ** 40, 2 ** 40).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda k, e: k + e * 1e-10, st.integers(-1000, 1000),
+              st.integers(-30, 30)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(column=st.lists(st.tuples(ORBIT_POINTS, st.integers(1, 2 ** 20)),
+                       min_size=1, max_size=64))
+def test_bracket_is_the_formula_bit_for_bit(column):
+    # the orbit column is a strided view of a table, as in the estimator,
+    # and the in-place arithmetic leaves it as it was
+    table = np.array([[x, 0.0] for x, _ in column])
+    xs, q = table[:, 0], np.array([float(k) for _, k in column])
+    before = table.copy()
+    assert _bracket(xs, q) == _bracket_formula(xs, q)
+    assert np.array_equal(table, before, equal_nan=True)
+
+
+def _candidate_comprehension(lo, hi, q_first, q_last):
+    """The lock candidates before the loop over q was bounded, kept as the
+    reference: every reduced p/q in [a/b, c/d], q_first <= q <= q_last."""
+    (a, b), (c, d) = lo, hi
+    return [(p, q) for q in range(q_first, q_last + 1)
+            for p in range(-(-a * q // b), c * q // d + 1)
+            if math.gcd(p, q) == 1]
+
+
+@st.composite
+def _farey_ends(draw):
+    # reduced a/b < c/d with b c - a d = 1, each end then scaled by its
+    # own factor: unreduced ends, and widths m1 m2
+    d = draw(st.integers(1, 2048))
+    c = draw(st.integers(-3000, 3000))
+    g = math.gcd(c, d)
+    c, d = c // g, d // g
+    b = (pow(c, -1, d) if d > 1 else 1) + d * draw(st.integers(0, 3))
+    a = (b * c - 1) // d
+    m1, m2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return (a * m1, b * m1), (c * m2, d * m2)
+
+
+@st.composite
+def _equal_ends(draw):
+    # a/b = c/d, unreduced on either side
+    p = draw(st.integers(-200, 200))
+    q = draw(st.integers(1, 100))
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    m1, m2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return (p * m1, q * m1), (p * m2, q * m2)
+
+
+@st.composite
+def _any_ends(draw):
+    # any two fractions in [-2, 2], in order, with b c - a d >= 1
+    ends = []
+    for _ in range(2):
+        b = draw(st.integers(1, 2048))
+        ends.append((draw(st.integers(-2 * b, 2 * b)), b))
+    (a, b), (c, d) = sorted(ends, key=lambda e: Fraction(*e))
+    assume(b * c - a * d >= 1)
+    return (a, b), (c, d)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ends=st.one_of(_farey_ends(), _equal_ends(), _any_ends()),
+       q_first=st.integers(1, 64), span=st.integers(0, 63))
+def test_bounded_candidates_are_the_comprehension(ends, q_first, span):
+    lo, hi = ends
+    q_last = min(q_first + span, 64)
+    assert _candidates(lo, hi, q_first, q_last) \
+        == _candidate_comprehension(lo, hi, q_first, q_last)
+
+
+def test_a_farey_bracket_past_q_max_has_no_candidate():
+    # 377/610 and 610/987 are Farey neighbours: no p/q strictly between
+    # them has q < 610 + 987, and neither end has q <= 64
+    assert _candidates((377, 610), (610, 987), 5, Q_MAX) == []
+    # [2/6, 4/10] has no p/q strictly inside with q < 4: its end 1/3 comes
+    # from the ends, in reduced form, and the loop over q starts at 4
+    assert _candidates((2, 6), (4, 10), 1, 8) == [(1, 3), (2, 5), (3, 8)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -686,7 +787,7 @@ def _grid_first_lock(g, candidates):
 
 
 @st.composite
-def _candidates(draw):
+def _lock_cases(draw):
     # the reduced p/q with q <= q_max around a centre: near the lift's
     # rotation number, where the locks are, or anywhere; in ascending q as
     # the estimator lists them, or in any order
@@ -706,7 +807,7 @@ def _candidates(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_candidates())
+@given(case=_lock_cases())
 def test_first_lock_is_the_grid_scans_first_lock(case):
     g, candidates = case
     assert _first_lock(g, candidates) == _grid_first_lock(g, candidates)

@@ -286,6 +286,53 @@ def test_tau_must_be_interior():
         second_order_estimate(rigid_family(), 0.0, tol=1e-5)
 
 
+# the parameter find_parameter_for_value(arnold_family(0.7), GOLDEN,
+# tol=1e-5) places, and the report the estimator gave before it estimated
+# each parameter once
+ARNOLD_TAU = float.fromhex("0x1.392d9f46f0110p-1")
+ARNOLD_REPORT = (
+    "SecondOrderReport(tau=0.611676194581408, status='ok', "
+    "best_ratio=26335.049776518616, bound=1.753370028095087e-09, "
+    "margin=1.0, brackets=["
+    "(0.5822644298755254, 0.6592952422004558, 13.640146806431883), "
+    "(0.6004402395252281, 0.6298580127632264, 37.61813951578063), "
+    "(0.6004402395252281, 0.6186206390258526, 60.72141180490192), "
+    "(0.6073843490878456, 0.6143287144753073, 158.77033014253814), "
+    "(0.6106630233554706, 0.6143287144753073, 300.54972238690243), "
+    "(0.6106630233554706, 0.6124093324113202, 629.3656746168526), "
+    "(0.6112508436669032, 0.6124093324113202, 948.5252772048075), "
+    "(0.6115113413008274, 0.611945373585446, 2534.6770875636544), "
+    "(0.6115113413008274, 0.6117784336162718, 4093.2095057299675), "
+    "(0.6116130911548918, 0.6117152144034778, 10588.94543007553), "
+    "(0.6116520836712209, 0.6117152144034778, 16965.59803884157), "
+    "(0.6116520836712209, 0.6116910970447854, 26335.049776518616)])")
+
+
+def test_each_parameter_is_estimated_once(monkeypatch):
+    # deltas that choose the same pair solve to the same t1 or t2: the 12
+    # brackets and tau name 18 distinct parameters among 25 estimates
+    inner = twistfam.rotation_number
+    omegas = []
+
+    def counted(g, tol):
+        omegas.append(g.omega)
+        return inner(g, tol=tol)
+
+    monkeypatch.setattr(twistfam, "rotation_number", counted)
+    report = second_order_estimate(arnold_family(0.7), ARNOLD_TAU, tol=1e-5)
+    assert len(omegas) == len(set(omegas)) == 18
+    assert repr(report) == ARNOLD_REPORT
+
+
+@pytest.mark.parametrize("delta_seq", [
+    [], [0.0], [-0.0], [-0.01], [math.nan], [math.inf], [0.05, 0.0],
+    [0.05, math.nan]])
+def test_deltas_must_be_positive_and_finite(delta_seq):
+    with pytest.raises(ValueError, match="delta_seq"):
+        second_order_estimate(rigid_family(), GOLDEN, delta_seq=delta_seq,
+                              tol=1e-5)
+
+
 SEPARATION_CASES = [
     pytest.param(family, tau, q, side, id=f"{name}-q{q}-side{side:+d}")
     for name, family, tau in (("rigid", rigid_family(), GOLDEN),
