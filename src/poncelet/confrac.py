@@ -60,8 +60,7 @@ class ContinuedFractionExpansion(NamedTuple):
     a0: int
     quotients: List[int]                 # a1, a2, ... (all >= 1)
     convergents: List[Tuple[int, int]]   # (p_n, q_n), n = 0 .. len(quotients)
-    value: Fraction                      # exact value the input represents
-    exact: bool                          # expansion terminates at the value
+    exact: bool                          # expansion terminates at the input
 
     def __len__(self):
         return len(self.quotients)
@@ -121,7 +120,7 @@ def cf_expand(x):
     p, q = convergents[-1]
     return ContinuedFractionExpansion(
         a0=a0, quotients=quotients, convergents=convergents,
-        value=value, exact=Fraction(p, q) == value)
+        exact=Fraction(p, q) == value)
 
 
 class RemainderRecord(NamedTuple):

@@ -22,19 +22,20 @@ at the exact fixed point 0.
 
 Each map's step is defined once, as a factory that binds the map's
 parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
-Two paths, chosen per call by batch width, build it from different tuples:
+Two paths, chosen per call, build it from different tuples:
 
-* narrow batches (at most ``NARROW_MAX`` points) run the step built from
-  ``math`` (``SCALAR``) in a python loop.  Single-point orbits are this
-  case: the rotation estimate's orbit, whose floors of g^q(0) give
-  its Farey bracket (up to a rounding allowance that is not yet a
-  certified budget), and that orbit's extensions.  numpy's per-call
-  dispatch on 1-element arrays costs about 20x a scalar step.  The lifts'
+* a one-point batch runs the step built from ``math`` (``SCALAR``) in a
+  python loop: numpy's per-call dispatch on a 1-element array costs about
+  20x a scalar step.  This is the rotation estimate's orbit, whose floors
+  of g^q(0) give its Farey bracket (up to a rounding allowance that is
+  not yet a certified budget), and that orbit's extensions.  The lifts'
   ``__call__`` and the families' ``step``, which the pair count's lock
   residual and ``verify_closure``'s starts iterate, run this step
   directly, with no table.
-* wide batches run the step built from numpy's ufuncs on whole arrays,
-  which is libm-bound there.
+* a table of two or more points runs the step built from numpy's ufuncs
+  on whole arrays.  Every table the library builds (the 32-point lock
+  subgrid, the 512-point lock grid, `twistfam`'s 128- and 256-point
+  samples) is one, so a subgrid point has the grid table's bits.
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
@@ -47,18 +48,6 @@ import math
 from math import pi
 
 TWO_PI = 2.0 * pi
-
-# Widest batch iterated by the scalar loop.  Measured with the `_max` clamp
-# (Python 3.11, numpy 2.4, x86-64, 2 shared cores, best of 40 repeats of
-# 256 steps): at 16 points the scalar loop takes 0.5-0.7x (Poncelet) and
-# 0.7-0.85x (Arnold) of numpy's time; they break even near 20-24 points
-# for Arnold and 24-32 for Poncelet.  The width also picks the path, and
-# with it the bits, of a 17-32-point batch.  The library's one is the
-# 32-point lock subgrid, which must stay on numpy's path to get the
-# 512-point lock table's bits; its other batches are the estimator's
-# one-point orbit and `twistfam`'s 128- and 256-point tables.
-NARROW_MAX = 16
-
 
 def _max(a, b):
     # the builtin max's value, sign of zero and nan included (it keeps a
@@ -125,7 +114,9 @@ def arnold_step(omega, K, fns=SCALAR):
 
 
 def _scalar_orbit(xs, depth, step):
-    """Orbit table of the narrow array xs: row k = step^k(xs)."""
+    """Orbit table of the array xs, one point at a time on the scalar
+    step: row k = step^k(xs).  The kernels run it on a one-point batch;
+    a `FunctionLift`'s table runs its callable through it at any width."""
     import numpy as np
 
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
@@ -145,7 +136,7 @@ def _orbit(xs, depth, make_step, params):
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size <= NARROW_MAX:
+    if xs.size == 1:
         try:
             return _scalar_orbit(xs, depth, make_step(*params))
         except ValueError:

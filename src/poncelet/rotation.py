@@ -60,8 +60,8 @@ from .geometry import TWO_PI
 LOCK_GRID = 512       # points of the periodic lock-scan grid
 # Points of its subgrid, every 16th, which the first-stage scan tries before
 # the grid: a lock's root cell turns up almost anywhere on the grid, and
-# a 32-point table takes the grid table's numpy path (32 > NARROW_MAX),
-# so its points get the grid table's bits.
+# the kernels iterate every table of two or more points on numpy's step,
+# so a subgrid point gets the grid table's bits.
 LOCK_SUBGRID = 32
 Q_MAX = 64            # largest lock denominator rotation_number tries
 ROUGH_STEPS = 1024    # steps by which the lock scan has tried q <= Q_MAX
@@ -549,10 +549,8 @@ def verify_closure(step, n, seed):
             # angular distance to the start
             dist = TWO_PI * abs((x - x0 + 0.5) % 1.0 - 0.5)
             if k < n and dist <= EARLY_TOL:
-                if early is None or k < early[0]:
-                    early = (k, dist)
-                elif k == early[0]:
-                    early = (k, min(early[1], dist))
+                # the smallest step, then the least distance there
+                early = min(early or (k, dist), (k, dist))
                 break
         ends.append(dist)
     if early is not None:

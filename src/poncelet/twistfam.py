@@ -9,7 +9,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .confrac import cf_expand, find_balanced_pairs, second_order_bound
+from .confrac import (PrecisionExhaustedError, cf_expand, find_balanced_pairs,
+                      second_order_bound)
 from .rotation import (RotationEstimate, rotation_number, shrink_bracket,
                        staircase)
 
@@ -65,7 +66,8 @@ class ComparisonReport(NamedTuple):
 def comparison_check(g1, g2):
     """Check r1 <= r2 and, via an excess convergent p/q of r1 with
     q > 1/alpha, alpha = separation_alpha(g1, g2), the sandwich
-    r1 < p/q <= r2."""
+    r1 < p/q <= r2.  At an r1 whose expansion certifies no integer part
+    (a lock at an integer) excess and sandwich_ok are None."""
     alpha = separation_alpha(g1, g2)
     r1 = rotation_number(g1, tol=COMPARISON_TOL)
     r2 = rotation_number(g2, tol=COMPARISON_TOL)
@@ -74,11 +76,13 @@ def comparison_check(g1, g2):
 
     excess = None
     sandwich_ok = None
-    exp = cf_expand(r1.value)
-    for n in range(1, len(exp) + 1):
-        if n % 2 != 1:      # odd truncations over-approximate
-            continue
-        p, q = exp.convergents[n]
+    try:
+        convergents = cf_expand(r1.value).convergents
+    except PrecisionExhaustedError:
+        # r1 within ulps of an integer: no integer part is certified, so
+        # there is no convergent to sandwich
+        convergents = []
+    for p, q in convergents[1::2]:  # odd truncations over-approximate
         if q > 1.0 / alpha:
             excess = (p, q)
             pq = p / q
@@ -208,8 +212,6 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
                                sep_minus - 1.0 / q_def, x_grid)
         t2 = _solve_separation(family, tau, g_tau, 1.0 / q_exc, +1, delta,
                                sep_plus - 1.0 / q_exc, x_grid)
-        if t2 - t1 <= 0:
-            continue
         r1, r2 = estimate(t1), estimate(t2)
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)
         quotient = num / ((t2 - t1) / w) ** 2

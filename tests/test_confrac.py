@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from poncelet import confrac
 from poncelet.confrac import (
+    E2F,
     FIB_RECIP,
     SLACK_ULPS,
     PrecisionExhaustedError,
@@ -36,7 +37,6 @@ def test_pi_approximation_expands_finitely():
     assert exp.quotients == [7, 16]
     assert exp.convergents == [(3, 1), (22, 7), (355, 113)]
     assert exp.exact
-    assert exp.value == Fraction(355, 113)
 
 
 def test_golden_float_expands_to_ones():
@@ -52,8 +52,8 @@ def test_golden_float_expands_to_ones():
 
 
 def test_convergents_alternate_around_the_value():
-    exp = cf_expand(Fraction(2136, 1751))
-    x = exp.value
+    x = Fraction(2136, 1751)
+    exp = cf_expand(x)
     for n in range(1, len(exp) + 1):
         c = exp.convergent(n)
         if n == len(exp):
@@ -256,6 +256,21 @@ def test_golden_ratios_fall_in_the_window_at_every_index():
     assert len(pairs) == min(30, len(exp) - 1)
     for pair in pairs:
         assert pair.gap_ok
+
+
+def test_pair_search_skips_a_ratio_above_the_window():
+    # the window's top, 2 e^{2F} / (1 - eps), is about 3314 at eps = 0.5:
+    # the quotient 5000 puts q_2 / q_1 = 5000.5 above it, and 3000 keeps
+    # q_4 / q_3 (about 3000.3) inside
+    assert 2.0 * E2F / (1.0 - 0.5) == pytest.approx(3314, abs=1)
+    quotients = [2, 5000, 3, 3000, 2, 2]
+    x = Fraction(0)
+    for a in reversed(quotients):
+        x = 1 / (a + x)
+    exp = cf_expand(x)
+    assert exp.quotients == quotients
+    assert [pair.index for pair in find_balanced_pairs(exp, eps=0.5)] \
+        == [2, 3, 4, 5]
 
 
 def test_pairs_bracket_the_value():

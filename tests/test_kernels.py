@@ -30,11 +30,11 @@ def _in_batches(kernel, xs, width, *args):
 
 
 def test_ref_narrow_and_wide_paths_agree():
-    # The kernels iterate batches of up to NARROW_MAX points with a scalar
-    # math loop and wider ones with numpy; both must give the same orbits,
-    # at internal tangency t = R - c too.
-    wide = 4 * _ref.NARROW_MAX
-    widths = (1, 5, _ref.NARROW_MAX, _ref.NARROW_MAX + 1)
+    # The kernels iterate a one-point batch with a scalar math loop and
+    # every wider table with numpy; both must give the same orbits to
+    # rounding, at internal tangency t = R - c too.
+    wide = 64
+    widths = (1, 2, 5, 17)
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1.0, 2.0, wide)
     tangency = [(R, c, R - c)
@@ -63,17 +63,60 @@ def test_ref_narrow_and_wide_paths_agree():
 
 
 def test_ref_narrow_path_keeps_nonfinite_points_as_nan():
-    # math raises on inf where numpy gives nan
+    # math raises on inf where numpy gives nan: a one-point batch falls
+    # back to numpy's step, as a wider one runs it
     xs = np.array([np.inf, 0.25])
-    finite = np.full(4 * _ref.NARROW_MAX, 0.25)
+    finite = np.full(64, 0.25)
     with np.errstate(invalid="ignore"):
         out = _ref.poncelet_advance(xs, 3, 1.0, 0.3, 0.2)
         tab = _ref.arnold_orbit(xs, 3, 0.3, 0.8)
+        alone = [_ref.poncelet_orbit(xs[:1], 3, 1.0, 0.3, 0.2),
+                 _ref.arnold_orbit(xs[:1], 3, 0.3, 0.8)]
     assert np.isnan(out[0]) and np.all(np.isnan(tab[1:, 0]))
+    assert all(t.shape == (4, 1) and np.all(np.isnan(t[1:])) for t in alone)
     assert out[1] == pytest.approx(
         _ref.poncelet_advance(finite, 3, 1.0, 0.3, 0.2)[0], abs=1e-13)
     assert tab[3, 1] == pytest.approx(
         _ref.arnold_orbit(finite, 3, 0.3, 0.8)[3, 0], abs=1e-14)
+
+
+def _numpy_table(make_step, params, xs, depth):
+    """Rows step^k(xs), k = 0..depth, of the step built from numpy."""
+    step = make_step(*params, (np.sin, np.sqrt, np.arctan2, np.maximum))
+    rows = [xs]
+    for _ in range(depth):
+        rows.append(step(rows[-1]))
+    return np.array(rows)
+
+
+_KERNEL_MAPS = [(_ref.poncelet_orbit, _ref.poncelet_step, params)
+                for params in [(1.0, 0.3, 0.2), (1.0, 0.0, 0.5),
+                               (2.0, 0.7, 0.9), (1.0, 0.2, 0.8)]] + [
+    (_ref.arnold_orbit, _ref.arnold_step, params)
+    for params in [(0.3, 0.8), (0.51, 0.9)]]
+
+
+def test_ref_one_point_table_iterates_the_scalar_step():
+    # a one-point table's rows are the math build's g iterated, to the bit
+    for orbit, make_step, params in _KERNEL_MAPS:
+        g = make_step(*params)
+        for x in (0.0, 0.1, 0.375, -0.7, 1.9):
+            column = [x]
+            for _ in range(20):
+                column.append(g(column[-1]))
+            tab = orbit(np.array([x]), 20, *params)
+            assert tab.shape == (21, 1)
+            assert tab[:, 0].tobytes() == np.array(column).tobytes()
+
+
+def test_ref_table_of_two_or_more_points_runs_numpys_step():
+    # every table wider than one point has the numpy build's bits; the
+    # math build differs from it in the last bit at some of these points
+    xs = np.linspace(0.0, 1.0, 16, endpoint=False)
+    for orbit, make_step, params in _KERNEL_MAPS:
+        for width in range(2, 17):
+            assert orbit(xs[:width], 20, *params).tobytes() \
+                == _numpy_table(make_step, params, xs[:width], 20).tobytes()
 
 
 def test_kernel_step_commutes_with_integer_shift():
@@ -116,10 +159,10 @@ def test_orbit_table_rows_are_iterates():
         rtol=0.0, atol=0.0,
     )
     # a lift's table of depth n is the first rows of a deeper one, at every
-    # batch width on either side of the narrow/wide switch
+    # batch width on either side of the one-point switch
     rng = np.random.default_rng(1)
     for g in _every_lift():
-        for width in (1, _ref.NARROW_MAX, _ref.NARROW_MAX + 1, 64):
+        for width in (1, 2, 5, 17, 64):
             xs = rng.uniform(-1.0, 2.0, width)
             deep = g.orbit_table(xs, 50)
             for n in (0, 1, 50):

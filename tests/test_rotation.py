@@ -17,7 +17,6 @@ from poncelet.families import (
     rigid_family,
 )
 from poncelet.geometry import PonceletConfig
-from poncelet.kernels._ref import NARROW_MAX
 from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     CHUNK_MAX,
@@ -658,9 +657,9 @@ def test_lock_point_is_the_left_end_of_a_root_cell():
 
 
 def test_lock_subgrid_takes_the_grid_tables_path():
-    # wider than the scalar loop, so the subgrid runs the grid's numpy
-    # step; every 16th grid point, so a subgrid cell is 16 grid cells
-    assert LOCK_SUBGRID > NARROW_MAX
+    # a table, so the subgrid runs the grid's numpy step (its bits are
+    # pinned below); every 16th grid point, so a subgrid cell is 16 grid
+    # cells
     assert LOCK_GRID % LOCK_SUBGRID == 0
 
 
@@ -1261,12 +1260,29 @@ class TwoBands(CircleLift):
         return k + 0.5 + 0.5 * ((2.0 * y - 1.0 + 1.0 / 3.0) % 1.0)
 
 
+class TwoBandsDrift(TwoBands):
+    """TwoBands with a drift on [0, 1/4): a start y in [0, 1/2) comes back
+    after 2 steps 1e-6 (y mod 1/4) past itself."""
+
+    def _step(self, x):
+        k, y = divmod(x, 1.0)
+        if y < 0.25:
+            return k + y + 0.25 + 1e-6 * y
+        return super()._step(x)
+
+
 def test_closure_reports_the_earliest_return_over_all_starts():
     # the first start of seed 0 (0.844) returns after 3 steps; later starts
     # in [0, 1/2) return after 2, and the error must name 2
     with pytest.raises(ResidualFailureError,
                        match=r"^orbit returned after 2 < 6 steps"):
         verify_closure(TwoBands(), 6, 0)
+    # with the drift, the seven starts in [0, 1/2) tie at step 2 at
+    # distances 2 pi 1e-6 (y mod 1/4); the least, from y = 0.2505, is named
+    with pytest.raises(ResidualFailureError,
+                       match=r"^orbit returned after 2 < 6 steps "
+                             r"\(distance 3\.18e-09\)$"):
+        verify_closure(TwoBandsDrift(), 6, 0)
 
 
 class NanAbove(CircleLift):

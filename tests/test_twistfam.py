@@ -172,6 +172,14 @@ def test_arnold_family_rejects_an_invalid_k_up_front():
         arnold_family(1.5)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.7, 0.2), (math.nan, 1.0),
+                                  (0.0, math.nan)])
+def test_family_rejects_an_empty_or_nan_interval(a, b):
+    with pytest.raises(ValueError, match="b > a"):
+        MonotoneCircleFamily(a, b, RigidLift, RigidLift,
+                             lambda t, x: 1.0)
+
+
 def test_margin_rejects_non_twist_family():
     def lift(t):
         return RigidLift(-t)
@@ -244,6 +252,20 @@ def test_rational_shift_keeps_weak_inequality():
                               RigidLift(1.0 / 3.0 + 0.02))
     assert report.weak_ok
     assert report.r1.lock == (1, 3)
+
+
+@pytest.mark.parametrize("g1, g2, lock", [
+    (ArnoldLift(0.0, 0.5), ArnoldLift(0.05, 0.5), (0, 1)),
+    (RigidLift(0.0), RigidLift(0.01), (0, 1)),
+    (ArnoldLift(0.98, 0.9), ArnoldLift(0.999, 0.9), (1, 1)),
+], ids=["arnold-0", "rigid-0", "arnold-1"])
+def test_comparison_at_an_integer_lock_has_no_excess(g1, g2, lock):
+    # r1's float is ulps from an integer, so its expansion certifies no
+    # integer part and there is no convergent to sandwich
+    report = comparison_check(g1, g2)
+    assert report.r1.lock == lock
+    assert report.weak_ok
+    assert report.excess is None and report.sandwich_ok is None
 
 
 def test_arnold_comparison_is_ordered():
