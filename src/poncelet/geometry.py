@@ -20,14 +20,13 @@ authority on signs, confirms.  Both angle steps return (theta', phi')
 reduced to [0, 2 pi) x [0, pi).  `PonceletConfig` is a `NamedTuple`.
 """
 
+import functools
 import math
 import sys
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
-# Most terms of the potential's Fourier series summed in one numpy array.
-_SERIES_CHUNK = 1 << 16
 # Step of area_twist_check's centered differences.
 JACOBIAN_STEP = 1e-6
 
@@ -153,41 +152,83 @@ def generating_potential(x, x_prime, cfg):
     """Generating potential h(x, x') of the twist map.
 
     h(x,x') = -x x' - (x^2 - x)/2 + (3 x'^2 - x')/2 + H(x') with H' = Z and
-    H(0) = 0; H is evaluated in closed form by `_potential_series`.
+    H(0) = 0; H is evaluated in closed form by `_potential`.
     """
     base = (
         -x * x_prime
         - (x * x - x) / 2.0
         + (3.0 * x_prime * x_prime - x_prime) / 2.0
     )
-    if cfg.c == 0.0:
+    rho = cfg.c / cfg.R
+    if rho == 0.0:
         return base
-    return base + _potential_series(x_prime, cfg.c / cfg.R)
+    return base + _potential(x_prime, rho)
 
 
-def _potential_series(x_prime, rho):
+def _potential(x_prime, rho):
     """H(x') = (2/pi^2) sum_{k>=1} rho^k sin^2(pi k x') / k^2, 0 < rho < 1.
 
     Z(s) = (2/pi) sum_k rho^k sin(2 pi k s) / k is the Fourier series of the
     forcing term with rho = c / R; H is its antiderivative, integrated term
-    by term, and has period 1.  The tail after n terms is below
-    (2/pi^2) rho^n / (1 - rho), so n = log(1e-16 (1 - rho)) / log(rho)
-    terms give absolute error under 1e-17.  They are summed in chunks, so
-    memory stays bounded as rho -> 1 (time grows like n).  numpy is
-    imported here, its one use in this module, so the scalar steps load
-    without it.
-    """
-    import numpy as np
+    by term, and has period 1.  Summed, the series is a dilogarithm:
 
-    n = math.ceil(math.log(1e-16 * (1.0 - rho)) / math.log(rho))
-    x = x_prime % 1.0  # keeps the sine arguments small
+        H(x') = (Li2(rho) - Re Li2(rho e^{iu})) / pi^2,
+
+    with u = 2 pi x' reduced to [-pi, pi], so the cost stays constant as
+    rho -> 1, where the series needs ~log(1/(1 - rho)) / (1 - rho) terms.
+    For mu = log rho + iu with |mu| < 5 both terms come from `_li2_exp`.
+    Otherwise log rho < -3.89 (|u| <= pi), so rho < 0.021, and the series
+    itself is summed, cut where its tail falls below 1e-17: at most 10
+    terms.
+    """
+    x = x_prime % 1.0
+    if x > 0.5:
+        x -= 1.0
+    log_rho = math.log(rho)
+    mu = complex(log_rho, TWO_PI * x)
+    if abs(mu) < 5.0:
+        return (_li2_exp(complex(log_rho)) - _li2_exp(mu)).real / math.pi ** 2
+    n = math.ceil(math.log(1e-16 * (1.0 - rho)) / log_rho)
+    return 2.0 * math.fsum(
+        rho ** k * math.sin(math.pi * k * x) ** 2 / (k * k)
+        for k in range(1, n + 1)) / math.pi ** 2
+
+
+def _li2_exp(mu):
+    """Li2(e^mu) - pi^2/6 for |mu| < 2 pi, mu off the positive reals:
+
+        mu (1 - log(-mu)) - mu^2/4 + sum_{k odd >= 3} zeta(2 - k) mu^k / k!,
+
+    zeta(2 - k) = -B_{k-1} / (k - 1), summed by Horner in mu^2 through
+    k = 159 (B_158).  At |mu| < 5 the last term is below 1e-19.  cmath
+    is imported here, like the coefficients on first use, so the commands
+    that never evaluate the potential do not load it.
+    """
+    import cmath
+
+    mu2 = mu * mu
     total = 0.0
-    for start in range(1, n + 1, _SERIES_CHUNK):
-        k = np.arange(start, min(start + _SERIES_CHUNK, n + 1),
-                      dtype=np.float64)
-        total += float(np.sum(rho ** k * np.sin(math.pi * x * k) ** 2
-                              / (k * k)))
-    return 2.0 * total / (math.pi * math.pi)
+    for a in reversed(_li2_coefficients()):
+        total = total * mu2 + a
+    return mu * (1.0 - cmath.log(-mu)) - 0.25 * mu2 + mu * mu2 * total
+
+
+@functools.cache
+def _li2_coefficients():
+    """zeta(-2m + 1) / (2m + 1)! = -B_2m / (2m (2m + 1)!), m = 1..79,
+    from the tangent numbers T_m (Brent and Harvey's integer recurrence),
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); built on first use, since
+    every command imports this module."""
+    last = 79
+    T = [0, 1] + [0] * (last - 1)
+    for k in range(2, last + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, last + 1):
+        for j in range(k, last + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple((-1) ** m * T[m]
+                 / (4 ** m * (4 ** m - 1) * math.factorial(2 * m + 1))
+                 for m in range(1, last + 1))
 
 
 def area_twist_check(x, y, cfg):

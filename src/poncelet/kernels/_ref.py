@@ -20,6 +20,15 @@ split by a lap (seen at c = 0.9 after 200 steps).  No library path iterates
 there: `rotation_number` takes no start point, and its orbit starts
 at the exact fixed point 0.
 
+For concentric circles (c / R == 0) the map is the rigid rotation
+x' = x + arccos(t / R) / pi, and in floats the formula above is rigid
+too: P = gap and Q = +-0 at every x, and S is constant, so both atan2
+arguments, and with them x' - x, are the same floats at every finite x.
+There `poncelet_step` returns x + step(0), which has the general step's
+bits at every x and its error at an infinite angle, so the concentric
+estimates, lock tables and pair counts skip the two sines, the square
+root and the atan2 of each step.
+
 Each map's step is defined once, as a factory that binds the map's
 parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
 Two paths, chosen per call, build it from different tuples:
@@ -72,7 +81,14 @@ def _pair(R, c, t):
 
 def poncelet_step(R, c, t, fns=SCALAR):
     """One step of the tangent-line lift in lift coordinates, with the
-    circle pair bound (a one-argument closure is the cheapest call)."""
+    circle pair bound (a one-argument closure is the cheapest call).
+
+    At c / R == 0 (c = -0.0 and a c / R that underflows included) it is
+    the rotation x + step(0), which has the general step's bits (see the
+    module docstring).  The rotation keeps the general step's
+    sin(2 pi x) as the signed zero 0.0 * sin(2 pi x), so at an infinite
+    2 pi x (x infinite, or finite beyond ~2.9e307) ``math`` still raises
+    and numpy still gives nan with its warning."""
     sin, sqrt, atan2, maximum = fns
     c, t, gap, s2_at_0, four_rc = _pair(R, c, t)
     two_c = 2.0 * c
@@ -86,7 +102,14 @@ def poncelet_step(R, c, t, fns=SCALAR):
         S = sqrt(s2_at_0 + four_rc * h2)
         return x + atan2(maximum(S * P + t * Q, 0.0), t * P - S * Q) / pi
 
-    return step
+    if c != 0.0:
+        return step
+    shift = step(0.0)
+
+    def rotation(x):
+        return x + (shift + 0.0 * sin(TWO_PI * x))
+
+    return rotation
 
 
 def poncelet_dgdt(R, c, t, x):

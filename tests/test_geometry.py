@@ -299,9 +299,11 @@ def test_generating_potential_vanishes_at_origin():
 
 
 def test_generating_potential_concentric_closed_form():
-    # -0.21 - (0.09 - 0.3)/2 + (3*0.49 - 0.7)/2 = 0.28
-    val = generating_potential(0.3, 0.7, PonceletConfig(1.0, 0.0))
-    assert val == pytest.approx(0.28, abs=1e-15)
+    # -0.21 - (0.09 - 0.3)/2 + (3*0.49 - 0.7)/2 = 0.28; at R = 1e300 a
+    # c = 1e-30 is concentric too, since c / R underflows to 0
+    for cfg in (PonceletConfig(1.0, 0.0), PonceletConfig(1e300, 1e-30)):
+        val = generating_potential(0.3, 0.7, cfg)
+        assert val == pytest.approx(0.28, abs=1e-15)
 
 
 def test_generating_relation_partials():
@@ -348,6 +350,42 @@ def test_generating_potential_matches_integral_of_z():
             assert H(x_p) == pytest.approx(_integral_of_z(x_p, cfg),
                                            abs=1e-12)
             assert H(x_p + 1.0) == pytest.approx(H(x_p), abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.005, 0.02, 0.0205, 0.03, 0.1, 0.5, 0.9,
+                                 0.99])
+def test_generating_potential_matches_its_fourier_series(rho):
+    # H(x') = (2/pi^2) sum_k rho^k sin^2(pi k x') / k^2, summed here to
+    # below 1e-18; the closed form switches to this series at |mu| = 5,
+    # which rho = 0.02 to 0.03 crosses as x' nears 1/2
+    cfg = PonceletConfig(1.0, rho, 0.0)
+    concentric = PonceletConfig(1.0, 0.0)
+    k = np.arange(1.0, math.ceil(math.log(1e-18) / math.log(rho)) + 1.0)
+    for x_p in np.linspace(-0.5, 1.5, 41):
+        series = 2.0 * np.sum(rho ** k * np.sin(math.pi * k * x_p) ** 2
+                              / (k * k)) / math.pi ** 2
+        H = (generating_potential(0.0, x_p, cfg)
+             - generating_potential(0.0, x_p, concentric))
+        assert H == pytest.approx(series, abs=1e-15)
+
+
+def test_generating_potential_near_tangency_has_derivative_z():
+    # at rho = 1 - 1e-9 the Fourier series needs ~6e10 terms; the closed
+    # form's H' is Z by central differences wherever Z is smooth, i.e.
+    # away from s = 0, where Z tends to a jump from -1 to 1 as rho -> 1
+    cfg = PonceletConfig(1.0, 1.0 - 1e-9, 0.0)
+    concentric = PonceletConfig(1.0, 0.0)
+    h = 1e-6
+
+    def H(x_p):
+        return (generating_potential(0.0, x_p, cfg)
+                - generating_potential(0.0, x_p, concentric))
+
+    assert H(0.0) == 0.0
+    for s in (-0.7, 0.05, 0.31, 0.5, 0.93, 1.6):
+        assert (H(s + h) - H(s - h)) / (2.0 * h) == pytest.approx(
+            z_function(s, cfg), abs=1e-9)
+        assert H(s + 1.0) == pytest.approx(H(s), abs=1e-12)
 
 
 # ------------------------------------------------------------ area and twist

@@ -119,6 +119,105 @@ def test_ref_table_of_two_or_more_points_runs_numpys_step():
                 == _numpy_table(make_step, params, xs[:width], 20).tobytes()
 
 
+def _general_poncelet_step(R, c, t, fns):
+    """The kernel's general Poncelet step, copied here so the concentric
+    rotation is checked against the formula, not against itself."""
+    sin, sqrt, atan2, maximum = fns
+    R, c, t = float(R), float(c), float(t)
+    near = (R - c - t) / R
+    c, t, gap = c / R, t / R, (R - c) / R
+    s2_at_0, four_rc, two_c = near * (gap + t), 4.0 * c, 2.0 * c
+
+    def step(x):
+        theta = 2.0 * math.pi * x
+        h = sin(0.5 * theta)
+        h2 = h * h
+        P = gap + two_c * h2
+        Q = c * sin(theta)
+        S = sqrt(s2_at_0 + four_rc * h2)
+        return x + atan2(maximum(S * P + t * Q, 0.0),
+                         t * P - S * Q) / math.pi
+
+    return step
+
+
+def _concentric_pairs():
+    """(R, c, t) with c / R == 0: c = +-0 at three scales, a c / R that
+    underflows, and t at both ends, one ulp below tangency and random."""
+    rng = np.random.default_rng(32)
+    pairs = []
+    for R, cs in ((1.0, (0.0, -0.0)), (2.0 ** -1000, (0.0, -0.0)),
+                  (1e300, (0.0, -0.0, 1e-30))):
+        ts = [0.0, R / 2, math.nextafter(R, 0.0), R]
+        ts += (R * rng.uniform(0.0, 1.0, 3)).tolist()
+        pairs += [(R, c, t) for c in cs for t in ts]
+    return pairs
+
+
+_NUMPY = (np.sin, np.sqrt, np.arctan2, np.maximum)
+_EDGE_XS = [0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, 1e-300, 1e6, -1e6,
+            math.nextafter(1e6, 0.0), 1e308, -1e308, math.inf, -math.inf,
+            math.nan]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+@pytest.mark.parametrize("R, c, t", _concentric_pairs())
+def test_concentric_step_is_the_general_step_to_the_bit(R, c, t):
+    # at c / R == 0 the factory returns the rotation x + step(0); it must
+    # keep the general step's bits and sign of zero, on both builds and at
+    # every table width, and raise or give nan where the general one does
+    assert _ref._pair(R, c, t)[0] == 0.0
+    rng = np.random.default_rng(320)
+    xs = np.array(_EDGE_XS + rng.uniform(-1e6, 1e6, 248).tolist()
+                  + rng.uniform(-2.0, 2.0, 248).tolist())
+    general = _general_poncelet_step(R, c, t, _ref.SCALAR)
+    rotation = _ref.poncelet_step(R, c, t)
+    for x in xs.tolist():
+        try:
+            want = general(x).hex()
+        except ValueError:
+            with pytest.raises(ValueError):
+                rotation(x)
+        else:
+            assert rotation(x).hex() == want, x
+    general_np = _general_poncelet_step(R, c, t, _NUMPY)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _hexes(_ref.poncelet_step(R, c, t, _NUMPY)(xs)) \
+            == _hexes(general_np(xs))
+        # the math build met every x above; narrow tables take the edges
+        # and the first 48 random starts
+        for width in (1, 2, 32, 512):
+            for start in range(0, xs.size if width >= 32 else 64, width):
+                part = xs[start:start + width]
+                try:
+                    rows = [part] if width > 1 else [float(part[0])]
+                    step = general_np if width > 1 else general
+                    for _ in range(4):
+                        rows.append(step(rows[-1]))
+                except ValueError:  # the table's fallback to numpy
+                    rows = [part]
+                    for _ in range(4):
+                        rows.append(general_np(rows[-1]))
+                table = _ref.poncelet_orbit(part, 4, R, c, t)
+                assert _hexes(table) == _hexes(rows), (width, start)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_concentric_step_at_infinity_raises_or_gives_nan(x):
+    # math raises on sin(inf), so a one-point orbit falls back to numpy,
+    # which gives nan with the general step's warning
+    for R, c, t in ((1.0, 0.0, 0.5), (1e300, 1e-30, 0.0)):
+        with pytest.raises(ValueError):
+            _ref.poncelet_step(R, c, t)(x)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(_ref.poncelet_step(R, c, t, _NUMPY)(x))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_ref.poncelet_orbit([x], 3, R, c, t)[1:]).all()
+
+
 def test_kernel_step_commutes_with_integer_shift():
     xs = np.array([0.13, 0.52, 0.99])
     a = kernels.poncelet_advance(xs, 7, 1.0, 0.3, 0.4)

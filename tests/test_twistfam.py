@@ -16,6 +16,7 @@ from poncelet.families import (
 )
 from poncelet import twistfam
 from poncelet.lifts import ArnoldLift, LiftContractError, RigidLift
+from poncelet.rotation import find_parameter_for_value
 from poncelet.twistfam import (
     SEPARATION_X_SAMPLES,
     TwistConditionError,
@@ -344,6 +345,36 @@ def test_each_parameter_is_estimated_once(monkeypatch):
     report = second_order_estimate(arnold_family(0.7), ARNOLD_TAU, tol=1e-5)
     assert len(omegas) == len(set(omegas)) == 18
     assert repr(report) == ARNOLD_REPORT
+
+
+# what a default `prop2 --family poncelet` runs: the concentric family,
+# reversed, at the parameter where r = 1 - GOLDEN, and the report it gave
+# while each concentric step still ran the general formula
+CONCENTRIC_TAU = "0x1.46769f49edd50p-1"
+CONCENTRIC_REPORT = (
+    "SecondOrderReport(tau=0.6376237657304191, status='ok', "
+    "best_ratio=10040.938162941638, bound=1.968632259596629e-10, "
+    "margin=0.3350776874733415, brackets=["
+    "(0.6173778326880472, 0.6707422737620721, 6.383113884417703), "
+    "(0.6173778326880472, 0.6502231247579578, 10.414035056327375), "
+    "(0.6298696879289503, 0.6424286562039209, 27.109002929337336), "
+    "(0.6357909899467021, 0.6424286562039209, 51.32201178705624), "
+    "(0.6357909899467021, 0.638950849486559, 107.71669637434348), "
+    "(0.6368541563344465, 0.638950849486559, 162.44143309788035), "
+    "(0.6368541563344465, 0.6381109329134963, 270.88154105040957), "
+    "(0.6373254588198163, 0.6378087889548105, 675.6988334071681), "
+    "(0.6375095738180767, 0.6378087889548105, 1058.4316578983162), "
+    "(0.6375801340035723, 0.6376943786924291, 2746.4511221241064), "
+    "(0.6375801340035723, 0.6376507340108108, 4517.640743178689), "
+    "(0.6376070990387376, 0.6376340664813729, 10040.938162941638)])")
+
+
+def test_concentric_growth_report_is_pinned():
+    family = poncelet_family(1.0, 0.0, reverse=True)
+    tau = find_parameter_for_value(family, 1.0 - GOLDEN, tol=1e-5)
+    assert tau.hex() == CONCENTRIC_TAU
+    assert repr(second_order_estimate(family, tau, tol=1e-5)) \
+        == CONCENTRIC_REPORT
 
 
 @pytest.mark.parametrize("delta_seq", [
