@@ -56,7 +56,7 @@ tabulates (the pair count) never loads it.
 import math
 from math import pi
 
-TWO_PI = 2.0 * pi
+from ..geometry import TWO_PI
 
 def _max(a, b):
     # the builtin max's value, sign of zero and nan included (it keeps a

@@ -21,8 +21,8 @@ or at MAX_STEPS steps.  At n steps the scan tries the p/q inside the
 bracket with q <= Q_MAX n / ROUGH_STEPS not tried at an earlier stage:
 q <= 4 after the first chunk of FIRST_CHUNK steps, so the low-order locks
 of a staircase (1/2, 1/3, 1/4, 0/1) cost 64 steps and a 4-row table.
-Brackets only narrow, and row q of a lock table has the same bits at any
-depth, so the stages find the lock one scan at ROUGH_STEPS would.  Below
+Each p/q is scanned on its own table, and brackets only narrow, so the
+stages find the lock one scan at ROUGH_STEPS would.  Below
 q = ceil((b + d) / (b c - a d)) only the ends of the bracket [a/b, c/d]
 can be candidates, so a stage loops over no smaller q (see _candidates).
 The first stage scans the LOCK_SUBGRID-point subgrid of the grid before
@@ -51,6 +51,7 @@ records are `NamedTuple` classes.
 
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
@@ -163,9 +164,7 @@ def detect_rational_lock(g, p, q):
         raise ValueError(f"p/q needs q >= 1, got {p}/{q}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
-    xs = _lock_grids()[0]
-    cell = _root_cell(g.orbit_table(xs, q)[q] - xs - p)
-    return None if cell is None else float(xs[cell])
+    return _lock_point(g, _lock_grids()[0], p, q)
 
 
 @functools.cache
@@ -193,39 +192,32 @@ def _root_cell(d):
     return d.size - 1 if signs[-1] * signs[0] <= 0 else None
 
 
-def _locked(g, xs, candidates):
-    """The (p, q) of candidates, in order, with a root cell of
-    d = g^q(x) - x - p on the grid xs.  One orbit table serves them all."""
-    table = g.orbit_table(xs, max(q for _, q in candidates))
-    for p, q in candidates:
-        if _root_cell(table[q] - xs - p) is not None:
-            yield p, q
+def _lock_point(g, xs, p, q):
+    """The lock certificate of p/q on the periodic grid xs: the left point
+    of the first root cell of d = g^q(x) - x - p there, or None."""
+    cell = _root_cell(g.orbit_table(xs, q)[q] - xs - p)
+    return None if cell is None else float(xs[cell])
 
 
 def _first_lock(g, candidates):
     """The first (p, q) of candidates with a root cell of d = g^q(x) - x - p
     on the LOCK_GRID-point grid; None if none has one.
 
-    Candidates of the first stage (q <= Q_MAX FIRST_CHUNK / ROUGH_STEPS)
-    are scanned on the LOCK_SUBGRID-point subgrid first.  Its points have
-    the grid's bits, and a sign change or exact zero of d between two of
-    them forces one between two neighbouring grid points (a lift's d has
-    no nan on the grid), so a subgrid hit is a grid hit.  The first
-    candidate's subgrid hit is returned with no grid table built.  A
-    later candidate's cuts the list after it, and the grid scans the
-    rest: an earlier candidate may still hit between subgrid points.
-    Deeper lists go straight to the grid: they are almost always
+    Each candidate is scanned on its own table, in order.  One of the
+    first stage (q <= Q_MAX FIRST_CHUNK / ROUGH_STEPS) is scanned on the
+    LOCK_SUBGRID-point subgrid first.  Its points have the grid's bits,
+    and a sign change or exact zero of d between two of them forces one
+    between two neighbouring grid points (a lift's d has no nan on the
+    grid), so a subgrid hit is a grid hit and needs no grid table.
+    Deeper candidates go straight to the grid: they are almost always
     rejections, which the subgrid cannot give."""
-    if not candidates:
-        return None
     grid, subgrid = _lock_grids()
-    if max(q for _, q in candidates) <= Q_MAX * FIRST_CHUNK // ROUGH_STEPS:
-        hit = next(_locked(g, subgrid, candidates), None)
-        if hit == candidates[0]:
-            return hit
-        if hit is not None:
-            candidates = candidates[:candidates.index(hit) + 1]
-    return next(_locked(g, grid, candidates), None)
+    for p, q in candidates:
+        if (q <= Q_MAX * FIRST_CHUNK // ROUGH_STEPS
+                and _lock_point(g, subgrid, p, q) is not None
+                or _lock_point(g, grid, p, q) is not None):
+            return p, q
+    return None
 
 
 def _bracket(xs, q):
@@ -286,8 +278,8 @@ def rotation_number(g, tol=1e-4):
     gives the Farey bracket of the module docstring.  After each of the
     two chunks the lock scan tries the reduced p/q inside the bracket,
     q <= 4 after the first and 5 <= q <= Q_MAX after the second, in
-    ascending q, on one LOCK_GRID-point orbit table as deep as the
-    deepest (q <= 4 on its LOCK_SUBGRID-point subgrid first, see
+    ascending q, each on its own q-step orbit table of the LOCK_GRID-point
+    grid (q <= 4 on its LOCK_SUBGRID-point subgrid first, see
     _first_lock); a detected lock p/q gives the exact value (error
     radius 0).
     The scan is done before any extension: near a low-order rational the
@@ -506,8 +498,11 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
     bisection on the estimates gives.  A step whose target stays inside a
     bracket wider than 2 tol for MAX_STEPS steps raises ValueError.  The
     midpoints halve each end before adding, so they do not overflow near
-    the float maximum.
+    the float maximum.  A negative or non-integer iters raises at once.
     """
+    iters = operator.index(iters)
+    if iters < 0:
+        raise ValueError(f"iters must be at least 0, got {iters}")
     lo, hi = family.a, family.b
     v_lo = rotation_number(family.lift(lo), tol=tol).value
     v_hi = rotation_number(family.lift(hi), tol=tol).value

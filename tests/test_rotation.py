@@ -743,11 +743,27 @@ def test_root_cell_matches_the_rolled_scan(d):
 
 
 def test_a_later_subgrid_hit_scans_the_earlier_candidates_on_the_grid():
-    # 0/1 has no subgrid hit, 1/2 does: the grid table ends at 1/2, and
-    # 0/1 is ruled out on it before 1/2 is returned
+    # each candidate has its own table: 0/1 has no subgrid hit and is
+    # ruled out on the grid before 1/2 is tried, whose subgrid hit is
+    # returned with no grid table, and 1/3 and 1/4 are never tabulated
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
     assert _first_lock(g, [(0, 1), (1, 2), (1, 3), (1, 4)]) == (1, 2)
-    assert g.tables == [(LOCK_SUBGRID, 4), (LOCK_GRID, 2)]
+    assert g.tables == [(LOCK_SUBGRID, 1), (LOCK_GRID, 1), (LOCK_SUBGRID, 2)]
+
+
+def _chunk_bracket(g, n):
+    column = g.orbit_table([0.0], n)[1:, 0]
+    return _bracket(column, np.arange(1.0, n + 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=STAGED_LIFTS)
+def test_an_early_stage_holds_at_most_one_candidate(g):
+    # the n-step bracket is at most 2/n wide, and two reduced fractions
+    # with q, q' <= 8 are at least 1/(q q') apart: 1/12 > 2/64 for q <= 4,
+    # 1/56 > 2/128 for 5 <= q <= 8, so neither stage lists two
+    assert len(_candidates(*_chunk_bracket(g, FIRST_CHUNK), 1, 4)) <= 1
+    assert len(_candidates(*_chunk_bracket(g, 2 * FIRST_CHUNK), 5, 8)) <= 1
 
 
 class SteppedTable:
@@ -980,6 +996,17 @@ def test_find_parameter_rejects_value_outside_estimated_image():
     family = rigid_family(a=0.2, b=0.4)
     with pytest.raises(NoSolutionError, match="outside estimated image"):
         find_parameter_for_value(family, GOLDEN, tol=1e-5)
+
+
+def test_find_parameter_rejects_a_bad_bisection_count():
+    # a negative count is rejected, not read as no bisection at all
+    family = arnold_family(0.7)
+    with pytest.raises(ValueError, match="got -5$"):
+        find_parameter_for_value(family, GOLDEN, iters=-5, tol=1e-3)
+    with pytest.raises(TypeError):
+        find_parameter_for_value(family, GOLDEN, iters=2.0, tol=1e-3)
+    assert find_parameter_for_value(family, GOLDEN, iters=0, tol=1e-3) \
+        == 0.5 * family.a + 0.5 * family.b
 
 
 # family, target value, tol -> tau, as float.hex
