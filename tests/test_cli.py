@@ -143,15 +143,33 @@ def test_staircase_ends_at_zero_at_tangency(tmp_path, c):
     assert (last["lock_p"], last["lock_q"]) == ("0", "1")
 
 
-def test_staircase_grid_reaches_the_largest_radii(capsys):
+@pytest.mark.parametrize("argv, want", [
+    # concentric circles (the default c = 0) iterate the kernel step as the
+    # rotation x + step(0), to the general step's bits: the midpoint locks
+    # at 1/3, with r = arccos(1/2)/pi
+    (["--points", "3"], ["0,0.5,0,1,2", "0.5,0.33333333333333331,0,1,3",
+                         "1,0,0,0,1"]),
+    # the kernel step works in units of R: at R = 1e-200 the grid's first
+    # point t = 0 still locks at 1/2
+    (["--points", "3", "--R", "1e-200", "--c", "5e-201"],
+     ["0,0.5,0,1,2", "4.9999999999999999e-201,0,0,0,1"]),
+    # the devil's-staircase lock path: five of the nine Arnold points lock,
+    # each certified after the first 64-step chunk
+    (["--family", "arnold", "--K", "0.9", "--points", "9"],
+     ["0,0,0,0,1", "0.125,0,0,0,1", "0.5,0.5,0,1,2", "0.875,1,0,1,1",
+      "1,1,0,1,1"]),
     # the grid scales its width into [1/2, 1) and back: (t_hi - t_lo) * i
     # overflowed at R = 1e308
-    code = main(["staircase", "--points", "3", "--R", "1e308"])
+    (["--points", "3", "--R", "1e308"],
+     ["0,0.5,0,1,2", "5.0000000000000001e+307,0.33333333333333331,0,1,3",
+      "1e+308,0,0,0,1"]),
+], ids=["concentric", "R-1e-200", "arnold-K-0.9", "R-1e308"])
+def test_staircase_grid_reaches_the_largest_radii(capsys, argv, want):
+    # each row is t, r, error_radius, lock_p, lock_q; want holds the locks
+    code = main(["staircase", *argv])
     assert code == EXIT_OK
     table = capsys.readouterr().out.partition("{")[0]
-    assert table.split("\r\n")[1:4] == [
-        "0,0.5,0,1,2", "5.0000000000000001e+307,0.33333333333333331,0,1,3",
-        "1e+308,0,0,0,1"]
+    assert set(want) <= set(table.split("\r\n")[1:])
 
 
 def test_staircase_json_holds_rows_and_verdict(tmp_path):
@@ -185,7 +203,10 @@ def test_staircase_without_out_writes_csv_then_verdict(capsys):
     ["staircase", "--family", "arnold", "--K", "0.8", "--t-min", "0.3",
      "--t-max", "0.7", "--points", "13"],
     ["staircase", "--c", "0.3", "--points", "9"],
-], ids=["orbit", "orbit-diameter", "staircase-arnold", "staircase-poncelet"])
+    # tol below the first bracket's radius: the orbit-doubling path
+    ["staircase", "--points", "5", "--tol", "1e-7"],
+], ids=["orbit", "orbit-diameter", "staircase-arnold", "staircase-poncelet",
+        "staircase-tol-1e-7"])
 def test_csv_and_json_tables_hold_the_same_numbers(tmp_path, argv):
     # one writer prints both formats: every CSV cell is the JSON cell's
     # float to the bit, its int, or its string (an empty lock)
@@ -310,15 +331,6 @@ def test_each_subcommand_declares_exactly_its_options():
         assert got == OPTIONS[name], name
         required = [a.dest for a in parser._actions if a.required]
         assert required == (["t"] if name == "orbit" else []), name
-
-
-def test_count_is_deterministic(tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    argv = ["count", "--n-min", "3", "--n-max", "6", "--c", "0.3"]
-    assert main(argv + ["--out", str(out1)]) == EXIT_OK
-    assert main(argv + ["--out", str(out2)]) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 # ----------------------------------------------------------------------- cf
@@ -532,6 +544,48 @@ def fresh_env():
     return dict(os.environ, PYTHONPATH=str(src))
 
 
+def cli_process(cwd, argv, hash_seed):
+    """A fresh `python -m poncelet.cli ARGV` under PYTHONHASHSEED=hash_seed,
+    stopped after 60 s, so a slow input fails rather than hangs."""
+    return subprocess.run([sys.executable, "-m", "poncelet.cli", *argv],
+                          env=dict(fresh_env(), PYTHONHASHSEED=hash_seed),
+                          cwd=cwd, capture_output=True, timeout=60)
+
+
+# the pair count runs on its family's scalar step, closure's seeded starts
+# included, and every pair is certified; prop2 runs the parameter search
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--c", "0.3", "--t", "0.2", "--theta0", "1.3", "--steps",
+     "1000"],
+    ["count", "--n-max", "8", "--c", "0.3", "--seed", "5"],
+    ["count", "--n-max", "8", "--seed", "5"],
+    ["prop2", "--family", "arnold", "--K", "0.7"],
+    ["prop2", "--family", "poncelet"],
+], ids=["orbit", "count-c-0.3", "count-c-0", "prop2-arnold", "prop2-poncelet"])
+def test_output_is_the_same_bytes_in_two_processes(tmp_path, argv):
+    # the two processes hash strings with different seeds, so a set's
+    # iteration order that reached the output would differ between them
+    first, second = (cli_process(tmp_path, argv, seed) for seed in "12")
+    assert first.returncode == second.returncode == EXIT_OK
+    assert first.stdout == second.stdout
+    if argv[0] == "count":
+        assert b'"all_ok": true' in first.stdout
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    # tol below the float bracket's floor: the estimate gives up when a
+    # doubling of the orbit leaves the bracket unchanged, or at MAX_STEPS
+    (["staircase", "--points", "3", "--c", "0.2", "--tol", "1e-12"],
+     EXIT_CONFIG),
+    # R = 2^-1020: the bracketed solves scale their ends by a power of two,
+    # so they do not crawl one float per step
+    (["prop2", "--family", "poncelet", "--R", "8.900295434028806e-308"],
+     EXIT_OK),
+], ids=["staircase-tol-1e-12", "prop2-R-2^-1020"])
+def test_slow_inputs_end_within_a_minute(tmp_path, argv, exit_code):
+    assert cli_process(tmp_path, argv, "1").returncode == exit_code
+
+
 def test_cli_imports_only_numpy_and_the_standard_library():
     # numpy is loaded by the commands that iterate lifts, not by the import
     code = (
@@ -567,9 +621,11 @@ def imported_modules(cwd, *args):
     (["staircase", "--points", "1"], EXIT_CONFIG, False),
     (["cf", "--x", "inf"], EXIT_CONFIG, False),
     (["count", "--n-max", "3"], EXIT_OK, False),
+    (["count", "--n-max", "6", "--c", "0.3"], EXIT_OK, False),
+    (["count", "--R", "1e-320"], EXIT_CONFIG, False),
     (["staircase", "--points", "3"], EXIT_OK, True),
 ], ids=["orbit", "cf-golden", "staircase-points-1", "cf-x-inf", "count",
-        "staircase"])
+        "count-c-0.3", "count-R-1e-320", "staircase"])
 def test_commands_load_numpy_only_to_iterate_lifts(tmp_path, argv, exit_code,
                                                    loads_numpy):
     code, imported = imported_modules(tmp_path, "-m", "poncelet.cli", *argv)
@@ -592,9 +648,12 @@ def startup_modules(tmp_path_factory):
     (["-m", "poncelet.cli", "orbit", "--t", "0.5", "--steps", "10"], EXIT_OK),
     (["-m", "poncelet.cli", "cf", "--random", "3"], EXIT_OK),
     (["-m", "poncelet.cli", "count", "--n-max", "3"], EXIT_OK),
+    (["-m", "poncelet.cli", "count", "--n-max", "6", "--c", "0.3"], EXIT_OK),
+    (["-m", "poncelet.cli", "count", "--R", "1e-320"], EXIT_CONFIG),
     (["-m", "poncelet.cli", "staircase", "--points", "1"], EXIT_CONFIG),
     (["-m", "poncelet.cli", "cf", "--x", "inf"], EXIT_CONFIG),
-], ids=["import", "orbit", "cf", "count", "staircase-points-1", "cf-x-inf"])
+], ids=["import", "orbit", "cf", "count", "count-c-0.3", "count-R-1e-320",
+        "staircase-points-1", "cf-x-inf"])
 def test_commands_load_neither_dataclasses_nor_inspect(
         tmp_path, startup_modules, args, exit_code):
     code, imported = imported_modules(tmp_path, *args)

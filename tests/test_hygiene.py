@@ -2,11 +2,13 @@
 field and property (dataclass or NamedTuple) is read by the library or the
 benchmark (or listed with the reason only a test reads it), a read of a
 name that several classes declare counting only where it is tied to the
-record, every name the benchmark's tracer binds exists, and the library
-outside the CLI grows no defaulted parameter."""
+record, every name the benchmark's tracer binds exists, the library
+outside the CLI grows no defaulted parameter, and the tests that CI reruns
+against the installed package name no path into the checkout."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -356,3 +358,39 @@ def test_every_traced_name_exists(name):
     for attr in parts[2:]:
         assert hasattr(obj, attr), f"{name}: no {attr} on {obj!r}"
         obj = getattr(obj, attr)
+
+
+# CI reruns these against the installed package, from outside the
+# checkout (the packaging smoke test of .github/workflows/tier1.yml); they
+# reach it through `import poncelet` (and fresh processes
+# through poncelet.__file__), so a path into the checkout would quietly
+# test src/ there instead
+INSTALLED_RERUN = ["test_cli.py", "test_package.py", "test_acceptance.py"]
+
+
+def checkout_paths(source):
+    """(line, text) of each string literal of `source` that names `src`,
+    and of each read of the module's own `__file__`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.search(r"\bsrc\b", node.value):
+            found.append((node.lineno, node.value))
+        elif isinstance(node, ast.Name) and node.id == "__file__":
+            found.append((node.lineno, "__file__"))
+    return sorted(found)
+
+
+def test_checkout_scan_flags_src_and_the_tests_own_file():
+    source = ("import os, poncelet\n"
+              "a = dict(os.environ, PYTHONPATH='src')\n"
+              "b = Path(__file__).parent.parent / 'src/poncelet'\n"
+              "c = Path(poncelet.__file__).parent.parent\n"
+              "d = f'{c}/srcset'\n")
+    assert checkout_paths(source) == [(2, "src"), (3, "__file__"),
+                                      (3, "src/poncelet")]
+
+
+@pytest.mark.parametrize("name", INSTALLED_RERUN)
+def test_installed_rerun_names_no_checkout_path(name):
+    assert checkout_paths((ROOT / "tests" / name).read_text()) == []
