@@ -21,17 +21,23 @@ class MonotoneCircleFamily:
             raise ValueError("parameter interval must have b > a")
         self.a = float(a)
         self.b = float(b)
+        # _clamp's bounds: a t within 1e-12 (b - a) outside [a, b] clamps
+        slack = 1e-12 * (self.b - self.a)
+        self._t_min, self._t_max = self.a - slack, self.b + slack
         self._lift_factory = lift_factory
         self._step_factory = step_factory
         self._dgdt = dgdt
 
     def _clamp(self, t):
         """t onto [a, b]: a t within 1e-12 (b - a) outside is clamped, one
-        further out (or nan) raises ValueError."""
-        slack = 1e-12 * (self.b - self.a)
-        if not self.a - slack <= t <= self.b + slack:
+        further out (or nan) raises ValueError.  The clamp is
+        min(max(t, a), b), signed zeros included, without the builtins'
+        argument handling: every lap residual of the pair count builds a
+        step through it."""
+        if not self._t_min <= t <= self._t_max:
             raise ValueError(f"parameter {t} outside [{self.a}, {self.b}]")
-        return min(max(t, self.a), self.b)
+        a, b = self.a, self.b
+        return a if a > t else b if b < t else t
 
     def lift(self, t):
         return self._lift_factory(self._clamp(t))

@@ -44,9 +44,12 @@ yet a certified rounding budget.
 
 The estimator's orbit columns, brackets and lock table are numpy arrays,
 imported where they are built.  The pair count needs none, and builds no
-lift: solve_rotation's residual and verify_closure's starts iterate one
-float at a time on the family's scalar step, `family.step(t)`.  The
-records are `NamedTuple` classes.
+lift: its lap residual G(t) = g_t^n(X_REF) - X_REF and verify_closure's
+starts iterate one float at a time on the family's scalar step,
+`family.step(t)`.  Every p/n of one n is solved on G - p, with G at the
+bracket's ends evaluated once per n (solve_rotation runs the same solve
+on its own q), and verify_closure draws its seeded starts once per seed.
+The records are `NamedTuple` classes.
 """
 
 import functools
@@ -78,6 +81,9 @@ X_REF = 0.375         # start point of solve_rotation's lock residual
 CLOSURE_STARTS = 20   # random start points of verify_closure
 CLOSE_TOL = 1e-8      # largest closure residual (radians) accepted
 EARLY_TOL = 1e-4      # an earlier return this close (radians) is rejected
+# verify_closure's prefilter on the signed lap offset v of an earlier
+# return: TWO_PI |v| <= EARLY_TOL, rounded, forces |v| below this bound
+_EARLY_LAPS = EARLY_TOL / TWO_PI * (1 + 1e-9)
 
 
 class NoSolutionError(ValueError):
@@ -464,22 +470,39 @@ def solve_rotation(family, target):
     the machine-thin bracket around t* are the certificate: the
     displacement is continuous in t and vanishes exactly at the lock.  A
     denominator above MAX_STEPS (the float 0.1 is 3602879701896397/2^55)
-    raises ValueError at once."""
+    raises ValueError at once.  The solve is the one count_poncelet_pairs
+    runs for each p/n, on the lap residual of _lap."""
     target = Fraction(target)
     p, q = target.numerator, target.denominator
     if q > MAX_STEPS:
         raise ValueError(f"target {target} has denominator {q} > MAX_STEPS"
                          f" = {MAX_STEPS}: each residual would run {q} steps"
                          " (give a float target as Fraction(p, q))")
+    lap = _lap(family.step, q)
+    return _solve_lap(lap, family.a, lap(family.a), family.b, lap(family.b),
+                      p)
 
-    def s(t):
-        step, x = family.step(t), X_REF
+
+def _lap(family_step, q):
+    """The lap residual G(t) = g_t^q(X_REF) - X_REF, iterated one float at
+    a time on the family's scalar step; G(t) - p is s(t) of solve_rotation,
+    to the bit, as `x - X_REF - p` subtracts left to right."""
+
+    def lap(t):
+        step, x = family_step(t), X_REF
         for _ in range(q):
             x = step(x)
-        return x - X_REF - p
+        return x - X_REF
 
-    lo, s_lo, hi, s_hi = shrink_bracket(s, family.a, s(family.a),
-                                        family.b, s(family.b))
+    return lap
+
+
+def _solve_lap(lap, a, lap_a, b, lap_b, p):
+    """t* with lap(t*) = p on [a, b], given the ends' values lap_a = lap(a)
+    and lap_b = lap(b): shrink_bracket on lap - p, and the end with the
+    smaller residual."""
+    lo, s_lo, hi, s_hi = shrink_bracket(lambda t: lap(t) - p,
+                                        a, lap_a - p, b, lap_b - p)
     return lo if abs(s_lo) <= abs(s_hi) else hi
 
 
@@ -525,29 +548,38 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
 def verify_closure(step, n, seed):
     """Closure residual of the one-float map `step` (a family's scalar
     step, or a lift) after n steps from CLOSURE_STARTS start points drawn
-    from random.Random(seed), each iterated one float at a time.
+    from random.Random(seed), each iterated one float at a time.  The
+    starts of the last seed are kept (_closure_starts), so the pair count
+    draws them once for all its pairs.
 
     Returns the max angular distance (radians) to the start; raises
     ResidualFailureError if it is CLOSE_TOL or more (or nan), or if an
     orbit comes back within EARLY_TOL before step n: the error names the
     smallest such step over all starts, and the least distance there.
+    Each of the first n - 1 steps is tested on the signed lap offset v
+    first, against the bound _EARLY_LAPS a hair above EARLY_TOL / TWO_PI,
+    and only a v that passes on the exact TWO_PI |v| <= EARLY_TOL, so the
+    prefilter changes no decision; the n-th step is taken after that loop.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rng = random.Random(seed)
     early = None  # (k, distance) of the earliest return before step n
     ends = []
-    for _ in range(CLOSURE_STARTS):
-        x0 = x = rng.random()
-        for k in range(1, n + 1):
+    low, high = -_EARLY_LAPS, _EARLY_LAPS  # the prefilter's bounds on v
+    for x0 in _closure_starts(seed):
+        x = x0
+        for k in range(1, n):
             x = step(x)
-            # angular distance to the start
-            dist = TWO_PI * abs((x - x0 + 0.5) % 1.0 - 0.5)
-            if k < n and dist <= EARLY_TOL:
-                # the smallest step, then the least distance there
-                early = min(early or (k, dist), (k, dist))
-                break
-        ends.append(dist)
+            v = (x - x0 + 0.5) % 1.0 - 0.5  # laps to the start, signed
+            if low <= v <= high:
+                dist = TWO_PI * abs(v)  # angular distance to the start
+                if dist <= EARLY_TOL:
+                    # the smallest step, then the least distance there
+                    early = min(early or (k, dist), (k, dist))
+                    break
+        else:
+            x = step(x)
+            ends.append(TWO_PI * abs((x - x0 + 0.5) % 1.0 - 0.5))
     if early is not None:
         k, dist = early
         raise ResidualFailureError(
@@ -563,6 +595,26 @@ def verify_closure(step, n, seed):
     return residual
 
 
+def _draw_starts(seed):
+    rng = random.Random(seed)
+    return tuple([rng.random() for _ in range(CLOSURE_STARTS)])
+
+
+# The starts of the last seed drawn, keyed on its type and value
+# (random.Random seeds the int 2**70 and the float 2.0**70 apart).
+_cached_starts = functools.lru_cache(maxsize=1, typed=True)(_draw_starts)
+
+
+def _closure_starts(seed):
+    """The CLOSURE_STARTS start points random.Random(seed) draws, the same
+    ones on each call: a one-entry cache keeps the last seed's.  A seed of
+    None (fresh entropy) or a bytearray (mutable, unhashable) is drawn
+    from afresh each time, as random.Random would."""
+    if seed is None or isinstance(seed, bytearray):
+        return _draw_starts(seed)
+    return _cached_starts(seed)
+
+
 def count_poncelet_pairs(family, n, seed=0):
     """All parameters t of the family for which (K, L_t) is an
     n-Poncelet pair: on poncelet_family(R, c), the inner radii.
@@ -570,21 +622,32 @@ def count_poncelet_pairs(family, n, seed=0):
     r(t) falls from exactly 1/2 at t = 0 to exactly 0 at internal
     tangency, so the candidates are the reduced fractions p/n < 1/2, one
     pair each: euler_totient(n)/2 of them (the family's theorem check).
-    Each is certified by solve_rotation and by verify_closure on the
-    family's scalar step at the solved t, and reported with that t; a pair
-    that fails either (NoSolutionError, a nan residual at an end among
-    them, or ResidualFailureError) is recorded in `missing` with the
-    reason, and the report comes up short.  No lift is built.
+    Each is solved as solve_rotation solves p/n, on the one lap residual
+    G(t) = g_t^n(X_REF) - X_REF of this n: G(family.a) and G(family.b)
+    are evaluated once, and each p solves G - p on the bracket they end.
+    Each pair is then certified by verify_closure on the family's scalar
+    step at the solved t, all from the same starts of `seed`, and
+    reported with that t; a pair that fails either (NoSolutionError, a
+    nan residual at an end among them, or ResidualFailureError) is
+    recorded in `missing` with the reason, and the report comes up short.
+    An n above MAX_STEPS raises ValueError before any residual runs.  No
+    lift is built.
     """
     if n < 3:
         raise ValueError("counting starts at n = 3")
+    if n > MAX_STEPS:
+        raise ValueError(f"n = {n} > MAX_STEPS = {MAX_STEPS}: each residual"
+                         f" would run {n} steps")
+    lap = _lap(family.step, n)
+    a, b = family.a, family.b
+    lap_a, lap_b = lap(a), lap(b)
     pairs = []
     missing = []
     for p in range(1, (n + 1) // 2):
         if math.gcd(p, n) != 1:
             continue
         try:
-            t = solve_rotation(family, Fraction(p, n))
+            t = _solve_lap(lap, a, lap_a, b, lap_b, p)
             residual = verify_closure(family.step(t), n, seed=seed)
         except (NoSolutionError, ResidualFailureError) as err:
             missing.append((p, str(err)))

@@ -2,6 +2,7 @@
 the Poncelet-pair counting pipeline."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -16,10 +17,14 @@ from poncelet.families import (
     poncelet_family,
     rigid_family,
 )
-from poncelet.geometry import PonceletConfig
+from poncelet.geometry import TWO_PI, PonceletConfig
 from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
+    _EARLY_LAPS,
     CHUNK_MAX,
+    CLOSE_TOL,
+    CLOSURE_STARTS,
+    EARLY_TOL,
     FIRST_CHUNK,
     FLOOR_SLACK,
     LOCK_GRID,
@@ -31,7 +36,9 @@ from poncelet.rotation import (
     NoSolutionError,
     ResidualFailureError,
     _bracket,
+    _cached_starts,
     _candidates,
+    _closure_starts,
     _estimate,
     _first_lock,
     _lock_grids,
@@ -1324,6 +1331,107 @@ def test_closure_of_a_nan_orbit_fails():
         verify_closure(NanAbove(), 2, 0)
 
 
+def unfiltered_closure(step, n, seed):
+    """verify_closure as one loop of n steps per start, with no prefilter
+    and its starts drawn on each call: the reference of the test below."""
+    rng = random.Random(seed)
+    early = None
+    ends = []
+    for _ in range(CLOSURE_STARTS):
+        x0 = x = rng.random()
+        for k in range(1, n + 1):
+            x = step(x)
+            dist = TWO_PI * abs((x - x0 + 0.5) % 1.0 - 0.5)
+            if k < n and dist <= EARLY_TOL:
+                early = min(early or (k, dist), (k, dist))
+                break
+        ends.append(dist)
+    if early is not None:
+        k, dist = early
+        raise ResidualFailureError(
+            f"orbit returned after {k} < {n} steps (distance {dist:.3g})")
+    residual = max(ends, key=lambda d: (math.isnan(d), d))
+    if not residual < CLOSE_TOL:
+        raise ResidualFailureError(
+            f"orbit failed to close after {n} steps "
+            f"(residual {residual:.3g})")
+    return residual
+
+
+def closure_outcome(closure, step, n, seed):
+    try:
+        return closure(step, n, seed).hex()
+    except ResidualFailureError as err:
+        return str(err)
+
+
+def threshold_laps(bound):
+    """The largest multiple m of 2^-53 with TWO_PI m <= bound, in units of
+    2^-53: a lap offset (x - x0 + 0.5) % 1 - 0.5 lies on that grid."""
+    m = int(bound / TWO_PI * 2.0 ** 53)
+    while TWO_PI * ((m + 1) * 2.0 ** -53) <= bound:
+        m += 1
+    while TWO_PI * (m * 2.0 ** -53) > bound:
+        m -= 1
+    return m
+
+
+# rigid steps x + alpha that return after k = 1 (alpha ~ +-EARLY_TOL /
+# TWO_PI) or k = 2 (alpha ~ 1/2 + EARLY_TOL / (2 TWO_PI)) steps within a few
+# grid steps of EARLY_TOL, on both sides, and of the prefilter's bound
+EDGE = threshold_laps(EARLY_TOL)
+PREFILTER_EDGE = threshold_laps(TWO_PI * _EARLY_LAPS)
+CLOSURE_EDGE_STEPS = (
+    [(sign * j * 2.0 ** -53, 2) for sign in (1, -1)
+     for j in [*range(EDGE - 3, EDGE + 4),
+               *range(PREFILTER_EDGE - 2, PREFILTER_EDGE + 3)]]
+    + [(0.5 + j * 2.0 ** -53, 3)
+       for j in range(EDGE // 2 - 3, EDGE // 2 + 4)]
+    + [(0.5, 2), (0.25, 4), (0.5 + 2.0 ** -40, 2)])
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_closure_prefilter_changes_no_decision(seed):
+    # the prefilter passes every lap offset the exact test passes, and the
+    # exact test decides the rest: each residual, or error text, is the
+    # unfiltered loop's, at the threshold and on a nan orbit
+    for alpha, n in CLOSURE_EDGE_STEPS:
+        def step(x):
+            return x + alpha
+        assert closure_outcome(verify_closure, step, n, seed) == \
+            closure_outcome(unfiltered_closure, step, n, seed), (alpha, n)
+    for n in (1, 2, 5):
+        assert closure_outcome(verify_closure, lambda x: math.nan, n, seed) \
+            == closure_outcome(unfiltered_closure, lambda x: math.nan, n,
+                               seed)
+    # from a start x0 with x0 + alpha < 1 the first lap offset is alpha
+    # itself: the one-step cases fall on both sides of EARLY_TOL, within
+    # one grid step, and of the prefilter's bound
+    dists = [TWO_PI * abs(alpha) for alpha, _ in CLOSURE_EDGE_STEPS
+             if abs(alpha) < 1e-4]
+    grid_step = TWO_PI * 2.0 ** -53
+    assert any(EARLY_TOL - grid_step < d <= EARLY_TOL for d in dists)
+    assert any(EARLY_TOL < d < EARLY_TOL + grid_step for d in dists)
+    assert any(EARLY_TOL < d <= TWO_PI * _EARLY_LAPS for d in dists)
+    assert any(d > TWO_PI * _EARLY_LAPS for d in dists)
+
+
+def test_closure_starts_are_the_seeds_draws():
+    rng = random.Random(7)
+    draws = [rng.random() for _ in range(CLOSURE_STARTS)]
+    first = verify_closure(lambda x: x + 0.5, 2, 7)
+    assert first == unfiltered_closure(lambda x: x + 0.5, 2, 7)
+    assert list(_cached_starts(7)) == draws
+    # the int seed 2**70 and the float 2.0**70 seed random.Random apart
+    assert list(_cached_starts(2 ** 70)) != list(_cached_starts(2.0 ** 70))
+    # no seed is fresh entropy on each call, and a bytearray seed is
+    # unhashable: neither is cached
+    assert _closure_starts(None) != _closure_starts(None)
+    rng = random.Random(bytearray(b"seed"))
+    assert list(_closure_starts(bytearray(b"seed"))) == \
+        [rng.random() for _ in range(CLOSURE_STARTS)]
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_closure_rejects_fewer_than_one_step(n):
     with pytest.raises(ValueError, match="n must be at least 1"):
@@ -1435,6 +1543,40 @@ def test_count_pins_each_pairs_radius_to_the_bit(c, n):
     ts, missing = PINNED_PAIRS[c, n]
     assert {pair.p: pair.t.hex() for pair in report.pairs} == ts
     assert [p for p, _ in report.missing] == missing
+
+
+def test_count_runs_each_bracket_end_and_draws_the_starts_once(
+        monkeypatch):
+    # the five pairs of n = 11 share one lap residual, so its ends at
+    # family.a and family.b run once, and one draw of the closure starts
+    family = poncelet_family(1.0, 0.3)
+    ts = []
+    step = family.step
+    family.step = lambda t: ts.append(t) or step(t)
+    seeded = []
+
+    class Seeded(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Seeded)
+    _cached_starts.cache_clear()
+    report = count_poncelet_pairs(family, 11)
+    assert report.ok and len(report.pairs) == 5
+    assert ts.count(family.a) == ts.count(family.b) == 1
+    assert seeded == [0]
+
+
+def test_count_rejects_a_period_above_max_steps_before_any_step():
+    family = poncelet_family(1.0, 0.3)
+
+    def step(t):
+        raise AssertionError(f"a residual ran, at t = {t}")
+
+    family.step = step
+    with pytest.raises(ValueError, match=f"n = {MAX_STEPS + 1} > MAX_STEPS"):
+        count_poncelet_pairs(family, MAX_STEPS + 1)
 
 
 def test_counting_rejects_degenerate_period():

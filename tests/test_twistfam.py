@@ -127,6 +127,21 @@ def test_lift_slack_is_relative_to_the_interval_width(family):
             family.lift(1e-13)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0), (-0.0, 0.7),
+                                  (2.0, 3.0), (0.0, 1e-200)])
+def test_clamp_is_the_builtin_min_of_max(a, b):
+    # value and sign of zero, on both sides of each end and inside
+    family = MonotoneCircleFamily(a, b, None, None, None)
+    w = b - a
+    for t in (a, b, -0.0, 0.0, 0, a - 0.5e-12 * w, b + 0.5e-12 * w,
+              0.5 * a + 0.5 * b, math.nextafter(a, b), math.nextafter(b, a)):
+        if family._t_min <= t <= family._t_max:
+            want = min(max(t, family.a), family.b)
+            got = family._clamp(t)
+            assert (got, math.copysign(1.0, got), type(got)) == \
+                (want, math.copysign(1.0, want), type(want)), t
+
+
 FAMILIES = {f"poncelet-{c}{'-reversed' * reverse}":
             poncelet_family(1.0, c, reverse=reverse)
             for c in (0.0, 0.3, 0.9) for reverse in (False, True)}
