@@ -48,7 +48,8 @@ lift: its lap residual G(t) = g_t^n(X_REF) - X_REF and verify_closure's
 starts iterate one float at a time on the family's scalar step,
 `family.step(t)`.  Every p/n of one n is solved on G - p, with G at the
 bracket's ends evaluated once per n (solve_rotation runs the same solve
-on its own q), and verify_closure draws its seeded starts once per seed.
+on its own q), and each count draws its seeded closure starts once and
+hands the same starts to verify_closure for every pair.
 The records are `NamedTuple` classes.
 """
 
@@ -78,7 +79,7 @@ MAX_STEPS = 1 << 20   # most steps an estimate runs before it gives up
 # certified rounding budget.
 FLOOR_SLACK = 1e-9
 X_REF = 0.375         # start point of solve_rotation's lock residual
-CLOSURE_STARTS = 20   # random start points of verify_closure
+CLOSURE_STARTS = 20   # seeded start points the count closes each pair from
 CLOSE_TOL = 1e-8      # largest closure residual (radians) accepted
 EARLY_TOL = 1e-4      # an earlier return this close (radians) is rejected
 # verify_closure's prefilter on the signed lap offset v of an earlier
@@ -414,16 +415,17 @@ def shrink_bracket(f, lo, f_lo, hi, f_hi):
     Jarratt 1971): when the same end is kept twice in a row, its weight is
     halved, so the secant point soon lands on its side of the root and
     neither end stalls.  Each secant point is formed on the ends scaled by
-    the power of two that takes the larger into [1/4, 1/2).  The scaling
-    is exact, so the point has the unscaled formula's bits wherever those
-    products are normal, and at any scale of the bracket it keeps the
-    products lo * w_hi and hi * w_lo finite and off the subnormal range,
-    where the point would round onto an end and each step move the
-    bracket by one float.  f's values are not rescaled, so values in the
-    subnormal range can still do that (no residual solved here comes near
-    them).  A secant point that rounds onto an end steps to that end's
-    float neighbour inward instead.  A nan value of f inside the bracket raises
-    ValueError: every later secant point would be nan."""
+    the power of two that takes the larger into [1/4, 1/2), and on the
+    weights scaled by the one that takes their difference into [1/2, 1):
+    they have opposite signs, so that takes the larger |w| into [1/4, 1).
+    The scalings are exact short of the subnormal range, so the point has
+    the unscaled formula's bits wherever those products are normal, and
+    at any scale of the bracket or of f's values it keeps the products
+    lo * w_hi and hi * w_lo finite and off the subnormal range, where the
+    point would round onto an end and each step move the bracket by one
+    float.  A secant point that rounds onto an end steps to that end's
+    float neighbour inward instead.  A nan value of f inside the bracket
+    raises ValueError: every later secant point would be nan."""
     if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
         raise NoSolutionError(
             f"no sign change: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
@@ -434,8 +436,10 @@ def shrink_bracket(f, lo, f_lo, hi, f_hi):
         if inner_lo == hi:
             break
         e = math.frexp(max(abs(lo), abs(hi)))[1] + 1
-        x = math.ldexp((math.ldexp(lo, -e) * w_hi - math.ldexp(hi, -e) * w_lo)
-                       / (w_hi - w_lo), e)
+        s = math.frexp(w_hi - w_lo)[1]
+        u, v = math.ldexp(w_hi, -s), math.ldexp(w_lo, -s)
+        x = math.ldexp((math.ldexp(lo, -e) * u - math.ldexp(hi, -e) * v)
+                       / (u - v), e)
         if not x > lo:
             x = inner_lo
         elif not x < hi:
@@ -545,12 +549,11 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
     return 0.5 * lo + 0.5 * hi
 
 
-def verify_closure(step, n, seed):
+def verify_closure(step, n, starts):
     """Closure residual of the one-float map `step` (a family's scalar
-    step, or a lift) after n steps from CLOSURE_STARTS start points drawn
-    from random.Random(seed), each iterated one float at a time.  The
-    starts of the last seed are kept (_closure_starts), so the pair count
-    draws them once for all its pairs.
+    step, or a lift) after n steps from each float of the sequence
+    `starts`, iterated one float at a time.  An n below 1, or no starts,
+    raises ValueError.
 
     Returns the max angular distance (radians) to the start; raises
     ResidualFailureError if it is CLOSE_TOL or more (or nan), or if an
@@ -563,10 +566,12 @@ def verify_closure(step, n, seed):
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if len(starts) == 0:
+        raise ValueError("starts must hold at least one start point")
     early = None  # (k, distance) of the earliest return before step n
     ends = []
     low, high = -_EARLY_LAPS, _EARLY_LAPS  # the prefilter's bounds on v
-    for x0 in _closure_starts(seed):
+    for x0 in starts:
         x = x0
         for k in range(1, n):
             x = step(x)
@@ -595,26 +600,6 @@ def verify_closure(step, n, seed):
     return residual
 
 
-def _draw_starts(seed):
-    rng = random.Random(seed)
-    return tuple([rng.random() for _ in range(CLOSURE_STARTS)])
-
-
-# The starts of the last seed drawn, keyed on its type and value
-# (random.Random seeds the int 2**70 and the float 2.0**70 apart).
-_cached_starts = functools.lru_cache(maxsize=1, typed=True)(_draw_starts)
-
-
-def _closure_starts(seed):
-    """The CLOSURE_STARTS start points random.Random(seed) draws, the same
-    ones on each call: a one-entry cache keeps the last seed's.  A seed of
-    None (fresh entropy) or a bytearray (mutable, unhashable) is drawn
-    from afresh each time, as random.Random would."""
-    if seed is None or isinstance(seed, bytearray):
-        return _draw_starts(seed)
-    return _cached_starts(seed)
-
-
 def count_poncelet_pairs(family, n, seed=0):
     """All parameters t of the family for which (K, L_t) is an
     n-Poncelet pair: on poncelet_family(R, c), the inner radii.
@@ -626,10 +611,11 @@ def count_poncelet_pairs(family, n, seed=0):
     G(t) = g_t^n(X_REF) - X_REF of this n: G(family.a) and G(family.b)
     are evaluated once, and each p solves G - p on the bracket they end.
     Each pair is then certified by verify_closure on the family's scalar
-    step at the solved t, all from the same starts of `seed`, and
-    reported with that t; a pair that fails either (NoSolutionError, a
-    nan residual at an end among them, or ResidualFailureError) is
-    recorded in `missing` with the reason, and the report comes up short.
+    step at the solved t, every pair from the same CLOSURE_STARTS starts,
+    drawn once per call from random.Random(seed), and reported with that
+    t; a pair that fails either (NoSolutionError, a nan residual at an end
+    among them, or ResidualFailureError) is recorded in `missing` with the
+    reason, and the report comes up short.
     An n above MAX_STEPS raises ValueError before any residual runs.  No
     lift is built.
     """
@@ -638,6 +624,8 @@ def count_poncelet_pairs(family, n, seed=0):
     if n > MAX_STEPS:
         raise ValueError(f"n = {n} > MAX_STEPS = {MAX_STEPS}: each residual"
                          f" would run {n} steps")
+    rng = random.Random(seed)
+    starts = [rng.random() for _ in range(CLOSURE_STARTS)]
     lap = _lap(family.step, n)
     a, b = family.a, family.b
     lap_a, lap_b = lap(a), lap(b)
@@ -648,7 +636,7 @@ def count_poncelet_pairs(family, n, seed=0):
             continue
         try:
             t = _solve_lap(lap, a, lap_a, b, lap_b, p)
-            residual = verify_closure(family.step(t), n, seed=seed)
+            residual = verify_closure(family.step(t), n, starts)
         except (NoSolutionError, ResidualFailureError) as err:
             missing.append((p, str(err)))
             continue

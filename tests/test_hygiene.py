@@ -3,8 +3,9 @@ field and property (dataclass or NamedTuple) is read by the library or the
 benchmark (or listed with the reason only a test reads it), a read of a
 name that several classes declare counting only where it is tied to the
 record, every name the benchmark's tracer binds exists, the library
-outside the CLI grows no defaulted parameter, and the tests that CI reruns
-against the installed package name no path into the checkout."""
+outside the CLI grows no defaulted parameter, every functools cache of the
+library is declared with its reason, and the tests that CI reruns against
+the installed package name no path into the checkout."""
 
 import ast
 import importlib
@@ -120,6 +121,60 @@ def test_library_grows_no_defaulted_parameter():
                        path.read_text()))
     assert len(found) <= MAX_DEFAULTED_PARAMETERS, found
     assert found == DEFAULTED_PARAMETERS
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def cached_names(source):
+    """The name of each cache that functools.cache or functools.lru_cache
+    makes in `source`: the function it decorates, or the name its result
+    is assigned to; any other use of either is named by its line."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((sub, node.name) for decorator in node.decorator_list
+                         for sub in ast.walk(decorator))
+        elif isinstance(node, ast.Assign):
+            name = ", ".join(ast.unparse(target) for target in node.targets)
+            owner.update((sub, name) for sub in ast.walk(node.value))
+    return sorted(owner.get(node, f"line {node.lineno}")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in CACHES
+                  and getattr(node.value, "id", None) == "functools"
+                  or isinstance(node, ast.Name) and node.id in CACHES)
+
+
+def test_cache_scan_finds_decorators_assignments_and_other_uses():
+    source = ("from functools import lru_cache\n"
+              "@functools.cache\n"
+              "def a():\n"
+              "    pass\n"
+              "@lru_cache(maxsize=1)\n"
+              "def b(x):\n"
+              "    self.cache = x\n"
+              "c = functools.lru_cache(maxsize=1, typed=True)(b)\n"
+              "d = list(map(functools.cache, [a]))\n"
+              "register(functools.cache)\n")
+    assert cached_names(source) == ["a", "b", "c", "d", "line 10"]
+
+
+#: Every functools cache of src/poncelet, with the reason it stays.  A
+#: cache keeps what it has seen for the life of the process, so one keyed
+#: on a caller's input is hidden state; a new one is declared here.
+CACHED = {
+    "geometry.py:_li2_coefficients": "a constant table, built on first use",
+    "lifts.py:_sample_points": "validate's two sample grids (16 and 64)",
+    "rotation.py:_lock_grids": "the constant lock grids, built on first use",
+}
+
+
+def test_every_cache_is_declared():
+    found = sorted(f"{path.name}:{name}"
+                   for path in (ROOT / "src" / "poncelet").rglob("*.py")
+                   for name in cached_names(path.read_text()))
+    assert found == sorted(CACHED)
 
 
 def record_fields(source):

@@ -3,7 +3,6 @@ the Poncelet-pair counting pipeline."""
 
 import math
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from poncelet import rotation
 from poncelet.families import (
     MonotoneCircleFamily,
     arnold_family,
@@ -36,9 +36,7 @@ from poncelet.rotation import (
     NoSolutionError,
     ResidualFailureError,
     _bracket,
-    _cached_starts,
     _candidates,
-    _closure_starts,
     _estimate,
     _first_lock,
     _lock_grids,
@@ -1090,36 +1088,39 @@ def test_shrink_bracket_ends_on_adjacent_floats():
 
 @pytest.mark.parametrize("k", [0, -1000, -1020, 1000])
 def test_shrink_bracket_does_not_depend_on_the_scale(k):
-    # y^2 - 2 over [1, 2] scaled by 2^k: each secant point is formed on
-    # ends scaled by a power of two, so every scale takes the unscaled
-    # problem's steps and ends on its ends scaled.  Formed on the unscaled
-    # ends, the products lo * w_hi of k = -1020 are subnormal near the
-    # root, the point rounds onto an end, and each step moves the bracket
-    # by one float (24,188 evaluations).
-    calls = []
+    # y^2 - 2 over [1, 2], its ends scaled by 2^k and its values by 2^j:
+    # each secant point is formed on ends and weights scaled by powers of
+    # two, so every scale takes the unscaled problem's steps and ends on
+    # its ends scaled.  Formed on the unscaled ends, the products
+    # lo * w_hi of k = -1020 are subnormal near the root, the point rounds
+    # onto an end, and each step moves the bracket by one float (24,188
+    # evaluations); formed on the unscaled weights, so are those of
+    # j = -1020 (15,143 evaluations).
+    for j in (0, -1020, 1000):
+        calls = []
 
-    def f(x):
-        calls.append(x)
-        y = math.ldexp(x, -k)
-        return y * y - 2.0
+        def f(x):
+            calls.append(x)
+            y = math.ldexp(x, -k)
+            return math.ldexp(y * y - 2.0, j)
 
-    lo, f_lo, hi, f_hi = shrink_bracket(f, math.ldexp(1.0, k), -1.0,
-                                        math.ldexp(2.0, k), 2.0)
-    assert len(calls) == 9
-    assert (math.ldexp(lo, -k), math.ldexp(hi, -k)) == (
-        float.fromhex("0x1.6a09e667f3bccp+0"),
-        float.fromhex("0x1.6a09e667f3bcdp+0"))
-    assert (f_lo, f_hi) == (f(lo), f(hi))
+        lo, f_lo, hi, f_hi = shrink_bracket(
+            f, math.ldexp(1.0, k), math.ldexp(-1.0, j),
+            math.ldexp(2.0, k), math.ldexp(2.0, j))
+        assert len(calls) == 9, j
+        assert (math.ldexp(lo, -k), math.ldexp(hi, -k)) == (
+            float.fromhex("0x1.6a09e667f3bccp+0"),
+            float.fromhex("0x1.6a09e667f3bcdp+0"))
+        assert (f_lo, f_hi) == (f(lo), f(hi))
 
 
 @st.composite
 def _monotone_problems(draw):
     """(f, lo, hi): a monotone f, zero on a plateau [r1, r2] (a single
     root when r1 == r2), rising or falling through an odd map, on ends
-    lo < hi around the plateau, all scaled by 2^k.  f's values in the
-    subnormal range are flushed to zero, which widens the plateau and
-    keeps f monotone: shrink_bracket rescales its ends, not f's values,
-    and no residual it solves comes near that range."""
+    lo < hi around the plateau, all scaled by 2^k.  f's values near the
+    root can be subnormal: shrink_bracket scales its weights as well as
+    its ends, so they do not make it crawl."""
     lo, r1, r2, hi = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=4,
                                           max_size=4)))
     k = draw(st.integers(-1070, 1013))
@@ -1130,8 +1131,7 @@ def _monotone_problems(draw):
 
     def f(x):
         y = math.ldexp(x, -k)
-        value = sign * shape(min(y - r1, 0.0) + max(y - r2, 0.0))
-        return value if abs(value) >= sys.float_info.min else 0.0
+        return sign * shape(min(y - r1, 0.0) + max(y - r2, 0.0))
 
     return f, math.ldexp(lo, k), math.ldexp(hi, k)
 
@@ -1145,8 +1145,9 @@ def test_shrink_bracket_keeps_its_contract(problem):
     calls = []
 
     def counted(x):
-        # a triple root at 0 takes up to ~800 steps, down to the plateau of
-        # flushed values; a crawl of one float per step would not end
+        # a triple root at 0 takes up to ~800 steps, down through subnormal
+        # values to their underflow to 0; a crawl of one float per step
+        # would not end
         calls.append(x)
         assert len(calls) <= 2000, "shrink_bracket crawled"
         return f(x)
@@ -1264,22 +1265,30 @@ def test_solve_builds_at_most_40_lifts(spec, target):
 
 # ------------------------------------------------------------------ closure
 
+def seeded_starts(seed):
+    """The first CLOSURE_STARTS draws of random.Random(seed): the starts
+    count_poncelet_pairs closes its pairs from."""
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(CLOSURE_STARTS)]
+
+
 def test_triangle_pair_closes_tightly():
     residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)),
-                              3, 0)
+                              3, seeded_starts(0))
     assert residual < 1e-10
 
 
 def test_diameter_closes_in_two_steps():
     residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)),
-                              2, 0)
+                              2, seeded_starts(0))
     assert residual < 1e-12
 
 
 def test_wrong_period_is_rejected():
     # the triangle radius does not close a 5-gon
     with pytest.raises(ResidualFailureError):
-        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5, 0)
+        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5,
+                       seeded_starts(0))
 
 
 class TwoBands(CircleLift):
@@ -1310,13 +1319,13 @@ def test_closure_reports_the_earliest_return_over_all_starts():
     # in [0, 1/2) return after 2, and the error must name 2
     with pytest.raises(ResidualFailureError,
                        match=r"^orbit returned after 2 < 6 steps"):
-        verify_closure(TwoBands(), 6, 0)
+        verify_closure(TwoBands(), 6, seeded_starts(0))
     # with the drift, the seven starts in [0, 1/2) tie at step 2 at
     # distances 2 pi 1e-6 (y mod 1/4); the least, from y = 0.2505, is named
     with pytest.raises(ResidualFailureError,
                        match=r"^orbit returned after 2 < 6 steps "
                              r"\(distance 3\.18e-09\)$"):
-        verify_closure(TwoBandsDrift(), 6, 0)
+        verify_closure(TwoBandsDrift(), 6, seeded_starts(0))
 
 
 class NanAbove(CircleLift):
@@ -1328,17 +1337,16 @@ class NanAbove(CircleLift):
 
 def test_closure_of_a_nan_orbit_fails():
     with pytest.raises(ResidualFailureError, match=r"residual nan"):
-        verify_closure(NanAbove(), 2, 0)
+        verify_closure(NanAbove(), 2, seeded_starts(0))
 
 
-def unfiltered_closure(step, n, seed):
-    """verify_closure as one loop of n steps per start, with no prefilter
-    and its starts drawn on each call: the reference of the test below."""
-    rng = random.Random(seed)
+def unfiltered_closure(step, n, starts):
+    """verify_closure as one loop of n steps per start, with no prefilter:
+    the reference of the test below."""
     early = None
     ends = []
-    for _ in range(CLOSURE_STARTS):
-        x0 = x = rng.random()
+    for x0 in starts:
+        x = x0
         for k in range(1, n + 1):
             x = step(x)
             dist = TWO_PI * abs((x - x0 + 0.5) % 1.0 - 0.5)
@@ -1358,9 +1366,9 @@ def unfiltered_closure(step, n, seed):
     return residual
 
 
-def closure_outcome(closure, step, n, seed):
+def closure_outcome(closure, step, n, starts):
     try:
-        return closure(step, n, seed).hex()
+        return closure(step, n, starts).hex()
     except ResidualFailureError as err:
         return str(err)
 
@@ -1395,15 +1403,17 @@ def test_closure_prefilter_changes_no_decision(seed):
     # the prefilter passes every lap offset the exact test passes, and the
     # exact test decides the rest: each residual, or error text, is the
     # unfiltered loop's, at the threshold and on a nan orbit
+    starts = seeded_starts(seed)
     for alpha, n in CLOSURE_EDGE_STEPS:
         def step(x):
             return x + alpha
-        assert closure_outcome(verify_closure, step, n, seed) == \
-            closure_outcome(unfiltered_closure, step, n, seed), (alpha, n)
+        assert closure_outcome(verify_closure, step, n, starts) == \
+            closure_outcome(unfiltered_closure, step, n, starts), (alpha, n)
     for n in (1, 2, 5):
-        assert closure_outcome(verify_closure, lambda x: math.nan, n, seed) \
+        assert closure_outcome(verify_closure, lambda x: math.nan, n,
+                               starts) \
             == closure_outcome(unfiltered_closure, lambda x: math.nan, n,
-                               seed)
+                               starts)
     # from a start x0 with x0 + alpha < 1 the first lap offset is alpha
     # itself: the one-step cases fall on both sides of EARLY_TOL, within
     # one grid step, and of the prefilter's bound
@@ -1416,26 +1426,16 @@ def test_closure_prefilter_changes_no_decision(seed):
     assert any(d > TWO_PI * _EARLY_LAPS for d in dists)
 
 
-def test_closure_starts_are_the_seeds_draws():
-    rng = random.Random(7)
-    draws = [rng.random() for _ in range(CLOSURE_STARTS)]
-    first = verify_closure(lambda x: x + 0.5, 2, 7)
-    assert first == unfiltered_closure(lambda x: x + 0.5, 2, 7)
-    assert list(_cached_starts(7)) == draws
-    # the int seed 2**70 and the float 2.0**70 seed random.Random apart
-    assert list(_cached_starts(2 ** 70)) != list(_cached_starts(2.0 ** 70))
-    # no seed is fresh entropy on each call, and a bytearray seed is
-    # unhashable: neither is cached
-    assert _closure_starts(None) != _closure_starts(None)
-    rng = random.Random(bytearray(b"seed"))
-    assert list(_closure_starts(bytearray(b"seed"))) == \
-        [rng.random() for _ in range(CLOSURE_STARTS)]
-
-
 @pytest.mark.parametrize("n", [0, -1])
 def test_closure_rejects_fewer_than_one_step(n):
     with pytest.raises(ValueError, match="n must be at least 1"):
-        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), n, 0)
+        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), n,
+                       seeded_starts(0))
+
+
+def test_closure_rejects_empty_starts():
+    with pytest.raises(ValueError, match="starts must hold at least one"):
+        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 3, [])
 
 
 # ----------------------------------------------------------------- counting
@@ -1507,7 +1507,8 @@ def test_reversed_family_count_matches_forward(c, n):
         radius = (1.0 - c) - pair.t
         assert abs(radius - want[pair.p]) <= 1e-12
         lift = PonceletLift(PonceletConfig(1.0, c, radius))
-        assert pair.closure_residual == verify_closure(lift, n, seed)
+        assert pair.closure_residual == verify_closure(lift, n,
+                                                       seeded_starts(seed))
 
 
 # float.hex of each pair's t by p, and the p's that fail closure, at seed 0
@@ -1561,11 +1562,39 @@ def test_count_runs_each_bracket_end_and_draws_the_starts_once(
             super().__init__(seed)
 
     monkeypatch.setattr(random, "Random", Seeded)
-    _cached_starts.cache_clear()
     report = count_poncelet_pairs(family, 11)
     assert report.ok and len(report.pairs) == 5
     assert ts.count(family.a) == ts.count(family.b) == 1
     assert seeded == [0]
+
+
+def test_closure_starts_are_the_seeds_draws(monkeypatch):
+    # the count hands every pair the first CLOSURE_STARTS draws of
+    # random.Random(seed), through the module's verify_closure, which the
+    # benchmark's tracer wraps
+    family = poncelet_family(1.0, 0.3)
+    seed = 7
+    draws = seeded_starts(seed)
+    handed = []
+
+    def recording(step, n, starts):
+        handed.append(list(starts))
+        return verify_closure(step, n, starts)
+
+    monkeypatch.setattr(rotation, "verify_closure", recording)
+    report = count_poncelet_pairs(family, 7, seed=seed)
+    assert report.ok and handed == [draws] * 3
+    for pair in report.pairs:
+        assert pair.closure_residual == \
+            verify_closure(family.step(pair.t), 7, draws)
+
+
+def test_count_does_not_depend_on_earlier_counts():
+    # no state outlives a count: seed 5 reports the same after seed 9
+    family = poncelet_family(1.0, 0.6)
+    reports = [count_poncelet_pairs(family, 9, seed=seed)
+               for seed in (5, 9, 5)]
+    assert reports[0] == reports[2] != reports[1]
 
 
 def test_count_rejects_a_period_above_max_steps_before_any_step():
