@@ -319,7 +319,8 @@ def build_parser():
     p = sub.add_parser("orbit", parents=[pair, table],
                        help="iterate the tangent-line map")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--theta0", type=float, default=0.0)
+    p.add_argument("--theta0", type=float, default=0.0,
+                   help="start angle (rad); write -1e-3 as --theta0=-1e-3")
     p.add_argument("--steps", type=int, default=100)
     p.set_defaults(func=cmd_orbit)
 
@@ -344,7 +345,7 @@ def build_parser():
 
     p = sub.add_parser("cf", parents=[out], help="continued-fraction reports")
     p.add_argument("--x", default=None,
-                   help="decimal, p/q, or 'golden'")
+                   help="decimal, p/q, or 'golden'; write -3/7 as --x=-3/7")
     p.add_argument("--random", type=int, default=None,
                    help="number of seeded random samples in (0,1)")
     p.add_argument("--eps", type=float, default=0.5)

@@ -4,9 +4,10 @@
 builds it from ``math`` for narrow batches (single-point orbits) and from
 numpy for wide ones; the lifts' scalar ``__call__`` is the ``math`` build.
 
-The lifts tabulate only through ``*_orbit``, and their ``__call__`` is
-the ``*_step`` they bind at construction; the families hand out the same
-``*_step`` bare, for the one-float loops of the pair count.
+The Poncelet and Arnold lifts tabulate through ``*_orbit`` and call the
+``*_step`` they bind at construction (a `FunctionLift` tabulates through
+``_ref._scalar_orbit``, a `RigidLift` in closed form); the families hand
+out the same ``*_step`` bare, for the one-float loops of the pair count.
 ``*_advance`` (a table's last row) stays for the benchmark: its tracer
 wraps it by name, and its L0 probe times the kernels through it.
 """

@@ -40,11 +40,13 @@ Two paths, chosen per call, build it from different tuples:
   not yet a certified budget), and that orbit's extensions.  The lifts'
   ``__call__`` and the families' ``step``, which the pair count's lock
   residual and ``verify_closure``'s starts iterate, run this step
-  directly, with no table.
+  directly, with no table.  A one-point table is g iterated, errors
+  included: it raises where ``math`` does, at an infinite 2 pi x.
 * a table of two or more points runs the step built from numpy's ufuncs
   on whole arrays.  Every table the library builds (the 32-point lock
   subgrid, the 512-point lock grid, `twistfam`'s 128- and 256-point
-  samples) is one, so a subgrid point has the grid table's bits.
+  samples) is one, so a subgrid point has the grid table's bits.  An
+  infinite 2 pi x gives its column ``nan``, with numpy's warning.
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
@@ -152,18 +154,12 @@ def _scalar_orbit(xs, depth, step):
     return out
 
 
-# The scalar loop gives way to numpy on a ValueError: math raises on an
-# infinite argument where numpy returns nan.
-
 def _orbit(xs, depth, make_step, params):
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 1:
-        try:
-            return _scalar_orbit(xs, depth, make_step(*params))
-        except ValueError:
-            pass
+        return _scalar_orbit(xs, depth, make_step(*params))
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
     out[0] = xs
     step = make_step(*params, (np.sin, np.sqrt, np.arctan2, np.maximum))

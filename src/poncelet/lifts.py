@@ -11,9 +11,10 @@ on its callable; rigid rotations are tabulated in closed form.
 `g(x)` and `validate` run the step on plain floats and load no numpy;
 `orbit_table` and `advance` do.  A code path that iterates one float
 without numpy iterates the step itself (the pair count takes it from its
-family).  An infinite start gives the Poncelet and Arnold tables `nan`,
-from their numpy step; a `FunctionLift` runs its callable in the table,
-so the callable's error passes through.
+family).  A one-point table, and so `advance`, is g iterated, errors
+included: a start where g raises (math's error at an infinite angle)
+raises there too.  A wider Poncelet or Arnold table gives that column
+`nan`, from numpy's step.
 """
 
 import functools
@@ -106,9 +107,8 @@ class CircleLift:
 
 class FunctionLift(CircleLift):
     """Lift wrapping an arbitrary scalar callable, validated on creation.
-    Its table runs the same callable, so an error it raises, such as
-    math's on an infinite start, passes through `advance` (a `nan` would
-    hide the callable's real errors at finite starts too)."""
+    Its table runs the same callable at every width, so an error it
+    raises, such as math's on an infinite start, passes through."""
 
     def __init__(self, fn):
         self._step = fn

@@ -142,7 +142,8 @@ class CountReport(NamedTuple):
 
 
 def euler_totient(n):
-    """Euler's totient by trial factorization."""
+    """Euler's totient of the integer n, by trial factorization."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("totient needs n >= 1")
     result = n

@@ -392,6 +392,25 @@ def test_cf_requires_exactly_one_input(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [["cf", "--x", "-3/7"],
+                                  ["orbit", "--t", "0.3", "--theta0", "-1e-3"]])
+def test_negative_values_need_the_equals_form(tmp_path, capsys, argv):
+    # argparse reads a separate -3/7 or -1e-3 as an option; the help of
+    # --x and --theta0 says to write --x=-3/7
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, *argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "expected one argument" in capsys.readouterr().err
+    code, out = run(tmp_path, *argv[:-2], "=".join(argv[-2:]))
+    assert code == EXIT_OK
+    if argv[0] == "cf":
+        (report,) = read_json(out)["reports"]
+        assert report["a0"] == -1 and report["quotients"] == [1, 1, 3]
+    else:
+        theta = float(read_csv(out)[0]["theta"])
+        assert theta == pytest.approx(2.0 * math.pi - 1e-3, abs=1e-15)
+
+
 # -------------------------------------------------------------------- prop2
 
 def test_prop2_rigid_passes(tmp_path):

@@ -4,8 +4,9 @@ benchmark (or listed with the reason only a test reads it), a read of a
 name that several classes declare counting only where it is tied to the
 record, every name the benchmark's tracer binds exists, the library
 outside the CLI grows no defaulted parameter, every functools cache of the
-library is declared with its reason, and the tests that CI reruns against
-the installed package name no path into the checkout."""
+library and every import of another module's private name is declared
+with its reason, and the tests that CI reruns against the installed
+package name no path into the checkout."""
 
 import ast
 import importlib
@@ -175,6 +176,69 @@ def test_every_cache_is_declared():
                    for path in (ROOT / "src" / "poncelet").rglob("*.py")
                    for name in cached_names(path.read_text()))
     assert found == sorted(CACHED)
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_imports(source, package):
+    """Each import of `source` that reaches a private name or a private
+    module of another module, as its dotted path (a relative one keeps its
+    dots).  A package (`package` true) importing its own module does not
+    count: there a relative import's first name is that module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if any(map(_private, alias.name.split(".")))]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level
+            parts = node.module.split(".") if node.module else []
+            skip = 1 if package and node.level == 1 else 0
+            for alias in node.names:
+                path = parts + [alias.name]
+                if any(map(_private, path[skip:])):
+                    found.append(prefix + ".".join(path))
+    return sorted(found)
+
+
+def test_private_import_scan_finds_private_names_and_modules():
+    source = ("import numpy, os._hidden\n"
+              "from . import __version__, _sibling\n"
+              "from ._mod import name\n"
+              "from .pkg import _name, public\n"
+              "from .pkg.sub import public\n"
+              "def f():\n"
+              "    from ..up._deep import x\n")
+    assert private_imports(source, False) == [
+        "..up._deep.x", "._mod.name", "._sibling", ".pkg._name",
+        "os._hidden"]
+    own = ("from . import _ref\n"
+           "from ._ref import name, _name\n"
+           "from .other import _other\n")
+    assert private_imports(own, True) == ["._ref._name", ".other._other"]
+    assert private_imports(own, False) == [
+        "._ref", "._ref._name", "._ref.name", ".other._other"]
+
+
+#: Every import in src/poncelet of another module's private name or
+#: private module, with the reason it stays.  A module that reaches into
+#: another's internals is tied to them; a new one is declared here.
+PRIVATE_IMPORTS = {
+    "lifts.py:.kernels._ref._scalar_orbit":
+        "FunctionLift's table runs the kernels' scalar loop on its callable;"
+        " one kernel module (ROADMAP item 5) removes it",
+}
+
+
+def test_every_private_import_is_declared():
+    found = sorted(f"{path.name}:{name}"
+                   for path in (ROOT / "src" / "poncelet").rglob("*.py")
+                   for name in private_imports(path.read_text(),
+                                               path.name == "__init__.py"))
+    assert found == sorted(PRIVATE_IMPORTS)
 
 
 def record_fields(source):

@@ -62,18 +62,21 @@ def test_ref_narrow_and_wide_paths_agree():
             ref_tab, rtol=0.0, atol=1e-12)
 
 
-def test_ref_narrow_path_keeps_nonfinite_points_as_nan():
-    # math raises on inf where numpy gives nan: a one-point batch falls
-    # back to numpy's step, as a wider one runs it
+def test_ref_nonfinite_start_is_nan_in_a_table_and_raises_alone():
+    # numpy's step gives nan at an infinite start and leaves the other
+    # columns alone; a one-point batch is the math step iterated, so it
+    # raises there, as the step does
     xs = np.array([np.inf, 0.25])
     finite = np.full(64, 0.25)
     with np.errstate(invalid="ignore"):
         out = _ref.poncelet_advance(xs, 3, 1.0, 0.3, 0.2)
         tab = _ref.arnold_orbit(xs, 3, 0.3, 0.8)
-        alone = [_ref.poncelet_orbit(xs[:1], 3, 1.0, 0.3, 0.2),
-                 _ref.arnold_orbit(xs[:1], 3, 0.3, 0.8)]
+    for orbit, make_step, params in _KERNEL_MAPS:
+        with pytest.raises(ValueError, match="math domain error"):
+            make_step(*params)(np.inf)
+        with pytest.raises(ValueError, match="math domain error"):
+            orbit(xs[:1], 3, *params)
     assert np.isnan(out[0]) and np.all(np.isnan(tab[1:, 0]))
-    assert all(t.shape == (4, 1) and np.all(np.isnan(t[1:])) for t in alone)
     assert out[1] == pytest.approx(
         _ref.poncelet_advance(finite, 3, 1.0, 0.3, 0.2)[0], abs=1e-13)
     assert tab[3, 1] == pytest.approx(
@@ -197,25 +200,28 @@ def test_concentric_step_is_the_general_step_to_the_bit(R, c, t):
                     step = general_np if width > 1 else general
                     for _ in range(4):
                         rows.append(step(rows[-1]))
-                except ValueError:  # the table's fallback to numpy
-                    rows = [part]
-                    for _ in range(4):
-                        rows.append(general_np(rows[-1]))
+                except ValueError:  # a one-point table raises as g does
+                    with pytest.raises(ValueError):
+                        _ref.poncelet_orbit(part, 4, R, c, t)
+                    continue
                 table = _ref.poncelet_orbit(part, 4, R, c, t)
                 assert _hexes(table) == _hexes(rows), (width, start)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf])
 def test_concentric_step_at_infinity_raises_or_gives_nan(x):
-    # math raises on sin(inf), so a one-point orbit falls back to numpy,
-    # which gives nan with the general step's warning
+    # math raises on sin(inf), and so does a one-point orbit, which
+    # iterates it; numpy gives nan with the general step's warning, and
+    # so does a wider table
     for R, c, t in ((1.0, 0.0, 0.5), (1e300, 1e-30, 0.0)):
         with pytest.raises(ValueError):
             _ref.poncelet_step(R, c, t)(x)
+        with pytest.raises(ValueError):
+            _ref.poncelet_orbit([x], 3, R, c, t)
         with pytest.warns(RuntimeWarning, match="invalid value"):
             assert math.isnan(_ref.poncelet_step(R, c, t, _NUMPY)(x))
         with np.errstate(invalid="ignore"):
-            assert np.isnan(_ref.poncelet_orbit([x], 3, R, c, t)[1:]).all()
+            assert np.isnan(_ref.poncelet_orbit([x, x], 3, R, c, t)[1:]).all()
 
 
 def test_kernel_step_commutes_with_integer_shift():
@@ -314,14 +320,41 @@ def test_advance_of_one_float_is_the_tables_last_row(g):
             assert got.hex() == float(want).hex(), (x, n)
 
 
-@pytest.mark.parametrize("g", _every_lift()[1:4],
-                         ids=["arnold", "poncelet", "tangency"])
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def _iterated(g, x, n):
+    """[x, g(x), ..., g^n(x)] by calling g, or g's error."""
+    column = [x]
+    for _ in range(n):
+        column.append(g(column[-1]))
+    return column
+
+
+@pytest.mark.parametrize("g", _every_lift()[1:4] + [
+    PonceletLift(PonceletConfig(1.0, 0.0, 0.5)),
+    PonceletLift(PonceletConfig(1.0, 0.3, 0.2)),
+], ids=["arnold", "poncelet", "tangency", "concentric", "poncelet-c0.3"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 3e307, -3e307])
 def test_advance_of_a_non_finite_float_is_nan(g, x):
-    # math raises on inf; the table's numpy step gives nan instead
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(g.advance(x, 3))
+    # a one-point table is g iterated, errors included: math raises at an
+    # infinite angle 2 pi x, and so do advance and the table; a nan start
+    # stays nan.  A wider table runs numpy's step, which gives that column
+    # nan and keeps the finite one.
+    for n in (1, 3):
+        try:
+            want = _iterated(g, x, n)
+        except ValueError:
+            with pytest.raises(ValueError, match="math domain error"):
+                g.advance(x, n)
+            with pytest.raises(ValueError, match="math domain error"):
+                g.orbit_table([x], n)
+        else:
+            assert math.isnan(want[-1])
+            assert _hexes(g.orbit_table([x], n)) == _hexes(want)
+            assert g.advance(x, n).hex() == want[-1].hex()
     assert g.advance(x, 0) == x or math.isnan(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        tab = g.orbit_table([x, 0.25], 3)
+    assert np.isnan(tab[1:, 0]).all()
+    assert tab[:, 1].tobytes() == g.orbit_table([0.25, 0.5], 3)[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf])

@@ -1453,6 +1453,18 @@ def test_totient_rejects_nonpositive():
         euler_totient(0)
 
 
+def test_totient_takes_only_integers():
+    # a float, even an integral one, raises; a numpy integer is an int
+    for n in (6.0, 6.5):
+        with pytest.raises(TypeError):
+            euler_totient(n)
+    phi = euler_totient(np.int64(12))
+    assert type(phi) is int and phi == 4
+    assert [euler_totient(n) for n in range(1, 61)] == [
+        sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        for n in range(1, 61)]
+
+
 def test_totient_against_coprime_count():
     for n in range(2, 120):
         brute = sum(1 for k in range(1, n) if math.gcd(k, n) == 1)
