@@ -12,6 +12,7 @@ records are `NamedTuple` classes.
 """
 
 import math
+import numbers
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -102,14 +103,15 @@ def _expand_interval(lo: Fraction, hi: Fraction):
 def cf_expand(x):
     """Continued-fraction expansion with exact integer convergents.
 
-    Fractions (and ints) expand exactly, to the end, as the zero-width
-    interval [x, x]; floats are treated as centers of an interval of
-    +- SLACK_ULPS ulps and the expansion is truncated at the last quotient
-    the whole interval agrees on.  `exact` means the last convergent
-    equals x.
+    Every exact rational (a `numbers.Rational`: a Fraction, an int, a
+    numpy integer) expands exactly, to the end, as the zero-width interval
+    [x, x]; floats are treated as centers of an interval of +- SLACK_ULPS
+    ulps and the expansion is truncated at the last quotient the whole
+    interval agrees on.  `exact` means the last convergent equals x.
     """
-    if isinstance(x, (Fraction, int)):
-        value, slack = Fraction(x), 0
+    if isinstance(x, numbers.Rational):
+        # on Python ints: a numpy integer's own arithmetic can wrap
+        value, slack = Fraction(int(x.numerator), int(x.denominator)), 0
     elif not math.isfinite(x):
         raise ValueError(f"cannot expand the non-finite value {x}")
     else:

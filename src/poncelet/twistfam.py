@@ -27,8 +27,8 @@ class TwistConditionError(ValueError):
 
 def twist_margin(family, t_grid):
     """Sampled infimum m of d g_t(x) / d t; every sample must be > 0."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
+    t_grid = [float(t) for t in t_grid]
+    if not t_grid:
         raise ValueError("twist_margin needs a non-empty t_grid")
     x_grid = np.linspace(0.0, 1.0, MARGIN_X_SAMPLES, endpoint=False)
     m = math.inf
@@ -94,17 +94,27 @@ def comparison_check(g1, g2):
 
 
 class SecondOrderReport(NamedTuple):
-    """Margin, bound and bracket quotients take t in units of the
-    parameter interval's width b - a, so the family's scale drops out.
-    Status "inapplicable" (tau is locked) and "no-brackets" (no delta
-    admitted a balanced pair) test nothing: best_ratio is nan."""
+    """The growth test's evidence; margin, bound and quotients take t in
+    units of the interval's width b - a, so the family's scale drops out.
+    status, best_ratio and passed are read off it: "inapplicable" (tau is
+    locked) and "no-brackets" (no delta admitted a balanced pair) test
+    nothing, and best_ratio is the largest quotient, nan with none."""
 
     tau: float
-    status: str                  # "ok" | "inapplicable" | "no-brackets"
-    best_ratio: float
+    estimate: RotationEstimate   # r(tau), whose expansion gave the pairs
     bound: float
     margin: float
     brackets: Sequence[Tuple[float, float, float]] = ()  # t1, t2, quotient
+
+    @property
+    def status(self):
+        if self.estimate.lock is not None:
+            return "inapplicable"
+        return "ok" if self.brackets else "no-brackets"
+
+    @property
+    def best_ratio(self):
+        return max((q for _, _, q in self.brackets), default=math.nan)
 
     @property
     def passed(self):
@@ -146,25 +156,27 @@ def _solve_separation(family, tau, g_tau, target, side, delta, e_far,
 
 
 def second_order_estimate(family, tau, delta_seq=None, *, tol):
-    """Best observed (r(t2) - r(t1)) / ((t2 - t1) / w)^2 over shrinking
-    brackets around tau, against the bound m^2 / (e^{2F} (1 + e^{2F})^2),
-    with m = w inf dg/dt: everything is in units of the interval width
+    """Quotients (r(t2) - r(t1)) / ((t2 - t1) / w)^2 over shrinking brackets
+    around tau, against the bound m^2 / (e^{2F} (1 + e^{2F})^2), with
+    m = w inf dg/dt: everything is in units of the interval width
     w = b - a, and so are the default deltas 0.1 w 2^-k, k = 1..12.
 
     Brackets follow the proof construction: t1 and t2 are placed so the
     pointwise separations from g_tau equal 1/q' and 1/q for an excess /
-    defect convergent pair of r(tau).  The quotient is evaluated
-    conservatively (error radii subtracted), so finite sampling can only
-    under-report, never falsely pass.  Each parameter's rotation number is
-    estimated once per call: deltas that choose the same pair solve to the
-    same t1 or t2.  A delta_seq that is empty, or holds a delta that is not
-    positive and finite, raises ValueError.
+    defect convergent pair of r(tau), whose estimate the report keeps; a
+    locked tau gets none.  The quotient is evaluated conservatively (error
+    radii subtracted), so finite sampling can only under-report, never
+    falsely pass.  Each parameter's rotation number is estimated once per
+    call: deltas that choose the same pair solve to the same t1 or t2.
+    delta_seq is read once, as a list; an empty one, or a delta that is
+    not positive and finite, raises ValueError.
     """
     if not family.a < tau < family.b:
         raise ValueError("tau must be interior to the parameter interval")
     w = family.b - family.a
     if delta_seq is None:
         delta_seq = [0.1 * w * 2.0 ** (-k) for k in range(1, 13)]
+    delta_seq = [float(d) for d in delta_seq]
     if not delta_seq or not all(0.0 < d < math.inf for d in delta_seq):
         raise ValueError("delta_seq must hold at least one delta, each "
                          f"positive and finite, got {delta_seq!r}")
@@ -181,49 +193,35 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
 
     est_tau = estimate(tau)
     margin = w * twist_margin(
-        family,
-        t_grid=np.linspace(tau - delta_max, tau + delta_max, 9),
-    )
+        family, np.linspace(tau - delta_max, tau + delta_max, 9))
     bound = second_order_bound(m=margin)
     if est_tau.lock is not None:
-        return SecondOrderReport(tau=tau, status="inapplicable",
-                                 best_ratio=math.nan, bound=bound,
+        return SecondOrderReport(tau=tau, estimate=est_tau, bound=bound,
                                  margin=margin)
 
     x_grid = np.linspace(0.0, 1.0, SEPARATION_X_SAMPLES, endpoint=False)
     g_tau = _image(family, tau, x_grid)
-    pairs = find_balanced_pairs(cf_expand(est_tau.value), eps=PAIR_EPS)
-
+    # per balanced pair, the separations 1/q' at t1 (side -1), 1/q at t2
+    targets = [(1.0 / pair.defect.denominator, 1.0 / pair.excess.denominator)
+               for pair in find_balanced_pairs(cf_expand(est_tau.value),
+                                               eps=PAIR_EPS)]
     brackets = []
     for delta in delta_seq:
-        sep_minus = _separation(family, tau - delta, -1, g_tau, x_grid)
-        sep_plus = _separation(family, tau + delta, +1, g_tau, x_grid)
-        chosen = None
-        for pair in pairs:
-            q_exc = pair.excess.denominator
-            q_def = pair.defect.denominator
-            if 1.0 / q_def <= sep_minus and 1.0 / q_exc <= sep_plus:
-                chosen = (q_def, q_exc)
-                break
+        seps = [_separation(family, tau + side * delta, side, g_tau, x_grid)
+                for side in (-1, 1)]
+        chosen = next((pair for pair in targets
+                       if pair[0] <= seps[0] and pair[1] <= seps[1]), None)
         if chosen is None:
             continue
-        q_def, q_exc = chosen
-        t1 = _solve_separation(family, tau, g_tau, 1.0 / q_def, -1, delta,
-                               sep_minus - 1.0 / q_def, x_grid)
-        t2 = _solve_separation(family, tau, g_tau, 1.0 / q_exc, +1, delta,
-                               sep_plus - 1.0 / q_exc, x_grid)
+        t1, t2 = [_solve_separation(family, tau, g_tau, target, side, delta,
+                                    sep - target, x_grid)
+                  for side, sep, target in zip((-1, 1), seps, chosen)]
         r1, r2 = estimate(t1), estimate(t2)
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)
-        quotient = num / ((t2 - t1) / w) ** 2
-        brackets.append((t1, t2, quotient))
+        brackets.append((t1, t2, num / ((t2 - t1) / w) ** 2))
 
-    if not brackets:
-        return SecondOrderReport(tau=tau, status="no-brackets",
-                                 best_ratio=math.nan, bound=bound,
-                                 margin=margin)
-    return SecondOrderReport(tau=tau, status="ok",
-                             best_ratio=max(q for _, _, q in brackets),
-                             bound=bound, margin=margin, brackets=brackets)
+    return SecondOrderReport(tau=tau, estimate=est_tau, bound=bound,
+                             margin=margin, brackets=brackets)
 
 
 class MonotonicityReport(NamedTuple):

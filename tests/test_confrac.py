@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +104,23 @@ def test_interval_guard_trips_on_ill_conditioned_input():
     # a float whose ulp interval straddles an integer cannot even fix a0
     with pytest.raises(PrecisionExhaustedError):
         cf_expand(1.0 - 1e-17)
+
+
+@pytest.mark.parametrize("x", [np.int64(3), np.int64(-7), np.uint8(5)],
+                         ids=repr)
+def test_numpy_integers_expand_as_their_ints(x):
+    # every numbers.Rational expands exactly, as [x, x]; read as a float
+    # +- SLACK_ULPS ulps, an integer's interval straddles it and not even
+    # a0 is determined
+    exp = cf_expand(x)
+    assert exp == cf_expand(int(x))
+    assert exp.exact and type(exp.a0) is int
+
+
+def test_floats_keep_their_expansions():
+    assert cf_expand(0.3) == (0, [3], [(0, 1), (1, 3)], False)
+    golden = cf_expand(GOLDEN)
+    assert (golden.a0, golden.quotients, golden.exact) == (0, [1] * 35, False)
 
 
 # ---------------------------------------------------------------- gauss map

@@ -15,6 +15,7 @@ from poncelet.twistfam import (ComparisonReport, MonotonicityReport,
                                SecondOrderReport)
 
 ESTIMATE = RotationEstimate(0.5, 0.0, 64, (1, 2))
+FREE = RotationEstimate(0.3, 1e-6, 100)  # no lock
 STAIRCASE = StaircaseResult([(0.1, ESTIMATE)], "flat", [])
 PAIR = ApproximationPair(Fraction(22, 7), Fraction(355, 113), 1, 16.1, True)
 COUNT = CountReport([], 1, [(1, "no lock")])
@@ -29,7 +30,7 @@ RECORDS = [
     STAIRCASE,
     COUNT,
     ComparisonReport(ESTIMATE, ESTIMATE, 0.1, None, True, None),
-    SecondOrderReport(0.4, "no-brackets", math.nan, 1e-9, 0.5),
+    SecondOrderReport(0.4, FREE, 1e-9, 0.5),
     MONOTONE,
 ]
 
@@ -54,8 +55,34 @@ def test_expansion_length_counts_quotients():
 def test_defaults_and_properties():
     assert PonceletConfig(2.0) == PonceletConfig(R=2.0, c=0.0, t=0.0)
     assert RotationEstimate(0.3, 1e-6, 100).lock is None
-    report = SecondOrderReport(0.4, "ok", 1.0, 0.5, 1.0)
+    report = SecondOrderReport(0.4, FREE, 0.5, 1.0)
     assert report.brackets == ()
+    assert report.status == "no-brackets" and not report.passed
+    report = report._replace(brackets=[(0.3, 0.5, 1.0)])
+    assert report.status == "ok" and report.best_ratio == 1.0
     assert report.passed
     assert STAIRCASE.monotone_ok and MONOTONE.ok
     assert not COUNT.ok
+
+
+@pytest.mark.parametrize("estimate", [ESTIMATE, FREE], ids=["locked", "free"])
+@pytest.mark.parametrize("brackets",
+                         [(), [(0.3, 0.5, 2.0), (0.35, 0.45, 3.0)]],
+                         ids=["no-brackets", "brackets"])
+@pytest.mark.parametrize("bound", [1.0, 3.0, 5.0],
+                         ids=["below", "at", "above"])
+def test_growth_verdicts_are_read_off_the_evidence(estimate, brackets, bound):
+    # a growth report stores r(tau)'s estimate and the brackets; status,
+    # best_ratio and passed are derived from them, so no report can say
+    # "ok" without a bracket or carry a ratio that no bracket gave
+    report = SecondOrderReport(0.4, estimate, bound, 0.5, brackets)
+    if estimate.lock is not None:
+        assert report.status == "inapplicable"
+    else:
+        assert report.status == ("ok" if brackets else "no-brackets")
+    if brackets:
+        assert report.best_ratio == 3.0  # the largest quotient
+    else:
+        assert math.isnan(report.best_ratio)
+    assert report.passed == (estimate is FREE and bool(brackets)
+                             and bound <= 3.0)

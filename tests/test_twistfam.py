@@ -324,13 +324,22 @@ def test_tau_must_be_interior():
         second_order_estimate(rigid_family(), 0.0, tol=1e-5)
 
 
+def assert_pinned(report, best_ratio, text):
+    """The report's status is "ok", its best ratio and repr are pinned."""
+    assert report.status == "ok" and report.passed
+    assert report.best_ratio == best_ratio
+    assert repr(report) == text
+
+
 # the parameter find_parameter_for_value(arnold_family(0.7), GOLDEN,
 # tol=1e-5) places, and the report the estimator gave before it estimated
 # each parameter once
 ARNOLD_TAU = float.fromhex("0x1.392d9f46f0110p-1")
+ARNOLD_RATIO = 26335.049776518616
 ARNOLD_REPORT = (
-    "SecondOrderReport(tau=0.611676194581408, status='ok', "
-    "best_ratio=26335.049776518616, bound=1.753370028095087e-09, "
+    "SecondOrderReport(tau=0.611676194581408, estimate=RotationEstimate("
+    "value=0.6180349610818803, error_radius=2.17419663434361e-06, "
+    "iterations=1024, lock=None), bound=1.753370028095087e-09, "
     "margin=1.0, brackets=["
     "(0.5822644298755254, 0.6592952422004558, 13.640146806431883), "
     "(0.6004402395252281, 0.6298580127632264, 37.61813951578063), "
@@ -359,16 +368,18 @@ def test_each_parameter_is_estimated_once(monkeypatch):
     monkeypatch.setattr(twistfam, "rotation_number", counted)
     report = second_order_estimate(arnold_family(0.7), ARNOLD_TAU, tol=1e-5)
     assert len(omegas) == len(set(omegas)) == 18
-    assert repr(report) == ARNOLD_REPORT
+    assert_pinned(report, ARNOLD_RATIO, ARNOLD_REPORT)
 
 
 # what a default `prop2 --family poncelet` runs: the concentric family,
 # reversed, at the parameter where r = 1 - GOLDEN, and the report it gave
 # while each concentric step still ran the general formula
 CONCENTRIC_TAU = "0x1.46769f49edd50p-1"
+CONCENTRIC_RATIO = 10040.938162941638
 CONCENTRIC_REPORT = (
-    "SecondOrderReport(tau=0.6376237657304191, status='ok', "
-    "best_ratio=10040.938162941638, bound=1.968632259596629e-10, "
+    "SecondOrderReport(tau=0.6376237657304191, estimate=RotationEstimate("
+    "value=0.3819663826465361, error_radius=8.304682179812979e-07, "
+    "iterations=1024, lock=None), bound=1.968632259596629e-10, "
     "margin=0.3350776874733415, brackets=["
     "(0.6173778326880472, 0.6707422737620721, 6.383113884417703), "
     "(0.6173778326880472, 0.6502231247579578, 10.414035056327375), "
@@ -388,8 +399,37 @@ def test_concentric_growth_report_is_pinned():
     family = poncelet_family(1.0, 0.0, reverse=True)
     tau = find_parameter_for_value(family, 1.0 - GOLDEN, tol=1e-5)
     assert tau.hex() == CONCENTRIC_TAU
-    assert repr(second_order_estimate(family, tau, tol=1e-5)) \
-        == CONCENTRIC_REPORT
+    assert_pinned(second_order_estimate(family, tau, tol=1e-5),
+                  CONCENTRIC_RATIO, CONCENTRIC_REPORT)
+
+
+# what a default `prop2 --family rigid` runs: r(t) = t, at tau = GOLDEN.
+# Its 12 brackets hold 11 distinct ones: the sixth and seventh deltas
+# choose the same convergent pair, which solves to the same t1 and t2
+RIGID_RATIO = 23547.13436213351
+RIGID_REPORT = (
+    "SecondOrderReport(tau=0.6180339887498949, estimate=RotationEstimate("
+    "value=0.6180336173534638, error_radius=8.304682179812979e-07, "
+    "iterations=1024, lock=None), bound=1.753370028095087e-09, "
+    "margin=1.0, brackets=["
+    "(0.5886222240440124, 0.6656530363689426, 12.981018611838957), "
+    "(0.6067980336937151, 0.6362158069317132, 33.98876386024059), "
+    "(0.6067980336937151, 0.6249784331943394, 54.994406371000906), "
+    "(0.6137421432563326, 0.6206865086437942, 143.6731771077704), "
+    "(0.6163946444875996, 0.6206865086437942, 232.12907261404806), "
+    "(0.6175808849891335, 0.6186601628262882, 923.3196185810651), "
+    "(0.6175808849891335, 0.6186601628262882, 923.3196185810651), "
+    "(0.6178676270796237, 0.6182968699276027, 2322.1455289201904), "
+    "(0.6178676270796237, 0.6181358736199918, 3706.4316428460897), "
+    "(0.6179708015895258, 0.6180729887888952, 9074.79760303553), "
+    "(0.6180098731881227, 0.6180729887888952, 15028.394181051664), "
+    "(0.6180098731881227, 0.6180488901029378, 23547.13436213351)])")
+
+
+def test_rigid_growth_report_is_pinned():
+    report = second_order_estimate(rigid_family(), GOLDEN, tol=1e-5)
+    assert_pinned(report, RIGID_RATIO, RIGID_REPORT)
+    assert len(set(report.brackets)) == 11
 
 
 @pytest.mark.parametrize("delta_seq", [
@@ -399,6 +439,44 @@ def test_deltas_must_be_positive_and_finite(delta_seq):
     with pytest.raises(ValueError, match="delta_seq"):
         second_order_estimate(rigid_family(), GOLDEN, delta_seq=delta_seq,
                               tol=1e-5)
+
+
+def generator(values):
+    return (value for value in values)
+
+
+# each sequence argument is read once, as a list: an ndarray, a tuple and a
+# generator give the list's report, and a one-element array its bits
+@pytest.mark.parametrize("deltas, make", [
+    ([0.05, 0.025], np.array), ([0.05, 0.025], tuple),
+    ([0.05, 0.025], generator), ([0.05], np.array)],
+    ids=["ndarray", "tuple", "generator", "one-element-ndarray"])
+def test_delta_sequences_give_the_lists_report(deltas, make):
+    def report(delta_seq):
+        return second_order_estimate(rigid_family(), 0.618,
+                                     delta_seq=delta_seq, tol=1e-3)
+
+    want = report(deltas)
+    assert want.status == "ok"
+    assert repr(report(make(deltas))) == repr(want)
+
+
+@pytest.mark.parametrize("make", [np.array, generator])
+def test_empty_delta_sequence_is_rejected(make):
+    with pytest.raises(ValueError, match="delta_seq must hold"):
+        second_order_estimate(rigid_family(), GOLDEN, delta_seq=make([]),
+                              tol=1e-3)
+
+
+@pytest.mark.parametrize("make", [np.array, tuple, generator],
+                         ids=["ndarray", "tuple", "generator"])
+def test_margin_sequences_give_the_lists_margin(make):
+    family = poncelet_family(1.0, 0.3, reverse=True)
+    grid = [float(t) for t in np.linspace(0.2, 0.6, 9)]
+    assert twist_margin(family, make(grid)).hex() == \
+        twist_margin(family, grid).hex()
+    with pytest.raises(ValueError, match="non-empty"):
+        twist_margin(family, make([]))
 
 
 SEPARATION_CASES = [
