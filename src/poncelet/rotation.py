@@ -40,7 +40,12 @@ midpoint as its estimate.
 
 The floors are read off a float orbit, each widened by a rounding
 allowance (FLOOR_SLACK plus an ulp of the coordinate per step) that is not
-yet a certified rounding budget.
+yet a certified rounding budget.  An estimate is the interval it
+certifies, kept as integers: the bracket [a/b, c/d], or the point p/q
+of a lock; its value, radius and lock are read off it.  Floors that
+contradict each other (a/b >= c/d: the orbit's rounding beat the
+allowance, seen at R = 1 only with R - c and (R - c - t) / (R - c) both
+below 1e-4, near internal tangency) raise ValueError.
 
 The estimator's orbit columns, brackets and lock table are numpy arrays,
 imported where they are built.  The pair count needs none, and builds no
@@ -58,7 +63,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .geometry import TWO_PI
 
@@ -99,17 +104,35 @@ class ResidualFailureError(RuntimeError):
 
 
 class RotationEstimate(NamedTuple):
-    """A rotation number with an error radius.  A lock (p, q) gives value
-    p/q with radius 0, certified by the lock scan.  Off a lock the radius
-    is half the Farey bracket's width, whose floors rest on the FLOOR_SLACK
-    plus ulp rounding allowance: a guess at the orbit's error, not a
-    certified rounding budget.  `iterations` is the number of orbit steps
-    read: FIRST_CHUNK for a lock certified from the first chunk."""
+    """The interval a/b <= r <= c/d that holds a rotation number r, as
+    `bracket = ((a, b), (c, d))` of integers, with b, d >= 1 and a d < c b:
+    the Farey bracket of the orbit's floors, which rest on the FLOOR_SLACK
+    plus ulp rounding allowance (a guess at the orbit's error, not a
+    certified rounding budget).  A lock p/q certified by the lock scan is
+    the point ((p, q), (p, q)), gcd(p, q) = 1.  `value` and `error_radius`
+    are the interval's midpoint and half-width, each rounded once from
+    the integers (p/q and 0.0 on a point), and `lock` is the point's
+    (p, q), None off a lock: a Farey bracket never has two equal ends.
+    `iterations` is the number of orbit steps read: FIRST_CHUNK for a
+    lock certified from the first chunk."""
 
-    value: float
-    error_radius: float
+    bracket: Tuple[Tuple[int, int], Tuple[int, int]]
     iterations: int
-    lock: Optional[Tuple[int, int]] = None  # (p, q), gcd = 1
+
+    @property
+    def value(self):
+        (a, b), (c, d) = self.bracket
+        return (a * d + c * b) / (2 * b * d)
+
+    @property
+    def error_radius(self):
+        (a, b), (c, d) = self.bracket
+        return (c * b - a * d) / (2 * b * d)
+
+    @property
+    def lock(self):
+        lo, hi = self.bracket
+        return lo if lo == hi else None
 
 
 class PonceletPair(NamedTuple):
@@ -300,8 +323,10 @@ def rotation_number(g, tol=1e-4):
 
     The floors are read off a float orbit with the allowance FLOOR_SLACK
     plus an ulp of the coordinate per step, which is not yet a certified
-    rounding budget.  An orbit that lands on an integer exactly is not taken
-    as a lock: in floating point it need not be one.
+    rounding budget.  Floors that contradict each other, a bracket
+    [a/b, c/d] with a/b >= c/d, raise ValueError.  An orbit that lands on
+    an integer exactly is not taken as a lock: in floating point it need
+    not be one.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -316,10 +341,13 @@ def _estimate(g, tol, target):
     many steps as ran before, at most CHUNK_MAX each, and each chunk's
     bracket narrows the running one; an estimate (no target) runs its
     second chunk straight on to ROUGH_STEPS.  After every chunk the
-    estimate is the bracket's midpoint with its half-width as radius, and
-    `iterations` the steps read so far.  At each n <= ROUGH_STEPS the lock
-    scan tries the p/q inside the bracket with q <= Q_MAX n / ROUGH_STEPS
-    that it has not tried yet, and a lock is the estimate.  Otherwise the
+    estimate is RotationEstimate((lo, hi), n), the running bracket with
+    the steps read so far, built of integers alone; before any target or
+    lock test, a bracket [a/b, c/d] with a/b >= c/d (radius <= 0: the
+    floors contradict each other) raises ValueError with n and both
+    ends.  At each n <= ROUGH_STEPS the lock scan tries the p/q inside the
+    bracket with q <= Q_MAX n / ROUGH_STEPS that it has not tried yet, and
+    a lock p/q is the estimate, the point ((p, q), (p, q)).  Otherwise the
     estimate is returned once its radius is at most tol, or, given a
     target, at the first bracket that excludes the target: the final
     estimate lies in every bracket, and rounding is monotone, so
@@ -339,12 +367,10 @@ def _estimate(g, tol, target):
         more = _bracket(column, np.arange(n + 1.0, n + m + 1.0))
         lo, hi = max(lo, more[0], key=_ratio), min(hi, more[1], key=_ratio)
         n, end = n + m, float(column[-1])
-        (a, b), (c, d) = lo, hi
-        # midpoint and half-width of [a/b, c/d], each rounded once
-        den = 2 * b * d
-        est = RotationEstimate(value=(a * d + c * b) / den,
-                               error_radius=(c * b - a * d) / den,
-                               iterations=n)
+        est = RotationEstimate((lo, hi), n)
+        if est.error_radius <= 0.0:  # rounding beat the allowance
+            raise ValueError(f"after {n} steps the orbit's floors contradict "
+                             f"each other: {lo[0]}/{lo[1]} >= {hi[0]}/{hi[1]}")
         if target is not None and not _ratio(lo) <= target <= _ratio(hi):
             return est
         if n <= ROUGH_STEPS:
@@ -353,9 +379,7 @@ def _estimate(g, tol, target):
                 lo, hi, Q_MAX * (n - m) // ROUGH_STEPS + 1,
                 Q_MAX * n // ROUGH_STEPS))
             if lock is not None:
-                p, q = lock
-                return RotationEstimate(value=p / q, error_radius=0.0,
-                                        iterations=n, lock=(p, q))
+                return RotationEstimate((lock, lock), n)
         if n >= ROUGH_STEPS:
             if est.error_radius <= tol:
                 return est
@@ -524,9 +548,10 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
     is `value < target_value` of the estimate that step stopped at, the
     one `rotation_number(lift, tol=tol)` gives, so tau is the one
     bisection on the estimates gives.  A step whose target stays inside a
-    bracket wider than 2 tol for MAX_STEPS steps raises ValueError.  The
-    midpoints halve each end before adding, so they do not overflow near
-    the float maximum.  A negative or non-integer iters raises at once.
+    bracket wider than 2 tol for MAX_STEPS steps, or whose orbit's floors
+    contradict each other, raises ValueError.  The midpoints halve each
+    end before adding, so they do not overflow near the float maximum.  A
+    negative or non-integer iters raises at once.
     """
     iters = operator.index(iters)
     if iters < 0:

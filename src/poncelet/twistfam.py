@@ -166,8 +166,10 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
     defect convergent pair of r(tau), whose estimate the report keeps; a
     locked tau gets none.  The quotient is evaluated conservatively (error
     radii subtracted), so finite sampling can only under-report, never
-    falsely pass.  Each parameter's rotation number is estimated once per
-    call: deltas that choose the same pair solve to the same t1 or t2.
+    falsely pass.  Each balanced pair is bracketed once: a delta that
+    chooses a pair already bracketed adds nothing.  Each parameter's
+    rotation number is estimated once per call: consecutive pairs share a
+    convergent on one side, so they solve to the same t1 or t2.
     delta_seq is read once, as a list; an empty one, or a delta that is
     not positive and finite, raises ValueError.
     """
@@ -205,23 +207,23 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
     targets = [(1.0 / pair.defect.denominator, 1.0 / pair.excess.denominator)
                for pair in find_balanced_pairs(cf_expand(est_tau.value),
                                                eps=PAIR_EPS)]
-    brackets = []
+    brackets = {}  # chosen pair -> (t1, t2, quotient): each pair once
     for delta in delta_seq:
         seps = [_separation(family, tau + side * delta, side, g_tau, x_grid)
                 for side in (-1, 1)]
         chosen = next((pair for pair in targets
                        if pair[0] <= seps[0] and pair[1] <= seps[1]), None)
-        if chosen is None:
+        if chosen is None or chosen in brackets:
             continue
         t1, t2 = [_solve_separation(family, tau, g_tau, target, side, delta,
                                     sep - target, x_grid)
                   for side, sep, target in zip((-1, 1), seps, chosen)]
         r1, r2 = estimate(t1), estimate(t2)
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)
-        brackets.append((t1, t2, num / ((t2 - t1) / w) ** 2))
+        brackets[chosen] = (t1, t2, num / ((t2 - t1) / w) ** 2)
 
     return SecondOrderReport(tau=tau, estimate=est_tau, bound=bound,
-                             margin=margin, brackets=brackets)
+                             margin=margin, brackets=list(brackets.values()))
 
 
 class MonotonicityReport(NamedTuple):

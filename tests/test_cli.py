@@ -438,6 +438,22 @@ def test_prop2_poncelet_passes(tmp_path):
     assert doc["status"] == "ok" and doc["pass"] is True
 
 
+@pytest.mark.parametrize("argv, brackets", [
+    (["--family", "arnold"], 12),
+    (["--family", "rigid"], 11),
+    (["--family", "poncelet"], 12),
+    (["--family", "poncelet", "--c", "0.3"], 9),
+], ids=["arnold", "rigid", "poncelet", "poncelet-c-0.3"])
+def test_prop2_brackets_each_pair_once(tmp_path, argv, brackets):
+    # deltas that choose the same convergent pair would solve to the same
+    # t1 and t2: the pair is bracketed once (rigid and c = 0.3 had one
+    # bracket twice)
+    code, out = run(tmp_path, "prop2", *argv)
+    assert code == EXIT_OK
+    pairs = [(t1, t2) for t1, t2, _ in read_json(out)["brackets"]]
+    assert len(set(pairs)) == len(pairs) == brackets
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -532,6 +548,10 @@ def test_prop2_poncelet_does_not_depend_on_the_scale(tmp_path, R,
     # a subnormal R: c / R and t / R keep few bits, and 1 / R overflows
     ["count", "--n-max", "5", "--R", "1e-320"],
     ["prop2", "--family", "poncelet", "--R", "1e-310"],
+    # near internal tangency the orbit's 2048-step floors at t_max
+    # contradict each other: no interval holds r
+    ["staircase", "--c", "0.9999999829281154", "--t-min", "1.7e-08",
+     "--t-max", "1.7071884572666742e-08", "--points", "2"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

@@ -14,8 +14,8 @@ from poncelet.rotation import (CountReport, PonceletPair, RotationEstimate,
 from poncelet.twistfam import (ComparisonReport, MonotonicityReport,
                                SecondOrderReport)
 
-ESTIMATE = RotationEstimate(0.5, 0.0, 64, (1, 2))
-FREE = RotationEstimate(0.3, 1e-6, 100)  # no lock
+ESTIMATE = RotationEstimate(((1, 2), (1, 2)), 64)  # the lock 1/2
+FREE = RotationEstimate(((3, 10), (4, 13)), 100)  # no lock
 STAIRCASE = StaircaseResult([(0.1, ESTIMATE)], "flat", [])
 PAIR = ApproximationPair(Fraction(22, 7), Fraction(355, 113), 1, 16.1, True)
 COUNT = CountReport([], 1, [(1, "no lock")])
@@ -54,7 +54,12 @@ def test_expansion_length_counts_quotients():
 
 def test_defaults_and_properties():
     assert PonceletConfig(2.0) == PonceletConfig(R=2.0, c=0.0, t=0.0)
-    assert RotationEstimate(0.3, 1e-6, 100).lock is None
+    assert RotationEstimate._fields == ("bracket", "iterations")
+    assert (ESTIMATE.value, ESTIMATE.error_radius, ESTIMATE.lock) \
+        == (0.5, 0.0, (1, 2))
+    # [3/10, 4/13]: midpoint 79/260 and half-width 1/260, each rounded once
+    assert (FREE.value, FREE.error_radius, FREE.lock) == (79 / 260, 1 / 260,
+                                                         None)
     report = SecondOrderReport(0.4, FREE, 0.5, 1.0)
     assert report.brackets == ()
     assert report.status == "no-brackets" and not report.passed

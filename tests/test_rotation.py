@@ -624,6 +624,71 @@ def test_staged_side_test_gives_the_one_scan_side(g, tol, u, scale):
             for target in targets]
 
 
+def _near_tangency(u, v):
+    """The Poncelet lift at c = 1 - 10^-u, t = (R - c)(1 - 10^-v)."""
+    c = 1.0 - 10.0 ** -u
+    return PonceletLift(PonceletConfig(1.0, c, (1.0 - c) * (1.0 - 10.0 ** -v)))
+
+
+# near internal tangency, with R - c and (R - c - t) / (R - c) below 1e-4,
+# the float orbit's rounding can beat the floors' allowance, so that its
+# floors contradict each other
+NEAR_TANGENCY_LIFTS = st.builds(_near_tangency, st.floats(2.0, 9.0),
+                                st.floats(0.0, 15.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(STAGED_LIFTS, NEAR_TANGENCY_LIFTS),
+       tol=st.sampled_from([1e-3, 1e-4, 1e-5]),
+       target=st.one_of(st.none(), st.floats(-1.0, 2.0)))
+def test_an_estimate_is_a_lock_or_a_bracket_that_holds_r(g, tol, target):
+    # an estimate (or a side test's, given a target) is the interval
+    # [a/b, c/d] it certifies: a lock's point, or a Farey bracket of the
+    # orbit's floors, nonempty and with b, d at most the steps read;
+    # floors that contradict each other raise
+    try:
+        est = _estimate(g, tol, target)
+    except ValueError:
+        return
+    (a, b), (c, d) = est.bracket
+    if est.lock is not None:
+        assert est.lock == (a, b) == (c, d) and est.error_radius == 0.0
+        assert math.gcd(a, b) == 1 and 1 <= b <= est.iterations
+    else:
+        assert a * d < c * b and 1 <= b <= est.iterations \
+            and 1 <= d <= est.iterations
+        assert est.error_radius > 0.0
+        assert float.hex(est.value) == float.hex(
+            float(Fraction(a, b) / 2 + Fraction(c, d) / 2))
+
+
+# (c, t, tol): orbits whose 2048- or 8192-step floors contradict each
+# other, which were returned as a negative error radius
+CONTRADICTING_FLOORS = [
+    (0.9999999829281154, 1.7071884572666742e-08, 1e-4),
+    (0.9999987430240324, 1.256975967644989e-06, 1e-5),
+    (0.9999999620035894, 3.7996410573427485e-08, 1e-4),
+]
+
+
+@pytest.mark.parametrize("c, t, tol", CONTRADICTING_FLOORS)
+def test_contradicting_floors_raise(c, t, tol):
+    g = PonceletLift(PonceletConfig(1.0, c, t))
+    with pytest.raises(ValueError, match="floors contradict each other"):
+        rotation_number(g, tol=tol)
+
+
+def test_the_side_test_raises_on_contradicting_floors():
+    # the 1024-step bracket [195/689, 283/999] holds the target, so the
+    # side test reads on to the 2048-step one, [195/689, 568/2010], whose
+    # ends cross
+    c, t, tol = CONTRADICTING_FLOORS[0]
+    g = PonceletLift(PonceletConfig(1.0, c, t))
+    with pytest.raises(ValueError,
+                       match="after 2048 steps .*: 195/689 >= 568/2010"):
+        _estimate(g, tol, 0.2832)
+
+
 # ----------------------------------------------------------- lock detection
 
 def test_lock_everywhere_for_rational_rigid_rotation():
