@@ -72,6 +72,11 @@ def _emit_json(payload, out):
           + "\n", out)
 
 
+def _finite(x):
+    """x, or None (JSON null) for a nan or an infinity."""
+    return x if math.isfinite(x) else None
+
+
 def _emit_table(args, rows, verdict=None):
     """Write row dicts as JSON {"config", "rows"[, "verdict"]}, or as CSV
     (header from the row keys, floats through `_fmt`, CRLF) with the
@@ -283,9 +288,9 @@ def cmd_prop2(args):
         "config": _run_config(args),
         "tau": report.tau,
         "status": report.status,
-        "best_ratio": None if math.isnan(report.best_ratio) else report.best_ratio,
-        "bound": report.bound,
-        "margin": report.margin,
+        "best_ratio": _finite(report.best_ratio),
+        "bound": _finite(report.bound),
+        "margin": _finite(report.margin),
         "pass": report.passed if report.status == "ok" else None,
         "brackets": [[t1, t2, q] for t1, t2, q in report.brackets],
     }

@@ -129,7 +129,10 @@ class RemainderRecord(NamedTuple):
     n: int
     log_qn: float
     gauss_sum: float
-    remainder: float
+
+    @property
+    def remainder(self):
+        return -self.log_qn - self.gauss_sum
 
     @property
     def within_bound(self):
@@ -157,10 +160,8 @@ def remainder_series(exp, n_max):
         gauss_sum += math.log(num / den)
         num, den = den % num, num
         log_qn = math.log(exp.convergents[n][1])
-        records.append(RemainderRecord(
-            n=n, log_qn=log_qn, gauss_sum=gauss_sum,
-            remainder=-log_qn - gauss_sum,
-        ))
+        records.append(RemainderRecord(n=n, log_qn=log_qn,
+                                       gauss_sum=gauss_sum))
     return records
 
 
@@ -182,8 +183,13 @@ class ApproximationPair(NamedTuple):
     excess: Fraction
     defect: Fraction
     index: int              # n with ratio q_{n+1}/q_n inside the window
-    ratio: float
     gap_ok: bool            # excess - defect >= K_eps (1/q + 1/q')^2, exact
+
+    @property
+    def ratio(self):
+        """The larger denominator over the smaller: q_{n+1}/q_n, n >= 1."""
+        q, q2 = sorted((self.excess.denominator, self.defect.denominator))
+        return q2 / q
 
 
 def check_gap_inequality(excess: Fraction, defect: Fraction, eps):
@@ -212,14 +218,12 @@ def find_balanced_pairs(exp, eps, n_max=30):
     for n in range(1, min(n_max, len(exp) - 1) + 1):
         _, q_n = exp.convergents[n]
         _, q_n1 = exp.convergents[n + 1]
-        ratio = q_n1 / q_n
-        if not window_lo < ratio < window_hi:
+        if not window_lo < q_n1 / q_n < window_hi:
             continue
         excess, defect = exp.convergent(n), exp.convergent(n + 1)
         if n % 2 == 0:
             excess, defect = defect, excess
         pairs.append(ApproximationPair(
             excess=excess, defect=defect, index=n,
-            ratio=ratio, gap_ok=check_gap_inequality(excess, defect, eps),
-        ))
+            gap_ok=check_gap_inequality(excess, defect, eps)))
     return pairs

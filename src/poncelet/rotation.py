@@ -145,9 +145,33 @@ class PonceletPair(NamedTuple):
 
 
 class StaircaseResult(NamedTuple):
+    """r(t) sampled over a sorted grid, as (t, estimate) points.
+    `direction` runs from the first value to the last ("increasing",
+    "decreasing" or "flat"), and `violations` are the (t_i, t_j, defect)
+    of the steps against it beyond the error radii: with equal ends (a
+    "flat" staircase, which is weakly monotone only if constant) any
+    step."""
+
     points: List[Tuple[float, RotationEstimate]]
-    direction: str  # "increasing" | "decreasing" | "flat"
-    violations: List[Tuple[float, float, float]]  # (t_i, t_j, defect)
+
+    @property
+    def direction(self):
+        r_first, r_last = self.points[0][1].value, self.points[-1][1].value
+        if r_last > r_first:
+            return "increasing"
+        return "decreasing" if r_last < r_first else "flat"
+
+    @property
+    def violations(self):
+        sign = {"increasing": 1.0, "decreasing": -1.0}.get(self.direction, 0.0)
+        violations = []
+        for (t1, e1), (t2, e2) in zip(self.points, self.points[1:]):
+            slack = 2.0 * (e1.error_radius + e2.error_radius) + 1e-12
+            step = e2.value - e1.value
+            defect = sign * step if sign else -abs(step)
+            if defect < -slack:
+                violations.append((t1, t2, float(defect)))
+        return violations
 
     @property
     def monotone_ok(self):
@@ -397,35 +421,15 @@ def _estimate(g, tol, target):
 
 
 def staircase(family, t_grid, tol):
-    """Sample r(t) over a sorted grid and check weak monotonicity: a
-    step against the direction from the first value to the last is a
-    violation, and with equal ends (a "flat" staircase, which is weakly
-    monotone only if constant) so is any step."""
+    """Sample r(t) over a sorted grid; the result's `direction` and
+    `violations` check weak monotonicity."""
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("t_grid must not be empty")
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be sorted ascending")
-    points = [(t, rotation_number(family.lift(t), tol=tol)) for t in t_grid]
-
-    r_first = points[0][1].value
-    r_last = points[-1][1].value
-    if r_last > r_first:
-        sign, direction = 1.0, "increasing"
-    elif r_last < r_first:
-        sign, direction = -1.0, "decreasing"
-    else:
-        sign, direction = 0.0, "flat"
-
-    violations = []
-    for (t1, e1), (t2, e2) in zip(points, points[1:]):
-        slack = 2.0 * (e1.error_radius + e2.error_radius) + 1e-12
-        step = e2.value - e1.value
-        defect = sign * step if sign else -abs(step)
-        if defect < -slack:
-            violations.append((t1, t2, float(defect)))
-    return StaircaseResult(points=points, direction=direction,
-                           violations=violations)
+    return StaircaseResult(points=[
+        (t, rotation_number(family.lift(t), tol=tol)) for t in t_grid])
 
 
 def shrink_bracket(f, lo, f_lo, hi, f_hi):

@@ -5,14 +5,14 @@ are `NamedTuple` classes.
 """
 
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .confrac import (PrecisionExhaustedError, cf_expand, find_balanced_pairs,
                       second_order_bound)
-from .rotation import (RotationEstimate, rotation_number, shrink_bracket,
-                       staircase)
+from .rotation import (RotationEstimate, StaircaseResult, rotation_number,
+                       shrink_bracket, staircase)
 
 MARGIN_X_SAMPLES = 32      # x samples per parameter in twist_margin
 COMPARISON_TOL = 1e-5      # rotation-number tolerance of comparison_check
@@ -55,56 +55,68 @@ def separation_alpha(g1, g2):
 
 
 class ComparisonReport(NamedTuple):
+    """r1 = r(g1) and r2 = r(g2) for g1 below g2, alpha their sampled
+    separation.  `excess` is the first excess convergent p/q of r1 with
+    q > 1/alpha, `weak_ok` is r1 <= r2 and `sandwich_ok` is r1 < p/q <= r2,
+    each within the error radii.  At an r1 whose expansion certifies no
+    integer part (a lock at an integer) excess and sandwich_ok are None."""
+
     r1: RotationEstimate
     r2: RotationEstimate
     alpha: float
-    excess: Optional[Tuple[int, int]]   # p/q with q > 1/alpha, or None
-    weak_ok: bool                        # r1 <= r2 within error radii
-    sandwich_ok: Optional[bool]          # r1 < p/q <= r2 within error radii
+
+    @property
+    def excess(self):
+        try:
+            convergents = cf_expand(self.r1.value).convergents
+        except PrecisionExhaustedError:
+            # r1 within ulps of an integer: no integer part is certified, so
+            # there is no convergent to sandwich
+            return None
+        # odd truncations over-approximate
+        return next(((p, q) for p, q in convergents[1::2]
+                     if q > 1.0 / self.alpha), None)
+
+    @property
+    def weak_ok(self):
+        slack = self.r1.error_radius + self.r2.error_radius
+        return self.r1.value <= self.r2.value + slack
+
+    @property
+    def sandwich_ok(self):
+        excess = self.excess
+        if excess is None:
+            return None
+        p, q = excess
+        return (self.r1.value - self.r1.error_radius < p / q
+                <= self.r2.value + self.r2.error_radius)
 
 
 def comparison_check(g1, g2):
     """Check r1 <= r2 and, via an excess convergent p/q of r1 with
     q > 1/alpha, alpha = separation_alpha(g1, g2), the sandwich
-    r1 < p/q <= r2.  At an r1 whose expansion certifies no integer part
-    (a lock at an integer) excess and sandwich_ok are None."""
-    alpha = separation_alpha(g1, g2)
-    r1 = rotation_number(g1, tol=COMPARISON_TOL)
-    r2 = rotation_number(g2, tol=COMPARISON_TOL)
-    slack = r1.error_radius + r2.error_radius
-    weak_ok = r1.value <= r2.value + slack
-
-    excess = None
-    sandwich_ok = None
-    try:
-        convergents = cf_expand(r1.value).convergents
-    except PrecisionExhaustedError:
-        # r1 within ulps of an integer: no integer part is certified, so
-        # there is no convergent to sandwich
-        convergents = []
-    for p, q in convergents[1::2]:  # odd truncations over-approximate
-        if q > 1.0 / alpha:
-            excess = (p, q)
-            pq = p / q
-            sandwich_ok = (r1.value - r1.error_radius < pq
-                           <= r2.value + r2.error_radius)
-            break
-    return ComparisonReport(r1=r1, r2=r2, alpha=alpha, excess=excess,
-                            weak_ok=weak_ok, sandwich_ok=sandwich_ok)
+    r1 < p/q <= r2 (see ComparisonReport)."""
+    return ComparisonReport(alpha=separation_alpha(g1, g2),
+                            r1=rotation_number(g1, tol=COMPARISON_TOL),
+                            r2=rotation_number(g2, tol=COMPARISON_TOL))
 
 
 class SecondOrderReport(NamedTuple):
     """The growth test's evidence; margin, bound and quotients take t in
     units of the interval's width b - a, so the family's scale drops out.
-    status, best_ratio and passed are read off it: "inapplicable" (tau is
-    locked) and "no-brackets" (no delta admitted a balanced pair) test
-    nothing, and best_ratio is the largest quotient, nan with none."""
+    bound, status, best_ratio and passed are read off it: the bound is
+    second_order_bound of the margin, "inapplicable" (tau is locked) and
+    "no-brackets" (no delta admitted a balanced pair) test nothing, and
+    best_ratio is the largest quotient, nan with none."""
 
     tau: float
     estimate: RotationEstimate   # r(tau), whose expansion gave the pairs
-    bound: float
     margin: float
     brackets: Sequence[Tuple[float, float, float]] = ()  # t1, t2, quotient
+
+    @property
+    def bound(self):
+        return second_order_bound(m=self.margin)
 
     @property
     def status(self):
@@ -196,10 +208,8 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
     est_tau = estimate(tau)
     margin = w * twist_margin(
         family, np.linspace(tau - delta_max, tau + delta_max, 9))
-    bound = second_order_bound(m=margin)
     if est_tau.lock is not None:
-        return SecondOrderReport(tau=tau, estimate=est_tau, bound=bound,
-                                 margin=margin)
+        return SecondOrderReport(tau=tau, estimate=est_tau, margin=margin)
 
     x_grid = np.linspace(0.0, 1.0, SEPARATION_X_SAMPLES, endpoint=False)
     g_tau = _image(family, tau, x_grid)
@@ -222,13 +232,25 @@ def second_order_estimate(family, tau, delta_seq=None, *, tol):
         num = (r2.value - r1.value) - (r1.error_radius + r2.error_radius)
         brackets[chosen] = (t1, t2, num / ((t2 - t1) / w) ** 2)
 
-    return SecondOrderReport(tau=tau, estimate=est_tau, bound=bound,
-                             margin=margin, brackets=list(brackets.values()))
+    return SecondOrderReport(tau=tau, estimate=est_tau, margin=margin,
+                             brackets=list(brackets.values()))
 
 
 class MonotonicityReport(NamedTuple):
-    result: object                      # StaircaseResult
-    strict_violations: List[Tuple[float, float]]
+    """Proposition 1's check of a staircase: `strict_violations` are the
+    (t_i, t_j) of the steps with either end lock-free (the
+    heuristic-irrational proxy) that do not strictly increase, or strictly
+    decrease on a decreasing staircase."""
+
+    result: StaircaseResult
+
+    @property
+    def strict_violations(self):
+        sign = -1.0 if self.result.direction == "decreasing" else 1.0
+        pts = self.result.points
+        return [(t1, t2) for (t1, e1), (t2, e2) in zip(pts, pts[1:])
+                if (e1.lock is None or e2.lock is None)
+                and not sign * (e2.value - e1.value) > 0]
 
     @property
     def ok(self):
@@ -239,12 +261,4 @@ def proposition1_check(family, t_grid, tol):
     """Staircase over t_grid: nondecreasing within error radii, strictly
     increasing across sample pairs where either endpoint is lock-free
     (the heuristic-irrational proxy)."""
-    result = staircase(family, t_grid, tol=tol)
-    sign = -1.0 if result.direction == "decreasing" else 1.0
-    strict = []
-    pts = result.points
-    for (t1, e1), (t2, e2) in zip(pts, pts[1:]):
-        heuristically_irrational = e1.lock is None or e2.lock is None
-        if heuristically_irrational and not sign * (e2.value - e1.value) > 0:
-            strict.append((t1, t2))
-    return MonotonicityReport(result=result, strict_violations=strict)
+    return MonotonicityReport(result=staircase(family, t_grid, tol=tol))

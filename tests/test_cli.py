@@ -561,6 +561,19 @@ def test_invalid_input_exits_config(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tau", ["1e-17", "1e-20"])
+def test_prop2_infinite_margin_exits_ok_strict_json(tmp_path, tau):
+    # at c = 0 every t of the margin grid rounds to R, where dg/dt is
+    # infinite: the margin and bound are written as null, and r(tau) locks
+    # at 0/1, so nothing is tested
+    code, out = run(tmp_path, "prop2", "--family", "poncelet", "--tau", tau)
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text(encoding="utf-8"),
+                     parse_constant=_reject_constant)
+    assert doc["status"] == "inapplicable" and doc["pass"] is None
+    assert doc["margin"] is None and doc["bound"] is None
+
+
 def test_count_unclosed_pair_exits_property(tmp_path):
     # p = 1, n = 12 at c = 0.6 sits within 1e-9 of internal tangency and
     # closes only to 4.55e-8 rad against the 1e-8 gate; the other n keep

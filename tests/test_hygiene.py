@@ -371,16 +371,16 @@ SHARED_FIELD_READERS = {
         "src/poncelet/geometry.py:poncelet_map_geometric",
     "rotation.CountReport.ok": "src/poncelet/cli.py:cmd_count",
     "rotation.PonceletPair.t": "src/poncelet/cli.py:cmd_count",
+    "twistfam.ComparisonReport.alpha":
+        "src/poncelet/twistfam.py:ComparisonReport.excess",
+    "twistfam.ComparisonReport.excess":
+        "src/poncelet/twistfam.py:ComparisonReport.sandwich_ok",
 }
 
 #: Fields whose only reader is a test, each with the reason it stays.
 TEST_ONLY_FIELDS = {
     "rotation.RotationEstimate.iterations":
         "the steps an estimate read; it pins the staged lock scan",
-    "twistfam.ComparisonReport.r1": "the comparison lemma's report",
-    "twistfam.ComparisonReport.r2": "the comparison lemma's report",
-    "twistfam.ComparisonReport.alpha": "the comparison lemma's report",
-    "twistfam.ComparisonReport.excess": "the comparison lemma's report",
     "twistfam.ComparisonReport.weak_ok": "the comparison lemma's report",
     "twistfam.ComparisonReport.sandwich_ok": "the comparison lemma's report",
     "twistfam.MonotonicityReport.ok": "Proposition 1's verdict",
@@ -393,11 +393,14 @@ def names_read_in(paths):
 
 
 def names_read_by(reader):
-    """Names read as `.name` in the function `path:name` of the repo."""
-    path, function = reader.split(":")
-    tree = ast.parse((ROOT / path).read_text())
-    node, = [node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef) and node.name == function]
+    """Names read as `.name` in the function `path:name` of the repo, or
+    in the method `path:Class.name`."""
+    path, qualname = reader.split(":")
+    node = ast.parse((ROOT / path).read_text())
+    for name in qualname.split("."):
+        node, = [inner for inner in ast.walk(node)
+                 if isinstance(inner, (ast.ClassDef, ast.FunctionDef))
+                 and inner.name == name]
     return attributes_read(ast.unparse(node))
 
 

@@ -324,11 +324,11 @@ def test_tau_must_be_interior():
         second_order_estimate(rigid_family(), 0.0, tol=1e-5)
 
 
-def assert_pinned(report, best_ratio, r_tau, text):
-    """The report's status is "ok"; its best ratio, r(tau)'s value and
-    radius (as float.hex) and its repr are pinned."""
+def assert_pinned(report, best_ratio, bound, r_tau, text):
+    """The report's status is "ok"; its best ratio, its bound, r(tau)'s
+    value and radius (as float.hex) and its repr are pinned."""
     assert report.status == "ok" and report.passed
-    assert report.best_ratio == best_ratio
+    assert (report.best_ratio, report.bound) == (best_ratio, bound)
     assert (report.estimate.value.hex(),
             report.estimate.error_radius.hex()) == r_tau
     assert repr(report) == text
@@ -339,12 +339,12 @@ def assert_pinned(report, best_ratio, r_tau, text):
 # each parameter once
 ARNOLD_TAU = float.fromhex("0x1.392d9f46f0110p-1")
 ARNOLD_RATIO = 26335.049776518616
+ARNOLD_BOUND = 1.753370028095087e-09
 # r(tau): 0.6180349610818803 +- 2.17419663434361e-06
 ARNOLD_R_TAU = ("0x1.3c6f1413433aep-1", "0x1.23d0d3d82149fp-19")
 ARNOLD_REPORT = (
     "SecondOrderReport(tau=0.611676194581408, estimate=RotationEstimate("
     "bracket=((377, 610), (233, 377)), iterations=1024), "
-    "bound=1.753370028095087e-09, "
     "margin=1.0, brackets=["
     "(0.5822644298755254, 0.6592952422004558, 13.640146806431883), "
     "(0.6004402395252281, 0.6298580127632264, 37.61813951578063), "
@@ -373,7 +373,8 @@ def test_each_parameter_is_estimated_once(monkeypatch):
     monkeypatch.setattr(twistfam, "rotation_number", counted)
     report = second_order_estimate(arnold_family(0.7), ARNOLD_TAU, tol=1e-5)
     assert len(omegas) == len(set(omegas)) == 18
-    assert_pinned(report, ARNOLD_RATIO, ARNOLD_R_TAU, ARNOLD_REPORT)
+    assert_pinned(report, ARNOLD_RATIO, ARNOLD_BOUND, ARNOLD_R_TAU,
+                  ARNOLD_REPORT)
 
 
 # what a default `prop2 --family poncelet` runs: the concentric family,
@@ -381,12 +382,12 @@ def test_each_parameter_is_estimated_once(monkeypatch):
 # while each concentric step still ran the general formula
 CONCENTRIC_TAU = "0x1.46769f49edd50p-1"
 CONCENTRIC_RATIO = 10040.938162941638
+CONCENTRIC_BOUND = 1.968632259596629e-10
 # r(tau): 0.3819663826465361 +- 8.304682179812979e-07
 CONCENTRIC_R_TAU = ("0x1.872232068d9d1p-2", "0x1.bddaaeca16547p-21")
 CONCENTRIC_REPORT = (
     "SecondOrderReport(tau=0.6376237657304191, estimate=RotationEstimate("
     "bracket=((377, 987), (233, 610)), iterations=1024), "
-    "bound=1.968632259596629e-10, "
     "margin=0.3350776874733415, brackets=["
     "(0.6173778326880472, 0.6707422737620721, 6.383113884417703), "
     "(0.6173778326880472, 0.6502231247579578, 10.414035056327375), "
@@ -407,19 +408,20 @@ def test_concentric_growth_report_is_pinned():
     tau = find_parameter_for_value(family, 1.0 - GOLDEN, tol=1e-5)
     assert tau.hex() == CONCENTRIC_TAU
     assert_pinned(second_order_estimate(family, tau, tol=1e-5),
-                  CONCENTRIC_RATIO, CONCENTRIC_R_TAU, CONCENTRIC_REPORT)
+                  CONCENTRIC_RATIO, CONCENTRIC_BOUND, CONCENTRIC_R_TAU,
+                  CONCENTRIC_REPORT)
 
 
 # what a default `prop2 --family rigid` runs: r(t) = t, at tau = GOLDEN.
 # Its 12 deltas give 11 brackets: the sixth and seventh choose the same
 # convergent pair, which is bracketed once
 RIGID_RATIO = 23547.13436213351
+RIGID_BOUND = 1.753370028095087e-09
 # r(tau): 0.6180336173534638 +- 8.304682179812979e-07
 RIGID_R_TAU = ("0x1.3c6ee6fcb9317p-1", "0x1.bddaaeca16547p-21")
 RIGID_REPORT = (
     "SecondOrderReport(tau=0.6180339887498949, estimate=RotationEstimate("
     "bracket=((377, 610), (610, 987)), iterations=1024), "
-    "bound=1.753370028095087e-09, "
     "margin=1.0, brackets=["
     "(0.5886222240440124, 0.6656530363689426, 12.981018611838957), "
     "(0.6067980336937151, 0.6362158069317132, 33.98876386024059), "
@@ -436,7 +438,8 @@ RIGID_REPORT = (
 
 def test_rigid_growth_report_is_pinned():
     report = second_order_estimate(rigid_family(), GOLDEN, tol=1e-5)
-    assert_pinned(report, RIGID_RATIO, RIGID_R_TAU, RIGID_REPORT)
+    assert_pinned(report, RIGID_RATIO, RIGID_BOUND, RIGID_R_TAU,
+                  RIGID_REPORT)
     assert len(set(report.brackets)) == len(report.brackets) == 11
 
 
