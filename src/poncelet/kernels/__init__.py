@@ -1,15 +1,17 @@
 """Map-iteration kernels.
 
 ``_ref`` is the only implementation. It defines each map's step once and
-builds it from ``math`` for narrow batches (single-point orbits) and from
-numpy for wide ones; the lifts' scalar ``__call__`` is the ``math`` build.
+builds it from ``math`` for one float and from numpy for tables of two or
+more points; each map's one-point loop runs the ``math`` step's
+statements inline for single-point orbits. The lifts' scalar ``__call__``
+is the ``math`` build.
 
 The Poncelet and Arnold lifts tabulate through ``*_orbit`` and call the
-``*_step`` they bind at construction (a `FunctionLift` tabulates through
-``_ref._scalar_orbit``, a `RigidLift` in closed form); the families hand
-out the same ``*_step`` bare, for the one-float loops of the pair count.
-``*_advance`` (a table's last row) stays for the benchmark: its tracer
-wraps it by name, and its L0 probe times the kernels through it.
+``*_step`` they bind at construction (a `FunctionLift` tabulates its
+callable one point at a time, a `RigidLift` in closed form); the families
+hand out the same ``*_step`` bare, for the one-float loops of the pair
+count. ``*_advance`` (a table's last row) stays for the benchmark: its
+tracer wraps it by name, and its L0 probe times the kernels through it.
 """
 
 from . import _ref

@@ -30,18 +30,24 @@ estimates, lock tables and pair counts skip the two sines, the square
 root and the atan2 of each step.
 
 Each map's step is defined once, as a factory that binds the map's
-parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
-Two paths, chosen per call, build it from different tuples:
+parameters and a tuple of elementary functions (sin, sqrt, atan2, max),
+and each map has a second factory, its one-point loop, which binds the
+same constants.  Two paths, chosen per call, iterate the map:
 
-* a one-point batch runs the step built from ``math`` (``SCALAR``) in a
-  python loop: numpy's per-call dispatch on a 1-element array costs about
-  20x a scalar step.  This is the rotation estimate's orbit, whose floors
-  of g^q(0) give its Farey bracket (up to a rounding allowance that is
-  not yet a certified budget), and that orbit's extensions.  The lifts'
-  ``__call__`` and the families' ``step``, which the pair count's lock
-  residual and ``verify_closure``'s starts iterate, run this step
-  directly, with no table.  A one-point table is g iterated, errors
-  included: it raises where ``math`` does, at an infinite 2 pi x.
+* a one-point batch runs the map's loop (`poncelet_loop`,
+  `arnold_loop`): the ``math`` step's statements written out inline in
+  one python loop, so no step is a python call (numpy's per-call
+  dispatch on a 1-element array costs about 20x a scalar step).  This
+  is the rotation estimate's orbit, whose floors of g^q(0) give its
+  Farey bracket (up to a rounding allowance that is not yet a certified
+  budget), and that orbit's extensions.  The loop has the step's bits,
+  errors included: it raises where ``math`` does, at an infinite
+  2 pi x.  Each step's statements so exist twice, once in the step and
+  once in its loop, and a test pins the two together to the bit.  The
+  lifts' ``__call__`` and the families' ``step``, which `validate`, the
+  pair count's lap residual and ``verify_closure``'s starts iterate,
+  are the step built from ``math`` (``SCALAR``), run directly, with no
+  table.
 * a table of two or more points runs the step built from numpy's ufuncs
   on whole arrays.  Every table the library builds (the 32-point lock
   subgrid, the 512-point lock grid, `twistfam`'s 128- and 256-point
@@ -50,9 +56,9 @@ Two paths, chosen per call, build it from different tuples:
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
-``math.atan2``.  The steps themselves need only ``math``: numpy is
-imported by the functions that build arrays, so a caller that never
-tabulates (the pair count) never loads it.
+``math.atan2``.  The steps and loops themselves need only ``math``:
+numpy is imported by the functions that build arrays, so a caller that
+never tabulates (the pair count) never loads it.
 """
 
 import math
@@ -114,6 +120,48 @@ def poncelet_step(R, c, t, fns=SCALAR):
     return rotation
 
 
+def poncelet_loop(R, c, t):
+    """The one-point orbit of ``poncelet_step(R, c, t)``: loop(x, n) is the
+    list [x, g(x), ..., g^n(x)] of python floats.  It runs the step's
+    statements inline, with the clamp max(a, 0.0) written as
+    ``0.0 if 0.0 > a else a`` (`_max`'s bits, signed zero and nan
+    included), so it makes no python call per step and has the step's
+    bits, errors included.  At c / R == 0 it is the rotation's loop, with
+    the general loop's first step from 0 as its shift."""
+    sin, sqrt, atan2 = math.sin, math.sqrt, math.atan2
+    c, t, gap, s2_at_0, four_rc = _pair(R, c, t)
+    two_c = 2.0 * c
+
+    def loop(x, n):
+        column = [x]
+        append = column.append
+        for _ in range(n):
+            theta = TWO_PI * x
+            h = sin(0.5 * theta)
+            h2 = h * h
+            P = gap + two_c * h2
+            Q = c * sin(theta)
+            S = sqrt(s2_at_0 + four_rc * h2)
+            a = S * P + t * Q
+            x = x + atan2(0.0 if 0.0 > a else a, t * P - S * Q) / pi
+            append(x)
+        return column
+
+    if c != 0.0:
+        return loop
+    shift = loop(0.0, 1)[1]
+
+    def rotation(x, n):
+        column = [x]
+        append = column.append
+        for _ in range(n):
+            x = x + (shift + 0.0 * sin(TWO_PI * x))
+            append(x)
+        return column
+
+    return rotation
+
+
 def poncelet_dgdt(R, c, t, x):
     """d g_t(x) / d t = -1 / (pi S(x)) over the array x: a tangent turned by
     dt / S about its start moves the chord's far end 2 dt / S radians.
@@ -138,28 +186,31 @@ def arnold_step(omega, K, fns=SCALAR):
     return step
 
 
-def _scalar_orbit(xs, depth, step):
-    """Orbit table of the array xs, one point at a time on the scalar
-    step: row k = step^k(xs).  The kernels run it on a one-point batch;
-    a `FunctionLift`'s table runs its callable through it at any width."""
-    import numpy as np
+def arnold_loop(omega, K):
+    """The one-point orbit of ``arnold_step(omega, K)``, the step's
+    statement inline: loop(x, n) is [x, g(x), ..., g^n(x)]."""
+    sin = math.sin
+    omega = float(omega)
+    k = float(K) / TWO_PI
 
-    out = np.empty((depth + 1, xs.size), dtype=np.float64)
-    for i, x in enumerate(xs.ravel().tolist()):
+    def loop(x, n):
         column = [x]
-        for _ in range(depth):
-            x = step(x)
-            column.append(x)
-        out[:, i] = column
-    return out
+        append = column.append
+        for _ in range(n):
+            x = x + omega + k * sin(TWO_PI * x)
+            append(x)
+        return column
+
+    return loop
 
 
-def _orbit(xs, depth, make_step, params):
+def _orbit(xs, depth, make_loop, make_step, params):
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 1:
-        return _scalar_orbit(xs, depth, make_step(*params))
+        column = make_loop(*params)(xs.item(), depth)
+        return np.array(column, dtype=np.float64)[:, None]
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
     out[0] = xs
     step = make_step(*params, (np.sin, np.sqrt, np.arctan2, np.maximum))
@@ -176,7 +227,7 @@ def poncelet_advance(xs, n, R, c, t):
 
 def poncelet_orbit(xs, depth, R, c, t):
     """Orbit table: row k holds g^k applied to xs, k = 0..depth."""
-    return _orbit(xs, depth, poncelet_step, (R, c, t))
+    return _orbit(xs, depth, poncelet_loop, poncelet_step, (R, c, t))
 
 
 def arnold_advance(xs, n, omega, K):
@@ -184,4 +235,4 @@ def arnold_advance(xs, n, omega, K):
 
 
 def arnold_orbit(xs, depth, omega, K):
-    return _orbit(xs, depth, arnold_step, (omega, K))
+    return _orbit(xs, depth, arnold_loop, arnold_step, (omega, K))

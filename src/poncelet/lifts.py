@@ -5,8 +5,9 @@ Every lift is a scalar step plus one hook, `_orbit`, the iterates of an
 array; `CircleLift` builds `g(x)`, `orbit_table` and `advance` (the
 table's last row) on them once.  The Poncelet tangent map and the Arnold
 map take the step and the table hook from the kernels module, so each map
-has one scalar definition; a `FunctionLift` runs the kernels' scalar loop
-on its callable; rigid rotations are tabulated in closed form.
+has one scalar definition; a `FunctionLift` tabulates by calling its
+callable one point at a time; rigid rotations are tabulated in closed
+form.  A table's starts are a 1-d array on every lift.
 
 `g(x)` and `validate` run the step on plain floats and load no numpy;
 `orbit_table` and `advance` do.  A code path that iterates one float
@@ -22,7 +23,6 @@ import operator
 
 from . import kernels
 from .geometry import PonceletConfig
-from .kernels._ref import _scalar_orbit
 
 #: Largest periodicity defect |g(x + 1) - g(x) - 1| that validate accepts
 #: outright; a larger one passes as an argument error of at most this much.
@@ -66,14 +66,29 @@ class CircleLift:
         return float(self.orbit_table([x], n)[-1, 0])
 
     def orbit_table(self, xs, depth):
-        """Array of shape (depth+1, len(xs)) with row k = g^k(xs)."""
+        """Array of shape (depth+1, len(xs)) with row k = g^k(xs), for a
+        1-d float64 array xs; any other shape raises ValueError."""
         import numpy as np
 
-        return self._orbit(np.asarray(xs, dtype=np.float64),
-                           _step_count(depth))
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 1:
+            raise ValueError(f"orbit_table needs a 1-d array of starts, "
+                             f"got shape {xs.shape}")
+        return self._orbit(xs, _step_count(depth))
 
     def _orbit(self, xs, depth):
-        return _scalar_orbit(xs, depth, self._step)
+        # one point at a time on the scalar step, at any width
+        import numpy as np
+
+        out = np.empty((depth + 1, xs.size), dtype=np.float64)
+        step = self._step
+        for i, x in enumerate(xs.tolist()):
+            column = [x]
+            for _ in range(depth):
+                x = step(x)
+                column.append(x)
+            out[:, i] = column
+        return out
 
     def validate(self, samples=64):
         """Spot-check periodicity and monotonicity on a sample grid.

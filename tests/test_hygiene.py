@@ -226,11 +226,7 @@ def test_private_import_scan_finds_private_names_and_modules():
 #: Every import in src/poncelet of another module's private name or
 #: private module, with the reason it stays.  A module that reaches into
 #: another's internals is tied to them; a new one is declared here.
-PRIVATE_IMPORTS = {
-    "lifts.py:.kernels._ref._scalar_orbit":
-        "FunctionLift's table runs the kernels' scalar loop on its callable;"
-        " one kernel module (ROADMAP item 5) removes it",
-}
+PRIVATE_IMPORTS = {}
 
 
 def test_every_private_import_is_declared():

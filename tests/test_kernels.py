@@ -1,13 +1,16 @@
 """The map-iteration kernels and the lift classes built on them."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poncelet import kernels
-from poncelet.geometry import PonceletConfig, poncelet_map_geometric
+from poncelet.geometry import TWO_PI, PonceletConfig, poncelet_map_geometric
 from poncelet.kernels import _ref
 from poncelet.lifts import (
     ArnoldLift,
@@ -110,6 +113,46 @@ def test_ref_one_point_table_iterates_the_scalar_step():
             tab = orbit(np.array([x]), 20, *params)
             assert tab.shape == (21, 1)
             assert tab[:, 0].tobytes() == np.array(column).tobytes()
+
+
+@st.composite
+def _lift_params(draw):
+    """("poncelet", R, c, t), with R log-uniform in [1e-300, 1e300] and
+    c = 0 and tangency t = R - c among the draws, or ("arnold", omega, K)."""
+    if draw(st.booleans()):
+        return ("arnold", draw(st.floats(-2.0, 2.0)),
+                draw(st.floats(0.0, 1.0)))
+    R = 10.0 ** draw(st.floats(-300.0, 300.0))
+    c = R * draw(st.just(0.0) | st.floats(0.0, 0.999))
+    t = (R - c) * draw(st.just(1.0) | st.floats(0.0, 1.0))
+    return ("poncelet", R, c, t)
+
+
+# starts in [-2, 2]; tiny ones, where at tangency h^2 underflows and the
+# clamp max(a, 0.0) takes a negative a; and starts whose angle 2 pi x is
+# infinite
+_STARTS = (st.floats(-2.0, 2.0)
+           | st.builds(lambda sign, e: sign * 10.0 ** e,
+                       st.sampled_from([-1.0, 1.0]), st.floats(-300.0, -150.0))
+           | st.sampled_from([math.inf, -math.inf, 3e307, -3e307]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lift_params(), _STARTS, st.integers(0, 1024))
+def test_one_point_loop_is_the_step_iterated(params, x, n):
+    # each map's one-point loop repeats its step's statements inline; its
+    # table is g iterated to the bit, and raises where g raises
+    kind, *args = params
+    g = (PonceletLift(PonceletConfig(*args)) if kind == "poncelet"
+         else ArnoldLift(*args))
+    if math.isinf(TWO_PI * x) and n > 0:
+        with pytest.raises(ValueError, match="math domain error"):
+            g(x)
+        with pytest.raises(ValueError, match="math domain error"):
+            g.orbit_table([x], n)
+    else:
+        assert _hexes(g.orbit_table([x], n)[:, 0]) \
+            == _hexes(_iterated(g, x, n))
 
 
 def test_ref_table_of_two_or_more_points_runs_numpys_step():
@@ -292,6 +335,21 @@ def test_lifts_reject_bad_step_counts(g):
     # numpy integers are step counts too
     assert g.advance(0.1, np.int64(2)) == g.advance(0.1, 2)
     assert g.orbit_table([0.1], np.int32(2)).shape == (3, 1)
+
+
+@pytest.mark.parametrize("g", _every_lift(),
+                         ids=["rigid", "arnold", "poncelet", "tangency",
+                              "function"])
+def test_orbit_table_takes_only_a_1d_array(g):
+    # every lift has one shape contract: a 1-d array of starts gives a
+    # (depth + 1, len(xs)) table, and any other shape is refused by name
+    for xs in (0.1, np.float64(0.1), [[0.1, 0.2]], np.zeros((1, 1)),
+               np.zeros((2, 3))):
+        shape = np.shape(xs)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            g.orbit_table(xs, 2)
+    for width in (0, 1, 2, 5):
+        assert g.orbit_table(np.full(width, 0.1), 3).shape == (4, width)
 
 
 def _scalar_path_lifts():
