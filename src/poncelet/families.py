@@ -1,13 +1,17 @@
 """Parametrized families g_t of circle-map lifts.
 
-A MonotoneCircleFamily carries the parameter interval, a lift factory, a
-step factory, and the partial derivative of g_t(x) in t, in closed form:
-1 for the rigid and Arnold families, and for the Poncelet family the
-kernels' -1 / (pi S(x)) in the tangent length S, sign-flipped when the
-family is reversed.  `step(t)` is the bare scalar step x -> g_t(x) that
-`lift(t)` wraps, bit for bit, without building the lift: the pair count
-iterates it one float at a time.  `lift`, `step` and `dgdt` take t through
-one range check, so each rejects the same parameters.
+A MonotoneCircleFamily carries the parameter interval, a lift factory,
+the family's one-point orbit loop, and the partial derivative of g_t(x)
+in t, in closed form: 1 for the rigid and Arnold families, and for the
+Poncelet family the kernels' -1 / (pi S(x)) in the tangent length S,
+sign-flipped when the family is reversed.  `orbit(t, starts, n)` is one
+column [x, g_t(x), ..., g_t^n(x)] per start, with the bits of the step
+`lift(t)` wraps, iterated without building the lift: the pair count reads
+its lap residual and its closure orbits off it.  The Poncelet and Arnold
+families run their map's kernel loop, bound to the map's fixed constants
+when the family is built; the rigid family iterates x + t.  `lift`,
+`orbit` and `dgdt` take t through one range check, so each rejects the
+same parameters.
 """
 
 from . import kernels
@@ -16,7 +20,7 @@ from .lifts import ArnoldLift, PonceletLift, RigidLift
 
 
 class MonotoneCircleFamily:
-    def __init__(self, a, b, lift_factory, step_factory, dgdt):
+    def __init__(self, a, b, lift_factory, orbit, dgdt):
         if not b > a:
             raise ValueError("parameter interval must have b > a")
         self.a = float(a)
@@ -25,15 +29,15 @@ class MonotoneCircleFamily:
         slack = 1e-12 * (self.b - self.a)
         self._t_min, self._t_max = self.a - slack, self.b + slack
         self._lift_factory = lift_factory
-        self._step_factory = step_factory
+        self._orbit = orbit
         self._dgdt = dgdt
 
     def _clamp(self, t):
         """t onto [a, b]: a t within 1e-12 (b - a) outside is clamped, one
         further out (or nan) raises ValueError.  The clamp is
         min(max(t, a), b), signed zeros included, without the builtins'
-        argument handling: every lap residual of the pair count builds a
-        step through it."""
+        argument handling: every lap residual of the pair count runs its
+        orbit through it."""
         if not self._t_min <= t <= self._t_max:
             raise ValueError(f"parameter {t} outside [{self.a}, {self.b}]")
         a, b = self.a, self.b
@@ -42,27 +46,42 @@ class MonotoneCircleFamily:
     def lift(self, t):
         return self._lift_factory(self._clamp(t))
 
-    def step(self, t):
-        """x -> g_t(x) on one float: the step `lift(t)` wraps, unbuilt."""
-        return self._step_factory(self._clamp(t))
+    def orbit(self, t, starts, n):
+        """The one-point orbits of g_t: one list [x, g_t(x), ..., g_t^n(x)]
+        of floats per start x of the sequence `starts`, with the bits of
+        `lift(t)` iterated one float at a time, and no lift built."""
+        return self._orbit(self._clamp(t), starts, n)
 
     def dgdt(self, t, x):
         """d g_t(x) / d t over the array x; a scalar stands for every x."""
         return self._dgdt(self._clamp(t), x)
 
 
+def _rigid_orbit(t, starts, n):
+    """The one-point orbits of x -> x + t, one step at a time, as
+    `RigidLift(t)` steps (its tables are closed-form)."""
+    t = float(t)
+    columns = []
+    for x in starts:
+        column = [x]
+        for _ in range(n):
+            x = x + t
+            column.append(x)
+        columns.append(column)
+    return columns
+
+
 def rigid_family(a=0.0, b=1.0):
     """g_t(x) = x + t on [a, b]."""
-    return MonotoneCircleFamily(
-        a, b, RigidLift, lambda t: lambda x: x + float(t), lambda t, x: 1.0)
+    return MonotoneCircleFamily(a, b, RigidLift, _rigid_orbit,
+                                lambda t, x: 1.0)
 
 
 def arnold_family(K):
     """Standard family g_t(x) = x + t + (K / 2 pi) sin(2 pi x), t in [0, 1]."""
     ArnoldLift(0.0, K)  # rejects an invalid K up front
     return MonotoneCircleFamily(0.0, 1.0, lambda t: ArnoldLift(t, K),
-                                lambda t: kernels.arnold_step(t, K),
-                                lambda t, x: 1.0)
+                                kernels.arnold_loop(K), lambda t, x: 1.0)
 
 
 def poncelet_family(R, c, reverse=False):
@@ -72,7 +91,7 @@ def poncelet_family(R, c, reverse=False):
     r(t) runs from 1/2 at t = 0 down to 0 at internal tangency, so in the
     raw parametrization dg/dt < 0; `reverse=True` flips the parameter
     (s = R - c - t) to meet the increasing twist-in-parameter convention.
-    The lifts' `cfg.t` and the steps' inner radius are t either way.
+    The lifts' `cfg.t` and the orbits' inner radius are t either way.
     """
     R, c = float(R), float(c)
     PonceletConfig(R, c)  # rejects an invalid R or c up front
@@ -80,7 +99,8 @@ def poncelet_family(R, c, reverse=False):
     # parameter s -> inner radius t0 + sign * s, and dg/ds = sign * dg/dt:
     # -0.0 + s is s itself, signed zeros included, and b + -s is b - s
     t0, sign = (b, -1.0) if reverse else (-0.0, 1.0)
+    loop = kernels.poncelet_loop(R, c)
     return MonotoneCircleFamily(
         0.0, b, lambda s: PonceletLift(PonceletConfig(R, c, t0 + sign * s)),
-        lambda s: kernels.poncelet_step(R, c, t0 + sign * s),
+        lambda s, starts, n: loop(t0 + sign * s, starts, n),
         lambda s, x: sign * kernels.poncelet_dgdt(R, c, t0 + sign * s, x))

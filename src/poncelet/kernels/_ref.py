@@ -32,22 +32,25 @@ root and the atan2 of each step.
 Each map's step is defined once, as a factory that binds the map's
 parameters and a tuple of elementary functions (sin, sqrt, atan2, max),
 and each map has a second factory, its one-point loop, which binds the
-same constants.  Two paths, chosen per call, iterate the map:
+map's fixed constants ((R, c) for Poncelet, K for Arnold) and takes the
+family parameter (t, omega) and a sequence of starts per call, forming
+the parameter's constants with the step's operations.  Iterating the map:
 
-* a one-point batch runs the map's loop (`poncelet_loop`,
-  `arnold_loop`): the ``math`` step's statements written out inline in
-  one python loop, so no step is a python call (numpy's per-call
-  dispatch on a 1-element array costs about 20x a scalar step).  This
-  is the rotation estimate's orbit, whose floors of g^q(0) give its
-  Farey bracket (up to a rounding allowance that is not yet a certified
-  budget), and that orbit's extensions.  The loop has the step's bits,
+* one-point orbits run the map's loop (`poncelet_loop`, `arnold_loop`):
+  the ``math`` step's statements written out inline in one python loop
+  per start, so no step is a python call (numpy's per-call dispatch on a
+  1-element array costs about 20x a scalar step).  A one-point table
+  runs it: the rotation estimate's orbit, whose floors of g^q(0) give
+  its Farey bracket (up to a rounding allowance that is not yet a
+  certified budget), and that orbit's extensions.  So does a family's
+  `orbit(t, starts, n)`, bound to its loop once when the family is
+  built: the pair count's lap residual and ``verify_closure``'s starts,
+  one column per start from one call.  The loop has the step's bits,
   errors included: it raises where ``math`` does, at an infinite
   2 pi x.  Each step's statements so exist twice, once in the step and
-  once in its loop, and a test pins the two together to the bit.  The
-  lifts' ``__call__`` and the families' ``step``, which `validate`, the
-  pair count's lap residual and ``verify_closure``'s starts iterate,
-  are the step built from ``math`` (``SCALAR``), run directly, with no
-  table.
+  once in its loop, and tests pin the two together to the bit.  The
+  lifts' ``__call__``, which `validate` iterates, is the step built from
+  ``math`` (``SCALAR``), run directly, with no table.
 * a table of two or more points runs the step built from numpy's ufuncs
   on whole arrays.  Every table the library builds (the 32-point lock
   subgrid, the 512-point lock grid, `twistfam`'s 128- and 256-point
@@ -120,44 +123,60 @@ def poncelet_step(R, c, t, fns=SCALAR):
     return rotation
 
 
-def poncelet_loop(R, c, t):
-    """The one-point orbit of ``poncelet_step(R, c, t)``: loop(x, n) is the
-    list [x, g(x), ..., g^n(x)] of python floats.  It runs the step's
-    statements inline, with the clamp max(a, 0.0) written as
-    ``0.0 if 0.0 > a else a`` (`_max`'s bits, signed zero and nan
-    included), so it makes no python call per step and has the step's
-    bits, errors included.  At c / R == 0 it is the rotation's loop, with
-    the general loop's first step from 0 as its shift."""
+def poncelet_loop(R, c):
+    """The one-point orbits of the Poncelet lift of the circle pair (R, c),
+    over the inner radius: loop(t, starts, n) is one list
+    [x, g_t(x), ..., g_t^n(x)] of python floats per start x, with
+    g_t = ``poncelet_step(R, c, t)``.  The constants of (R, c) are bound
+    once; those of t are formed in the call with `_pair`'s operations.
+    Each column runs the step's statements inline, with the clamp
+    max(a, 0.0) written as ``0.0 if 0.0 > a else a`` (`_max`'s bits,
+    signed zero and nan included), so it makes no python call per step
+    and has the step's bits, errors included.  At c / R == 0 it is the
+    rotation's loop, with the general loop's first step from 0 as its
+    shift."""
     sin, sqrt, atan2 = math.sin, math.sqrt, math.atan2
-    c, t, gap, s2_at_0, four_rc = _pair(R, c, t)
-    two_c = 2.0 * c
+    R, c = float(R), float(c)
+    outer = R - c  # _pair's R - c - t is (R - c) - t
+    c, gap = c / R, outer / R
+    two_c, four_rc = 2.0 * c, 4.0 * c
 
-    def loop(x, n):
-        column = [x]
-        append = column.append
-        for _ in range(n):
-            theta = TWO_PI * x
-            h = sin(0.5 * theta)
-            h2 = h * h
-            P = gap + two_c * h2
-            Q = c * sin(theta)
-            S = sqrt(s2_at_0 + four_rc * h2)
-            a = S * P + t * Q
-            x = x + atan2(0.0 if 0.0 > a else a, t * P - S * Q) / pi
-            append(x)
-        return column
+    def loop(t, starts, n):
+        t = float(t)
+        near = (outer - t) / R
+        t = t / R
+        s2_at_0 = near * (gap + t)
+        columns = []
+        for x in starts:
+            column = [x]
+            append = column.append
+            for _ in range(n):
+                theta = TWO_PI * x
+                h = sin(0.5 * theta)
+                h2 = h * h
+                P = gap + two_c * h2
+                Q = c * sin(theta)
+                S = sqrt(s2_at_0 + four_rc * h2)
+                a = S * P + t * Q
+                x = x + atan2(0.0 if 0.0 > a else a, t * P - S * Q) / pi
+                append(x)
+            columns.append(column)
+        return columns
 
     if c != 0.0:
         return loop
-    shift = loop(0.0, 1)[1]
 
-    def rotation(x, n):
-        column = [x]
-        append = column.append
-        for _ in range(n):
-            x = x + (shift + 0.0 * sin(TWO_PI * x))
-            append(x)
-        return column
+    def rotation(t, starts, n):
+        shift = loop(t, (0.0,), 1)[0][1]
+        columns = []
+        for x in starts:
+            column = [x]
+            append = column.append
+            for _ in range(n):
+                x = x + (shift + 0.0 * sin(TWO_PI * x))
+                append(x)
+            columns.append(column)
+        return columns
 
     return rotation
 
@@ -186,31 +205,34 @@ def arnold_step(omega, K, fns=SCALAR):
     return step
 
 
-def arnold_loop(omega, K):
-    """The one-point orbit of ``arnold_step(omega, K)``, the step's
-    statement inline: loop(x, n) is [x, g(x), ..., g^n(x)]."""
+def arnold_loop(K):
+    """The one-point orbits of the Arnold lift with K bound, over omega:
+    loop(omega, starts, n) is one list [x, g(x), ..., g^n(x)] per start
+    x, with g = ``arnold_step(omega, K)`` and its statement inline."""
     sin = math.sin
-    omega = float(omega)
     k = float(K) / TWO_PI
 
-    def loop(x, n):
-        column = [x]
-        append = column.append
-        for _ in range(n):
-            x = x + omega + k * sin(TWO_PI * x)
-            append(x)
-        return column
+    def loop(omega, starts, n):
+        omega = float(omega)
+        columns = []
+        for x in starts:
+            column = [x]
+            append = column.append
+            for _ in range(n):
+                x = x + omega + k * sin(TWO_PI * x)
+                append(x)
+            columns.append(column)
+        return columns
 
     return loop
 
 
-def _orbit(xs, depth, make_loop, make_step, params):
+def _orbit(xs, depth, column, make_step, params):
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 1:
-        column = make_loop(*params)(xs.item(), depth)
-        return np.array(column, dtype=np.float64)[:, None]
+        return np.array(column(xs.item()), dtype=np.float64)[:, None]
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
     out[0] = xs
     step = make_step(*params, (np.sin, np.sqrt, np.arctan2, np.maximum))
@@ -227,7 +249,9 @@ def poncelet_advance(xs, n, R, c, t):
 
 def poncelet_orbit(xs, depth, R, c, t):
     """Orbit table: row k holds g^k applied to xs, k = 0..depth."""
-    return _orbit(xs, depth, poncelet_loop, poncelet_step, (R, c, t))
+    return _orbit(xs, depth,
+                  lambda x: poncelet_loop(R, c)(t, (x,), depth)[0],
+                  poncelet_step, (R, c, t))
 
 
 def arnold_advance(xs, n, omega, K):
@@ -235,4 +259,5 @@ def arnold_advance(xs, n, omega, K):
 
 
 def arnold_orbit(xs, depth, omega, K):
-    return _orbit(xs, depth, arnold_loop, arnold_step, (omega, K))
+    return _orbit(xs, depth, lambda x: arnold_loop(K)(omega, (x,), depth)[0],
+                  arnold_step, (omega, K))

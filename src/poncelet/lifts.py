@@ -11,11 +11,11 @@ form.  A table's starts are a 1-d array on every lift.
 
 `g(x)` and `validate` run the step on plain floats and load no numpy;
 `orbit_table` and `advance` do.  A code path that iterates one float
-without numpy iterates the step itself (the pair count takes it from its
-family).  A one-point table, and so `advance`, is g iterated, errors
-included: a start where g raises (math's error at an infinite angle)
-raises there too.  A wider Poncelet or Arnold table gives that column
-`nan`, from numpy's step.
+without numpy builds no lift: the pair count runs its family's `orbit`,
+the map's one-point loop.  A one-point table, and so `advance`, is g
+iterated, errors included: a start where g raises (math's error at an
+infinite angle) raises there too.  A wider Poncelet or Arnold table gives
+that column `nan`, from numpy's step.
 """
 
 import functools

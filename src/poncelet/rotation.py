@@ -50,11 +50,13 @@ below 1e-4, near internal tangency) raise ValueError.
 The estimator's orbit columns, brackets and lock table are numpy arrays,
 imported where they are built.  The pair count needs none, and builds no
 lift: its lap residual G(t) = g_t^n(X_REF) - X_REF and verify_closure's
-starts iterate one float at a time on the family's scalar step,
-`family.step(t)`.  Every p/n of one n is solved on G - p, with G at the
+starts are read off the family's one-point orbit,
+`family.orbit(t, starts, n)`, which runs the map's loop with no python
+call per step.  Every p/n of one n is solved on G - p, with G at the
 bracket's ends evaluated once per n (solve_rotation runs the same solve
 on its own q), and each count draws its seeded closure starts once and
-hands the same starts to verify_closure for every pair.
+hands the same starts to verify_closure for every pair, which reads all
+their columns from one orbit call.
 The records are `NamedTuple` classes.
 """
 
@@ -90,6 +92,9 @@ EARLY_TOL = 1e-4      # an earlier return this close (radians) is rejected
 # verify_closure's prefilter on the signed lap offset v of an earlier
 # return: TWO_PI |v| <= EARLY_TOL, rounded, forces |v| below this bound
 _EARLY_LAPS = EARLY_TOL / TWO_PI * (1 + 1e-9)
+# the magnitudes of ends and weights (or zero) for which shrink_bracket's
+# secant point needs no power-of-two scaling to keep its bits
+_SECANT_MIN, _SECANT_MAX = 2.0 ** -240, 2.0 ** 240
 
 
 class NoSolutionError(ValueError):
@@ -186,6 +191,15 @@ class CountReport(NamedTuple):
     @property
     def ok(self):
         return len(self.pairs) == self.expected
+
+
+def _period(n):
+    """n as an int: a non-integer number of steps raises TypeError naming
+    it, before any orbit runs."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, got {n!r}") from None
 
 
 def euler_totient(n):
@@ -452,27 +466,46 @@ def shrink_bracket(f, lo, f_lo, hi, f_hi):
     at any scale of the bracket or of f's values it keeps the products
     lo * w_hi and hi * w_lo finite and off the subnormal range, where the
     point would round onto an end and each step move the bracket by one
-    float.  A secant point that rounds onto an end steps to that end's
-    float neighbour inward instead.  A nan value of f inside the bracket
-    raises ValueError: every later secant point would be nan."""
+    float.
+
+    Where both ends and both weights are zero or lie in
+    [_SECANT_MIN, _SECANT_MAX] = [2^-240, 2^240] in magnitude, the point
+    is formed unscaled, (lo w_hi - hi w_lo) / (w_hi - w_lo), to the same
+    bits.  There the scalings' exponents e and s have |e|, |s| <= 242, the
+    products are zero or in [2^-480, 2^480], a nonzero difference of them
+    is a multiple of 2^-532, and the quotient, a weighted mean of the
+    ends, is zero or at least 2^-532 / 2^241.  So every intermediate of
+    either formula, unscaled or scaled by 2^-e, 2^-s or 2^-(e + s), is an
+    exact zero or a normal float no larger than 2^965, and rounding
+    commutes with the scalings.  A secant point that rounds onto an end
+    steps to that end's float neighbour inward instead.  A nan value of f
+    inside the bracket raises ValueError: every later secant point would
+    be nan."""
     if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
         raise NoSolutionError(
             f"no sign change: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
     w_lo, w_hi = f_lo, f_hi
     kept = 0  # +1 / -1: hi / lo was kept on the last step
+    tiny, huge = _SECANT_MIN, _SECANT_MAX
     while f_lo != 0.0 and f_hi != 0.0:
-        inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        inner_lo = math.nextafter(lo, hi)
         if inner_lo == hi:
             break
-        e = math.frexp(max(abs(lo), abs(hi)))[1] + 1
-        s = math.frexp(w_hi - w_lo)[1]
-        u, v = math.ldexp(w_hi, -s), math.ldexp(w_lo, -s)
-        x = math.ldexp((math.ldexp(lo, -e) * u - math.ldexp(hi, -e) * v)
-                       / (u - v), e)
+        if ((tiny <= abs(lo) <= huge or lo == 0.0)
+                and (tiny <= abs(hi) <= huge or hi == 0.0)
+                and (tiny <= abs(w_lo) <= huge or w_lo == 0.0)
+                and (tiny <= abs(w_hi) <= huge or w_hi == 0.0)):
+            x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        else:
+            e = math.frexp(max(abs(lo), abs(hi)))[1] + 1
+            s = math.frexp(w_hi - w_lo)[1]
+            u, v = math.ldexp(w_hi, -s), math.ldexp(w_lo, -s)
+            x = math.ldexp((math.ldexp(lo, -e) * u - math.ldexp(hi, -e) * v)
+                           / (u - v), e)
         if not x > lo:
             x = inner_lo
         elif not x < hi:
-            x = inner_hi
+            x = math.nextafter(hi, lo)
         f_x = f(x)
         if math.isnan(f_x):
             raise ValueError(f"f({x}) is nan inside the bracket [{lo}, {hi}]")
@@ -492,8 +525,9 @@ def shrink_bracket(f, lo, f_lo, hi, f_hi):
 def solve_rotation(family, target):
     """Find t* with r(t*) = target = p/q on the lock residual
     s(t) = g_t^q(X_REF) - X_REF - p over the family's interval, which is
-    monotone in t for a monotone family.  Each residual iterates the
-    family's scalar step `family.step(t)` q times: no lift is built.
+    monotone in t for a monotone family.  Each residual reads g_t^q(X_REF)
+    off the family's one-point orbit `family.orbit(t, (X_REF,), q)`: no
+    lift is built.
 
     shrink_bracket checks the bracket [family.a, family.b] (residuals
     without a sign change, the target outside the image of r, raise its
@@ -511,21 +545,19 @@ def solve_rotation(family, target):
         raise ValueError(f"target {target} has denominator {q} > MAX_STEPS"
                          f" = {MAX_STEPS}: each residual would run {q} steps"
                          " (give a float target as Fraction(p, q))")
-    lap = _lap(family.step, q)
+    lap = _lap(family.orbit, q)
     return _solve_lap(lap, family.a, lap(family.a), family.b, lap(family.b),
                       p)
 
 
-def _lap(family_step, q):
-    """The lap residual G(t) = g_t^q(X_REF) - X_REF, iterated one float at
-    a time on the family's scalar step; G(t) - p is s(t) of solve_rotation,
-    to the bit, as `x - X_REF - p` subtracts left to right."""
+def _lap(orbit, q):
+    """The lap residual G(t) = g_t^q(X_REF) - X_REF, the last point of the
+    family's one-point orbit `orbit(t, (X_REF,), q)` of X_REF; G(t) - p is
+    s(t) of solve_rotation, to the bit, as `x - X_REF - p` subtracts left
+    to right."""
 
     def lap(t):
-        step, x = family_step(t), X_REF
-        for _ in range(q):
-            x = step(x)
-        return x - X_REF
+        return orbit(t, (X_REF,), q)[0][-1] - X_REF
 
     return lap
 
@@ -579,11 +611,13 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
     return 0.5 * lo + 0.5 * hi
 
 
-def verify_closure(step, n, starts):
-    """Closure residual of the one-float map `step` (a family's scalar
-    step, or a lift) after n steps from each float of the sequence
-    `starts`, iterated one float at a time.  An n below 1, or no starts,
-    raises ValueError.
+def verify_closure(orbit, n, starts):
+    """Closure residual of a one-float map after n steps from each float of
+    the sequence `starts`, read off its one-point orbit: `orbit(starts, n)`
+    is one column [x, g(x), ..., g^n(x)] per start x, such as a family's
+    `functools.partial(family.orbit, t)`, called once.  A non-integer n
+    raises TypeError, and an n below 1, or no starts, ValueError, before
+    any orbit runs.
 
     Returns the max angular distance (radians) to the start; raises
     ResidualFailureError if it is CLOSE_TOL or more (or nan), or if an
@@ -592,8 +626,11 @@ def verify_closure(step, n, starts):
     Each of the first n - 1 steps is tested on the signed lap offset v
     first, against the bound _EARLY_LAPS a hair above EARLY_TOL / TWO_PI,
     and only a v that passes on the exact TWO_PI |v| <= EARLY_TOL, so the
-    prefilter changes no decision; the n-th step is taken after that loop.
+    prefilter changes no decision; the n-th point is read after that loop.
+    Each column runs all n steps, so an error the map raises after an
+    early return passes through.
     """
+    n = _period(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if len(starts) == 0:
@@ -601,11 +638,9 @@ def verify_closure(step, n, starts):
     early = None  # (k, distance) of the earliest return before step n
     ends = []
     low, high = -_EARLY_LAPS, _EARLY_LAPS  # the prefilter's bounds on v
-    for x0 in starts:
-        x = x0
+    for x0, column in zip(starts, orbit(starts, n)):
         for k in range(1, n):
-            x = step(x)
-            v = (x - x0 + 0.5) % 1.0 - 0.5  # laps to the start, signed
+            v = (column[k] - x0 + 0.5) % 1.0 - 0.5  # laps to the start
             if low <= v <= high:
                 dist = TWO_PI * abs(v)  # angular distance to the start
                 if dist <= EARLY_TOL:
@@ -613,8 +648,7 @@ def verify_closure(step, n, starts):
                     early = min(early or (k, dist), (k, dist))
                     break
         else:
-            x = step(x)
-            ends.append(TWO_PI * abs((x - x0 + 0.5) % 1.0 - 0.5))
+            ends.append(TWO_PI * abs((column[n] - x0 + 0.5) % 1.0 - 0.5))
     if early is not None:
         k, dist = early
         raise ResidualFailureError(
@@ -640,15 +674,16 @@ def count_poncelet_pairs(family, n, seed=0):
     Each is solved as solve_rotation solves p/n, on the one lap residual
     G(t) = g_t^n(X_REF) - X_REF of this n: G(family.a) and G(family.b)
     are evaluated once, and each p solves G - p on the bracket they end.
-    Each pair is then certified by verify_closure on the family's scalar
-    step at the solved t, every pair from the same CLOSURE_STARTS starts,
+    Each pair is then certified by verify_closure on the family's orbit
+    at the solved t, every pair from the same CLOSURE_STARTS starts,
     drawn once per call from random.Random(seed), and reported with that
     t; a pair that fails either (NoSolutionError, a nan residual at an end
     among them, or ResidualFailureError) is recorded in `missing` with the
     reason, and the report comes up short.
-    An n above MAX_STEPS raises ValueError before any residual runs.  No
-    lift is built.
+    A non-integer n raises TypeError, and an n below 3 or above MAX_STEPS
+    ValueError, before any residual runs.  No lift is built.
     """
+    n = _period(n)
     if n < 3:
         raise ValueError("counting starts at n = 3")
     if n > MAX_STEPS:
@@ -656,7 +691,7 @@ def count_poncelet_pairs(family, n, seed=0):
                          f" would run {n} steps")
     rng = random.Random(seed)
     starts = [rng.random() for _ in range(CLOSURE_STARTS)]
-    lap = _lap(family.step, n)
+    lap = _lap(family.orbit, n)
     a, b = family.a, family.b
     lap_a, lap_b = lap(a), lap(b)
     pairs = []
@@ -666,7 +701,8 @@ def count_poncelet_pairs(family, n, seed=0):
             continue
         try:
             t = _solve_lap(lap, a, lap_a, b, lap_b, p)
-            residual = verify_closure(family.step(t), n, starts)
+            residual = verify_closure(functools.partial(family.orbit, t), n,
+                                      starts)
         except (NoSolutionError, ResidualFailureError) as err:
             missing.append((p, str(err)))
             continue

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poncelet import kernels
+from poncelet.families import arnold_family, poncelet_family, rigid_family
 from poncelet.geometry import TWO_PI, PonceletConfig, poncelet_map_geometric
 from poncelet.kernels import _ref
 from poncelet.lifts import (
@@ -131,10 +132,11 @@ def _lift_params(draw):
 # starts in [-2, 2]; tiny ones, where at tangency h^2 underflows and the
 # clamp max(a, 0.0) takes a negative a; and starts whose angle 2 pi x is
 # infinite
-_STARTS = (st.floats(-2.0, 2.0)
-           | st.builds(lambda sign, e: sign * 10.0 ** e,
-                       st.sampled_from([-1.0, 1.0]), st.floats(-300.0, -150.0))
-           | st.sampled_from([math.inf, -math.inf, 3e307, -3e307]))
+_TINY_STARTS = st.builds(lambda sign, e: sign * 10.0 ** e,
+                         st.sampled_from([-1.0, 1.0]),
+                         st.floats(-300.0, -150.0))
+_INFINITE_ANGLE_STARTS = st.sampled_from([math.inf, -math.inf, 3e307, -3e307])
+_STARTS = st.floats(-2.0, 2.0) | _TINY_STARTS | _INFINITE_ANGLE_STARTS
 
 
 @settings(max_examples=300, deadline=None)
@@ -153,6 +155,47 @@ def test_one_point_loop_is_the_step_iterated(params, x, n):
     else:
         assert _hexes(g.orbit_table([x], n)[:, 0]) \
             == _hexes(_iterated(g, x, n))
+
+
+@st.composite
+def _family_params(draw):
+    """(family, t): a Poncelet family, forward or reversed, with R
+    log-uniform in [1e-300, 1e300], c = 0 and both ends of [0, R - c] among
+    the draws; an Arnold family; or a rigid one."""
+    kind = draw(st.sampled_from(["poncelet", "arnold", "rigid"]))
+    if kind == "poncelet":
+        R = 10.0 ** draw(st.floats(-300.0, 300.0))
+        c = R * draw(st.just(0.0) | st.floats(0.0, 0.999))
+        family = poncelet_family(R, c, reverse=draw(st.booleans()))
+    elif kind == "arnold":
+        family = arnold_family(draw(st.floats(0.0, 1.0)))
+    else:
+        a = draw(st.floats(-2.0, 2.0))
+        family = rigid_family(a, a + draw(st.floats(1e-6, 2.0)))
+    share = draw(st.just(0.0) | st.just(1.0) | st.floats(0.0, 1.0))
+    return family, min(family.a + share * (family.b - family.a), family.b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_params(),
+       st.lists(st.floats(-2.0, 2.0) | _TINY_STARTS, min_size=1, max_size=4),
+       st.integers(0, 256), st.none() | _INFINITE_ANGLE_STARTS)
+def test_family_orbit_is_the_lift_iterated(params, starts, n, far):
+    # every column of one multi-start orbit call is lift(t) iterated n
+    # times, to the bit; a start where the lift raises makes the call raise
+    family, t = params
+    g = family.lift(t)
+    assert [_hexes(column) for column in family.orbit(t, starts, n)] \
+        == [_hexes(_iterated(g, x, n)) for x in starts]
+    if far is None:
+        return
+    try:
+        want = _hexes(_iterated(g, far, n))
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            family.orbit(t, starts + [far], n)
+    else:
+        assert _hexes(family.orbit(t, starts + [far], n)[-1]) == want
 
 
 def test_ref_table_of_two_or_more_points_runs_numpys_step():

@@ -1,16 +1,17 @@
 """Rotation-number estimation, lock detection, the parameter solver, and
 the Poncelet-pair counting pipeline."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from poncelet import rotation
+from poncelet import kernels, rotation
 from poncelet.families import (
     MonotoneCircleFamily,
     arnold_family,
@@ -18,6 +19,7 @@ from poncelet.families import (
     rigid_family,
 )
 from poncelet.geometry import TWO_PI, PonceletConfig
+from poncelet.kernels import _ref
 from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     _EARLY_LAPS,
@@ -1016,10 +1018,10 @@ def test_solve_rejects_a_denominator_above_max_steps(target):
     # each residual would run that many steps
     family = poncelet_family(1.0, 0.3)
 
-    def step(t):
+    def orbit(t, starts, n):
         raise AssertionError(f"a residual ran, at t = {t}")
 
-    family.step = step
+    family.orbit = orbit
     q = Fraction(target).denominator
     assert q > MAX_STEPS
     with pytest.raises(ValueError, match=f"denominator {q} > MAX_STEPS"):
@@ -1052,9 +1054,10 @@ def test_solve_names_the_ends_without_a_sign_change():
 def test_count_records_a_nan_residual_as_missing():
     # a nan residual at the ends is no sign change, so each p is missing
     # with the reason, where it used to escape as a bare ValueError
-    family = MonotoneCircleFamily(0.0, 1.0, RigidLift,
-                                  lambda t: lambda x: math.nan,
-                                  lambda t, x: 1.0)
+    family = MonotoneCircleFamily(
+        0.0, 1.0, RigidLift,
+        lambda t, starts, n: [[x] + [math.nan] * n for x in starts],
+        lambda t, x: 1.0)
     report = count_poncelet_pairs(family, 5)
     assert report.pairs == [] and report.expected == 2
     assert [p for p, _ in report.missing] == [1, 2]
@@ -1225,6 +1228,112 @@ def test_shrink_bracket_keeps_its_contract(problem):
         assert math.nextafter(lo2, hi2) == hi2
 
 
+def scaled_shrink_bracket(f, lo, f_lo, hi, f_hi):
+    """shrink_bracket with every secant point formed on the ends and
+    weights scaled by powers of two (frexp / ldexp), whose bits the
+    unscaled fast path must keep: the reference of the test below."""
+    if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
+        raise NoSolutionError(
+            f"no sign change: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
+    w_lo, w_hi = f_lo, f_hi
+    kept = 0
+    while f_lo != 0.0 and f_hi != 0.0:
+        inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        if inner_lo == hi:
+            break
+        e = math.frexp(max(abs(lo), abs(hi)))[1] + 1
+        s = math.frexp(w_hi - w_lo)[1]
+        u, v = math.ldexp(w_hi, -s), math.ldexp(w_lo, -s)
+        x = math.ldexp((math.ldexp(lo, -e) * u - math.ldexp(hi, -e) * v)
+                       / (u - v), e)
+        if not x > lo:
+            x = inner_lo
+        elif not x < hi:
+            x = inner_hi
+        f_x = f(x)
+        if math.isnan(f_x):
+            raise ValueError(f"f({x}) is nan inside the bracket [{lo}, {hi}]")
+        if (f_x > 0) == (f_lo > 0):
+            lo, f_lo, w_lo = x, f_x, f_x
+            if kept > 0:
+                w_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi, w_hi = x, f_x, f_x
+            if kept < 0:
+                w_lo *= 0.5
+            kept = -1
+    return lo, f_lo, hi, f_hi
+
+
+# binary exponents: anywhere from the subnormal range to near the float
+# maximum; around the fast path's bounds 2^-240 and 2^240, their squares
+# and the ends' scaling exponent; and around +-511, beyond which the
+# unscaled products of two such values leave the normal range
+_EXPONENTS = (st.integers(-1070, 1013) | st.integers(-250, 250)
+              | st.sampled_from([k + d for k in (-540, -511, -480, -242,
+                                                 -240, 240, 242, 480, 511)
+                                 for d in (-2, -1, 0, 1, 2)]))
+_NONZERO = (st.builds(math.ldexp, st.floats(1.0, 2.0), _EXPONENTS)
+            | st.floats(5e-324, 2.0 ** -1022))  # subnormal
+_SIGNS = st.sampled_from([1.0, -1.0])
+
+
+def _signed(magnitudes):
+    return st.builds(math.copysign, magnitudes, _SIGNS)
+
+
+@st.composite
+def _secant_runs(draw):
+    """(lo, f_lo, hi, f_hi, values): ends lo < hi (a zero now and then)
+    and nonzero end values of opposite signs, each scaled on its own, and
+    the nonzero values f returns, in order, for the secant points; after
+    them f returns 0."""
+    ends = _signed(_NONZERO | st.just(0.0))
+    lo, hi = sorted([draw(ends), draw(ends)])
+    if lo == hi:
+        hi = math.nextafter(hi, math.inf)
+    f_lo = draw(_signed(_NONZERO))
+    f_hi = -math.copysign(draw(_NONZERO), f_lo)
+    return lo, f_lo, hi, f_hi, draw(st.lists(_signed(_NONZERO), max_size=6))
+
+
+def _hex_run(*hexes):
+    lo, f_lo, hi, f_hi = map(float.fromhex, hexes)
+    return lo, f_lo, hi, f_hi, []
+
+
+@settings(max_examples=600, deadline=None)
+@given(_secant_runs())
+# ends and values in [2^-512, 2^512] in magnitude whose unscaled secant
+# point misses the scaled one's bits by an ulp, and ones in
+# [2^-520, 2^520] where it overflows: a fast path that admits either fails
+@example(_hex_run("-0x1.09275f2b54bafp+510", "-0x1.53a7f10ca03c6p+511",
+                  "0x1.624ec1c0e110ap-510", "0x1.b00cfe212dc46p-509"))
+@example(_hex_run("-0x1.f31dfe6f3cfa9p-510", "-0x1.0392e8e7f31fep-510",
+                  "0x1.b3021a490175ap+511", "0x1.3bd8b080af29ap+511"))
+@example(_hex_run("-0x1.5025803988a2ap-406", "-0x1.b364a81c18f23p+517",
+                  "0x1.82a78123a22b6p+519", "0x1.b3f3880da2cf8p+187"))
+def test_shrink_bracket_unscaled_points_keep_the_scaled_bits(run):
+    # where shrink_bracket forms its secant point unscaled, it must have the
+    # scaled formula's bits: every point f is called at, and the result,
+    # are the reference's, to the bit, at any scale of ends and values
+    lo, f_lo, hi, f_hi, values = run
+
+    def run_with(solver):
+        points = []
+
+        def f(x):
+            points.append(x.hex())
+            return values[len(points) - 1] if len(points) <= len(values) \
+                else 0.0
+
+        result = solver(f, lo, f_lo, hi, f_hi)
+        return points, [v.hex() for v in result]
+
+    assert run_with(shrink_bracket) == run_with(scaled_shrink_bracket)
+
+
 def test_shrink_bracket_stops_at_an_exact_zero():
     lo, f_lo, hi, f_hi = shrink_bracket(lambda x: x - 0.5, 0.0, -0.5,
                                         2.0, 1.5)
@@ -1317,12 +1426,12 @@ def test_solve_ends_on_machine_thin_certificate(spec, target):
 
 @pytest.mark.parametrize("spec, target", SOLVE_GRID)
 def test_solve_builds_at_most_40_lifts(spec, target):
-    # each residual builds the family's step (and no lift): bisection to
-    # adjacent floats builds 50-57 on this grid
+    # each residual runs one orbit of the family (and builds no lift):
+    # bisection to adjacent floats runs 50-57 on this grid
     family = FAMILIES[spec[0]](*spec[1:])
     built = []
-    step = family.step
-    family.step = lambda t: built.append(t) or step(t)
+    orbit = family.orbit
+    family.orbit = lambda t, starts, n: built.append(t) or orbit(t, starts, n)
     family.lift = None
     solve_rotation(family, target)
     assert 2 <= len(built) <= 40
@@ -1337,23 +1446,43 @@ def seeded_starts(seed):
     return [rng.random() for _ in range(CLOSURE_STARTS)]
 
 
+def step_orbit(step):
+    """The one-point orbit verify_closure reads, of the one-float map
+    `step` (a lift, or a bare step) iterated one call at a time: one
+    column [x, g(x), ..., g^n(x)] per start x."""
+
+    def orbit(starts, n):
+        columns = []
+        for x in starts:
+            column = [x]
+            for _ in range(n):
+                x = step(x)
+                column.append(x)
+            columns.append(column)
+        return columns
+
+    return orbit
+
+
 def test_triangle_pair_closes_tightly():
-    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)),
-                              3, seeded_starts(0))
+    residual = verify_closure(
+        step_orbit(PonceletLift(PonceletConfig(1.0, 0.0, 0.5))), 3,
+        seeded_starts(0))
     assert residual < 1e-10
 
 
 def test_diameter_closes_in_two_steps():
-    residual = verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)),
-                              2, seeded_starts(0))
+    residual = verify_closure(
+        step_orbit(PonceletLift(PonceletConfig(1.0, 0.0, 0.0))), 2,
+        seeded_starts(0))
     assert residual < 1e-12
 
 
 def test_wrong_period_is_rejected():
     # the triangle radius does not close a 5-gon
     with pytest.raises(ResidualFailureError):
-        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 5,
-                       seeded_starts(0))
+        verify_closure(step_orbit(PonceletLift(PonceletConfig(1.0, 0.0, 0.5))),
+                       5, seeded_starts(0))
 
 
 class TwoBands(CircleLift):
@@ -1384,13 +1513,13 @@ def test_closure_reports_the_earliest_return_over_all_starts():
     # in [0, 1/2) return after 2, and the error must name 2
     with pytest.raises(ResidualFailureError,
                        match=r"^orbit returned after 2 < 6 steps"):
-        verify_closure(TwoBands(), 6, seeded_starts(0))
+        verify_closure(step_orbit(TwoBands()), 6, seeded_starts(0))
     # with the drift, the seven starts in [0, 1/2) tie at step 2 at
     # distances 2 pi 1e-6 (y mod 1/4); the least, from y = 0.2505, is named
     with pytest.raises(ResidualFailureError,
                        match=r"^orbit returned after 2 < 6 steps "
                              r"\(distance 3\.18e-09\)$"):
-        verify_closure(TwoBandsDrift(), 6, seeded_starts(0))
+        verify_closure(step_orbit(TwoBandsDrift()), 6, seeded_starts(0))
 
 
 class NanAbove(CircleLift):
@@ -1402,7 +1531,7 @@ class NanAbove(CircleLift):
 
 def test_closure_of_a_nan_orbit_fails():
     with pytest.raises(ResidualFailureError, match=r"residual nan"):
-        verify_closure(NanAbove(), 2, seeded_starts(0))
+        verify_closure(step_orbit(NanAbove()), 2, seeded_starts(0))
 
 
 def unfiltered_closure(step, n, starts):
@@ -1432,6 +1561,10 @@ def unfiltered_closure(step, n, starts):
 
 
 def closure_outcome(closure, step, n, starts):
+    """closure's residual as hex, or its ResidualFailureError's text; the
+    reference takes the step, verify_closure the step's orbit."""
+    if closure is verify_closure:
+        step = step_orbit(step)
     try:
         return closure(step, n, starts).hex()
     except ResidualFailureError as err:
@@ -1494,13 +1627,35 @@ def test_closure_prefilter_changes_no_decision(seed):
 @pytest.mark.parametrize("n", [0, -1])
 def test_closure_rejects_fewer_than_one_step(n):
     with pytest.raises(ValueError, match="n must be at least 1"):
-        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), n,
-                       seeded_starts(0))
+        verify_closure(step_orbit(PonceletLift(PonceletConfig(1.0, 0.0, 0.5))),
+                       n, seeded_starts(0))
 
 
 def test_closure_rejects_empty_starts():
     with pytest.raises(ValueError, match="starts must hold at least one"):
-        verify_closure(PonceletLift(PonceletConfig(1.0, 0.0, 0.5)), 3, [])
+        verify_closure(step_orbit(PonceletLift(PonceletConfig(1.0, 0.0, 0.5))),
+                       3, [])
+
+
+def unreachable_orbit(*args):
+    raise AssertionError(f"an orbit ran, on {args}")
+
+
+@pytest.mark.parametrize("n", [3.0, 3.5, "3", None])
+def test_closure_rejects_a_non_integer_n_before_any_orbit(n):
+    # range() used to raise a bare TypeError once the first start ran
+    with pytest.raises(TypeError, match=f"^n must be an integer, got {n!r}$"):
+        verify_closure(unreachable_orbit, n, seeded_starts(0))
+
+
+def test_closure_reads_every_start_from_one_orbit_call():
+    calls = []
+    orbit = step_orbit(PonceletLift(PonceletConfig(1.0, 0.3, 0.5)))
+    starts = seeded_starts(0)
+    with pytest.raises(ResidualFailureError):
+        verify_closure(lambda *args: calls.append(args) or orbit(*args), 5,
+                       starts)
+    assert calls == [(starts, 5)]
 
 
 # ----------------------------------------------------------------- counting
@@ -1584,8 +1739,8 @@ def test_reversed_family_count_matches_forward(c, n):
         radius = (1.0 - c) - pair.t
         assert abs(radius - want[pair.p]) <= 1e-12
         lift = PonceletLift(PonceletConfig(1.0, c, radius))
-        assert pair.closure_residual == verify_closure(lift, n,
-                                                       seeded_starts(seed))
+        assert pair.closure_residual == verify_closure(
+            step_orbit(lift), n, seeded_starts(seed))
 
 
 # float.hex of each pair's t by p, and the p's that fail closure, at seed 0
@@ -1629,8 +1784,8 @@ def test_count_runs_each_bracket_end_and_draws_the_starts_once(
     # family.a and family.b run once, and one draw of the closure starts
     family = poncelet_family(1.0, 0.3)
     ts = []
-    step = family.step
-    family.step = lambda t: ts.append(t) or step(t)
+    orbit = family.orbit
+    family.orbit = lambda t, starts, n: ts.append(t) or orbit(t, starts, n)
     seeded = []
 
     class Seeded(random.Random):
@@ -1654,16 +1809,20 @@ def test_closure_starts_are_the_seeds_draws(monkeypatch):
     draws = seeded_starts(seed)
     handed = []
 
-    def recording(step, n, starts):
+    def recording(orbit, n, starts):
         handed.append(list(starts))
-        return verify_closure(step, n, starts)
+        return verify_closure(orbit, n, starts)
 
     monkeypatch.setattr(rotation, "verify_closure", recording)
     report = count_poncelet_pairs(family, 7, seed=seed)
     assert report.ok and handed == [draws] * 3
     for pair in report.pairs:
-        assert pair.closure_residual == \
-            verify_closure(family.step(pair.t), 7, draws)
+        assert pair.closure_residual == verify_closure(
+            functools.partial(family.orbit, pair.t), 7, draws)
+        # the family's orbit has the bits of its lift's step
+        lift = family.lift(pair.t)
+        assert pair.closure_residual == verify_closure(step_orbit(lift), 7,
+                                                       draws)
 
 
 def test_count_does_not_depend_on_earlier_counts():
@@ -1676,13 +1835,41 @@ def test_count_does_not_depend_on_earlier_counts():
 
 def test_count_rejects_a_period_above_max_steps_before_any_step():
     family = poncelet_family(1.0, 0.3)
-
-    def step(t):
-        raise AssertionError(f"a residual ran, at t = {t}")
-
-    family.step = step
+    family.orbit = unreachable_orbit
     with pytest.raises(ValueError, match=f"n = {MAX_STEPS + 1} > MAX_STEPS"):
         count_poncelet_pairs(family, MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("n", [5.0, 5.5, "5", None])
+def test_count_rejects_a_non_integer_n_before_any_orbit(n, monkeypatch):
+    # range() used to raise a bare TypeError after the closure starts were
+    # drawn and a residual was set up
+    family = poncelet_family(1.0, 0.3)
+    family.orbit = unreachable_orbit
+    drawn = []
+    monkeypatch.setattr(random, "Random", lambda seed: drawn.append(seed))
+    with pytest.raises(TypeError, match=f"^n must be an integer, got {n!r}$"):
+        count_poncelet_pairs(family, n)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("family", [
+    poncelet_family(1.0, 0.0), poncelet_family(1.0, 0.3),
+    poncelet_family(1.0, 0.6, reverse=True), arnold_family(0.8),
+    rigid_family()])
+def test_count_and_solve_build_no_kernel_loop(family, monkeypatch):
+    # the family binds its map's loop when it is built; the count's and the
+    # solve's residuals and closure orbits call that loop with t, and build
+    # neither a loop nor a step
+    built = []
+    for module in (kernels, _ref):
+        for name in ("poncelet_loop", "arnold_loop", "poncelet_step",
+                     "arnold_step"):
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name: built.append(name))
+    count_poncelet_pairs(family, 7)
+    solve_rotation(family, Fraction(1, 5))
+    assert built == []
 
 
 def test_counting_rejects_degenerate_period():

@@ -151,23 +151,32 @@ FAMILIES.update({"arnold-0.5": arnold_family(0.5),
 
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
 def test_family_step_is_the_lifts_step(family):
-    # step(t) is the bare scalar step that lift(t) wraps: the same bits
+    # orbit(t, xs, n) iterates the step that lift(t) wraps: the same bits,
+    # one column per start
     xs = np.linspace(-0.7, 1.9, 27).tolist()
     for t in (family.a, 0.37 * family.a + 0.63 * family.b, family.b):
-        step, g = family.step(t), family.lift(t)
-        assert [step(x).hex() for x in xs] == [g(x).hex() for x in xs]
+        g = family.lift(t)
+        want = []
+        for x in xs:
+            column = [x]
+            for _ in range(3):
+                column.append(g(column[-1]))
+            want.append([y.hex() for y in column])
+        assert [[y.hex() for y in column]
+                for column in family.orbit(t, xs, 3)] == want
 
 
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
 def test_step_and_dgdt_reject_the_parameters_the_lift_rejects(family):
-    # one range check serves all three; dgdt used to clamp any t, and gave
-    # nan for a nan t
+    # one range check serves lift, orbit and dgdt; dgdt used to clamp any
+    # t, and gave nan for a nan t
     w = family.b - family.a
     for t in (family.a - 2e-12 * w, family.b + 2e-12 * w, -1.0, 5.0,
               math.nan):
         with pytest.raises(ValueError, match="outside") as want:
             family.lift(t)
-        for method in (family.step, lambda t: family.dgdt(t, 0.25)):
+        for method in (lambda t: family.orbit(t, [0.25], 1),
+                       lambda t: family.dgdt(t, 0.25)):
             with pytest.raises(ValueError) as got:
                 method(t)
             assert str(got.value) == str(want.value)
