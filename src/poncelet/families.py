@@ -14,6 +14,8 @@ when the family is built; the rigid family iterates x + t.  `lift`,
 same parameters.
 """
 
+import operator
+
 from . import kernels
 from .geometry import PonceletConfig
 from .lifts import ArnoldLift, PonceletLift, RigidLift
@@ -49,7 +51,11 @@ class MonotoneCircleFamily:
     def orbit(self, t, starts, n):
         """The one-point orbits of g_t: one list [x, g_t(x), ..., g_t^n(x)]
         of floats per start x of the sequence `starts`, with the bits of
-        `lift(t)` iterated one float at a time, and no lift built."""
+        `lift(t)` iterated one float at a time, and no lift built.  A
+        negative or non-integer n raises as `lift(t).orbit_table` does."""
+        if n < 0:
+            n = operator.index(n)
+            raise ValueError(f"step count must be at least 0, got {n}")
         return self._orbit(self._clamp(t), starts, n)
 
     def dgdt(self, t, x):

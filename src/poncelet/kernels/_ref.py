@@ -22,12 +22,22 @@ at the exact fixed point 0.
 
 For concentric circles (c / R == 0) the map is the rigid rotation
 x' = x + arccos(t / R) / pi, and in floats the formula above is rigid
-too: P = gap and Q = +-0 at every x, and S is constant, so both atan2
+too: R - c rounds to R whenever c / R is 0 or underflows, so gap = 1,
+P = 1 and Q = +-0 at every x, and S is constant, so both atan2
 arguments, and with them x' - x, are the same floats at every finite x.
-There `poncelet_step` returns x + step(0), which has the general step's
-bits at every x and its error at an infinite angle, so the concentric
-estimates, lock tables and pair counts skip the two sines, the square
-root and the atan2 of each step.
+That displacement is the step at x = 0, where h = Q = 0, in closed form:
+
+    shift = atan2(sqrt(s2_at_0), t) / pi,
+
+with S / R = sqrt(s2_at_0) and t in units of R (at t = +-0, where
+t P - S Q may round to the other zero, S = 1 and atan2 gives pi / 2
+either way).  Each Poncelet build, the step from ``math``, the step from
+numpy and the one-point loop, forms it once per t from constants it
+already holds, with its own atan2 and sqrt, and runs the rotation
+x + (shift + 0.0 sin(2 pi x)): the general step's bits at every x and its
+error at an infinite angle, with no general step built or run for the
+shift.  So the concentric estimates, lock tables and pair counts skip the
+two sines, the square root and the atan2 of each step.
 
 Each map's step is defined once, as a factory that binds the map's
 parameters and a tuple of elementary functions (sin, sqrt, atan2, max),
@@ -95,13 +105,22 @@ def poncelet_step(R, c, t, fns=SCALAR):
     circle pair bound (a one-argument closure is the cheapest call).
 
     At c / R == 0 (c = -0.0 and a c / R that underflows included) it is
-    the rotation x + step(0), which has the general step's bits (see the
-    module docstring).  The rotation keeps the general step's
-    sin(2 pi x) as the signed zero 0.0 * sin(2 pi x), so at an infinite
-    2 pi x (x infinite, or finite beyond ~2.9e307) ``math`` still raises
-    and numpy still gives nan with its warning."""
+    the rotation by the closed-form shift, formed from `_pair`'s
+    constants with ``fns``' atan2 and sqrt, which has the general step's
+    bits (see the module docstring); no general step is built.  The
+    rotation keeps the general step's sin(2 pi x) as the signed zero
+    0.0 * sin(2 pi x), so at an infinite 2 pi x (x infinite, or finite
+    beyond ~2.9e307) ``math`` still raises and numpy still gives nan with
+    its warning."""
     sin, sqrt, atan2, maximum = fns
     c, t, gap, s2_at_0, four_rc = _pair(R, c, t)
+    if c == 0.0:
+        shift = atan2(sqrt(s2_at_0), t) / pi
+
+        def rotation(x):
+            return x + (shift + 0.0 * sin(TWO_PI * x))
+
+        return rotation
     two_c = 2.0 * c
 
     def step(x):
@@ -113,14 +132,7 @@ def poncelet_step(R, c, t, fns=SCALAR):
         S = sqrt(s2_at_0 + four_rc * h2)
         return x + atan2(maximum(S * P + t * Q, 0.0), t * P - S * Q) / pi
 
-    if c != 0.0:
-        return step
-    shift = step(0.0)
-
-    def rotation(x):
-        return x + (shift + 0.0 * sin(TWO_PI * x))
-
-    return rotation
+    return step
 
 
 def poncelet_loop(R, c):
@@ -132,9 +144,9 @@ def poncelet_loop(R, c):
     Each column runs the step's statements inline, with the clamp
     max(a, 0.0) written as ``0.0 if 0.0 > a else a`` (`_max`'s bits,
     signed zero and nan included), so it makes no python call per step
-    and has the step's bits, errors included.  At c / R == 0 it is the
-    rotation's loop, with the general loop's first step from 0 as its
-    shift."""
+    and has the step's bits, errors included.  At c / R == 0 the same
+    closure runs the rotation instead, its shift formed once per call in
+    closed form from the t constants, as `poncelet_step` forms it."""
     sin, sqrt, atan2 = math.sin, math.sqrt, math.atan2
     R, c = float(R), float(c)
     outer = R - c  # _pair's R - c - t is (R - c) - t
@@ -146,39 +158,31 @@ def poncelet_loop(R, c):
         near = (outer - t) / R
         t = t / R
         s2_at_0 = near * (gap + t)
+        if c == 0.0:
+            shift = atan2(sqrt(s2_at_0), t) / pi
         columns = []
         for x in starts:
             column = [x]
             append = column.append
-            for _ in range(n):
-                theta = TWO_PI * x
-                h = sin(0.5 * theta)
-                h2 = h * h
-                P = gap + two_c * h2
-                Q = c * sin(theta)
-                S = sqrt(s2_at_0 + four_rc * h2)
-                a = S * P + t * Q
-                x = x + atan2(0.0 if 0.0 > a else a, t * P - S * Q) / pi
-                append(x)
+            if c == 0.0:
+                for _ in range(n):
+                    x = x + (shift + 0.0 * sin(TWO_PI * x))
+                    append(x)
+            else:
+                for _ in range(n):
+                    theta = TWO_PI * x
+                    h = sin(0.5 * theta)
+                    h2 = h * h
+                    P = gap + two_c * h2
+                    Q = c * sin(theta)
+                    S = sqrt(s2_at_0 + four_rc * h2)
+                    a = S * P + t * Q
+                    x = x + atan2(0.0 if 0.0 > a else a, t * P - S * Q) / pi
+                    append(x)
             columns.append(column)
         return columns
 
-    if c != 0.0:
-        return loop
-
-    def rotation(t, starts, n):
-        shift = loop(t, (0.0,), 1)[0][1]
-        columns = []
-        for x in starts:
-            column = [x]
-            append = column.append
-            for _ in range(n):
-                x = x + (shift + 0.0 * sin(TWO_PI * x))
-                append(x)
-            columns.append(column)
-        return columns
-
-    return rotation
+    return loop
 
 
 def poncelet_dgdt(R, c, t, x):

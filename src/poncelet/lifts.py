@@ -14,7 +14,9 @@ form.  A table's starts are a 1-d array on every lift.
 without numpy builds no lift: the pair count runs its family's `orbit`,
 the map's one-point loop.  A one-point table, and so `advance`, is g
 iterated, errors included: a start where g raises (math's error at an
-infinite angle) raises there too.  A wider Poncelet or Arnold table gives
+infinite angle) raises there too.  The exception is the rigid lift, whose
+table at every width is its closed form x + alpha k, which can differ
+from g iterated in the last bits.  A wider Poncelet or Arnold table gives
 that column `nan`, from numpy's step.
 """
 
@@ -98,7 +100,13 @@ class CircleLift:
         Poncelet lift's slope (R + c)/(R - c) makes it 7.8e-12 at
         c/R = 0.99999.  So a sample whose defect exceeds PERIODICITY_TOL
         passes if the defect over the slope measured there, the argument
-        error it amounts to, is at most PERIODICITY_TOL."""
+        error it amounts to, is at most PERIODICITY_TOL.  `samples` must be
+        an integer of at least 1."""
+        try:
+            samples = operator.index(samples)
+        except TypeError:
+            raise TypeError(f"samples must be an integer, got {samples!r}") \
+                from None
         if samples < 1:
             raise ValueError(f"sample count must be at least 1, got {samples}")
         g = self._step  # g(x), without the call's dispatch
@@ -131,7 +139,8 @@ class FunctionLift(CircleLift):
 
 
 class RigidLift(CircleLift):
-    """g(x) = x + alpha."""
+    """g(x) = x + alpha.  Its table, one point wide too, is the closed form
+    x + alpha k, not g iterated."""
 
     def __init__(self, alpha):
         self.alpha = float(alpha)

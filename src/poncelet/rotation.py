@@ -555,11 +555,7 @@ def _lap(orbit, q):
     family's one-point orbit `orbit(t, (X_REF,), q)` of X_REF; G(t) - p is
     s(t) of solve_rotation, to the bit, as `x - X_REF - p` subtracts left
     to right."""
-
-    def lap(t):
-        return orbit(t, (X_REF,), q)[0][-1] - X_REF
-
-    return lap
+    return lambda t: orbit(t, (X_REF,), q)[0][-1] - X_REF
 
 
 def _solve_lap(lap, a, lap_a, b, lap_b, p):
@@ -694,8 +690,7 @@ def count_poncelet_pairs(family, n, seed=0):
     lap = _lap(family.orbit, n)
     a, b = family.a, family.b
     lap_a, lap_b = lap(a), lap(b)
-    pairs = []
-    missing = []
+    pairs, missing = [], []
     for p in range(1, (n + 1) // 2):
         if math.gcd(p, n) != 1:
             continue

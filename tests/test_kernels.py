@@ -310,6 +310,28 @@ def test_concentric_step_at_infinity_raises_or_gives_nan(x):
             assert np.isnan(_ref.poncelet_orbit([x, x], 3, R, c, t)[1:]).all()
 
 
+@pytest.mark.parametrize("R, c, t", _concentric_pairs())
+def test_concentric_family_orbit_is_the_general_step_iterated(R, c, t):
+    # at c / R == 0 the map's loop runs the rotation, its shift formed in
+    # closed form per call: every column of the family's orbit, in both
+    # directions, must be the general step iterated, to the bit, and a
+    # start at an infinite angle must raise as the general step does
+    starts = [0.0, -0.0, 0.375, -0.7, 1.9, 5e-324, 1e-300, 1e6]
+    for reverse in (False, True):
+        family = poncelet_family(R, c, reverse=reverse)
+        # the family's parameter s and the inner radius it maps s to
+        s = family.b - t if reverse else t
+        inner = family.b + -s if reverse else -0.0 + s
+        general = _general_poncelet_step(R, c, inner, _ref.SCALAR)
+        assert [_hexes(column) for column in family.orbit(s, starts, 9)] \
+            == [_hexes(_iterated(general, x, 9)) for x in starts]
+        for far in (math.inf, -3e307):
+            with pytest.raises(ValueError, match="math domain error"):
+                general(far)
+            with pytest.raises(ValueError, match="math domain error"):
+                family.orbit(s, starts + [far], 9)
+
+
 def test_kernel_step_commutes_with_integer_shift():
     xs = np.array([0.13, 0.52, 0.99])
     a = kernels.poncelet_advance(xs, 7, 1.0, 0.3, 0.4)
@@ -470,10 +492,22 @@ def test_function_lift_passes_its_callables_error_through(x):
 # ------------------------------------------------------------------- lifts
 
 def test_rigid_lift_is_exact():
+    # the rigid lift's table, one point wide too, is its closed form
+    # x + alpha k to the bit, not g iterated (x + alpha + ... + alpha),
+    # which differs from it in the last bits
     g = RigidLift(0.3176)
-    assert g.advance(0.0, 1000) == pytest.approx(317.6, abs=1e-9)
+    assert g.advance(0.0, 1000).hex() == (0.3176 * 1000).hex()
     tab = g.orbit_table(np.array([0.0, 0.5]), 3)
     np.testing.assert_allclose(tab[:, 0], [0.0, 0.3176, 0.6352, 0.9528])
+    rng = np.random.default_rng(44)
+    iterated_differs = False
+    for alpha, x in zip(rng.uniform(0.0, 1.0, 50), rng.uniform(-2.0, 2.0, 50)):
+        g = RigidLift(alpha)
+        want = [x + alpha * k for k in range(51)]
+        assert _hexes(g.orbit_table([x], 50)[:, 0]) == _hexes(want)
+        assert g.advance(x, 50).hex() == want[-1].hex()
+        iterated_differs |= _hexes(_iterated(g, x, 50)) != _hexes(want)
+    assert iterated_differs
 
 
 def test_poncelet_lift_scalar_matches_kernel():
@@ -571,11 +605,17 @@ def test_validate_verdict_on_plain_floats(fn, message):
         FunctionLift(fn)
 
 
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, 2.5, math.nan, 16.0, "16"])
 def test_validate_needs_a_sample(samples):
-    with pytest.raises(ValueError) as err:
+    # a non-integer count reached range() in the sample-grid cache, whose
+    # TypeError named no argument
+    if isinstance(samples, int):
+        error, message = ValueError, "sample count must be at least 1, got "
+    else:
+        error, message = TypeError, "samples must be an integer, got "
+    with pytest.raises(error) as err:
         RigidLift(0.3).validate(samples)
-    assert str(err.value) == f"sample count must be at least 1, got {samples}"
+    assert str(err.value) == message + repr(samples)
 
 
 def test_function_lift_accepts_valid_map():

@@ -182,6 +182,18 @@ def test_step_and_dgdt_reject_the_parameters_the_lift_rejects(family):
             assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+@pytest.mark.parametrize("n", [-1, -1.5])
+def test_orbit_rejects_the_step_counts_orbit_table_rejects(family, n):
+    # a negative n read as a 0-step orbit, [[x]], on every family
+    t = 0.37 * family.a + 0.63 * family.b
+    with pytest.raises((TypeError, ValueError)) as want:
+        family.lift(t).orbit_table([0.1], n)
+    with pytest.raises(want.type) as got:
+        family.orbit(t, (0.1,), n)
+    assert str(got.value) == str(want.value)
+
+
 def test_margin_rejects_a_parameter_outside_the_interval():
     # t = 5.0 was read as b = 0.7 (margin 0.2449), and a nan t as a nan
     # sample, reported as a failed twist condition
