@@ -13,6 +13,7 @@ records are `NamedTuple` classes.
 
 import math
 import numbers
+import operator
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -115,7 +116,8 @@ def cf_expand(x):
     elif not math.isfinite(x):
         raise ValueError(f"cannot expand the non-finite value {x}")
     else:
-        value = Fraction(x)
+        # as_integer_ratio, unlike Fraction(), takes numpy's narrower floats
+        value = Fraction(*x.as_integer_ratio())
         slack = Fraction(math.ulp(float(x))) * SLACK_ULPS
     a0, quotients = _expand_interval(value - slack, value + slack)
     convergents = _convergents(a0, quotients)
@@ -149,7 +151,9 @@ def remainder_series(exp, n_max):
     For non-exact expansions that orbit is the truncated tail, and the last
     TAIL_BUFFER indices are dropped (their tails are not trustworthy).
     T(num/den) = (den mod num)/num; num/den rounds as float(Fraction) does.
+    A non-integer n_max raises TypeError, whatever the expansion's length.
     """
+    n_max = operator.index(n_max)
     N = len(exp)
     usable = N if exp.exact else max(0, N - TAIL_BUFFER)
     p, den = exp.convergents[N]
@@ -208,8 +212,10 @@ def find_balanced_pairs(exp, eps, n_max=30):
 
     Orientation follows convergent parity: odd-index truncations of a
     number in (0, 1) over-approximate, even-index ones under-approximate.
-    An empty result is valid for a finite expansion horizon.
+    An empty result is valid for a finite expansion horizon.  A
+    non-integer n_max raises TypeError, whatever the expansion's length.
     """
+    n_max = operator.index(n_max)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     window_lo = 2.0 * math.exp(-2.0 * FIB_RECIP) / (1.0 + eps)

@@ -9,9 +9,12 @@ column [x, g_t(x), ..., g_t^n(x)] per start, with the bits of the step
 `lift(t)` wraps, iterated without building the lift: the pair count reads
 its lap residual and its closure orbits off it.  The Poncelet and Arnold
 families run their map's kernel loop, bound to the map's fixed constants
-when the family is built; the rigid family iterates x + t.  `lift`,
-`orbit` and `dgdt` take t through one range check, so each rejects the
-same parameters.
+when the family is built; the rigid family runs the kernels' `step_loop`
+over x + t, so no loop is written here.  `lift`, `orbit` and `dgdt` take
+t through one range check, so each rejects the same parameters, and
+`orbit` is the one place a family orbit reads n: a negative or
+non-integer n raises there as `orbit_table` raises, with or without
+starts.
 """
 
 import operator
@@ -52,9 +55,11 @@ class MonotoneCircleFamily:
         """The one-point orbits of g_t: one list [x, g_t(x), ..., g_t^n(x)]
         of floats per start x of the sequence `starts`, with the bits of
         `lift(t)` iterated one float at a time, and no lift built.  A
-        negative or non-integer n raises as `lift(t).orbit_table` does."""
+        negative or non-integer n raises as `lift(t).orbit_table` does,
+        with or without starts: this is the one place a family orbit reads
+        n, and the loops it runs take it as given."""
+        n = operator.index(n)
         if n < 0:
-            n = operator.index(n)
             raise ValueError(f"step count must be at least 0, got {n}")
         return self._orbit(self._clamp(t), starts, n)
 
@@ -64,17 +69,10 @@ class MonotoneCircleFamily:
 
 
 def _rigid_orbit(t, starts, n):
-    """The one-point orbits of x -> x + t, one step at a time, as
-    `RigidLift(t)` steps (its tables are closed-form)."""
+    """The one-point orbits of x -> x + t, the kernels' `step_loop` over
+    the step `RigidLift(t)` takes (its tables are closed-form)."""
     t = float(t)
-    columns = []
-    for x in starts:
-        column = [x]
-        for _ in range(n):
-            x = x + t
-            column.append(x)
-        columns.append(column)
-    return columns
+    return kernels.step_loop(lambda x: x + t, starts, n)
 
 
 def rigid_family(a=0.0, b=1.0):

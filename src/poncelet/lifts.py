@@ -5,9 +5,11 @@ Every lift is a scalar step plus one hook, `_orbit`, the iterates of an
 array; `CircleLift` builds `g(x)`, `orbit_table` and `advance` (the
 table's last row) on them once.  The Poncelet tangent map and the Arnold
 map take the step and the table hook from the kernels module, so each map
-has one scalar definition; a `FunctionLift` tabulates by calling its
-callable one point at a time; rigid rotations are tabulated in closed
-form.  A table's starts are a 1-d array on every lift.
+has one scalar definition; a `FunctionLift` tabulates through the
+kernels' `step_loop`, calling its callable one point at a time; rigid
+rotations are tabulated in closed form.  So the kernels own every
+one-point loop, and no lift writes one.  A table's starts are a 1-d
+array on every lift.
 
 `g(x)` and `validate` run the step on plain floats and load no numpy;
 `orbit_table` and `advance` do.  A code path that iterates one float
@@ -79,16 +81,13 @@ class CircleLift:
         return self._orbit(xs, _step_count(depth))
 
     def _orbit(self, xs, depth):
-        # one point at a time on the scalar step, at any width
+        # the kernels' loop of the scalar step, one column per start, at
+        # any width
         import numpy as np
 
         out = np.empty((depth + 1, xs.size), dtype=np.float64)
-        step = self._step
-        for i, x in enumerate(xs.tolist()):
-            column = [x]
-            for _ in range(depth):
-                x = step(x)
-                column.append(x)
+        columns = kernels.step_loop(self._step, xs.tolist(), depth)
+        for i, column in enumerate(columns):
             out[:, i] = column
         return out
 

@@ -123,6 +123,13 @@ def test_floats_keep_their_expansions():
     assert (golden.a0, golden.quotients, golden.exact) == (0, [1] * 35, False)
 
 
+@pytest.mark.parametrize("x", [np.float32(0.1), np.float16(0.1),
+                               np.float32(GOLDEN), np.float64(0.3)], ids=repr)
+def test_numpy_floats_expand_as_their_float_values(x):
+    # Fraction() rejected numpy's float32 and float16 with a TypeError
+    assert cf_expand(x) == cf_expand(float(x))
+
+
 # ---------------------------------------------------------------- gauss map
 
 def test_gauss_map_exact_rational():
@@ -237,6 +244,21 @@ def test_remainders_of_a_long_fibonacci_ratio():
 def test_exact_input_uses_every_index():
     records = remainder_series(cf_expand(Fraction(355, 113)), n_max=10)
     assert [r.n for r in records] == [1, 2]
+
+
+@pytest.mark.parametrize("x", [0.3, GOLDEN], ids=["one-quotient", "golden"])
+@pytest.mark.parametrize("n_max", [2.5, 3.0, "3"], ids=repr)
+def test_a_non_integer_n_max_raises_on_every_expansion(x, n_max):
+    # 0.3's expansion has one quotient, so no range(n_max) ran and both
+    # returned []; on the golden mean range() raised
+    exp = cf_expand(x)
+    with pytest.raises(TypeError):
+        remainder_series(exp, n_max)
+    with pytest.raises(TypeError):
+        find_balanced_pairs(exp, 0.5, n_max=n_max)
+    assert remainder_series(exp, np.int64(3)) == remainder_series(exp, 3)
+    assert find_balanced_pairs(exp, 0.5, n_max=np.int64(3)) \
+        == find_balanced_pairs(exp, 0.5, n_max=3)
 
 
 # ------------------------------------------------------------ gap constants

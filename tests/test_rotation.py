@@ -1448,20 +1448,9 @@ def seeded_starts(seed):
 
 def step_orbit(step):
     """The one-point orbit verify_closure reads, of the one-float map
-    `step` (a lift, or a bare step) iterated one call at a time: one
-    column [x, g(x), ..., g^n(x)] per start x."""
-
-    def orbit(starts, n):
-        columns = []
-        for x in starts:
-            column = [x]
-            for _ in range(n):
-                x = step(x)
-                column.append(x)
-            columns.append(column)
-        return columns
-
-    return orbit
+    `step` (a lift, or a bare step): the kernels' `step_loop`, one column
+    [x, g(x), ..., g^n(x)] per start x, one call per step."""
+    return functools.partial(kernels.step_loop, step)
 
 
 def test_triangle_pair_closes_tightly():
@@ -1870,6 +1859,22 @@ def test_count_and_solve_build_no_kernel_loop(family, monkeypatch):
     count_poncelet_pairs(family, 7)
     solve_rotation(family, Fraction(1, 5))
     assert built == []
+
+
+@pytest.mark.parametrize("family", [
+    poncelet_family(1.0, 0.0), poncelet_family(1.0, 0.3),
+    poncelet_family(1.0, 0.6, reverse=True), arnold_family(0.8)])
+def test_count_and_solve_run_no_per_step_call(family, monkeypatch):
+    # the Poncelet and Arnold counts run their map's loop, the step's
+    # statements inline; the generic loop, which calls its step once per
+    # step, serves only maps with no loop of their own
+    called = []
+    for module in (kernels, _ref):
+        monkeypatch.setattr(module, "step_loop",
+                            lambda *args: called.append(args))
+    count_poncelet_pairs(family, 7)
+    solve_rotation(family, Fraction(1, 5))
+    assert called == []
 
 
 def test_counting_rejects_degenerate_period():

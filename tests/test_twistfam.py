@@ -183,15 +183,26 @@ def test_step_and_dgdt_reject_the_parameters_the_lift_rejects(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
-@pytest.mark.parametrize("n", [-1, -1.5])
-def test_orbit_rejects_the_step_counts_orbit_table_rejects(family, n):
-    # a negative n read as a 0-step orbit, [[x]], on every family
+@pytest.mark.parametrize("n, starts", [
+    pytest.param(n, starts, id=f"{n}{'-no-starts' * (not starts)}")
+    for starts in ((0.1,), ()) for n in (-1, -1.5, 2.5)])
+def test_orbit_rejects_the_step_counts_orbit_table_rejects(family, n, starts):
+    # a negative n read as a 0-step orbit, [[x]], on every family, and a
+    # non-integer n with no starts as no orbit, [], where no loop ran range(n)
     t = 0.37 * family.a + 0.63 * family.b
     with pytest.raises((TypeError, ValueError)) as want:
-        family.lift(t).orbit_table([0.1], n)
+        family.lift(t).orbit_table(list(starts), n)
     with pytest.raises(want.type) as got:
-        family.orbit(t, (0.1,), n)
+        family.orbit(t, starts, n)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_orbit_takes_an_integer_like_n(family):
+    t = 0.37 * family.a + 0.63 * family.b
+    for n, k in ((np.int64(3), 3), (True, 1), (0, 0)):
+        assert family.orbit(t, (0.1, 0.6), n) == family.orbit(t, (0.1, 0.6), k)
+        assert len(family.orbit(t, (0.1,), n)[0]) == k + 1
 
 
 def test_margin_rejects_a_parameter_outside_the_interval():
