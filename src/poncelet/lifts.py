@@ -81,8 +81,7 @@ class CircleLift:
         return self._orbit(xs, _step_count(depth))
 
     def _orbit(self, xs, depth):
-        # the kernels' loop of the scalar step, one column per start, at
-        # any width
+        # the scalar step at every width, through the kernels' loop
         import numpy as np
 
         out = np.empty((depth + 1, xs.size), dtype=np.float64)
