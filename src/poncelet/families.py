@@ -12,12 +12,10 @@ families run their map's kernel loop, bound to the map's fixed constants
 when the family is built; the rigid family runs the kernels' `step_loop`
 over x + t, so no loop is written here.  `lift`, `orbit` and `dgdt` take
 t through one range check, so each rejects the same parameters, and
-`orbit` is the one place a family orbit reads n: a negative or
-non-integer n raises there as `orbit_table` raises, with or without
-starts.
+`orbit` reads n through the kernels' `step_count`, as `orbit_table`
+reads it: a negative or non-integer n raises the same error, with or
+without starts.
 """
-
-import operator
 
 from . import kernels
 from .geometry import PonceletConfig
@@ -54,13 +52,11 @@ class MonotoneCircleFamily:
     def orbit(self, t, starts, n):
         """The one-point orbits of g_t: one list [x, g_t(x), ..., g_t^n(x)]
         of floats per start x of the sequence `starts`, with the bits of
-        `lift(t)` iterated one float at a time, and no lift built.  A
-        negative or non-integer n raises as `lift(t).orbit_table` does,
-        with or without starts: this is the one place a family orbit reads
-        n, and the loops it runs take it as given."""
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError(f"step count must be at least 0, got {n}")
+        `lift(t)` iterated one float at a time, and no lift built.  n is
+        read by `kernels.step_count`, as `lift(t).orbit_table` reads it, so
+        a negative or non-integer n raises the same error, with or without
+        starts; the loops it runs take n as given."""
+        n = kernels.step_count(n, 0)
         return self._orbit(self._clamp(t), starts, n)
 
     def dgdt(self, t, x):

@@ -77,12 +77,43 @@ The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``math.atan2``.  The steps and loops themselves need only ``math``:
 numpy is imported by the functions that build arrays, so a caller that
 never tabulates (the pair count) never loads it.
+
+An orbit's step count n is read once, by `step_count`, where it enters
+the library: a lift's `orbit_table` (and so `advance`) and a family's
+`orbit` take n >= 0, `verify_closure` n >= 1 and the pair count n >= 3.
+The loops and tables here take n as given.
+
+This module is the one implementation (``BACKEND``).  ``_ref``, ``impl``
+and the ``*_advance`` functions (a table's last row) serve only the
+benchmark, whose L0 probe times the kernels through them and whose
+tracer wraps them by name; ROADMAP item 17's benchmark half deletes them.
 """
 
 import math
+import operator
+import sys
 from math import pi
 
-from ..geometry import TWO_PI
+from .geometry import TWO_PI
+
+BACKEND = "python"
+# the benchmark reads this module as `kernels._ref` and `kernels.impl`;
+# ROADMAP item 17's benchmark half deletes both, with the *_advance
+_ref = impl = sys.modules[__name__]
+
+
+def step_count(n, least):
+    """n as an int of at least `least`: the one reader of an orbit's step
+    count.  A non-integer n raises TypeError, and a smaller one
+    ValueError, both naming n, before any orbit runs."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
+    return n
+
 
 def _max(a, b):
     # the builtin max's value, sign of zero and nan included (it keeps a
@@ -241,8 +272,8 @@ def step_loop(step, starts, n):
     [x, step(x), ..., step^n(x)] per start x, with one python call per
     step.  It runs the maps that have no loop of their own: a
     `FunctionLift`'s table and the rigid family's orbit.  n is an int of
-    at least 0, as `orbit_table` and `MonotoneCircleFamily.orbit` read it;
-    the loop checks nothing."""
+    at least 0, as `step_count` reads it for `orbit_table` and
+    `MonotoneCircleFamily.orbit`; the loop checks nothing."""
     columns = []
     for x in starts:
         column = [x]

@@ -9,7 +9,8 @@ has one scalar definition; a `FunctionLift` tabulates through the
 kernels' `step_loop`, calling its callable one point at a time; rigid
 rotations are tabulated in closed form.  So the kernels own every
 one-point loop, and no lift writes one.  A table's starts are a 1-d
-array on every lift.
+array on every lift, and its depth n is read by the kernels'
+`step_count`: a negative or non-integer n raises there, naming n.
 
 `g(x)` and `validate` run the step on plain floats and load no numpy;
 `orbit_table` and `advance` do.  A code path that iterates one float
@@ -37,14 +38,6 @@ SLOPE_STEP = 1e-9
 
 class LiftContractError(ValueError):
     """The supplied function is not a valid circle-homeomorphism lift."""
-
-
-def _step_count(n):
-    """n as an int, rejecting a negative or non-integer number of steps."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"step count must be at least 0, got {n}")
-    return n
 
 
 @functools.cache
@@ -78,7 +71,7 @@ class CircleLift:
         if xs.ndim != 1:
             raise ValueError(f"orbit_table needs a 1-d array of starts, "
                              f"got shape {xs.shape}")
-        return self._orbit(xs, _step_count(depth))
+        return self._orbit(xs, kernels.step_count(depth, 0))
 
     def _orbit(self, xs, depth):
         # the scalar step at every width, through the kernels' loop

@@ -56,7 +56,8 @@ call per step.  Every p/n of one n is solved on G - p, with G at the
 bracket's ends evaluated once per n (solve_rotation runs the same solve
 on its own q), and each count draws its seeded closure starts once and
 hands the same starts to verify_closure for every pair, which reads all
-their columns from one orbit call.
+their columns from one orbit call.  Both read their n through the
+kernels' `step_count`, the reader `orbit_table` and `family.orbit` share.
 The records are `NamedTuple` classes.
 """
 
@@ -67,6 +68,7 @@ import random
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
+from . import kernels
 from .geometry import TWO_PI
 
 LOCK_GRID = 512       # points of the periodic lock-scan grid
@@ -191,15 +193,6 @@ class CountReport(NamedTuple):
     @property
     def ok(self):
         return len(self.pairs) == self.expected
-
-
-def _period(n):
-    """n as an int: a non-integer number of steps raises TypeError naming
-    it, before any orbit runs."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise TypeError(f"n must be an integer, got {n!r}") from None
 
 
 def euler_totient(n):
@@ -611,9 +604,9 @@ def verify_closure(orbit, n, starts):
     """Closure residual of a one-float map after n steps from each float of
     the sequence `starts`, read off its one-point orbit: `orbit(starts, n)`
     is one column [x, g(x), ..., g^n(x)] per start x, such as a family's
-    `functools.partial(family.orbit, t)`, called once.  A non-integer n
-    raises TypeError, and an n below 1, or no starts, ValueError, before
-    any orbit runs.
+    `functools.partial(family.orbit, t)`, called once.  n is read by
+    `kernels.step_count`: a non-integer n raises TypeError, and an n below
+    1, or no starts, ValueError, before any orbit runs.
 
     Returns the max angular distance (radians) to the start; raises
     ResidualFailureError if it is CLOSE_TOL or more (or nan), or if an
@@ -626,9 +619,7 @@ def verify_closure(orbit, n, starts):
     Each column runs all n steps, so an error the map raises after an
     early return passes through.
     """
-    n = _period(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = kernels.step_count(n, 1)
     if len(starts) == 0:
         raise ValueError("starts must hold at least one start point")
     early = None  # (k, distance) of the earliest return before step n
@@ -676,12 +667,11 @@ def count_poncelet_pairs(family, n, seed=0):
     t; a pair that fails either (NoSolutionError, a nan residual at an end
     among them, or ResidualFailureError) is recorded in `missing` with the
     reason, and the report comes up short.
-    A non-integer n raises TypeError, and an n below 3 or above MAX_STEPS
-    ValueError, before any residual runs.  No lift is built.
+    n is read by `kernels.step_count`: a non-integer n raises TypeError,
+    and an n below 3 or above MAX_STEPS ValueError, before any residual
+    runs.  No lift is built.
     """
-    n = _period(n)
-    if n < 3:
-        raise ValueError("counting starts at n = 3")
+    n = kernels.step_count(n, 3)
     if n > MAX_STEPS:
         raise ValueError(f"n = {n} > MAX_STEPS = {MAX_STEPS}: each residual"
                          f" would run {n} steps")

@@ -2,8 +2,9 @@
 field and property (dataclass or NamedTuple) is read by the library or the
 benchmark (or listed with the reason only a test reads it), a read of a
 name that several classes declare counting only where it is tied to the
-record, every name the benchmark's tracer binds exists, the library
-outside the CLI grows no defaulted parameter, every functools cache of the
+record, every name the benchmark's tracer binds exists, the kernels'
+benchmark-only names are read nowhere else, the library outside the CLI
+grows no defaulted parameter, every functools cache of the
 library and every import of another module's private name is declared
 with its reason, and the tests that CI reruns against the installed
 package name no path into the checkout."""
@@ -14,6 +15,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +60,7 @@ def test_scan_flags_only_unread_names():
 
 def test_modules_are_found():
     names = {path.name for path in MODULES}
-    assert {"rotation.py", "cli.py", "_ref.py", "test_hygiene.py"} <= names
+    assert {"rotation.py", "cli.py", "kernels.py", "test_hygiene.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -100,12 +102,12 @@ def test_default_scan_finds_every_kind_of_default():
 #: Lower the bound, and take the entry out, when a default goes.
 MAX_DEFAULTED_PARAMETERS = 11
 DEFAULTED_PARAMETERS = [
-    "_ref.py:arnold_step(fns)",                      # the scalar build
-    "_ref.py:poncelet_step(fns)",                    # the scalar build
     "confrac.py:find_balanced_pairs(n_max)",         # 30 in twistfam
     "families.py:poncelet_family(reverse)",          # perfbench
     "families.py:rigid_family(a)",                   # the CLI's family
     "families.py:rigid_family(b)",                   # the CLI's family
+    "kernels.py:arnold_step(fns)",                   # the scalar build
+    "kernels.py:poncelet_step(fns)",                 # the scalar build
     "lifts.py:validate(samples)",                    # 64, or 16 in rotation
     "rotation.py:count_poncelet_pairs(seed)",        # perfbench
     "rotation.py:find_parameter_for_value(iters)",   # 48 in the CLI
@@ -476,6 +478,68 @@ def test_every_traced_name_exists(name):
     for attr in parts[2:]:
         assert hasattr(obj, attr), f"{name}: no {attr} on {obj!r}"
         obj = getattr(obj, attr)
+
+
+#: The benchmark's names in the kernels module: the module itself, as
+#: `_ref` and `impl`, and a table's last row, as `*_advance`.  The
+#: benchmark's L0 probe and tracer bind them; ROADMAP item 17's benchmark
+#: half deletes them, and until then no library module or test reads them.
+BENCHMARK_ONLY = {"_ref", "impl", "poncelet_advance", "arnold_advance"}
+
+
+def benchmark_only_reads(source):
+    """(line, name) of each read of a BENCHMARK_ONLY name in `source`: a
+    bare name or attribute that is loaded, an imported name, or a string
+    that is the name (as getattr and monkeypatch take it)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names
+                     for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [
+                alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name in BENCHMARK_ONLY]
+    return sorted(found)
+
+
+def test_benchmark_only_scan_finds_every_kind_of_read():
+    source = ("from poncelet.kernels import _ref\n"
+              "import poncelet.kernels.impl\n"
+              "from poncelet.kernels._ref import step\n"
+              "a = kernels.poncelet_advance(xs, 3)\n"
+              "b = getattr(kernels, 'arnold_advance')\n"
+              "impl = _ref = n_ref = kernels.poncelet_orbit\n"
+              "def arnold_advance(impl):\n"
+              "    return impl\n")
+    assert benchmark_only_reads(source) == [
+        (1, "_ref"), (2, "impl"), (3, "_ref"), (4, "poncelet_advance"),
+        (5, "arnold_advance"), (8, "impl")]
+
+
+def test_benchmark_only_names_are_the_kernels_and_read_nowhere_else():
+    kernels = importlib.import_module("poncelet.kernels")
+    assert kernels._ref is kernels.impl is kernels
+    xs = np.array([0.1, 0.375, 0.9])
+    assert kernels.poncelet_advance(xs, 5, 1.0, 0.3, 0.2).tobytes() \
+        == kernels.poncelet_orbit(xs, 5, 1.0, 0.3, 0.2)[-1].tobytes()
+    assert kernels.arnold_advance(xs, 5, 0.3, 0.8).tobytes() \
+        == kernels.arnold_orbit(xs, 5, 0.3, 0.8)[-1].tobytes()
+    reads = {str(path.relative_to(ROOT)): benchmark_only_reads(
+                 path.read_text())
+             for path in sorted((ROOT / "src").rglob("*.py")) + TESTS
+             if path.name != "test_hygiene.py"}
+    assert {path: found for path, found in reads.items() if found} == {}
 
 
 # CI reruns these against the installed package, from outside the

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from poncelet import kernels
 from poncelet.families import arnold_family, poncelet_family, rigid_family
 from poncelet.geometry import TWO_PI, PonceletConfig, poncelet_map_geometric
-from poncelet.kernels import _ref
 from poncelet.lifts import (
     ArnoldLift,
     FunctionLift,
@@ -24,7 +23,6 @@ from poncelet.lifts import (
 
 def test_backend_selection_is_reported():
     assert kernels.BACKEND == "python"
-    assert kernels.impl is _ref
 
 
 def _in_batches(kernel, xs, width, *args):
@@ -45,24 +43,24 @@ def test_ref_narrow_and_wide_paths_agree():
                 for R, c in [(1.0, 0.2), (1.0, 0.3), (2.0, 0.7), (1.0, 0.9)]]
     for R, c, t in [(1.0, 0.0, 0.5), (1.0, 0.3, 0.2),
                     (2.0, 0.7, 0.9)] + tangency:
-        ref = _ref.poncelet_advance(xs, 50, R, c, t)
-        ref_tab = _ref.poncelet_orbit(xs, 10, R, c, t)
+        ref = kernels.poncelet_orbit(xs, 50, R, c, t)[-1]
+        ref_tab = kernels.poncelet_orbit(xs, 10, R, c, t)
         for width in widths:
+            last = _in_batches(kernels.poncelet_orbit, xs, width, 50, R, c,
+                               t)[-1]
+            np.testing.assert_allclose(last, ref, rtol=0.0, atol=1e-11)
             np.testing.assert_allclose(
-                _in_batches(_ref.poncelet_advance, xs, width, 50, R, c, t),
-                ref, rtol=0.0, atol=1e-11)
-            np.testing.assert_allclose(
-                _in_batches(_ref.poncelet_orbit, xs, width, 10, R, c, t),
+                _in_batches(kernels.poncelet_orbit, xs, width, 10, R, c, t),
                 ref_tab, rtol=0.0, atol=1e-12)
     xs = rng.uniform(0.0, 1.0, wide)
-    ref = _ref.arnold_advance(xs, 200, 0.3, 0.8)
-    ref_tab = _ref.arnold_orbit(xs, 10, 0.3, 0.8)
+    ref = kernels.arnold_orbit(xs, 200, 0.3, 0.8)[-1]
+    ref_tab = kernels.arnold_orbit(xs, 10, 0.3, 0.8)
     for width in widths:
         np.testing.assert_allclose(
-            _in_batches(_ref.arnold_advance, xs, width, 200, 0.3, 0.8),
+            _in_batches(kernels.arnold_orbit, xs, width, 200, 0.3, 0.8)[-1],
             ref, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(
-            _in_batches(_ref.arnold_orbit, xs, width, 10, 0.3, 0.8),
+            _in_batches(kernels.arnold_orbit, xs, width, 10, 0.3, 0.8),
             ref_tab, rtol=0.0, atol=1e-12)
 
 
@@ -73,8 +71,8 @@ def test_ref_nonfinite_start_is_nan_in_a_table_and_raises_alone():
     xs = np.array([np.inf, 0.25])
     finite = np.full(64, 0.25)
     with np.errstate(invalid="ignore"):
-        out = _ref.poncelet_advance(xs, 3, 1.0, 0.3, 0.2)
-        tab = _ref.arnold_orbit(xs, 3, 0.3, 0.8)
+        out = kernels.poncelet_orbit(xs, 3, 1.0, 0.3, 0.2)[-1]
+        tab = kernels.arnold_orbit(xs, 3, 0.3, 0.8)
     for orbit, make_step, params in _KERNEL_MAPS:
         with pytest.raises(ValueError, match="math domain error"):
             make_step(*params)(np.inf)
@@ -82,9 +80,9 @@ def test_ref_nonfinite_start_is_nan_in_a_table_and_raises_alone():
             orbit(xs[:1], 3, *params)
     assert np.isnan(out[0]) and np.all(np.isnan(tab[1:, 0]))
     assert out[1] == pytest.approx(
-        _ref.poncelet_advance(finite, 3, 1.0, 0.3, 0.2)[0], abs=1e-13)
+        kernels.poncelet_orbit(finite, 3, 1.0, 0.3, 0.2)[-1, 0], abs=1e-13)
     assert tab[3, 1] == pytest.approx(
-        _ref.arnold_orbit(finite, 3, 0.3, 0.8)[3, 0], abs=1e-14)
+        kernels.arnold_orbit(finite, 3, 0.3, 0.8)[3, 0], abs=1e-14)
 
 
 def _numpy_table(make_step, params, xs, depth):
@@ -96,10 +94,10 @@ def _numpy_table(make_step, params, xs, depth):
     return np.array(rows)
 
 
-_KERNEL_MAPS = [(_ref.poncelet_orbit, _ref.poncelet_step, params)
+_KERNEL_MAPS = [(kernels.poncelet_orbit, kernels.poncelet_step, params)
                 for params in [(1.0, 0.3, 0.2), (1.0, 0.0, 0.5),
                                (2.0, 0.7, 0.9), (1.0, 0.2, 0.8)]] + [
-    (_ref.arnold_orbit, _ref.arnold_step, params)
+    (kernels.arnold_orbit, kernels.arnold_step, params)
     for params in [(0.3, 0.8), (0.51, 0.9)]]
 
 
@@ -258,12 +256,12 @@ def test_concentric_step_is_the_general_step_to_the_bit(R, c, t):
     # at c / R == 0 the factory returns the rotation x + step(0); it must
     # keep the general step's bits and sign of zero, on both builds and at
     # every table width, and raise or give nan where the general one does
-    assert _ref._pair(R, c, t)[0] == 0.0
+    assert kernels._pair(R, c, t)[0] == 0.0
     rng = np.random.default_rng(320)
     xs = np.array(_EDGE_XS + rng.uniform(-1e6, 1e6, 248).tolist()
                   + rng.uniform(-2.0, 2.0, 248).tolist())
-    general = _general_poncelet_step(R, c, t, _ref.SCALAR)
-    rotation = _ref.poncelet_step(R, c, t)
+    general = _general_poncelet_step(R, c, t, kernels.SCALAR)
+    rotation = kernels.poncelet_step(R, c, t)
     for x in xs.tolist():
         try:
             want = general(x).hex()
@@ -274,7 +272,7 @@ def test_concentric_step_is_the_general_step_to_the_bit(R, c, t):
             assert rotation(x).hex() == want, x
     general_np = _general_poncelet_step(R, c, t, _NUMPY)
     with np.errstate(invalid="ignore", over="ignore"):
-        assert _hexes(_ref.poncelet_step(R, c, t, _NUMPY)(xs)) \
+        assert _hexes(kernels.poncelet_step(R, c, t, _NUMPY)(xs)) \
             == _hexes(general_np(xs))
         # the math build met every x above; narrow tables take the edges
         # and the first 48 random starts
@@ -288,9 +286,9 @@ def test_concentric_step_is_the_general_step_to_the_bit(R, c, t):
                         rows.append(step(rows[-1]))
                 except ValueError:  # a one-point table raises as g does
                     with pytest.raises(ValueError):
-                        _ref.poncelet_orbit(part, 4, R, c, t)
+                        kernels.poncelet_orbit(part, 4, R, c, t)
                     continue
-                table = _ref.poncelet_orbit(part, 4, R, c, t)
+                table = kernels.poncelet_orbit(part, 4, R, c, t)
                 assert _hexes(table) == _hexes(rows), (width, start)
 
 
@@ -301,13 +299,14 @@ def test_concentric_step_at_infinity_raises_or_gives_nan(x):
     # so does a wider table
     for R, c, t in ((1.0, 0.0, 0.5), (1e300, 1e-30, 0.0)):
         with pytest.raises(ValueError):
-            _ref.poncelet_step(R, c, t)(x)
+            kernels.poncelet_step(R, c, t)(x)
         with pytest.raises(ValueError):
-            _ref.poncelet_orbit([x], 3, R, c, t)
+            kernels.poncelet_orbit([x], 3, R, c, t)
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert math.isnan(_ref.poncelet_step(R, c, t, _NUMPY)(x))
+            assert math.isnan(kernels.poncelet_step(R, c, t, _NUMPY)(x))
         with np.errstate(invalid="ignore"):
-            assert np.isnan(_ref.poncelet_orbit([x, x], 3, R, c, t)[1:]).all()
+            table = kernels.poncelet_orbit([x, x], 3, R, c, t)
+            assert np.isnan(table[1:]).all()
 
 
 @pytest.mark.parametrize("R, c, t", _concentric_pairs())
@@ -322,7 +321,7 @@ def test_concentric_family_orbit_is_the_general_step_iterated(R, c, t):
         # the family's parameter s and the inner radius it maps s to
         s = family.b - t if reverse else t
         inner = family.b + -s if reverse else -0.0 + s
-        general = _general_poncelet_step(R, c, inner, _ref.SCALAR)
+        general = _general_poncelet_step(R, c, inner, kernels.SCALAR)
         assert [_hexes(column) for column in family.orbit(s, starts, 9)] \
             == [_hexes(_iterated(general, x, 9)) for x in starts]
         for far in (math.inf, -3e307):
@@ -334,8 +333,8 @@ def test_concentric_family_orbit_is_the_general_step_iterated(R, c, t):
 
 def test_kernel_step_commutes_with_integer_shift():
     xs = np.array([0.13, 0.52, 0.99])
-    a = kernels.poncelet_advance(xs, 7, 1.0, 0.3, 0.4)
-    b = kernels.poncelet_advance(xs + 3.0, 7, 1.0, 0.3, 0.4)
+    a = kernels.poncelet_orbit(xs, 7, 1.0, 0.3, 0.4)[-1]
+    b = kernels.poncelet_orbit(xs + 3.0, 7, 1.0, 0.3, 0.4)[-1]
     np.testing.assert_allclose(b - a, 3.0, rtol=0.0, atol=1e-12)
 
 
@@ -343,7 +342,7 @@ def test_kernel_step_commutes_with_integer_shift():
                                1e-300, -1e-300])
 def test_scalar_clamp_is_the_builtin_max(a):
     # the narrow step's clamp keeps max's value and sign of zero, and nan
-    clamp = _ref.SCALAR[3](a, 0.0)
+    clamp = kernels.SCALAR[3](a, 0.0)
     expected = max(a, 0.0)
     if math.isnan(expected):
         assert math.isnan(clamp)
@@ -368,7 +367,7 @@ def test_orbit_table_rows_are_iterates():
     assert tab.shape == (6, 8)
     np.testing.assert_array_equal(tab[0], xs)
     np.testing.assert_allclose(
-        tab[3], kernels.poncelet_advance(xs, 3, 1.0, 0.2, 0.3),
+        tab[3], kernels.poncelet_orbit(xs, 3, 1.0, 0.2, 0.3)[-1],
         rtol=0.0, atol=0.0,
     )
     # a lift's table of depth n is the first rows of a deeper one, at every
@@ -388,15 +387,20 @@ def test_orbit_table_rows_are_iterates():
                          ids=["rigid", "arnold", "poncelet", "tangency",
                               "function"])
 def test_lifts_reject_bad_step_counts(g):
-    with pytest.raises(ValueError):
+    # the kernels' one reader of n names it in both messages
+    negative = "^n must be at least 0, got -1$"
+    with pytest.raises(ValueError, match=negative):
         g.advance(0.1, -1)
-    with pytest.raises(TypeError):
-        g.advance(0.1, 2.5)
     for width in (1, 20):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=negative):
             g.orbit_table(np.full(width, 0.1), -1)
-        with pytest.raises(TypeError):
-            g.orbit_table(np.full(width, 0.1), 2.0)
+    for n in (2.0, 2.5):
+        fractional = f"^n must be an integer, got {n}$"
+        with pytest.raises(TypeError, match=fractional):
+            g.advance(0.1, n)
+        for width in (1, 20):
+            with pytest.raises(TypeError, match=fractional):
+                g.orbit_table(np.full(width, 0.1), n)
     # numpy integers are step counts too
     assert g.advance(0.1, np.int64(2)) == g.advance(0.1, 2)
     assert g.orbit_table([0.1], np.int32(2)).shape == (3, 1)

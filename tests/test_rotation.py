@@ -19,7 +19,6 @@ from poncelet.families import (
     rigid_family,
 )
 from poncelet.geometry import TWO_PI, PonceletConfig
-from poncelet.kernels import _ref
 from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     _EARLY_LAPS,
@@ -1851,11 +1850,10 @@ def test_count_and_solve_build_no_kernel_loop(family, monkeypatch):
     # solve's residuals and closure orbits call that loop with t, and build
     # neither a loop nor a step
     built = []
-    for module in (kernels, _ref):
-        for name in ("poncelet_loop", "arnold_loop", "poncelet_step",
-                     "arnold_step"):
-            monkeypatch.setattr(module, name,
-                                lambda *args, name=name: built.append(name))
+    for name in ("poncelet_loop", "arnold_loop", "poncelet_step",
+                 "arnold_step"):
+        monkeypatch.setattr(kernels, name,
+                            lambda *args, name=name: built.append(name))
     count_poncelet_pairs(family, 7)
     solve_rotation(family, Fraction(1, 5))
     assert built == []
@@ -1869,14 +1867,18 @@ def test_count_and_solve_run_no_per_step_call(family, monkeypatch):
     # statements inline; the generic loop, which calls its step once per
     # step, serves only maps with no loop of their own
     called = []
-    for module in (kernels, _ref):
-        monkeypatch.setattr(module, "step_loop",
-                            lambda *args: called.append(args))
+    monkeypatch.setattr(kernels, "step_loop",
+                        lambda *args: called.append(args))
     count_poncelet_pairs(family, 7)
     solve_rotation(family, Fraction(1, 5))
     assert called == []
 
 
 def test_counting_rejects_degenerate_period():
-    with pytest.raises(ValueError):
-        count_poncelet_pairs(poncelet_family(1.0, 0.0), 2)
+    family = poncelet_family(1.0, 0.0)
+    for n in (2, -1):
+        with pytest.raises(ValueError,
+                           match=f"^n must be at least 3, got {n}$"):
+            count_poncelet_pairs(family, n)
+    with pytest.raises(TypeError, match="^n must be an integer, got '3'$"):
+        count_poncelet_pairs(family, "3")
