@@ -14,6 +14,7 @@ records are `NamedTuple` classes.
 import math
 import numbers
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -105,14 +106,17 @@ def cf_expand(x):
     """Continued-fraction expansion with exact integer convergents.
 
     Every exact rational (a `numbers.Rational`: a Fraction, an int, a
-    numpy integer) expands exactly, to the end, as the zero-width interval
-    [x, x]; floats are treated as centers of an interval of +- SLACK_ULPS
-    ulps and the expansion is truncated at the last quotient the whole
-    interval agrees on.  `exact` means the last convergent equals x.
+    numpy integer) and every finite `Decimal` expands exactly, to the
+    end, as the zero-width interval [x, x]; floats are treated as centers
+    of an interval of +- SLACK_ULPS ulps and the expansion is truncated at
+    the last quotient the whole interval agrees on.  `exact` means the
+    last convergent equals x.
     """
     if isinstance(x, numbers.Rational):
         # on Python ints: a numpy integer's own arithmetic can wrap
         value, slack = Fraction(int(x.numerator), int(x.denominator)), 0
+    elif isinstance(x, Decimal) and x.is_finite():
+        value, slack = Fraction(x), 0  # not float(x), which rounds
     elif not math.isfinite(x):
         raise ValueError(f"cannot expand the non-finite value {x}")
     else:

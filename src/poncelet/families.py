@@ -6,15 +6,16 @@ in t, in closed form: 1 for the rigid and Arnold families, and for the
 Poncelet family the kernels' -1 / (pi S(x)) in the tangent length S,
 sign-flipped when the family is reversed.  `orbit(t, starts, n)` is one
 column [x, g_t(x), ..., g_t^n(x)] per start, with the bits of the step
-`lift(t)` wraps, iterated without building the lift: the pair count reads
-its lap residual and its closure orbits off it.  The Poncelet and Arnold
+`lift(t)` wraps: the pair count reads its lap residual and its closure
+orbits off it.  Each family's orbit iterates the step its own lift
+defines, so no step or loop is written here.  The Poncelet and Arnold
 families run their map's kernel loop, bound to the map's fixed constants
-when the family is built; the rigid family runs the kernels' `step_loop`
-over x + t, so no loop is written here.  `lift`, `orbit` and `dgdt` take
-t through one range check, so each rejects the same parameters, and
-`orbit` reads n through the kernels' `step_count`, as `orbit_table`
-reads it: a negative or non-integer n raises the same error, with or
-without starts.
+when the family is built, and build no lift; the rigid family, which has
+no loop of its own, runs the kernels' `step_loop` over `RigidLift(t)`.
+`lift`, `orbit` and `dgdt` take t through one range check, so each
+rejects the same parameters, and `orbit` reads n through the kernels'
+`step_count`, as `orbit_table` reads it: a negative or non-integer n
+raises the same error, with or without starts.
 """
 
 from . import kernels
@@ -52,7 +53,8 @@ class MonotoneCircleFamily:
     def orbit(self, t, starts, n):
         """The one-point orbits of g_t: one list [x, g_t(x), ..., g_t^n(x)]
         of floats per start x of the sequence `starts`, with the bits of
-        `lift(t)` iterated one float at a time, and no lift built.  n is
+        `lift(t)` iterated one float at a time (only the rigid family, which
+        iterates its lift itself, builds one).  n is
         read by `kernels.step_count`, as `lift(t).orbit_table` reads it, so
         a negative or non-integer n raises the same error, with or without
         starts; the loops it runs take n as given."""
@@ -64,17 +66,12 @@ class MonotoneCircleFamily:
         return self._dgdt(self._clamp(t), x)
 
 
-def _rigid_orbit(t, starts, n):
-    """The one-point orbits of x -> x + t, the kernels' `step_loop` over
-    the step `RigidLift(t)` takes (its tables are closed-form)."""
-    t = float(t)
-    return kernels.step_loop(lambda x: x + t, starts, n)
-
-
 def rigid_family(a=0.0, b=1.0):
     """g_t(x) = x + t on [a, b]."""
-    return MonotoneCircleFamily(a, b, RigidLift, _rigid_orbit,
-                                lambda t, x: 1.0)
+    return MonotoneCircleFamily(
+        a, b, RigidLift,
+        lambda t, starts, n: kernels.step_loop(RigidLift(t), starts, n),
+        lambda t, x: 1.0)
 
 
 def arnold_family(K):

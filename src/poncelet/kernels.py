@@ -67,10 +67,10 @@ the parameter's constants with the step's operations.  Iterating the map:
   samples) is one, so a subgrid point has the grid table's bits.  An
   infinite 2 pi x gives its column ``nan``, with numpy's warning.
 * a map with no loop of its own, a `FunctionLift`'s callable or the
-  rigid family's x + t, runs `step_loop`: the same columns, with one
-  python call per step.  So the kernels own every one-point loop, and no
-  lift or family writes one.  The pair count and the rotation estimate
-  keep the maps' inline loops and never run it.
+  rigid family's lift `RigidLift(t)`, runs `step_loop`: the same
+  columns, with one python call per step.  So the kernels own every
+  one-point loop, and no lift or family writes one.  The pair count and
+  the rotation estimate keep the maps' inline loops and never run it.
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
@@ -271,8 +271,9 @@ def step_loop(step, starts, n):
     """The one-point orbits of any one-float map: one list
     [x, step(x), ..., step^n(x)] per start x, with one python call per
     step.  It runs the maps that have no loop of their own: a
-    `FunctionLift`'s table and the rigid family's orbit.  n is an int of
-    at least 0, as `step_count` reads it for `orbit_table` and
+    `FunctionLift`'s table, and the rigid family's orbit over its lift
+    `RigidLift(t)`, so no family writes a step.  n is an int of at least
+    0, as `step_count` reads it for `orbit_table` and
     `MonotoneCircleFamily.orbit`; the loop checks nothing."""
     columns = []
     for x in starts:

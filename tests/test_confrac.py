@@ -3,6 +3,7 @@ remainder records, and the excess/defect approximation pairs."""
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,27 @@ def test_floats_keep_their_expansions():
 def test_numpy_floats_expand_as_their_float_values(x):
     # Fraction() rejected numpy's float32 and float16 with a TypeError
     assert cf_expand(x) == cf_expand(float(x))
+
+
+@pytest.mark.parametrize("x, a0, quotients", [
+    (Decimal("1E+400"), 10**400, []),
+    (Decimal("1E-400"), 0, [10**400]),
+    (Decimal("0.1"), 0, [10]),
+], ids=["1E+400", "1E-400", "0.1"])
+def test_finite_decimals_expand_exactly(x, a0, quotients):
+    # read as float(x) +- SLACK_ULPS ulps, 1E+400 overflowed to inf, 1E-400
+    # underflowed to 0 and certified no a0, and 0.1 certified no quotient
+    exp = cf_expand(x)
+    assert (exp.a0, exp.quotients, exp.exact) == (a0, quotients, True)
+    assert exp == cf_expand(Fraction(x))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, Decimal("NaN"),
+                               Decimal("Infinity"), Decimal("-Infinity")],
+                         ids=repr)
+def test_non_finite_values_raise(x):
+    with pytest.raises(ValueError, match="non-finite"):
+        cf_expand(x)
 
 
 # ---------------------------------------------------------------- gauss map
