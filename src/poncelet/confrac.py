@@ -117,7 +117,8 @@ def cf_expand(x):
         value, slack = Fraction(int(x.numerator), int(x.denominator)), 0
     elif isinstance(x, Decimal) and x.is_finite():
         value, slack = Fraction(x), 0  # not float(x), which rounds
-    elif not math.isfinite(x):
+    elif isinstance(x, Decimal) or not math.isfinite(x):
+        # a non-finite Decimal: math.isfinite raises on a signaling NaN
         raise ValueError(f"cannot expand the non-finite value {x}")
     else:
         # as_integer_ratio, unlike Fraction(), takes numpy's narrower floats

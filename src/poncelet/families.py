@@ -14,7 +14,7 @@ when the family is built, and build no lift; the rigid family, which has
 no loop of its own, runs the kernels' `step_loop` over `RigidLift(t)`.
 `lift`, `orbit` and `dgdt` take t through one range check, so each
 rejects the same parameters, and `orbit` reads n through the kernels'
-`step_count`, as `orbit_table` reads it: a negative or non-integer n
+`read_count`, as `orbit_table` reads it: a negative or non-integer n
 raises the same error, with or without starts.
 """
 
@@ -55,10 +55,10 @@ class MonotoneCircleFamily:
         of floats per start x of the sequence `starts`, with the bits of
         `lift(t)` iterated one float at a time (only the rigid family, which
         iterates its lift itself, builds one).  n is
-        read by `kernels.step_count`, as `lift(t).orbit_table` reads it, so
+        read by `kernels.read_count`, as `lift(t).orbit_table` reads it, so
         a negative or non-integer n raises the same error, with or without
         starts; the loops it runs take n as given."""
-        n = kernels.step_count(n, 0)
+        n = kernels.read_count(n, 0, "n")
         return self._orbit(self._clamp(t), starts, n)
 
     def dgdt(self, t, x):

@@ -44,7 +44,9 @@ parameters and a tuple of elementary functions (sin, sqrt, atan2, max),
 and each map has a second factory, its one-point loop, which binds the
 map's fixed constants ((R, c) for Poncelet, K for Arnold) and takes the
 family parameter (t, omega) and a sequence of starts per call, forming
-the parameter's constants with the step's operations.  Iterating the map:
+the parameter's constants with the step's operations.  One builder,
+`table`, writes every orbit table of a map, from its one-point loop or
+from its numpy step.  Iterating the map:
 
 * one-point orbits run the map's loop (`poncelet_loop`, `arnold_loop`):
   the ``math`` step's statements written out inline in one python loop
@@ -68,9 +70,11 @@ the parameter's constants with the step's operations.  Iterating the map:
   infinite 2 pi x gives its column ``nan``, with numpy's warning.
 * a map with no loop of its own, a `FunctionLift`'s callable or the
   rigid family's lift `RigidLift(t)`, runs `step_loop`: the same
-  columns, with one python call per step.  So the kernels own every
-  one-point loop, and no lift or family writes one.  The pair count and
-  the rotation estimate keep the maps' inline loops and never run it.
+  columns, with one python call per step, and a `FunctionLift`'s table
+  is `table` over it at every width.  So the kernels own every one-point
+  loop and the one table builder, and no lift or family writes either.
+  The pair count and the rotation estimate keep the maps' inline loops
+  and never run `step_loop`.
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
@@ -78,10 +82,12 @@ The two paths agree to rounding, not bit for bit: numpy's vectorized
 numpy is imported by the functions that build arrays, so a caller that
 never tabulates (the pair count) never loads it.
 
-An orbit's step count n is read once, by `step_count`, where it enters
-the library: a lift's `orbit_table` (and so `advance`) and a family's
-`orbit` take n >= 0, `verify_closure` n >= 1 and the pair count n >= 3.
-The loops and tables here take n as given.
+Every count argument is read once, by `read_count`, where it enters the
+library, and its errors name the argument: an orbit's step count n (a
+lift's `orbit_table`, and so `advance`, and a family's `orbit` take
+n >= 0, `verify_closure` n >= 1 and the pair count n >= 3), `validate`'s
+samples (>= 1), the parameter search's iters (>= 0) and the totient's n
+(>= 1).  The loops and tables here take n as given.
 
 This module is the one implementation (``BACKEND``).  ``_ref``, ``impl``
 and the ``*_advance`` functions (a table's last row) serve only the
@@ -89,6 +95,7 @@ benchmark, whose L0 probe times the kernels through them and whose
 tracer wraps them by name; ROADMAP item 17's benchmark half deletes them.
 """
 
+import functools
 import math
 import operator
 import sys
@@ -102,17 +109,18 @@ BACKEND = "python"
 _ref = impl = sys.modules[__name__]
 
 
-def step_count(n, least):
-    """n as an int of at least `least`: the one reader of an orbit's step
-    count.  A non-integer n raises TypeError, and a smaller one
-    ValueError, both naming n, before any orbit runs."""
+def read_count(value, least, name):
+    """value as an int of at least `least`: the one reader of the
+    library's count arguments, an orbit's step count n among them.  A
+    non-integer value raises TypeError, and a smaller one ValueError, both
+    naming `name`, before any work runs."""
     try:
-        n = operator.index(n)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"n must be an integer, got {n!r}") from None
-    if n < least:
-        raise ValueError(f"n must be at least {least}, got {n}")
-    return n
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _max(a, b):
@@ -273,7 +281,7 @@ def step_loop(step, starts, n):
     step.  It runs the maps that have no loop of their own: a
     `FunctionLift`'s table, and the rigid family's orbit over its lift
     `RigidLift(t)`, so no family writes a step.  n is an int of at least
-    0, as `step_count` reads it for `orbit_table` and
+    0, as `read_count` reads it for `orbit_table` and
     `MonotoneCircleFamily.orbit`; the loop checks nothing."""
     columns = []
     for x in starts:
@@ -285,15 +293,22 @@ def step_loop(step, starts, n):
     return columns
 
 
-def _orbit(xs, depth, column, make_step, params):
+def table(xs, depth, loop, numpy_step):
+    """The orbit table of a map over the 1-d array xs: row k holds g^k(xs),
+    k = 0..depth.  For one start, or at every width when `numpy_step` is
+    None, its columns are `loop(starts, depth)`, the map's one-point
+    orbits; otherwise row k + 1 is `numpy_step(fns)`, the step built from
+    numpy's ufuncs, run on row k."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size == 1:
-        return np.array(column(xs.item()), dtype=np.float64)[:, None]
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
+    if xs.size == 1 or numpy_step is None:
+        for i, column in enumerate(loop(xs.tolist(), depth)):
+            out[:, i] = column
+        return out
     out[0] = xs
-    step = make_step(*params, (np.sin, np.sqrt, np.arctan2, np.maximum))
+    step = numpy_step((np.sin, np.sqrt, np.arctan2, np.maximum))
     for k in range(1, depth + 1):
         out[k] = step(out[k - 1])
     return out
@@ -307,9 +322,8 @@ def poncelet_advance(xs, n, R, c, t):
 
 def poncelet_orbit(xs, depth, R, c, t):
     """Orbit table: row k holds g^k applied to xs, k = 0..depth."""
-    return _orbit(xs, depth,
-                  lambda x: poncelet_loop(R, c)(t, (x,), depth)[0],
-                  poncelet_step, (R, c, t))
+    return table(xs, depth, functools.partial(poncelet_loop(R, c), t),
+                 functools.partial(poncelet_step, R, c, t))
 
 
 def arnold_advance(xs, n, omega, K):
@@ -317,5 +331,5 @@ def arnold_advance(xs, n, omega, K):
 
 
 def arnold_orbit(xs, depth, omega, K):
-    return _orbit(xs, depth, lambda x: arnold_loop(K)(omega, (x,), depth)[0],
-                  arnold_step, (omega, K))
+    return table(xs, depth, functools.partial(arnold_loop(K), omega),
+                 functools.partial(arnold_step, omega, K))

@@ -5,12 +5,13 @@ Every lift is a scalar step plus one hook, `_orbit`, the iterates of an
 array; `CircleLift` builds `g(x)`, `orbit_table` and `advance` (the
 table's last row) on them once.  The Poncelet tangent map and the Arnold
 map take the step and the table hook from the kernels module, so each map
-has one scalar definition; a `FunctionLift` tabulates through the
-kernels' `step_loop`, calling its callable one point at a time; rigid
-rotations are tabulated in closed form.  So the kernels own every
-one-point loop, and no lift writes one.  A table's starts are a 1-d
-array on every lift, and its depth n is read by the kernels'
-`step_count`: a negative or non-integer n raises there, naming n.
+has one scalar definition; a `FunctionLift`'s table is the kernels'
+`table` over `step_loop`, calling its callable one point at a time;
+rigid rotations are tabulated in closed form.  So the kernels own every
+one-point loop and the one table builder, and no lift writes either.  A
+table's starts are a 1-d array on every lift, and its depth n, like
+`validate`'s samples, is read by the kernels' `read_count`: a negative
+or non-integer n raises there, naming n.
 
 `g(x)` and `validate` run the step on plain floats and load no numpy;
 `orbit_table` and `advance` do.  A code path that iterates one float
@@ -24,7 +25,6 @@ that column `nan`, from numpy's step.
 """
 
 import functools
-import operator
 
 from . import kernels
 from .geometry import PonceletConfig
@@ -71,17 +71,12 @@ class CircleLift:
         if xs.ndim != 1:
             raise ValueError(f"orbit_table needs a 1-d array of starts, "
                              f"got shape {xs.shape}")
-        return self._orbit(xs, kernels.step_count(depth, 0))
+        return self._orbit(xs, kernels.read_count(depth, 0, "n"))
 
     def _orbit(self, xs, depth):
         # the scalar step at every width, through the kernels' loop
-        import numpy as np
-
-        out = np.empty((depth + 1, xs.size), dtype=np.float64)
-        columns = kernels.step_loop(self._step, xs.tolist(), depth)
-        for i, column in enumerate(columns):
-            out[:, i] = column
-        return out
+        return kernels.table(xs, depth, functools.partial(
+            kernels.step_loop, self._step), None)
 
     def validate(self, samples=64):
         """Spot-check periodicity and monotonicity on a sample grid.
@@ -92,14 +87,8 @@ class CircleLift:
         c/R = 0.99999.  So a sample whose defect exceeds PERIODICITY_TOL
         passes if the defect over the slope measured there, the argument
         error it amounts to, is at most PERIODICITY_TOL.  `samples` must be
-        an integer of at least 1."""
-        try:
-            samples = operator.index(samples)
-        except TypeError:
-            raise TypeError(f"samples must be an integer, got {samples!r}") \
-                from None
-        if samples < 1:
-            raise ValueError(f"sample count must be at least 1, got {samples}")
+        an integer of at least 1, as `kernels.read_count` reads it."""
+        samples = kernels.read_count(samples, 1, "samples")
         g = self._step  # g(x), without the call's dispatch
         xs, xs_1 = _sample_points(samples)
         vals = list(map(g, xs))

@@ -57,13 +57,14 @@ bracket's ends evaluated once per n (solve_rotation runs the same solve
 on its own q), and each count draws its seeded closure starts once and
 hands the same starts to verify_closure for every pair, which reads all
 their columns from one orbit call.  Both read their n through the
-kernels' `step_count`, the reader `orbit_table` and `family.orbit` share.
+kernels' `read_count`, the one reader of every count argument, which
+`orbit_table`, `family.orbit`, `euler_totient` and the parameter
+search's iters share.
 The records are `NamedTuple` classes.
 """
 
 import functools
 import math
-import operator
 import random
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
@@ -196,10 +197,9 @@ class CountReport(NamedTuple):
 
 
 def euler_totient(n):
-    """Euler's totient of the integer n, by trial factorization."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("totient needs n >= 1")
+    """Euler's totient of the integer n >= 1, by trial factorization; n is
+    read by `kernels.read_count`."""
+    n = kernels.read_count(n, 1, "n")
     result = n
     m = n
     p = 2
@@ -576,11 +576,9 @@ def find_parameter_for_value(family, target_value, iters=48, *, tol):
     bracket wider than 2 tol for MAX_STEPS steps, or whose orbit's floors
     contradict each other, raises ValueError.  The midpoints halve each
     end before adding, so they do not overflow near the float maximum.  A
-    negative or non-integer iters raises at once.
+    negative or non-integer iters raises at once, from `kernels.read_count`.
     """
-    iters = operator.index(iters)
-    if iters < 0:
-        raise ValueError(f"iters must be at least 0, got {iters}")
+    iters = kernels.read_count(iters, 0, "iters")
     lo, hi = family.a, family.b
     v_lo = rotation_number(family.lift(lo), tol=tol).value
     v_hi = rotation_number(family.lift(hi), tol=tol).value
@@ -605,7 +603,7 @@ def verify_closure(orbit, n, starts):
     the sequence `starts`, read off its one-point orbit: `orbit(starts, n)`
     is one column [x, g(x), ..., g^n(x)] per start x, such as a family's
     `functools.partial(family.orbit, t)`, called once.  n is read by
-    `kernels.step_count`: a non-integer n raises TypeError, and an n below
+    `kernels.read_count`: a non-integer n raises TypeError, and an n below
     1, or no starts, ValueError, before any orbit runs.
 
     Returns the max angular distance (radians) to the start; raises
@@ -619,7 +617,7 @@ def verify_closure(orbit, n, starts):
     Each column runs all n steps, so an error the map raises after an
     early return passes through.
     """
-    n = kernels.step_count(n, 1)
+    n = kernels.read_count(n, 1, "n")
     if len(starts) == 0:
         raise ValueError("starts must hold at least one start point")
     early = None  # (k, distance) of the earliest return before step n
@@ -667,11 +665,11 @@ def count_poncelet_pairs(family, n, seed=0):
     t; a pair that fails either (NoSolutionError, a nan residual at an end
     among them, or ResidualFailureError) is recorded in `missing` with the
     reason, and the report comes up short.
-    n is read by `kernels.step_count`: a non-integer n raises TypeError,
+    n is read by `kernels.read_count`: a non-integer n raises TypeError,
     and an n below 3 or above MAX_STEPS ValueError, before any residual
     runs.  No lift is built.
     """
-    n = kernels.step_count(n, 3)
+    n = kernels.read_count(n, 3, "n")
     if n > MAX_STEPS:
         raise ValueError(f"n = {n} > MAX_STEPS = {MAX_STEPS}: each residual"
                          f" would run {n} steps")

@@ -145,7 +145,8 @@ def test_finite_decimals_expand_exactly(x, a0, quotients):
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, Decimal("NaN"),
-                               Decimal("Infinity"), Decimal("-Infinity")],
+                               Decimal("sNaN"), Decimal("Infinity"),
+                               Decimal("-Infinity")],
                          ids=repr)
 def test_non_finite_values_raise(x):
     with pytest.raises(ValueError, match="non-finite"):

@@ -5,7 +5,8 @@ name that several classes declare counting only where it is tied to the
 record, every name the benchmark's tracer binds exists, the kernels'
 benchmark-only names are read nowhere else, the library outside the CLI
 grows no defaulted parameter, every functools cache of the
-library and every import of another module's private name is declared
+library, every import of another module's private name and every read
+of operator.index outside the kernels' one count reader is declared
 with its reason, and the tests that CI reruns against the installed
 package name no path into the checkout."""
 
@@ -237,6 +238,62 @@ def test_every_private_import_is_declared():
                    for name in private_imports(path.read_text(),
                                                path.name == "__init__.py"))
     assert found == sorted(PRIVATE_IMPORTS)
+
+
+def index_readers(source):
+    """The function around each read of operator.index in `source` (an
+    attribute read, or an import of the name from operator), or its line
+    at module level."""
+    tree = ast.parse(source)
+    owner = {}
+    # ast.walk visits an outer function first, so an inner one names
+    # its own reads
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((sub, node.name) for sub in ast.walk(node))
+    return sorted(owner.get(node, f"line {node.lineno}")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "index"
+                  and getattr(node.value, "id", None) == "operator"
+                  or isinstance(node, ast.ImportFrom)
+                  and node.module == "operator"
+                  and any(alias.name == "index" for alias in node.names))
+
+
+def test_index_scan_finds_calls_references_and_imports():
+    source = ("import operator\n"
+              "from operator import index as idx, add\n"
+              "def a(n):\n"
+              "    return operator.index(n)\n"
+              "class B:\n"
+              "    def c(self, xs):\n"
+              "        def d(x):\n"
+              "            return operator.index(x)\n"
+              "        return list(map(operator.index, xs)), d\n"
+              "e = operator.index(3) + xs.index(3) + operator.add(1, 2)\n")
+    assert index_readers(source) == ["a", "c", "d", "line 10", "line 2"]
+
+
+#: Every read of operator.index in src/poncelet, with the reason it stays.
+#: Every count argument of the library (a step count, validate's samples,
+#: the parameter search's iters, the totient's n) is read by
+#: kernels.read_count, which names the argument in its error; a module
+#: that reads a count itself is declared here.
+INDEX_READERS = {
+    "kernels.py:read_count": "the one reader of every count argument",
+    "confrac.py:remainder_series": "n_max, which has no lower bound; "
+                                   "confrac imports no other library module",
+    "confrac.py:find_balanced_pairs": "n_max, which has no lower bound; "
+                                      "confrac imports no other library "
+                                      "module",
+}
+
+
+def test_every_count_is_read_by_the_one_reader():
+    found = sorted(f"{path.name}:{name}"
+                   for path in (ROOT / "src" / "poncelet").rglob("*.py")
+                   for name in index_readers(path.read_text()))
+    assert found == sorted(INDEX_READERS)
 
 
 def record_fields(source):

@@ -614,7 +614,7 @@ def test_validate_needs_a_sample(samples):
     # a non-integer count reached range() in the sample-grid cache, whose
     # TypeError named no argument
     if isinstance(samples, int):
-        error, message = ValueError, "sample count must be at least 1, got "
+        error, message = ValueError, "samples must be at least 1, got "
     else:
         error, message = TypeError, "samples must be an integer, got "
     with pytest.raises(error) as err:

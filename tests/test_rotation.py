@@ -1073,10 +1073,13 @@ def test_find_parameter_rejects_value_outside_estimated_image():
 def test_find_parameter_rejects_a_bad_bisection_count():
     # a negative count is rejected, not read as no bisection at all
     family = arnold_family(0.7)
-    with pytest.raises(ValueError, match="got -5$"):
+    with pytest.raises(ValueError) as err:
         find_parameter_for_value(family, GOLDEN, iters=-5, tol=1e-3)
-    with pytest.raises(TypeError):
-        find_parameter_for_value(family, GOLDEN, iters=2.0, tol=1e-3)
+    assert str(err.value) == "iters must be at least 0, got -5"
+    for iters in (2.0, 2.5):
+        with pytest.raises(TypeError) as err:
+            find_parameter_for_value(family, GOLDEN, iters=iters, tol=1e-3)
+        assert str(err.value) == f"iters must be an integer, got {iters!r}"
     assert find_parameter_for_value(family, GOLDEN, iters=0, tol=1e-3) \
         == 0.5 * family.a + 0.5 * family.b
 
@@ -1657,15 +1660,18 @@ def test_totient_values():
 
 
 def test_totient_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        euler_totient(0)
+    for n in (0, -3):
+        with pytest.raises(ValueError) as err:
+            euler_totient(n)
+        assert str(err.value) == f"n must be at least 1, got {n}"
 
 
 def test_totient_takes_only_integers():
     # a float, even an integral one, raises; a numpy integer is an int
-    for n in (6.0, 6.5):
-        with pytest.raises(TypeError):
+    for n in (6.0, 6.5, 2.5):
+        with pytest.raises(TypeError) as err:
             euler_totient(n)
+        assert str(err.value) == f"n must be an integer, got {n!r}"
     phi = euler_totient(np.int64(12))
     assert type(phi) is int and phi == 4
     assert [euler_totient(n) for n in range(1, 61)] == [
