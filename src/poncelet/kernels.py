@@ -61,7 +61,7 @@ from its numpy step.  Iterating the map:
   errors included: it raises where ``math`` does, at an infinite
   2 pi x.  Each step's statements so exist twice, once in the step and
   once in its loop, and tests pin the two together to the bit.  The
-  lifts' ``__call__``, which `validate` iterates, is the step built from
+  lifts' ``__call__``, which `validate` samples, is the step built from
   ``math`` (``SCALAR``), run directly, with no table.
 * a table of two or more points runs the step built from numpy's ufuncs
   on whole arrays.  Every table the library builds (the 32-point lock
@@ -85,9 +85,9 @@ never tabulates (the pair count) never loads it.
 Every count argument is read once, by `read_count`, where it enters the
 library, and its errors name the argument: an orbit's step count n (a
 lift's `orbit_table`, and so `advance`, and a family's `orbit` take
-n >= 0, `verify_closure` n >= 1 and the pair count n >= 3), `validate`'s
-samples (>= 1), the parameter search's iters (>= 0) and the totient's n
-(>= 1).  The loops and tables here take n as given.
+n >= 0, `verify_closure` n >= 1 and the pair count n >= 3), the
+parameter search's iters (>= 0) and the totient's n (>= 1).  The loops
+and tables here take n as given.
 
 This module is the one implementation (``BACKEND``).  ``_ref``, ``impl``
 and the ``*_advance`` functions (a table's last row) serve only the

@@ -9,9 +9,14 @@ has one scalar definition; a `FunctionLift`'s table is the kernels'
 `table` over `step_loop`, calling its callable one point at a time;
 rigid rotations are tabulated in closed form.  So the kernels own every
 one-point loop and the one table builder, and no lift writes either.  A
-table's starts are a 1-d array on every lift, and its depth n, like
-`validate`'s samples, is read by the kernels' `read_count`: a negative
-or non-integer n raises there, naming n.
+table's starts are a 1-d array on every lift, and its depth n is read by
+the kernels' `read_count`: a negative or non-integer n raises there,
+naming n.
+
+A lift's contract is checked once, where it is built: a `FunctionLift`
+runs `validate` on its callable, and the library's maps refuse, in closed
+form, every parameter at which `validate` could fail (|alpha| or |omega|
+above SHIFT_MAX, R - c below GAP_MIN R), so an estimate checks nothing.
 
 `g(x)` and `validate` run the step on plain floats and load no numpy;
 `orbit_table` and `advance` do.  A code path that iterates one float
@@ -34,19 +39,29 @@ from .geometry import PonceletConfig
 PERIODICITY_TOL = 1e-12
 #: Half-step of the central difference that measures a lift's slope.
 SLOPE_STEP = 1e-9
+#: Largest |alpha| of a rigid lift and |omega| of an Arnold lift.  For x in
+#: [0, 2), where validate samples, |g(x)| < 2^13, so each rounding is at
+#: most 2^-41 and the periodicity defect at most 2^-40 < PERIODICITY_TOL;
+#: at K = 1, samples 1/64 apart still rise by at least 2.5e-5.
+SHIFT_MAX = 2.0 ** 12
+#: Smallest (R - c) / R of a Poncelet lift.  Its slope (R + c)/(R - c)
+#: turns argument rounding into a periodicity defect.  Measured on random
+#: lifts (R from 1e-300 to 1e300; t at 0, at R - c or between), validate
+#: passed all of 22,775 with (R - c) / R from 2^-42 to 1, and 727 of 6,000
+#: from 2^-53 to 2^-42.5, 715 of those at t = R - c.
+GAP_MIN = 2.0 ** -42
 
 
 class LiftContractError(ValueError):
     """The supplied function is not a valid circle-homeomorphism lift."""
 
 
-@functools.cache
-def _sample_points(samples):
-    """validate's sample grid i / samples, i = 0..samples - 1 (numpy's
-    linspace, bitwise), and each point plus 1."""
-    width = 1.0 / samples
-    xs = tuple(i * width for i in range(samples))
-    return xs, tuple(x + 1.0 for x in xs)
+def _checked_shift(value, name):
+    """value as a float, or LiftContractError naming `name` unless
+    |value| <= SHIFT_MAX (so a nan or infinite value raises too)."""
+    if not abs(value := float(value)) <= SHIFT_MAX:
+        raise LiftContractError(f"|{name}| must be at most 2**12, got {value}")
+    return value
 
 
 class CircleLift:
@@ -78,24 +93,21 @@ class CircleLift:
         return kernels.table(xs, depth, functools.partial(
             kernels.step_loop, self._step), None)
 
-    def validate(self, samples=64):
-        """Spot-check periodicity and monotonicity on a sample grid.
+    def validate(self):
+        """Spot-check periodicity and monotonicity on the grid i / 64.
 
         A steep lift turns the rounding of x + 1 (ulps, or sin(2 pi) != 0)
         into a defect of its slope times that error: near tangency the
         Poncelet lift's slope (R + c)/(R - c) makes it 7.8e-12 at
         c/R = 0.99999.  So a sample whose defect exceeds PERIODICITY_TOL
         passes if the defect over the slope measured there, the argument
-        error it amounts to, is at most PERIODICITY_TOL.  `samples` must be
-        an integer of at least 1, as `kernels.read_count` reads it."""
-        samples = kernels.read_count(samples, 1, "samples")
+        error it amounts to, is at most PERIODICITY_TOL."""
         g = self._step  # g(x), without the call's dispatch
-        xs, xs_1 = _sample_points(samples)
+        xs = [i / 64 for i in range(64)]
         vals = list(map(g, xs))
-        shifted = list(map(g, xs_1))
         # a nan or infinite sample fails both checks (inf - inf is nan)
-        for x, val, val_1 in zip(xs, vals, shifted):
-            defect = abs(val_1 - val - 1.0)
+        for x, val in zip(xs, vals):
+            defect = abs(g(x + 1.0) - val - 1.0)
             if defect <= PERIODICITY_TOL:
                 continue
             slope = ((g(x + SLOPE_STEP) - g(x - SLOPE_STEP))
@@ -103,8 +115,7 @@ class CircleLift:
             if not defect <= PERIODICITY_TOL * slope:
                 raise LiftContractError(
                     "periodicity defect g(x+1) - g(x) - 1 too large")
-        ends = zip(vals, vals[1:] + [vals[0] + 1.0])
-        if not all(b - a > 0 for a, b in ends):
+        if not all(a < b for a, b in zip(vals, vals[1:] + [vals[0] + 1.0])):
             raise LiftContractError("lift is not strictly increasing on samples")
 
 
@@ -123,7 +134,7 @@ class RigidLift(CircleLift):
     x + alpha k, not g iterated."""
 
     def __init__(self, alpha):
-        self.alpha = float(alpha)
+        self.alpha = _checked_shift(alpha, "alpha")
 
     def _step(self, x):
         return x + self.alpha
@@ -144,7 +155,7 @@ class ArnoldLift(CircleLift):
     def __init__(self, omega, K):
         if not 0 <= K <= 1:
             raise LiftContractError(f"Arnold lift needs 0 <= K <= 1, got {K}")
-        self.omega = float(omega)
+        self.omega = _checked_shift(omega, "omega")
         self.K = float(K)
         self._step = kernels.arnold_step(self.omega, self.K)
 
@@ -154,9 +165,13 @@ class ArnoldLift(CircleLift):
 
 class PonceletLift(CircleLift):
     """Lift of the Poncelet tangent map restricted to its invariant circle,
-    in the normalized coordinate x = theta / 2 pi."""
+    in the normalized coordinate x = theta / 2 pi.  It needs
+    R - c >= GAP_MIN R."""
 
     def __init__(self, cfg: PonceletConfig):
+        if cfg.R - cfg.c < GAP_MIN * cfg.R:
+            raise LiftContractError(f"Poncelet lift needs R - c >= 2**-42 R, "
+                                    f"got R={cfg.R}, c={cfg.c}")
         self.cfg = cfg
         self._step = kernels.poncelet_step(*cfg)
 

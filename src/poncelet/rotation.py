@@ -336,6 +336,10 @@ def _ratio(fraction):
 def rotation_number(g, tol=1e-4):
     """Estimate r(g) with an error radius.
 
+    g is a lift whose contract holds, which is not checked here: the
+    library's lifts check it where they are built, and `FunctionLift` is
+    the checked wrapper of an arbitrary callable.
+
     The orbit of 0 runs FIRST_CHUNK steps, then on to ROUGH_STEPS, and
     gives the Farey bracket of the module docstring.  After each of the
     two chunks the lock scan tries the reduced p/q inside the bracket,
@@ -389,7 +393,6 @@ def _estimate(g, tol, target):
     that move a floor only within ulps of the allowance's edge.)"""
     import numpy as np
 
-    g.validate(samples=16)
     lo, hi = (-math.inf, 1), (math.inf, 1)  # the bracket of no steps
     n, end, m = 0, 0.0, FIRST_CHUNK
     n_ref, ref = 0, None  # the bracket the next doubling of n must narrow

@@ -101,7 +101,7 @@ def test_default_scan_finds_every_kind_of_default():
 #: the program's interface.  Each default here is one that some caller
 #: relies on; a default that repeats what every caller passes goes.
 #: Lower the bound, and take the entry out, when a default goes.
-MAX_DEFAULTED_PARAMETERS = 11
+MAX_DEFAULTED_PARAMETERS = 10
 DEFAULTED_PARAMETERS = [
     "confrac.py:find_balanced_pairs(n_max)",         # 30 in twistfam
     "families.py:poncelet_family(reverse)",          # perfbench
@@ -109,7 +109,6 @@ DEFAULTED_PARAMETERS = [
     "families.py:rigid_family(b)",                   # the CLI's family
     "kernels.py:arnold_step(fns)",                   # the scalar build
     "kernels.py:poncelet_step(fns)",                 # the scalar build
-    "lifts.py:validate(samples)",                    # 64, or 16 in rotation
     "rotation.py:count_poncelet_pairs(seed)",        # perfbench
     "rotation.py:find_parameter_for_value(iters)",   # 48 in the CLI
     "rotation.py:rotation_number(tol)",              # perfbench
@@ -169,7 +168,6 @@ def test_cache_scan_finds_decorators_assignments_and_other_uses():
 #: on a caller's input is hidden state; a new one is declared here.
 CACHED = {
     "geometry.py:_li2_coefficients": "a constant table, built on first use",
-    "lifts.py:_sample_points": "validate's two sample grids (16 and 64)",
     "rotation.py:_lock_grids": "the constant lock grids, built on first use",
 }
 
@@ -275,8 +273,8 @@ def test_index_scan_finds_calls_references_and_imports():
 
 
 #: Every read of operator.index in src/poncelet, with the reason it stays.
-#: Every count argument of the library (a step count, validate's samples,
-#: the parameter search's iters, the totient's n) is read by
+#: Every count argument of the library (a step count, the parameter
+#: search's iters, the totient's n) is read by
 #: kernels.read_count, which names the argument in its error; a module
 #: that reads a count itself is declared here.
 INDEX_READERS = {

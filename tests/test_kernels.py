@@ -609,17 +609,87 @@ def test_validate_verdict_on_plain_floats(fn, message):
         FunctionLift(fn)
 
 
-@pytest.mark.parametrize("samples", [0, -1, 2.5, math.nan, 16.0, "16"])
-def test_validate_needs_a_sample(samples):
-    # a non-integer count reached range() in the sample-grid cache, whose
-    # TypeError named no argument
-    if isinstance(samples, int):
-        error, message = ValueError, "samples must be at least 1, got "
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, math.nextafter(2.0 ** 12, math.inf), 1e16,
+    1e300], ids=repr)
+@pytest.mark.parametrize("build, name", [
+    (RigidLift, "alpha"), (lambda omega: ArnoldLift(omega, 0.5), "omega"),
+], ids=["rigid", "arnold"])
+def test_shift_lift_refuses_a_parameter_beyond_its_bound(build, name, value):
+    # validate refuses RigidLift(1e16), whose x + alpha rounds x away;
+    # unchecked, its estimate certifies the false lock 9999999999999999/1
+    with pytest.raises(LiftContractError) as err:
+        build(value)
+    assert str(err.value) == f"|{name}| must be at most 2**12, got {value}"
+
+
+#: The Poncelet lift's least (R - c) / R, as the constructor's message
+#: states it
+GAP_MIN = 2.0 ** -42
+
+
+def _least_refused_offset(R):
+    """The least c with R - c < GAP_MIN R: its float neighbour below is
+    the largest c accepted."""
+    c = R - GAP_MIN * R
+    while R - c < GAP_MIN * R:
+        c = math.nextafter(c, 0.0)
+    return math.nextafter(c, R)
+
+
+@pytest.mark.parametrize("R", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("edge", ["gap one float below", "c = R(1 - 2^-53)"])
+def test_poncelet_lift_refuses_a_gap_below_its_bound(R, edge):
+    # validate refuses R - c below about 2^-42.5 R at almost every t;
+    # unchecked, the estimate at R = 1, c = 1 - 1e-15, t = 0.3 (R - c)
+    # certifies the lock 1/2 where r is 0.495779
+    if edge == "c = R(1 - 2^-53)":
+        c = R * (1.0 - 2.0 ** -53)
     else:
-        error, message = TypeError, "samples must be an integer, got "
-    with pytest.raises(error) as err:
-        RigidLift(0.3).validate(samples)
-    assert str(err.value) == message + repr(samples)
+        c = _least_refused_offset(R)
+        PonceletLift(PonceletConfig(R, math.nextafter(c, 0.0), 0.0))
+    assert 0.0 < R - c < GAP_MIN * R
+    for t in (0.0, R - c):
+        with pytest.raises(LiftContractError) as err:
+            PonceletLift(PonceletConfig(R, c, t))
+        assert str(err.value) == (f"Poncelet lift needs R - c >= 2**-42 R, "
+                                  f"got R={R}, c={c}")
+
+
+@st.composite
+def _built_lifts(draw):
+    """A Poncelet lift, with R log-uniform in [1e-300, 1e300], (R - c) / R
+    from 2^-42 to 1 (and from 2^-46, where validate fails, to 2^-42) and
+    t in [0, R - c], ends included; or a rigid or Arnold lift with
+    |alpha| <= 2^12, the bound included.  None where the constructor
+    refuses, which it does only for R - c < GAP_MIN R."""
+    kind = draw(st.sampled_from(["poncelet", "arnold", "rigid"]))
+    if kind == "poncelet":
+        R = 10.0 ** draw(st.floats(-300.0, 300.0))
+        gap = R * 2.0 ** draw(st.sampled_from([-42.0, 0.0])
+                              | st.floats(-42.0, 0.0)
+                              | st.floats(-46.0, -42.0))
+        c = R - gap
+        t = (R - c) * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        try:
+            return PonceletLift(PonceletConfig(R, c, t))
+        except LiftContractError:
+            assert R - c < GAP_MIN * R
+            return None
+    alpha = draw(st.sampled_from([-2.0 ** 12, 2.0 ** 12])
+                 | st.floats(-2.0 ** 12, 2.0 ** 12))
+    if kind == "rigid":
+        return RigidLift(alpha)
+    return ArnoldLift(alpha, draw(st.sampled_from([0.0, 1.0])
+                                  | st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_built_lifts())
+def test_every_lift_the_constructors_accept_validates(g):
+    # the contract is checked where a lift is built, not on each estimate
+    if g is not None:
+        g.validate()
 
 
 def test_function_lift_accepts_valid_map():

@@ -152,9 +152,6 @@ def test_conjugation_invariance():
                 out[k] = [self(v) for v in out[k - 1]]
             return out
 
-        def validate(self, samples=64, tol=1e-12):
-            return None
-
     r_g = rotation_number(g, tol=1e-4)
     r_c = rotation_number(Conjugated(), tol=1e-4)
     assert abs(r_g.value - r_c.value) <= r_g.error_radius + r_c.error_radius
@@ -290,9 +287,6 @@ class RecordingLift:
     def __init__(self, g):
         self.g = g
         self.tables = []
-
-    def validate(self, samples=64):
-        self.g.validate(samples)
 
     def advance(self, x, n):
         return self.g.advance(x, n)
@@ -533,7 +527,6 @@ def _one_scan_estimate(g, tol, first, target):
     """The estimator before its lock scan was staged, kept as the
     reference: chunks of first, first, 2 first, ... steps and one lock scan
     of every q <= Q_MAX, at ROUGH_STEPS steps."""
-    g.validate(samples=16)
     lo, hi = (-math.inf, 1), (math.inf, 1)
     n, end, m = 0, 0.0, first
     n_ref, ref = 0, None

@@ -15,7 +15,7 @@ from poncelet.families import (
     rigid_family,
 )
 from poncelet import twistfam
-from poncelet.lifts import ArnoldLift, LiftContractError, RigidLift
+from poncelet.lifts import ArnoldLift, CircleLift, LiftContractError, RigidLift
 from poncelet.rotation import find_parameter_for_value
 from poncelet.twistfam import (
     SEPARATION_X_SAMPLES,
@@ -268,9 +268,17 @@ def test_separation_rejects_unordered_pair():
         separation_alpha(RigidLift(0.5), RigidLift(0.3))
 
 
+class _NanLift(CircleLift):
+    """g(x) = nan: no library lift builds one (RigidLift(nan) raises)."""
+
+    @staticmethod
+    def _step(x):
+        return math.nan
+
+
 def test_separation_rejects_nan_image():
     with pytest.raises(TwistConditionError):
-        separation_alpha(RigidLift(0.3), RigidLift(math.nan))
+        separation_alpha(RigidLift(0.3), _NanLift())
 
 
 def test_lower_separation_inequality():
