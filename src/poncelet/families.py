@@ -10,12 +10,16 @@ column [x, g_t(x), ..., g_t^n(x)] per start, with the bits of the step
 orbits off it.  Each family's orbit iterates the step its own lift
 defines, so no step or loop is written here.  The Poncelet and Arnold
 families run their map's kernel loop, bound to the map's fixed constants
-when the family is built, and build no lift; the rigid family, which has
-no loop of its own, runs the kernels' `step_loop` over `RigidLift(t)`.
-`lift`, `orbit` and `dgdt` take t through one range check, so each
-rejects the same parameters, and `orbit` reads n through the kernels'
-`read_count`, as `orbit_table` reads it: a negative or non-integer n
-raises the same error, with or without starts.
+when the family is built, and build no lift per orbit; the rigid family,
+which has no loop of its own, runs the kernels' `step_loop` over
+`RigidLift(t)`.  The Poncelet and Arnold factories check the map's fixed
+constants by building one lift up front, so the lift constructor is the
+one home of the map's contract (R - c >= 2**-42 R, 0 <= K <= 1): a
+pair or K it refuses builds no family.  `lift`, `orbit` and `dgdt` take
+t through one range check, so each rejects the same parameters, and
+`orbit` reads n through the kernels' `read_count`, as `orbit_table`
+reads it: a negative or non-integer n raises the same error, with or
+without starts.
 """
 
 from . import kernels
@@ -91,7 +95,7 @@ def poncelet_family(R, c, reverse=False):
     The lifts' `cfg.t` and the orbits' inner radius are t either way.
     """
     R, c = float(R), float(c)
-    PonceletConfig(R, c)  # rejects an invalid R or c up front
+    PonceletLift(PonceletConfig(R, c))  # rejects an invalid pair up front
     b = R - c
     # parameter s -> inner radius t0 + sign * s, and dg/ds = sign * dg/dt:
     # -0.0 + s is s itself, signed zeros included, and b + -s is b - s

@@ -31,22 +31,24 @@ That displacement is the step at x = 0, where h = Q = 0, in closed form:
 
 with S / R = sqrt(s2_at_0) and t in units of R (at t = +-0, where
 t P - S Q may round to the other zero, S = 1 and atan2 gives pi / 2
-either way).  Each Poncelet build, the step from ``math``, the step from
-numpy and the one-point loop, forms it once per t from constants it
-already holds, with its own atan2 and sqrt, and runs the rotation
+either way).  Each Poncelet build, the step (from whichever functions
+it is given) and the one-point loop, forms it once per t from constants
+it already holds, with its own atan2 and sqrt, and runs the rotation
 x + (shift + 0.0 sin(2 pi x)): the general step's bits at every x and its
 error at an infinite angle, with no general step built or run for the
 shift.  So the concentric estimates, lock tables and pair counts skip the
 two sines, the square root and the atan2 of each step.
 
 Each map's step is defined once, as a factory that binds the map's
-parameters and a tuple of elementary functions (sin, sqrt, atan2, max),
-and each map has a second factory, its one-point loop, which binds the
-map's fixed constants ((R, c) for Poncelet, K for Arnold) and takes the
-family parameter (t, omega) and a sequence of starts per call, forming
-the parameter's constants with the step's operations.  One builder,
-`table`, writes every orbit table of a map, from its one-point loop or
-from its numpy step.  Iterating the map:
+parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
+The library builds it only from numpy's ufuncs, in `table`; the tests
+also build it from ``math``, as the independent one-float reference that
+the map's loop is pinned to.  Each map has a second factory, its
+one-point loop, which binds the map's fixed constants ((R, c) for
+Poncelet, K for Arnold) and takes the family parameter (t, omega) and a
+sequence of starts per call, forming the parameter's constants with the
+step's operations.  One builder, `table`, writes every orbit table of a
+map, from its one-point loop or from its numpy step.  Iterating the map:
 
 * one-point orbits run the map's loop (`poncelet_loop`, `arnold_loop`):
   the ``math`` step's statements written out inline in one python loop
@@ -57,12 +59,14 @@ from its numpy step.  Iterating the map:
   certified budget), and that orbit's extensions.  So does a family's
   `orbit(t, starts, n)`, bound to its loop once when the family is
   built: the pair count's lap residual and ``verify_closure``'s starts,
-  one column per start from one call.  The loop has the step's bits,
-  errors included: it raises where ``math`` does, at an infinite
-  2 pi x.  Each step's statements so exist twice, once in the step and
-  once in its loop, and tests pin the two together to the bit.  The
-  lifts' ``__call__``, which `validate` samples, is the step built from
-  ``math`` (``SCALAR``), run directly, with no table.
+  one column per start from one call.  So does a lift's ``g(x)``, the
+  first step of a one-point loop bound when the lift is built, which
+  `validate` samples: `g`, `advance`, one-point tables and family orbits
+  run one code path per map.  The loop has the bits of the step built
+  from ``math``, errors included: it raises where ``math`` does, at an
+  infinite 2 pi x.  Each step's statements so exist twice, once in the
+  step and once in its loop, and tests pin the loop to the ``math``
+  build to the bit.
 * a table of two or more points runs the step built from numpy's ufuncs
   on whole arrays.  Every table the library builds (the 32-point lock
   subgrid, the 512-point lock grid, `twistfam`'s 128- and 256-point
@@ -78,16 +82,16 @@ from its numpy step.  Iterating the map:
 
 The two paths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
-``math.atan2``.  The steps and loops themselves need only ``math``:
-numpy is imported by the functions that build arrays, so a caller that
+``math.atan2``.  The loops themselves need only ``math``: numpy is
+imported by the functions that build arrays, so a caller that
 never tabulates (the pair count) never loads it.
 
 Every count argument is read once, by `read_count`, where it enters the
 library, and its errors name the argument: an orbit's step count n (a
 lift's `orbit_table`, and so `advance`, and a family's `orbit` take
 n >= 0, `verify_closure` n >= 1 and the pair count n >= 3), the
-parameter search's iters (>= 0) and the totient's n (>= 1).  The loops
-and tables here take n as given.
+lock search's denominator q (>= 1), the parameter search's iters (>= 0)
+and the totient's n (>= 1).  The loops and tables here take n as given.
 
 This module is the one implementation (``BACKEND``).  ``_ref``, ``impl``
 and the ``*_advance`` functions (a table's last row) serve only the
@@ -123,17 +127,6 @@ def read_count(value, least, name):
     return value
 
 
-def _max(a, b):
-    # the builtin max's value, sign of zero and nan included (it keeps a
-    # unless b > a), without its argument handling, which cost a fifth to a
-    # third of a narrow Poncelet step
-    return b if b > a else a
-
-
-# (sin, sqrt, atan2, max) for one python float
-SCALAR = (math.sin, math.sqrt, math.atan2, _max)
-
-
 def _pair(R, c, t):
     """c, t, gap = R - c, s2_at_0 and four_rc in units of R:
     (S/R)^2 = s2_at_0 + four_rc h^2.  R - c - t is taken before dividing,
@@ -144,9 +137,11 @@ def _pair(R, c, t):
     return c, t, gap, near * (gap + t), 4.0 * c
 
 
-def poncelet_step(R, c, t, fns=SCALAR):
+def poncelet_step(R, c, t, fns):
     """One step of the tangent-line lift in lift coordinates, with the
-    circle pair bound (a one-argument closure is the cheapest call).
+    circle pair bound, built from ``fns`` = (sin, sqrt, atan2, max):
+    numpy's ufuncs for a table, or (math.sin, math.sqrt, math.atan2, max),
+    the tests' one-float reference, whose clamp has the builtin max's bits.
 
     At c / R == 0 (c = -0.0 and a c / R that underflows included) it is
     the rotation by the closed-form shift, formed from `_pair`'s
@@ -183,14 +178,15 @@ def poncelet_loop(R, c):
     """The one-point orbits of the Poncelet lift of the circle pair (R, c),
     over the inner radius: loop(t, starts, n) is one list
     [x, g_t(x), ..., g_t^n(x)] of python floats per start x, with
-    g_t = ``poncelet_step(R, c, t)``.  The constants of (R, c) are bound
-    once; those of t are formed in the call with `_pair`'s operations.
-    Each column runs the step's statements inline, with the clamp
-    max(a, 0.0) written as ``0.0 if 0.0 > a else a`` (`_max`'s bits,
-    signed zero and nan included), so it makes no python call per step
-    and has the step's bits, errors included.  At c / R == 0 the same
-    closure runs the rotation instead, its shift formed once per call in
-    closed form from the t constants, as `poncelet_step` forms it."""
+    g_t = ``poncelet_step(R, c, t, fns)`` built from ``math``.  The
+    constants of (R, c) are bound once; those of t are formed in the call
+    with `_pair`'s operations.  Each column runs the step's statements
+    inline, with the clamp max(a, 0.0) written as ``0.0 if 0.0 > a else
+    a`` (the builtin max's bits, signed zero and nan included), so it makes
+    no python call per step and has that step's bits, errors included.  At
+    c / R == 0 the same closure runs the rotation instead, its shift formed
+    once per call in closed form from the t constants, as `poncelet_step`
+    forms it."""
     sin, sqrt, atan2 = math.sin, math.sqrt, math.atan2
     R, c = float(R), float(c)
     outer = R - c  # _pair's R - c - t is (R - c) - t
@@ -241,8 +237,9 @@ def poncelet_dgdt(R, c, t, x):
         return -1.0 / (pi * np.sqrt(s2_at_0 + four_rc * h * h)) / R
 
 
-def arnold_step(omega, K, fns=SCALAR):
-    """One step of the Arnold lift, with omega and K bound."""
+def arnold_step(omega, K, fns):
+    """One step of the Arnold lift, with omega and K bound, built from
+    ``fns``' sin."""
     sin = fns[0]
     omega = float(omega)
     k = float(K) / TWO_PI
@@ -256,7 +253,8 @@ def arnold_step(omega, K, fns=SCALAR):
 def arnold_loop(K):
     """The one-point orbits of the Arnold lift with K bound, over omega:
     loop(omega, starts, n) is one list [x, g(x), ..., g^n(x)] per start
-    x, with g = ``arnold_step(omega, K)`` and its statement inline."""
+    x, with g = ``arnold_step(omega, K, fns)`` built from ``math`` and
+    its statement inline."""
     sin = math.sin
     k = float(K) / TWO_PI
 

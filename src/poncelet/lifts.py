@@ -4,10 +4,12 @@ A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
 Every lift is a scalar step plus one hook, `_orbit`, the iterates of an
 array; `CircleLift` builds `g(x)`, `orbit_table` and `advance` (the
 table's last row) on them once.  The Poncelet tangent map and the Arnold
-map take the step and the table hook from the kernels module, so each map
-has one scalar definition; a `FunctionLift`'s table is the kernels'
-`table` over `step_loop`, calling its callable one point at a time;
-rigid rotations are tabulated in closed form.  So the kernels own every
+map take both from the kernels module: the step is the first step of the
+map's one-point loop, bound when the lift is built, and a one-point table
+runs that loop, so `g`, `advance`, one-point tables and family orbits run
+one code path per map.  A `FunctionLift`'s table is the kernels' `table`
+over `step_loop`, calling its callable one point at a time; rigid
+rotations are tabulated in closed form.  So the kernels own every
 one-point loop and the one table builder, and no lift writes either.  A
 table's starts are a 1-d array on every lift, and its depth n is read by
 the kernels' `read_count`: a negative or non-integer n raises there,
@@ -54,6 +56,12 @@ GAP_MIN = 2.0 ** -42
 
 class LiftContractError(ValueError):
     """The supplied function is not a valid circle-homeomorphism lift."""
+
+
+def _first_step(loop, parameter):
+    """g(x) of the map whose one-point orbits are loop(parameter, starts,
+    n): the first step of x's column, with the loop's bits and errors."""
+    return lambda x: loop(parameter, (x,), 1)[0][1]
 
 
 def _checked_shift(value, name):
@@ -157,7 +165,7 @@ class ArnoldLift(CircleLift):
             raise LiftContractError(f"Arnold lift needs 0 <= K <= 1, got {K}")
         self.omega = _checked_shift(omega, "omega")
         self.K = float(K)
-        self._step = kernels.arnold_step(self.omega, self.K)
+        self._step = _first_step(kernels.arnold_loop(self.K), self.omega)
 
     def _orbit(self, xs, depth):
         return kernels.arnold_orbit(xs, depth, self.omega, self.K)
@@ -173,7 +181,7 @@ class PonceletLift(CircleLift):
             raise LiftContractError(f"Poncelet lift needs R - c >= 2**-42 R, "
                                     f"got R={cfg.R}, c={cfg.c}")
         self.cfg = cfg
-        self._step = kernels.poncelet_step(*cfg)
+        self._step = _first_step(kernels.poncelet_loop(cfg.R, cfg.c), cfg.t)
 
     def _orbit(self, xs, depth):
         return kernels.poncelet_orbit(xs, depth, *self.cfg)

@@ -220,10 +220,9 @@ def detect_rational_lock(g, p, q):
     Returns the left grid point of the first cell of the LOCK_GRID-point
     grid whose ends hold an exact zero of d or a sign change, so the cell
     holds a root; None if there is none.  Absence on the grid is heuristic
-    evidence only, not a proof.
+    evidence only, not a proof.  q is read by `kernels.read_count`.
     """
-    if q < 1:
-        raise ValueError(f"p/q needs q >= 1, got {p}/{q}")
+    q = kernels.read_count(q, 1, "q")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
     return _lock_point(g, _lock_grids()[0], p, q)

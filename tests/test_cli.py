@@ -629,23 +629,18 @@ def test_output_is_the_same_bytes_in_two_processes(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["staircase", "--points", "3", "--c", "0.9999999999999"],
     ["prop2", "--family", "poncelet", "--c", "0.9999999999999"],
-], ids=["staircase", "prop2"])
+    ["count", "--n-max", "5", "--c", "0.9999999999999"],
+], ids=["staircase", "prop2", "count"])
 def test_a_lift_too_close_to_tangency_exits_config(tmp_path, argv):
     # R - c = 1e-13 is below the Poncelet lift's bound 2^-42 R, which its
-    # constructor checks; the message names R and c, with no traceback
+    # constructor checks, and `poncelet_family` builds one up front, so the
+    # pair count, which iterates the family's loop, refuses the pair too
+    # instead of reporting its pairs as closure failures; the message
+    # names R and c, with no traceback
     proc = cli_process(tmp_path, argv, "1")
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr == (b"error: Poncelet lift needs R - c >= 2**-42 R, "
                            b"got R=1.0, c=0.9999999999999\n")
-
-
-def test_count_too_close_to_tangency_builds_no_lift(tmp_path):
-    # the pair count runs the family's loop and builds no lift, so the
-    # bound does not reach it: its near-tangency pairs fail closure
-    proc = cli_process(tmp_path, ["count", "--n-max", "5", "--c",
-                                  "0.9999999999999"], "1")
-    assert proc.returncode == EXIT_PROPERTY
-    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("argv, exit_code", [

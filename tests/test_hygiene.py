@@ -101,14 +101,12 @@ def test_default_scan_finds_every_kind_of_default():
 #: the program's interface.  Each default here is one that some caller
 #: relies on; a default that repeats what every caller passes goes.
 #: Lower the bound, and take the entry out, when a default goes.
-MAX_DEFAULTED_PARAMETERS = 10
+MAX_DEFAULTED_PARAMETERS = 8
 DEFAULTED_PARAMETERS = [
     "confrac.py:find_balanced_pairs(n_max)",         # 30 in twistfam
     "families.py:poncelet_family(reverse)",          # perfbench
     "families.py:rigid_family(a)",                   # the CLI's family
     "families.py:rigid_family(b)",                   # the CLI's family
-    "kernels.py:arnold_step(fns)",                   # the scalar build
-    "kernels.py:poncelet_step(fns)",                 # the scalar build
     "rotation.py:count_poncelet_pairs(seed)",        # perfbench
     "rotation.py:find_parameter_for_value(iters)",   # 48 in the CLI
     "rotation.py:rotation_number(tol)",              # perfbench

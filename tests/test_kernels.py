@@ -21,6 +21,12 @@ from poncelet.lifts import (
 )
 
 
+#: The one-float build of each map's step: the reference its one-point
+#: loop, and so every lift's g(x), is pinned to.  The library builds the
+#: steps only from numpy.
+MATH = (math.sin, math.sqrt, math.atan2, max)
+
+
 def test_backend_selection_is_reported():
     assert kernels.BACKEND == "python"
 
@@ -75,7 +81,7 @@ def test_ref_nonfinite_start_is_nan_in_a_table_and_raises_alone():
         tab = kernels.arnold_orbit(xs, 3, 0.3, 0.8)
     for orbit, make_step, params in _KERNEL_MAPS:
         with pytest.raises(ValueError, match="math domain error"):
-            make_step(*params)(np.inf)
+            make_step(*params, MATH)(np.inf)
         with pytest.raises(ValueError, match="math domain error"):
             orbit(xs[:1], 3, *params)
     assert np.isnan(out[0]) and np.all(np.isnan(tab[1:, 0]))
@@ -104,7 +110,7 @@ _KERNEL_MAPS = [(kernels.poncelet_orbit, kernels.poncelet_step, params)
 def test_ref_one_point_table_iterates_the_scalar_step():
     # a one-point table's rows are the math build's g iterated, to the bit
     for orbit, make_step, params in _KERNEL_MAPS:
-        g = make_step(*params)
+        g = make_step(*params, MATH)
         for x in (0.0, 0.1, 0.375, -0.7, 1.9):
             column = [x]
             for _ in range(20):
@@ -137,22 +143,46 @@ _INFINITE_ANGLE_STARTS = st.sampled_from([math.inf, -math.inf, 3e307, -3e307])
 _STARTS = st.floats(-2.0, 2.0) | _TINY_STARTS | _INFINITE_ANGLE_STARTS
 
 
+def _lift_and_math_step(params):
+    """The lift of `_lift_params`' draw and its map's step built from
+    ``math`` here, the reference its loop is pinned to."""
+    kind, *args = params
+    if kind == "poncelet":
+        return (PonceletLift(PonceletConfig(*args)),
+                kernels.poncelet_step(*args, MATH))
+    return ArnoldLift(*args), kernels.arnold_step(*args, MATH)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_lift_params(), _STARTS, st.integers(0, 1024))
 def test_one_point_loop_is_the_step_iterated(params, x, n):
     # each map's one-point loop repeats its step's statements inline; its
-    # table is g iterated to the bit, and raises where g raises
-    kind, *args = params
-    g = (PonceletLift(PonceletConfig(*args)) if kind == "poncelet"
-         else ArnoldLift(*args))
+    # table is the math build iterated to the bit, and raises where that
+    # build raises
+    g, step = _lift_and_math_step(params)
     if math.isinf(TWO_PI * x) and n > 0:
         with pytest.raises(ValueError, match="math domain error"):
-            g(x)
+            step(x)
         with pytest.raises(ValueError, match="math domain error"):
             g.orbit_table([x], n)
     else:
         assert _hexes(g.orbit_table([x], n)[:, 0]) \
-            == _hexes(_iterated(g, x, n))
+            == _hexes(_iterated(step, x, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lift_params(), _STARTS)
+def test_lift_call_is_the_math_step(params, x):
+    # g(x) is the first step of the map's loop: the math build's bits, and
+    # its error at an infinite angle
+    g, step = _lift_and_math_step(params)
+    if math.isinf(TWO_PI * x):
+        with pytest.raises(ValueError, match="math domain error"):
+            step(x)
+        with pytest.raises(ValueError, match="math domain error"):
+            g(x)
+    else:
+        assert g(x).hex() == step(x).hex()
 
 
 @st.composite
@@ -260,8 +290,8 @@ def test_concentric_step_is_the_general_step_to_the_bit(R, c, t):
     rng = np.random.default_rng(320)
     xs = np.array(_EDGE_XS + rng.uniform(-1e6, 1e6, 248).tolist()
                   + rng.uniform(-2.0, 2.0, 248).tolist())
-    general = _general_poncelet_step(R, c, t, kernels.SCALAR)
-    rotation = kernels.poncelet_step(R, c, t)
+    general = _general_poncelet_step(R, c, t, MATH)
+    rotation = kernels.poncelet_step(R, c, t, MATH)
     for x in xs.tolist():
         try:
             want = general(x).hex()
@@ -299,7 +329,7 @@ def test_concentric_step_at_infinity_raises_or_gives_nan(x):
     # so does a wider table
     for R, c, t in ((1.0, 0.0, 0.5), (1e300, 1e-30, 0.0)):
         with pytest.raises(ValueError):
-            kernels.poncelet_step(R, c, t)(x)
+            kernels.poncelet_step(R, c, t, MATH)(x)
         with pytest.raises(ValueError):
             kernels.poncelet_orbit([x], 3, R, c, t)
         with pytest.warns(RuntimeWarning, match="invalid value"):
@@ -321,7 +351,7 @@ def test_concentric_family_orbit_is_the_general_step_iterated(R, c, t):
         # the family's parameter s and the inner radius it maps s to
         s = family.b - t if reverse else t
         inner = family.b + -s if reverse else -0.0 + s
-        general = _general_poncelet_step(R, c, inner, kernels.SCALAR)
+        general = _general_poncelet_step(R, c, inner, MATH)
         assert [_hexes(column) for column in family.orbit(s, starts, 9)] \
             == [_hexes(_iterated(general, x, 9)) for x in starts]
         for far in (math.inf, -3e307):
@@ -338,17 +368,16 @@ def test_kernel_step_commutes_with_integer_shift():
     np.testing.assert_allclose(b - a, 3.0, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("a", [-0.0, 0.0, math.nan, math.inf, -math.inf,
-                               1e-300, -1e-300])
-def test_scalar_clamp_is_the_builtin_max(a):
-    # the narrow step's clamp keeps max's value and sign of zero, and nan
-    clamp = kernels.SCALAR[3](a, 0.0)
-    expected = max(a, 0.0)
-    if math.isnan(expected):
-        assert math.isnan(clamp)
-    else:
-        assert clamp == expected
-        assert math.copysign(1.0, clamp) == math.copysign(1.0, expected)
+@pytest.mark.parametrize("x", [-0.0, 0.0, math.nan, 1e-300, -1e-300,
+                               5e-324, -5e-324])
+def test_loop_clamp_is_the_builtin_max(x):
+    # at internal tangency, where h^2 underflows, these starts put a zero, a
+    # tiny positive, a negative and a nan value in the clamp max(a, 0.0);
+    # the loop's inline clamp keeps max's value, sign of zero and nan
+    R, c, t = 1.0, 0.3, 0.7
+    step = kernels.poncelet_step(R, c, t, MATH)
+    column = kernels.poncelet_loop(R, c)(t, [x], 3)[0]
+    assert _hexes(column) == _hexes(_iterated(step, x, 3))
 
 
 def _every_lift():
@@ -690,6 +719,29 @@ def test_every_lift_the_constructors_accept_validates(g):
     # the contract is checked where a lift is built, not on each estimate
     if g is not None:
         g.validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300.0, 300.0),
+       st.sampled_from([-42.0, 0.0]) | st.floats(-42.0, 0.0)
+       | st.floats(-46.0, -42.0),
+       st.booleans())
+def test_every_poncelet_family_the_factory_accepts_builds_its_lifts(
+        log_R, log_gap, reverse):
+    # the factory checks the pair through the lift's constructor, so a
+    # family it builds hands out a lift at both ends of its interval, and a
+    # pair it refuses fails with the constructor's message
+    R = 10.0 ** log_R
+    c = R - R * 2.0 ** log_gap
+    try:
+        family = poncelet_family(R, c, reverse=reverse)
+    except LiftContractError as err:
+        assert R - c < GAP_MIN * R
+        assert str(err) == (f"Poncelet lift needs R - c >= 2**-42 R, "
+                            f"got R={R}, c={c}")
+        return
+    family.lift(family.a)
+    family.lift(family.b)
 
 
 def test_function_lift_accepts_valid_map():

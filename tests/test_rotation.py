@@ -4,6 +4,7 @@ the Poncelet-pair counting pipeline."""
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -899,8 +900,23 @@ def test_lock_rejects_unreduced_fraction():
 
 @pytest.mark.parametrize("p, q", [(1, 0), (1, -1)])
 def test_lock_rejects_a_denominator_below_one(p, q):
-    with pytest.raises(ValueError, match=f"got {p}/{q}$"):
+    with pytest.raises(ValueError, match=f"^q must be at least 1, got {q}$"):
         detect_rational_lock(RigidLift(0.5), p, q)
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, "2"], ids=repr)
+def test_lock_rejects_a_non_integer_denominator(q):
+    # q is read by the kernels' one count reader, which names it
+    message = f"^q must be an integer, got {re.escape(repr(q))}$"
+    with pytest.raises(TypeError, match=message):
+        detect_rational_lock(RigidLift(0.5), 1, q)
+
+
+def test_lock_reads_a_bool_denominator_as_an_integer():
+    # True is the count 1, as operator.index reads it, not a boolean index
+    # into the lock table
+    g = RigidLift(0.0)
+    assert detect_rational_lock(g, 0, True) == detect_rational_lock(g, 0, 1)
 
 
 # ---------------------------------------------------------------- staircase
