@@ -8,10 +8,11 @@ submodule that defines it (`poncelet.cf_expand` loads `confrac` alone).
 Only `twistfam` imports numpy at module level; elsewhere the functions
 that build arrays load it, so counting pairs never does.  `twistfam`'s
 import is kept on purpose: the benchmark's workers import `cli`,
-`families`, `rotation` and `twistfam` before their first timed
-operation, so numpy's import falls in their set-up, not in a timed
-staircase or growth operation.  A name is looked up on its submodule at
-each read, so it is always that module's object.
+`families`, `rotation` and `twistfam` after they report ready and before
+their first timed operation, so numpy's import falls in no timed
+staircase or growth operation and in no set-up sample, only in each
+worker's peak memory.  A name is looked up on its submodule at each
+read, so it is always that module's object.
 """
 
 import importlib

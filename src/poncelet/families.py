@@ -22,6 +22,8 @@ reads it: a negative or non-integer n raises the same error, with or
 without starts.
 """
 
+import math
+
 from . import kernels
 from .geometry import PonceletConfig
 from .lifts import ArnoldLift, PonceletLift, RigidLift
@@ -82,7 +84,8 @@ def arnold_family(K):
     """Standard family g_t(x) = x + t + (K / 2 pi) sin(2 pi x), t in [0, 1]."""
     ArnoldLift(0.0, K)  # rejects an invalid K up front
     return MonotoneCircleFamily(0.0, 1.0, lambda t: ArnoldLift(t, K),
-                                kernels.arnold_loop(K), lambda t, x: 1.0)
+                                kernels.arnold_loop(K, math.sin),
+                                lambda t, x: 1.0)
 
 
 def poncelet_family(R, c, reverse=False):

@@ -39,50 +39,62 @@ error at an infinite angle, with no general step built or run for the
 shift.  So the concentric estimates, lock tables and pair counts skip the
 two sines, the square root and the atan2 of each step.
 
-Each map's step is defined once, as a factory that binds the map's
-parameters and a tuple of elementary functions (sin, sqrt, atan2, max).
-The library builds it only from numpy's ufuncs, in `table`; the tests
-also build it from ``math``, as the independent one-float reference that
-the map's loop is pinned to.  Each map has a second factory, its
-one-point loop, which binds the map's fixed constants ((R, c) for
-Poncelet, K for Arnold) and takes the family parameter (t, omega) and a
-sequence of starts per call, forming the parameter's constants with the
-step's operations.  One builder, `table`, writes every orbit table of a
-map, from its one-point loop or from its numpy step.  Iterating the map:
+The Arnold map has one body, its loop `arnold_loop(K, sin)`.  Its step
+has no clamp, so one statement steps a float with ``math.sin`` and a
+whole row with numpy's ``sin``, elementwise.  The Poncelet map has two.
+Its step, `poncelet_step`, is a factory that binds (R, c, t) and a tuple
+of elementary functions (sin, sqrt, atan2, max); the library builds it
+only from numpy's ufuncs, in `table`.  Its loop, `poncelet_loop`, writes
+the ``math`` build's statements inline, with the clamp max(a, 0.0) as
+``0.0 if 0.0 > a else a``.  That clamp has no array form as cheap: in
+interleaved timeit runs (30 rounds, a 1,024-step orbit at c = 0.3,
+Python 3.11.7, 2 shared cores), ``0.5 * (a + abs(a))`` cost 1.067x
+[1.039, 1.080] per step and a call of a clamp function 1.081x.  The tests
+build each map's step from ``math`` (the Poncelet step through
+`poncelet_step`, the Arnold step in the tests themselves) as the
+independent one-float reference its loop is pinned to.  A loop binds
+the map's fixed constants ((R, c) for Poncelet, K and sin for Arnold)
+and takes the family parameter (t, omega) and a sequence of starts per
+call, forming the parameter's constants with the step's operations.
+One builder, `table`, writes every orbit table of a map as the columns
+of a loop.  Iterating the map:
 
-* one-point orbits run the map's loop (`poncelet_loop`, `arnold_loop`):
-  the ``math`` step's statements written out inline in one python loop
-  per start, so no step is a python call (numpy's per-call dispatch on a
-  1-element array costs about 20x a scalar step).  A one-point table
-  runs it: the rotation estimate's orbit, whose floors of g^q(0) give
-  its Farey bracket (up to a rounding allowance that is not yet a
-  certified budget), and that orbit's extensions.  So does a family's
-  `orbit(t, starts, n)`, bound to its loop once when the family is
-  built: the pair count's lap residual and ``verify_closure``'s starts,
-  one column per start from one call.  So does a lift's ``g(x)``, the
-  first step of a one-point loop bound when the lift is built, which
-  `validate` samples: `g`, `advance`, one-point tables and family orbits
-  run one code path per map.  The loop has the bits of the step built
-  from ``math``, errors included: it raises where ``math`` does, at an
-  infinite 2 pi x.  Each step's statements so exist twice, once in the
-  step and once in its loop, and tests pin the loop to the ``math``
-  build to the bit.
-* a table of two or more points runs the step built from numpy's ufuncs
-  on whole arrays.  Every table the library builds (the 32-point lock
-  subgrid, the 512-point lock grid, `twistfam`'s 128- and 256-point
-  samples) is one, so a subgrid point has the grid table's bits.  An
-  infinite 2 pi x gives its column ``nan``, with numpy's warning.
+* one-point orbits run the map's loop (`poncelet_loop`, or `arnold_loop`
+  with ``math.sin``): the ``math`` step's statements written out inline
+  in one python loop per start, so no step is a python call (numpy's
+  per-call dispatch on a 1-element array costs about 20x a scalar step).
+  A one-point table runs it: the rotation estimate's orbit, whose floors
+  of g^q(0) give its Farey bracket (up to a rounding allowance that is
+  not yet a certified budget), and that orbit's extensions.  So does a
+  family's `orbit(t, starts, n)`, bound to its loop once when the family
+  is built: the pair count's lap residual and ``verify_closure``'s
+  starts, one column per start from one call.  So does a lift's
+  ``g(x)``, the first step of a one-point loop bound when the lift is
+  built, which `validate` samples: `g`, `advance`, one-point tables and
+  family orbits run one code path per map.  The loop has the bits of the
+  step built from ``math``, errors included: it raises where ``math``
+  does, at an infinite 2 pi x.  The Poncelet step's statements so exist
+  twice, once in the step and once in its loop, and tests pin the loop
+  to the ``math`` build to the bit.
+* a table of two or more points runs the map's loop built from numpy's
+  ufuncs on the single start xs, so the loop's one column holds the
+  table's rows: `arnold_loop` with numpy's ``sin``, or `step_loop` over
+  the numpy build of `poncelet_step`.  Every table the library builds
+  (the 32-point lock subgrid, the 512-point lock grid, `twistfam`'s 128-
+  and 256-point samples) is one, so a subgrid point has the grid table's
+  bits.  An infinite 2 pi x gives its column ``nan``, with numpy's
+  warning.
 * a map with no loop of its own, a `FunctionLift`'s callable or the
   rigid family's lift `RigidLift(t)`, runs `step_loop`: the same
   columns, with one python call per step, and a `FunctionLift`'s table
-  is `table` over it at every width.  So the kernels own every one-point
-  loop and the one table builder, and no lift or family writes either.
-  The pair count and the rotation estimate keep the maps' inline loops
-  and never run `step_loop`.
+  is `table` over it at every width.  So the kernels own every loop and
+  the one table builder, and no lift or family writes either.  The pair
+  count and the rotation estimate's one-point orbits keep the maps'
+  inline loops and never run `step_loop`.
 
-The two paths agree to rounding, not bit for bit: numpy's vectorized
+The two widths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
-``math.atan2``.  The loops themselves need only ``math``: numpy is
+``math.atan2``.  The one-point loops need only ``math``: numpy is
 imported by the functions that build arrays, so a caller that
 never tabulates (the pair count) never loads it.
 
@@ -90,8 +102,9 @@ Every count argument is read once, by `read_count`, where it enters the
 library, and its errors name the argument: an orbit's step count n (a
 lift's `orbit_table`, and so `advance`, and a family's `orbit` take
 n >= 0, `verify_closure` n >= 1 and the pair count n >= 3), the
-lock search's denominator q (>= 1), the parameter search's iters (>= 0)
-and the totient's n (>= 1).  The loops and tables here take n as given.
+lock search's denominator q (>= 1) and its numerator p (no lower bound),
+the parameter search's iters (>= 0) and the totient's n (>= 1).  The
+loops and tables here take n as given.
 
 This module is the one implementation (``BACKEND``).  ``_ref``, ``impl``
 and the ``*_advance`` functions (a table's last row) serve only the
@@ -115,9 +128,10 @@ _ref = impl = sys.modules[__name__]
 
 def read_count(value, least, name):
     """value as an int of at least `least`: the one reader of the
-    library's count arguments, an orbit's step count n among them.  A
-    non-integer value raises TypeError, and a smaller one ValueError, both
-    naming `name`, before any work runs."""
+    library's integer arguments, an orbit's step count n among them, and
+    the lock search's numerator p, read with least = -inf (no lower
+    bound).  A non-integer value raises TypeError, and a smaller one
+    ValueError, both naming `name`, before any work runs."""
     try:
         value = operator.index(value)
     except TypeError:
@@ -140,8 +154,9 @@ def _pair(R, c, t):
 def poncelet_step(R, c, t, fns):
     """One step of the tangent-line lift in lift coordinates, with the
     circle pair bound, built from ``fns`` = (sin, sqrt, atan2, max):
-    numpy's ufuncs for a table, or (math.sin, math.sqrt, math.atan2, max),
-    the tests' one-float reference, whose clamp has the builtin max's bits.
+    numpy's ufuncs for a table, which runs it on whole rows through
+    `step_loop`, or (math.sin, math.sqrt, math.atan2, max), the tests'
+    one-float reference, whose clamp has the builtin max's bits.
 
     At c / R == 0 (c = -0.0 and a c / R that underflows included) it is
     the rotation by the closed-form shift, formed from `_pair`'s
@@ -237,25 +252,15 @@ def poncelet_dgdt(R, c, t, x):
         return -1.0 / (pi * np.sqrt(s2_at_0 + four_rc * h * h)) / R
 
 
-def arnold_step(omega, K, fns):
-    """One step of the Arnold lift, with omega and K bound, built from
-    ``fns``' sin."""
-    sin = fns[0]
-    omega = float(omega)
-    k = float(K) / TWO_PI
-
-    def step(x):
-        return x + omega + k * sin(TWO_PI * x)
-
-    return step
-
-
-def arnold_loop(K):
-    """The one-point orbits of the Arnold lift with K bound, over omega:
-    loop(omega, starts, n) is one list [x, g(x), ..., g^n(x)] per start
-    x, with g = ``arnold_step(omega, K, fns)`` built from ``math`` and
-    its statement inline."""
-    sin = math.sin
+def arnold_loop(K, sin):
+    """The orbits of the Arnold lift g(x) = x + omega + (K / 2 pi)
+    sin(2 pi x), with K and `sin` bound, over omega: loop(omega, starts,
+    n) is one list [x, g(x), ..., g^n(x)] per start x.  It is the map's
+    one body.  With ``math.sin`` a start is one float: the one-point
+    orbits of `ArnoldLift`, `arnold_family` and a one-point table.  With
+    numpy's ``sin`` a start may be a whole array, which the same statement
+    steps elementwise: a wider table runs the single start xs, so its one
+    column holds the table's rows, with numpy's bits and warnings."""
     k = float(K) / TWO_PI
 
     def loop(omega, starts, n):
@@ -274,12 +279,13 @@ def arnold_loop(K):
 
 
 def step_loop(step, starts, n):
-    """The one-point orbits of any one-float map: one list
-    [x, step(x), ..., step^n(x)] per start x, with one python call per
-    step.  It runs the maps that have no loop of their own: a
-    `FunctionLift`'s table, and the rigid family's orbit over its lift
-    `RigidLift(t)`, so no family writes a step.  n is an int of at least
-    0, as `read_count` reads it for `orbit_table` and
+    """The orbits of any map: one list [x, step(x), ..., step^n(x)] per
+    start x, with one python call per step.  It runs the maps that have
+    no loop of their own: a `FunctionLift`'s table, and the rigid family's
+    orbit over its lift `RigidLift(t)`, so no family writes a step.  It
+    also runs the Poncelet step built from numpy's ufuncs, with one row as
+    its start, for every Poncelet table of two or more points.  n is an
+    int of at least 0, as `read_count` reads it for `orbit_table` and
     `MonotoneCircleFamily.orbit`; the loop checks nothing."""
     columns = []
     for x in starts:
@@ -291,24 +297,23 @@ def step_loop(step, starts, n):
     return columns
 
 
-def table(xs, depth, loop, numpy_step):
+def table(xs, depth, loop, numpy_loop):
     """The orbit table of a map over the 1-d array xs: row k holds g^k(xs),
-    k = 0..depth.  For one start, or at every width when `numpy_step` is
+    k = 0..depth.  For one start, or at every width when `numpy_loop` is
     None, its columns are `loop(starts, depth)`, the map's one-point
-    orbits; otherwise row k + 1 is `numpy_step(fns)`, the step built from
-    numpy's ufuncs, run on row k."""
+    orbits.  Otherwise its rows are the one column of
+    `numpy_loop(fns)([xs], depth)`, the map's loop built from numpy's
+    ufuncs fns and run on the single start xs."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.float64)
+    if xs.size != 1 and numpy_loop is not None:
+        [rows] = numpy_loop((np.sin, np.sqrt, np.arctan2, np.maximum))(
+            [xs], depth)
+        return np.array(rows)
     out = np.empty((depth + 1, xs.size), dtype=np.float64)
-    if xs.size == 1 or numpy_step is None:
-        for i, column in enumerate(loop(xs.tolist(), depth)):
-            out[:, i] = column
-        return out
-    out[0] = xs
-    step = numpy_step((np.sin, np.sqrt, np.arctan2, np.maximum))
-    for k in range(1, depth + 1):
-        out[k] = step(out[k - 1])
+    for i, column in enumerate(loop(xs.tolist(), depth)):
+        out[:, i] = column
     return out
 
 
@@ -321,7 +326,8 @@ def poncelet_advance(xs, n, R, c, t):
 def poncelet_orbit(xs, depth, R, c, t):
     """Orbit table: row k holds g^k applied to xs, k = 0..depth."""
     return table(xs, depth, functools.partial(poncelet_loop(R, c), t),
-                 functools.partial(poncelet_step, R, c, t))
+                 lambda fns: functools.partial(
+                     step_loop, poncelet_step(R, c, t, fns)))
 
 
 def arnold_advance(xs, n, omega, K):
@@ -329,5 +335,6 @@ def arnold_advance(xs, n, omega, K):
 
 
 def arnold_orbit(xs, depth, omega, K):
-    return table(xs, depth, functools.partial(arnold_loop(K), omega),
-                 functools.partial(arnold_step, omega, K))
+    return table(xs, depth,
+                 functools.partial(arnold_loop(K, math.sin), omega),
+                 lambda fns: functools.partial(arnold_loop(K, fns[0]), omega))

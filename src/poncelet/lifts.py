@@ -28,10 +28,11 @@ iterated, errors included: a start where g raises (math's error at an
 infinite angle) raises there too.  The exception is the rigid lift, whose
 table at every width is its closed form x + alpha k, which can differ
 from g iterated in the last bits.  A wider Poncelet or Arnold table gives
-that column `nan`, from numpy's step.
+that column `nan`, from numpy's ufuncs.
 """
 
 import functools
+import math
 
 from . import kernels
 from .geometry import PonceletConfig
@@ -165,7 +166,8 @@ class ArnoldLift(CircleLift):
             raise LiftContractError(f"Arnold lift needs 0 <= K <= 1, got {K}")
         self.omega = _checked_shift(omega, "omega")
         self.K = float(K)
-        self._step = _first_step(kernels.arnold_loop(self.K), self.omega)
+        self._step = _first_step(kernels.arnold_loop(self.K, math.sin),
+                                 self.omega)
 
     def _orbit(self, xs, depth):
         return kernels.arnold_orbit(xs, depth, self.omega, self.K)

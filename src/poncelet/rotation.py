@@ -75,7 +75,7 @@ from .geometry import TWO_PI
 LOCK_GRID = 512       # points of the periodic lock-scan grid
 # Points of its subgrid, every 16th, which the first-stage scan tries before
 # the grid: a lock's root cell turns up almost anywhere on the grid, and
-# the kernels iterate every table of two or more points on numpy's step,
+# the kernels iterate every table of two or more points on numpy's ufuncs,
 # so a subgrid point gets the grid table's bits.
 LOCK_SUBGRID = 32
 Q_MAX = 64            # largest lock denominator rotation_number tries
@@ -220,8 +220,10 @@ def detect_rational_lock(g, p, q):
     Returns the left grid point of the first cell of the LOCK_GRID-point
     grid whose ends hold an exact zero of d or a sign change, so the cell
     holds a root; None if there is none.  Absence on the grid is heuristic
-    evidence only, not a proof.  q is read by `kernels.read_count`.
+    evidence only, not a proof.  p and q are read by `kernels.read_count`,
+    p with no lower bound.
     """
+    p = kernels.read_count(p, -math.inf, "p")
     q = kernels.read_count(q, 1, "q")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")

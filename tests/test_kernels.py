@@ -23,8 +23,19 @@ from poncelet.lifts import (
 
 #: The one-float build of each map's step: the reference its one-point
 #: loop, and so every lift's g(x), is pinned to.  The library builds the
-#: steps only from numpy.
+#: Poncelet step only from numpy, and has no Arnold step.
 MATH = (math.sin, math.sqrt, math.atan2, max)
+
+
+def _arnold_step(omega, K, fns):
+    """One step of the Arnold lift g(x) = x + omega + (K / 2 pi) sin(2 pi x),
+    built here from ``fns``' sin: with `MATH` the reference the kernels'
+    one body, `arnold_loop`, is pinned to at one point, and with numpy's
+    ufuncs at every wider table.  It forms float(omega) and
+    float(K) / 2 pi as the loop does."""
+    sin = fns[0]
+    omega, k = float(omega), float(K) / TWO_PI
+    return lambda x: x + omega + k * sin(TWO_PI * x)
 
 
 def test_backend_selection_is_reported():
@@ -103,7 +114,7 @@ def _numpy_table(make_step, params, xs, depth):
 _KERNEL_MAPS = [(kernels.poncelet_orbit, kernels.poncelet_step, params)
                 for params in [(1.0, 0.3, 0.2), (1.0, 0.0, 0.5),
                                (2.0, 0.7, 0.9), (1.0, 0.2, 0.8)]] + [
-    (kernels.arnold_orbit, kernels.arnold_step, params)
+    (kernels.arnold_orbit, _arnold_step, params)
     for params in [(0.3, 0.8), (0.51, 0.9)]]
 
 
@@ -150,7 +161,7 @@ def _lift_and_math_step(params):
     if kind == "poncelet":
         return (PonceletLift(PonceletConfig(*args)),
                 kernels.poncelet_step(*args, MATH))
-    return ArnoldLift(*args), kernels.arnold_step(*args, MATH)
+    return ArnoldLift(*args), _arnold_step(*args, MATH)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,6 +245,56 @@ def test_ref_table_of_two_or_more_points_runs_numpys_step():
         for width in range(2, 17):
             assert orbit(xs[:width], 20, *params).tobytes() \
                 == _numpy_table(make_step, params, xs[:width], 20).tobytes()
+
+
+#: Starts whose angle 2 pi x is not finite, or which are nan: a wide
+#: table gives each such column nan from row 1 on, with numpy's warnings
+_NON_FINITE_ANGLE_STARTS = st.sampled_from(
+    [math.inf, -math.inf, math.nan, 3e307, -3e307])
+
+
+@st.composite
+def _wide_starts(draw):
+    """A 1-d array of width 0, 2, 31 or 512: seeded starts in [-2, 2] with
+    up to four tiny or non-finite-angle starts put in at drawn columns."""
+    width = draw(st.sampled_from([0, 2, 31, 512]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = rng.uniform(-2.0, 2.0, width)
+    if width:
+        for x in draw(st.lists(_NON_FINITE_ANGLE_STARTS | _TINY_STARTS,
+                               max_size=4)):
+            xs[draw(st.integers(0, width - 1))] = x
+    return xs
+
+
+def _recorded(call):
+    """call()'s result and the (category, message) of every warning it
+    raised, each one recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lift_params(), _wide_starts(), st.integers(0, 64))
+def test_wide_table_is_the_numpy_step_row_by_row(params, xs, depth):
+    # a table of any width but one is the step built here from numpy's
+    # ufuncs, iterated row by row: the same bytes, and the same warnings
+    kind, *args = params
+    orbit, make_step = {"poncelet": (kernels.poncelet_orbit,
+                                     kernels.poncelet_step),
+                        "arnold": (kernels.arnold_orbit, _arnold_step)}[kind]
+    table, warned = _recorded(lambda: orbit(xs, depth, *args))
+    want, want_warned = _recorded(
+        lambda: _numpy_table(make_step, args, xs, depth))
+    assert table.shape == (depth + 1, xs.size)
+    assert table.tobytes() == want.tobytes()
+    assert warned == want_warned
+    with np.errstate(over="ignore"):
+        angles = TWO_PI * xs
+    assert np.isnan(table[1:, ~np.isfinite(angles)]).all()
+    assert (warned != []) == (depth > 0 and bool(np.isinf(angles).any()))
 
 
 def _general_poncelet_step(R, c, t, fns):

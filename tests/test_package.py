@@ -77,8 +77,9 @@ def test_import_loads_no_numpy_until_a_numeric_name_is_read():
     assert _numpy_loaded(code) == ["False", "False", "False", "(1, 2)",
                                    "True"]
     # twistfam alone imports numpy at module level, on purpose: the
-    # benchmark's workers import cli, families, rotation and twistfam
-    # before their first timed operation, so numpy's import falls in their
-    # set-up, not in the first timed staircase or growth operation
+    # benchmark's workers import cli, families, rotation and twistfam after
+    # they report ready and before their first timed operation, so numpy's
+    # import falls in no timed operation and no set-up sample, only in
+    # each worker's peak memory
     assert _numpy_loaded("import sys, poncelet.twistfam\n" + loaded) == [
         "True"]

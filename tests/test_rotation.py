@@ -919,6 +919,21 @@ def test_lock_reads_a_bool_denominator_as_an_integer():
     assert detect_rational_lock(g, 0, True) == detect_rational_lock(g, 0, 1)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, "1"], ids=repr)
+def test_lock_rejects_a_non_integer_numerator(p):
+    # p is read by the same integer reader as q, which names it
+    message = f"^p must be an integer, got {re.escape(repr(p))}$"
+    with pytest.raises(TypeError, match=message):
+        detect_rational_lock(RigidLift(0.5), p, 2)
+
+
+def test_lock_reads_a_bool_numerator_as_an_integer():
+    # True is the integer 1, as for q; p has no lower bound
+    g = RigidLift(0.5)
+    assert detect_rational_lock(g, True, 2) == detect_rational_lock(g, 1, 2)
+    assert detect_rational_lock(RigidLift(-0.5), -1, 2) == 0.0
+
+
 # ---------------------------------------------------------------- staircase
 
 def test_concentric_staircase_matches_arccos_oracle():
@@ -1865,8 +1880,7 @@ def test_count_and_solve_build_no_kernel_loop(family, monkeypatch):
     # solve's residuals and closure orbits call that loop with t, and build
     # neither a loop nor a step
     built = []
-    for name in ("poncelet_loop", "arnold_loop", "poncelet_step",
-                 "arnold_step"):
+    for name in ("poncelet_loop", "arnold_loop", "poncelet_step"):
         monkeypatch.setattr(kernels, name,
                             lambda *args, name=name: built.append(name))
     count_poncelet_pairs(family, 7)
