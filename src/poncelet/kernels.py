@@ -69,9 +69,11 @@ of a loop.  Iterating the map:
   family's `orbit(t, starts, n)`, bound to its loop once when the family
   is built: the pair count's lap residual and ``verify_closure``'s
   starts, one column per start from one call.  So does a lift's
-  ``g(x)``, the first step of a one-point loop bound when the lift is
-  built, which `validate` samples: `g`, `advance`, one-point tables and
-  family orbits run one code path per map.  The loop has the bits of the
+  ``advance(x, n)``, the loop bound when the lift is built and run on
+  one float with no table and no numpy: the first-stage lock scan's
+  subgrid points.  And so does its ``g(x)``, that loop's first step,
+  which `validate` samples: `g`, `advance`, one-point tables and family
+  orbits run one code path per map.  The loop has the bits of the
   step built from ``math``, errors included: it raises where ``math``
   does, at an infinite 2 pi x.  The Poncelet step's statements so exist
   twice, once in the step and once in its loop, and tests pin the loop
@@ -80,9 +82,8 @@ of a loop.  Iterating the map:
   ufuncs on the single start xs, so the loop's one column holds the
   table's rows: `arnold_loop` with numpy's ``sin``, or `step_loop` over
   the numpy build of `poncelet_step`.  Every table the library builds
-  (the 32-point lock subgrid, the 512-point lock grid, `twistfam`'s 128-
-  and 256-point samples) is one, so a subgrid point has the grid table's
-  bits.  An infinite 2 pi x gives its column ``nan``, with numpy's
+  (the 512-point lock grid, `twistfam`'s 128- and 256-point samples) is
+  one.  An infinite 2 pi x gives its column ``nan``, with numpy's
   warning.
 * a map with no loop of its own, a `FunctionLift`'s callable or the
   rigid family's lift `RigidLift(t)`, runs `step_loop`: the same
@@ -94,13 +95,15 @@ of a loop.  Iterating the map:
 
 The two widths agree to rounding, not bit for bit: numpy's vectorized
 ``sin`` and ``arctan2`` need not round like ``math.sin`` and
-``math.atan2``.  The one-point loops need only ``math``: numpy is
+``math.atan2``.  So a first-stage lock, read off one-float orbits, and
+the grid's scan of the same p/q can disagree only where g^q(x) - x - p
+is within rounding of 0.  The one-point loops need only ``math``: numpy is
 imported by the functions that build arrays, so a caller that
 never tabulates (the pair count) never loads it.
 
 Every count argument is read once, by `read_count`, where it enters the
 library, and its errors name the argument: an orbit's step count n (a
-lift's `orbit_table`, and so `advance`, and a family's `orbit` take
+lift's `orbit_table` and `advance` and a family's `orbit` take
 n >= 0, `verify_closure` n >= 1 and the pair count n >= 3), the
 lock search's denominator q (>= 1) and its numerator p (no lower bound),
 the parameter search's iters (>= 0) and the totient's n (>= 1).  The

@@ -1,34 +1,38 @@
 """Lifts of orientation-preserving circle homeomorphisms.
 
 A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
-Every lift is a scalar step plus one hook, `_orbit`, the iterates of an
-array; `CircleLift` builds `g(x)`, `orbit_table` and `advance` (the
-table's last row) on them once.  The Poncelet tangent map and the Arnold
-map take both from the kernels module: the step is the first step of the
-map's one-point loop, bound when the lift is built, and a one-point table
-runs that loop, so `g`, `advance`, one-point tables and family orbits run
-one code path per map.  A `FunctionLift`'s table is the kernels' `table`
-over `step_loop`, calling its callable one point at a time; rigid
-rotations are tabulated in closed form.  So the kernels own every
-one-point loop and the one table builder, and no lift writes either.  A
-table's starts are a 1-d array on every lift, and its depth n is read by
-the kernels' `read_count`: a negative or non-integer n raises there,
-naming n.
+Every lift is a scalar step plus two hooks, `_columns`, the one-point
+orbits of a sequence of floats, and `_orbit`, the iterates of an array;
+`CircleLift` builds `g(x)`, `advance` (the last point of one float's
+orbit) and `orbit_table` on them once.  The Poncelet tangent map and the
+Arnold map take them from the kernels module: `_columns` is the map's
+one-point loop, bound when the lift is built, the step is its first
+step, and a one-point table runs the same loop, so `g`, `advance`,
+one-point tables and family orbits run one code path per map.  A
+`FunctionLift`'s columns, and so its table at every width, are the
+kernels' `step_loop` over its callable, one call per step; rigid
+rotations are tabulated, and advanced, in closed form.  So the kernels
+own every one-point loop and the one table builder, and no lift writes
+either.  A table's starts are a 1-d array on every lift, and its depth n,
+like `advance`'s n, is read by the kernels' `read_count`: a negative or
+non-integer n raises there, naming n.
 
 A lift's contract is checked once, where it is built: a `FunctionLift`
 runs `validate` on its callable, and the library's maps refuse, in closed
 form, every parameter at which `validate` could fail (|alpha| or |omega|
 above SHIFT_MAX, R - c below GAP_MIN R), so an estimate checks nothing.
 
-`g(x)` and `validate` run the step on plain floats and load no numpy;
-`orbit_table` and `advance` do.  A code path that iterates one float
-without numpy builds no lift: the pair count runs its family's `orbit`,
-the map's one-point loop.  A one-point table, and so `advance`, is g
-iterated, errors included: a start where g raises (math's error at an
-infinite angle) raises there too.  The exception is the rigid lift, whose
-table at every width is its closed form x + alpha k, which can differ
-from g iterated in the last bits.  A wider Poncelet or Arnold table gives
-that column `nan`, from numpy's ufuncs.
+`g(x)`, `advance` and `validate` run on plain floats and load no numpy;
+`orbit_table` does.  `advance(x, n)` has the bits of `orbit_table([x],
+n)[-1, 0]`.  A code path that iterates one float without numpy needs no
+table: the first-stage lock scan reads `advance`, and the pair count runs
+its family's `orbit`, the map's one-point loop, and builds no lift.
+`advance` and a one-point table are g iterated, errors included: a start
+where g raises (math's error at an infinite angle) raises there too.  The
+exception is the rigid lift, whose table at every width, and whose
+`advance`, is its closed form x + alpha k, which can differ from g
+iterated in the last bits.  A wider Poncelet or Arnold table gives that
+column `nan`, from numpy's ufuncs.
 """
 
 import functools
@@ -59,10 +63,10 @@ class LiftContractError(ValueError):
     """The supplied function is not a valid circle-homeomorphism lift."""
 
 
-def _first_step(loop, parameter):
-    """g(x) of the map whose one-point orbits are loop(parameter, starts,
-    n): the first step of x's column, with the loop's bits and errors."""
-    return lambda x: loop(parameter, (x,), 1)[0][1]
+def _first_step(columns):
+    """g(x) of the map whose one-point orbits are columns(starts, n): the
+    first step of x's column, with the loop's bits and errors."""
+    return lambda x: columns((x,), 1)[0][1]
 
 
 def _checked_shift(value, name):
@@ -75,16 +79,20 @@ def _checked_shift(value, name):
 
 class CircleLift:
     """Base lift.  A subclass provides `_step`, g on one float, and may
-    replace the hook `_orbit(xs, depth)`, which tabulates g^0..g^depth over
-    a 1-d float64 array."""
+    replace the hooks `_columns(starts, n)`, the one-point orbits
+    [x, g(x), ..., g^n(x)] of a sequence of floats, and `_orbit(xs,
+    depth)`, which tabulates g^0..g^depth over a 1-d float64 array."""
 
     def __call__(self, x):
         return self._step(x)
 
     def advance(self, x, n):
-        """g^n(x) of one float x: the orbit table's last row
-        (`orbit_table(xs, n)[-1]` advances an array)."""
-        return float(self.orbit_table([x], n)[-1, 0])
+        """g^n(x) of one float x, as a python float: the last point of its
+        one-point orbit, run on plain floats with no numpy, with the bits
+        of `orbit_table([x], n)[-1, 0]` (`orbit_table(xs, n)[-1]` advances
+        an array)."""
+        n = kernels.read_count(n, 0, "n")
+        return self._columns((float(x),), n)[0][-1]
 
     def orbit_table(self, xs, depth):
         """Array of shape (depth+1, len(xs)) with row k = g^k(xs), for a
@@ -97,10 +105,13 @@ class CircleLift:
                              f"got shape {xs.shape}")
         return self._orbit(xs, kernels.read_count(depth, 0, "n"))
 
+    def _columns(self, starts, n):
+        # the scalar step, through the kernels' loop
+        return kernels.step_loop(self._step, starts, n)
+
     def _orbit(self, xs, depth):
-        # the scalar step at every width, through the kernels' loop
-        return kernels.table(xs, depth, functools.partial(
-            kernels.step_loop, self._step), None)
+        # the one-point orbits at every width
+        return kernels.table(xs, depth, self._columns, None)
 
     def validate(self):
         """Spot-check periodicity and monotonicity on the grid i / 64.
@@ -148,6 +159,10 @@ class RigidLift(CircleLift):
     def _step(self, x):
         return x + self.alpha
 
+    def advance(self, x, n):
+        # the closed form of its table's last row
+        return float(x) + self.alpha * kernels.read_count(n, 0, "n")
+
     def _orbit(self, xs, depth):
         import numpy as np
 
@@ -166,8 +181,9 @@ class ArnoldLift(CircleLift):
             raise LiftContractError(f"Arnold lift needs 0 <= K <= 1, got {K}")
         self.omega = _checked_shift(omega, "omega")
         self.K = float(K)
-        self._step = _first_step(kernels.arnold_loop(self.K, math.sin),
-                                 self.omega)
+        self._columns = functools.partial(
+            kernels.arnold_loop(self.K, math.sin), self.omega)
+        self._step = _first_step(self._columns)
 
     def _orbit(self, xs, depth):
         return kernels.arnold_orbit(xs, depth, self.omega, self.K)
@@ -183,7 +199,9 @@ class PonceletLift(CircleLift):
             raise LiftContractError(f"Poncelet lift needs R - c >= 2**-42 R, "
                                     f"got R={cfg.R}, c={cfg.c}")
         self.cfg = cfg
-        self._step = _first_step(kernels.poncelet_loop(cfg.R, cfg.c), cfg.t)
+        self._columns = functools.partial(
+            kernels.poncelet_loop(cfg.R, cfg.c), cfg.t)
+        self._step = _first_step(self._columns)
 
     def _orbit(self, xs, depth):
         return kernels.poncelet_orbit(xs, depth, *self.cfg)

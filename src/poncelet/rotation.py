@@ -20,14 +20,16 @@ with ValueError once the bracket stops narrowing (near 1e-11 in floats)
 or at MAX_STEPS steps.  At n steps the scan tries the p/q inside the
 bracket with q <= Q_MAX n / ROUGH_STEPS not tried at an earlier stage:
 q <= 4 after the first chunk of FIRST_CHUNK steps, so the low-order locks
-of a staircase (1/2, 1/3, 1/4, 0/1) cost 64 steps and a 4-row table.
+of a staircase (1/2, 1/3, 1/4, 0/1) cost 64 steps and a few q-step orbits
+of one float.
 Each p/q is scanned on its own table, and brackets only narrow, so the
 stages find the lock one scan at ROUGH_STEPS would.  Below
 q = ceil((b + d) / (b c - a d)) only the ends of the bracket [a/b, c/d]
 can be candidates, so a stage loops over no smaller q (see _candidates).
 The first stage scans the LOCK_SUBGRID-point subgrid of the grid before
-the grid itself: a subgrid point has the grid's bits, and a root cell of
-the subgrid holds one of the grid, so a hit there is the grid scan's hit.
+the grid itself, one point at a time off the lift's one-float orbits
+(`g.advance`), and stops at its first root cell; only a miss builds the
+grid's table.
 
 In exact arithmetic the bracket [a/b, c/d] of n steps has b, d <= n, so
 the mediant (a + c)/(b + d), which lies strictly inside it, is read by
@@ -47,19 +49,19 @@ contradict each other (a/b >= c/d: the orbit's rounding beat the
 allowance, seen at R = 1 only with R - c and (R - c - t) / (R - c) both
 below 1e-4, near internal tangency) raise ValueError.
 
-The estimator's orbit columns, brackets and lock table are numpy arrays,
-imported where they are built.  The pair count needs none, and builds no
-lift: its lap residual G(t) = g_t^n(X_REF) - X_REF and verify_closure's
-starts are read off the family's one-point orbit,
-`family.orbit(t, starts, n)`, which runs the map's loop with no python
-call per step.  Every p/n of one n is solved on G - p, with G at the
-bracket's ends evaluated once per n (solve_rotation runs the same solve
-on its own q), and each count draws its seeded closure starts once and
-hands the same starts to verify_closure for every pair, which reads all
-their columns from one orbit call.  Both read their n through the
-kernels' `read_count`, the one reader of every count argument, which
-`orbit_table`, `family.orbit`, `euler_totient` and the parameter
-search's iters share.
+The estimator's orbit columns, brackets and lock grid's table are numpy
+arrays, imported where they are built; the subgrid's d_i are floats.  The
+pair count needs none, and builds no lift: its lap residual
+G(t) = g_t^n(X_REF) - X_REF and verify_closure's starts are read off the
+family's one-point orbit, `family.orbit(t, starts, n)`, which runs the
+map's loop with no python call per step.  Every p/n of one n is solved
+on G - p, with G at the bracket's ends evaluated once per n
+(solve_rotation runs the same solve on its own q), and each count draws
+its seeded closure starts once and hands the same starts to
+verify_closure for every pair, which reads all their columns from one
+orbit call.  Both read their n through the kernels' `read_count`, the one
+reader of every count argument, which `orbit_table`, `family.orbit`,
+`euler_totient` and the parameter search's iters share.
 The records are `NamedTuple` classes.
 """
 
@@ -74,9 +76,8 @@ from .geometry import TWO_PI
 
 LOCK_GRID = 512       # points of the periodic lock-scan grid
 # Points of its subgrid, every 16th, which the first-stage scan tries before
-# the grid: a lock's root cell turns up almost anywhere on the grid, and
-# the kernels iterate every table of two or more points on numpy's ufuncs,
-# so a subgrid point gets the grid table's bits.
+# the grid, one point at a time: a lock's root cell turns up almost anywhere
+# on the grid, so the scan mostly stops after two or three points.
 LOCK_SUBGRID = 32
 Q_MAX = 64            # largest lock denominator rotation_number tries
 ROUGH_STEPS = 1024    # steps by which the lock scan has tried q <= Q_MAX
@@ -227,19 +228,18 @@ def detect_rational_lock(g, p, q):
     q = kernels.read_count(q, 1, "q")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be reduced, got {p}/{q}")
-    return _lock_point(g, _lock_grids()[0], p, q)
+    return _lock_point(g, _lock_grid(), p, q)
 
 
 @functools.cache
-def _lock_grids():
-    """The LOCK_GRID-point lock grid on [0, 1) and its LOCK_SUBGRID-point
-    subgrid, built on first use as read-only arrays."""
+def _lock_grid():
+    """The LOCK_GRID-point lock grid on [0, 1), built on first use as a
+    read-only array."""
     import numpy as np
 
     grid = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
-    subgrid = grid[::LOCK_GRID // LOCK_SUBGRID].copy()
-    grid.flags.writeable = subgrid.flags.writeable = False
-    return grid, subgrid
+    grid.flags.writeable = False
+    return grid
 
 
 def _root_cell(d):
@@ -262,22 +262,45 @@ def _lock_point(g, xs, p, q):
     return None if cell is None else float(xs[cell])
 
 
+def _straddles(a, b):
+    # sign(a) sign(b) <= 0, as _root_cell tests it: a nan end is False
+    return a <= 0.0 <= b or b <= 0.0 <= a
+
+
+def _subgrid_root_cell(g, p, q):
+    """The first root cell of d = g^q(x) - x - p on the LOCK_SUBGRID-point
+    subgrid x_i = i / LOCK_SUBGRID of the lock grid, or None: the cell
+    `_root_cell` gives on those d_i, the last cell closing on d_0.  The
+    d_i are read in grid order, each off the lift's one-float orbit
+    `g.advance(x_i, q)`, and the scan stops at the first cell whose ends
+    hold an exact zero or a sign change."""
+    d = []
+    for i in range(LOCK_SUBGRID):
+        x = i / LOCK_SUBGRID
+        d.append(g.advance(x, q) - x - p)
+        if i and _straddles(d[i - 1], d[i]):
+            return i - 1
+    return LOCK_SUBGRID - 1 if _straddles(d[-1], d[0]) else None
+
+
 def _first_lock(g, candidates):
     """The first (p, q) of candidates with a root cell of d = g^q(x) - x - p
     on the LOCK_GRID-point grid; None if none has one.
 
     Each candidate is scanned on its own table, in order.  One of the
     first stage (q <= Q_MAX FIRST_CHUNK / ROUGH_STEPS) is scanned on the
-    LOCK_SUBGRID-point subgrid first.  Its points have the grid's bits,
-    and a sign change or exact zero of d between two of them forces one
-    between two neighbouring grid points (a lift's d has no nan on the
-    grid), so a subgrid hit is a grid hit and needs no grid table.
-    Deeper candidates go straight to the grid: they are almost always
-    rejections, which the subgrid cannot give."""
-    grid, subgrid = _lock_grids()
+    LOCK_SUBGRID-point subgrid first, one point at a time, up to its first
+    root cell (see _subgrid_root_cell), and only a miss builds the grid's
+    table.  A root cell of the subgrid certifies the lock as one of the
+    grid does, on the lift's one-float orbits, which are the `math` step
+    that g(x) and the orbit of 0 run; the grid's table runs numpy's
+    ufuncs, which can round otherwise, so the two can differ only where d
+    is within rounding of 0.  Deeper candidates go straight to the grid:
+    they are almost always rejections, which the subgrid cannot give."""
+    grid = _lock_grid()
     for p, q in candidates:
         if (q <= Q_MAX * FIRST_CHUNK // ROUGH_STEPS
-                and _lock_point(g, subgrid, p, q) is not None
+                and _subgrid_root_cell(g, p, q) is not None
                 or _lock_point(g, grid, p, q) is not None):
             return p, q
     return None
@@ -346,9 +369,9 @@ def rotation_number(g, tol=1e-4):
     two chunks the lock scan tries the reduced p/q inside the bracket,
     q <= 4 after the first and 5 <= q <= Q_MAX after the second, in
     ascending q, each on its own q-step orbit table of the LOCK_GRID-point
-    grid (q <= 4 on its LOCK_SUBGRID-point subgrid first, see
-    _first_lock); a detected lock p/q gives the exact value (error
-    radius 0).
+    grid (q <= 4 on its LOCK_SUBGRID-point subgrid first, off one-float
+    orbits, see _first_lock); a detected lock p/q gives the exact value
+    (error radius 0).
     The scan is done before any extension: near a low-order rational the
     bracket narrows only like 1/n.  Otherwise the orbit is extended
     (doubling, at most CHUNK_MAX steps at a time) until half the

@@ -130,6 +130,29 @@ def test_lift_periodicity_is_exact(c, x, y):
     assert d[1] - a[1] == pytest.approx(3.0, abs=1e-12)
 
 
+def chord_distance(x, x_next, cfg):
+    """T(x, x') = R cos pi(x' - x) - c cos pi(x + x'): the signed distance
+    of the chord from 2 pi x to 2 pi x' from the inner centre (c, 0)."""
+    return (cfg.R * math.cos(math.pi * (x_next - x))
+            - cfg.c * math.cos(math.pi * (x + x_next)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 0.95), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_one_step_keeps_the_chords_distance(c, x, y):
+    # F maps a chord tangent to L_t to the next chord tangent to L_t, and Z
+    # does not depend on t, so T is a first integral on the whole torus:
+    # the chord (x, x') of (x, y) and the chord (x', x'') of F(x, y) lie at
+    # one distance from the inner centre (the paper's misprinted Z moves it
+    # by up to 3.26)
+    cfg = PonceletConfig(1.0, c, 0.0)
+    x_next, y_next = twist_map(x, y, cfg)
+    x_after, _ = twist_map(x_next, y_next, cfg)
+    assert abs(chord_distance(x_next, x_after, cfg)
+               - chord_distance(x, x_next, cfg)) <= 2e-14
+
+
 def test_coordinate_change_consistency():
     # f in (x, y) coordinates is the analytic chord map in (theta, phi)
     cfg = PonceletConfig(1.0, 0.4, 0.0)

@@ -166,7 +166,7 @@ def test_cache_scan_finds_decorators_assignments_and_other_uses():
 #: on a caller's input is hidden state; a new one is declared here.
 CACHED = {
     "geometry.py:_li2_coefficients": "a constant table, built on first use",
-    "rotation.py:_lock_grids": "the constant lock grids, built on first use",
+    "rotation.py:_lock_grid": "the constant lock grid, built on first use",
 }
 
 

@@ -574,6 +574,53 @@ def test_advance_of_a_non_finite_float_is_nan(g, x):
     assert tab[:, 1].tobytes() == g.orbit_table([0.25, 0.5], 3)[:, 0].tobytes()
 
 
+@st.composite
+def _any_lift(draw):
+    # a lift of each kind: Poncelet over the scales and up to tangency,
+    # Arnold, rigid, and a FunctionLift's callable
+    kind = draw(st.sampled_from(["poncelet", "arnold", "rigid", "function"]))
+    if kind == "poncelet":
+        R = draw(st.sampled_from([1.0, 1e-200, 3.7, 1e200]))
+        c = draw(st.sampled_from([0.0, 0.3, 0.9, 0.99999,
+                                  draw(st.floats(0.0, 0.999))]))
+        c = c * R
+        return PonceletLift(PonceletConfig(
+            R, c, draw(st.floats(0.0, 1.0)) * (R - c)))
+    if kind == "arnold":
+        return ArnoldLift(draw(st.floats(-3.0, 3.0)),
+                          draw(st.floats(0.0, 1.0)))
+    if kind == "rigid":
+        return RigidLift(draw(st.floats(-3.0, 3.0)))
+    return FunctionLift(lambda x: x + 0.2 + 0.05 * math.sin(2.0 * math.pi * x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_any_lift(),
+       x=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e6, 1e6),
+                   st.sampled_from([0.0, -0.0, 0.5, 1e-300])),
+       n=st.integers(0, 70))
+def test_advance_is_the_one_point_tables_last_row_to_the_bit(g, x, n):
+    # advance runs the lift's one-point orbit on plain floats, no table,
+    # with the bits of the table's last row on every kind of lift
+    got = g.advance(x, n)
+    assert type(got) is float
+    assert got.hex() == float(g.orbit_table([x], n)[-1, 0]).hex()
+
+
+@pytest.mark.parametrize("g", _every_lift()[1:],
+                         ids=["arnold", "poncelet", "tangency", "function"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, 3e307])
+def test_advance_raises_at_an_infinite_angle(g, x):
+    # the one-float orbit runs math's sin, which raises at an infinite
+    # 2 pi x, as the one-point table does; no step is taken at n = 0
+    for n in (1, 5):
+        with pytest.raises(ValueError, match="math domain error"):
+            g.advance(x, n)
+        with pytest.raises(ValueError, match="math domain error"):
+            g.orbit_table([x], n)
+    assert g.advance(x, 0) == x
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf])
 def test_function_lift_passes_its_callables_error_through(x):
     # the table runs the callable itself, so its error passes through

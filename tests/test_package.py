@@ -68,14 +68,23 @@ def _numpy_loaded(code):
 
 def test_import_loads_no_numpy_until_a_numeric_name_is_read():
     loaded = "print('numpy' in sys.modules)\n"
+    # a lift's advance runs its one-float orbit, with no table: on every
+    # kind of lift it loads no numpy
+    advanced = ("from poncelet import ArnoldLift, FunctionLift, "
+                "PonceletConfig, PonceletLift, RigidLift\n"
+                "print([g.advance(0.1, 3) > 0.1 for g in ("
+                "PonceletLift(PonceletConfig(1.0, 0.3, 0.2)), "
+                "ArnoldLift(0.3, 0.8), RigidLift(0.25), "
+                "FunctionLift(lambda x: x + 0.25))])\n")
     code = ("import sys, poncelet\n" + loaded
             + "poncelet.cf_expand\n" + loaded
             + "import poncelet.cli, poncelet.families, poncelet.rotation\n"
-            + loaded
+            + loaded + advanced + loaded
             + "print(poncelet.rotation_number(poncelet.RigidLift(0.5)).lock)\n"
             + loaded)
-    assert _numpy_loaded(code) == ["False", "False", "False", "(1, 2)",
-                                   "True"]
+    assert _numpy_loaded(code) == ["False", "False", "False",
+                                   "[True, True, True, True]", "False",
+                                   "(1, 2)", "True"]
     # twistfam alone imports numpy at module level, on purpose: the
     # benchmark's workers import cli, families, rotation and twistfam after
     # they report ready and before their first timed operation, so numpy's

@@ -19,7 +19,12 @@ from poncelet.families import (
     poncelet_family,
     rigid_family,
 )
-from poncelet.geometry import TWO_PI, PonceletConfig
+from poncelet.geometry import (
+    TWO_PI,
+    PonceletConfig,
+    invariant_circle_phi,
+    twist_map,
+)
 from poncelet.lifts import ArnoldLift, CircleLift, PonceletLift, RigidLift
 from poncelet.rotation import (
     _EARLY_LAPS,
@@ -41,9 +46,10 @@ from poncelet.rotation import (
     _candidates,
     _estimate,
     _first_lock,
-    _lock_grids,
+    _lock_grid,
     _ratio,
     _root_cell,
+    _subgrid_root_cell,
     count_poncelet_pairs,
     detect_rational_lock,
     euler_totient,
@@ -207,6 +213,40 @@ def test_exact_r_matches_closed_forms():
         assert exact_r(R, c, R - c) == 0.0
 
 
+@pytest.mark.parametrize("c, t, averaged", [
+    (0.0, 0.3, True), (0.3, 0.4, True), (0.6, 0.2, True), (0.9, 0.05, True),
+    (0.9, 0.0999, False)])
+def test_a_twist_map_orbit_keeps_its_chord_distance_and_rotation(c, t,
+                                                                  averaged):
+    # 4,096 steps of the paper's F on the torus from the invariant circle of
+    # L_t over x = 0.123: each chord, read off consecutive x as
+    # R cos pi d - c cos pi(2x + d), d = (x' - x) mod 1, stays within 1e-12
+    # of t (the drift grows about linearly, 1.6e-13 here), and the weighted
+    # Birkhoff average of d, weight exp(-1 / (s (1 - s))) at s = (k + 1/2)
+    # / 4096, is exact_r(t) to 1e-11.  Near tangency the orbit's drift moves
+    # the average by the steep r'(t) times it, 1.5e-11 at (0.9, 0.0999), so
+    # there only the distance is checked
+    cfg = PonceletConfig(1.0, c, 0.0)
+    steps = 4096
+    x = 0.123
+    y = invariant_circle_phi(t, cfg)(x)
+    drift = total = weights = 0.0
+    for k in range(steps):
+        x_next, y = twist_map(x, y, cfg)
+        x_next, y = x_next % 1.0, y % 1.0
+        d = (x_next - x) % 1.0
+        drift = max(drift, abs(math.cos(math.pi * d)
+                               - c * math.cos(math.pi * (2.0 * x + d)) - t))
+        s = (k + 0.5) / steps
+        w = math.exp(-1.0 / (s * (1.0 - s)))
+        total += w * d
+        weights += w
+        x = x_next
+    assert drift <= 1e-12
+    if averaged:
+        assert abs(total / weights - exact_r(1.0, c, t)) <= 1e-11
+
+
 # Every field of the estimate: (lift, tol, value, error_radius, lock).
 # Each Poncelet row must also lie within its radius of exact_r; at internal
 # tangency (t = 0.8 for c = 0.2) that is the lock r = 0.  Off a lock the
@@ -283,13 +323,16 @@ def test_near_rational_estimates_hold_the_exact_value():
 
 
 class RecordingLift:
-    """A lift that records the (points, depth) of each orbit table."""
+    """A lift that records the (points, depth) of each orbit table and the
+    (x, n) of each one-float advance."""
 
     def __init__(self, g):
         self.g = g
         self.tables = []
+        self.advances = []
 
     def advance(self, x, n):
+        self.advances.append((x, n))
         return self.g.advance(x, n)
 
     def orbit_table(self, xs, depth):
@@ -297,14 +340,21 @@ class RecordingLift:
         return self.g.orbit_table(xs, depth)
 
 
-def test_lock_table_is_as_deep_as_the_deepest_candidate():
+def _subgrid_points(count, q):
+    """The (x, n) of advance at the first `count` subgrid points."""
+    return [(i / LOCK_SUBGRID, q) for i in range(count)]
+
+
+def test_a_first_chunk_lock_reads_the_subgrid_up_to_its_first_root_cell():
     # r = 1/2 at t = 0: g(x) = x + 1/2, so the first chunk's bracket is
     # [31/63, 32/63] and its only candidate with q <= 4 is 1/2, certified
-    # on the subgrid before the orbit runs on to ROUGH_STEPS
+    # on the subgrid's first cell (d = 0 at both ends) before the orbit
+    # runs on to ROUGH_STEPS: two one-float orbits and no lock table
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
     est = rotation_number(g, tol=1e-4)
     assert (est.lock, est.iterations) == ((1, 2), 64)
-    assert g.tables == [(1, 64), (LOCK_SUBGRID, 2)]
+    assert g.tables == [(1, 64)]
+    assert g.advances == _subgrid_points(2, 2)
 
 
 def test_no_lock_table_without_a_candidate():
@@ -314,18 +364,19 @@ def test_no_lock_table_without_a_candidate():
     est = rotation_number(g, tol=1e-4)
     assert (est.lock, est.iterations) == (None, 1024)
     assert g.tables == [(1, 64), (1, 960)]
+    assert g.advances == []
 
 
 def test_a_bracket_from_zero_scans_zero_after_the_first_chunk():
     # 64 steps of 0.0123 stay below 1, so the first chunk's bracket starts
-    # at 0/1: its candidate 0/1 is scanned, with no lock on the subgrid
-    # and then none on the grid, before the orbit runs on to ROUGH_STEPS,
-    # whose bracket holds no p/q with q <= 64
+    # at 0/1: its candidate 0/1 is scanned, with no lock on the subgrid's
+    # 32 points and then none on the grid, before the orbit runs on to
+    # ROUGH_STEPS, whose bracket holds no p/q with q <= 64
     g = RecordingLift(RigidLift(0.0123))
     est = rotation_number(g, tol=1e-4)
     assert (est.lock, est.iterations) == (None, 1024)
-    assert g.tables == [(1, 64), (LOCK_SUBGRID, 1), (LOCK_GRID, 1),
-                        (1, 960)]
+    assert g.tables == [(1, 64), (LOCK_GRID, 1), (1, 960)]
+    assert g.advances == _subgrid_points(LOCK_SUBGRID, 1)
 
 
 @pytest.mark.parametrize("g", [
@@ -486,12 +537,14 @@ def test_radius_is_positive_and_within_tol_off_a_lock():
 def test_lock_scan_runs_before_any_extension():
     # near the Fuss radius at c = 0 the bracket narrows only like 1/n, so
     # extending first would run 16,384 steps before the scan finds 1/4;
-    # with q = 4 the lock is certified from the first chunk, on the subgrid
+    # with q = 4 the lock is certified from the first chunk, on the
+    # subgrid's first cell
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0,
                                                   math.sqrt(0.5))))
     est = rotation_number(g, tol=1e-5)
     assert (est.lock, est.iterations) == ((1, 4), 64)
-    assert g.tables == [(1, 64), (LOCK_SUBGRID, 4)]
+    assert g.tables == [(1, 64)]
+    assert g.advances == _subgrid_points(2, 4)
 
 
 @pytest.mark.parametrize("estimate", [
@@ -721,22 +774,21 @@ def test_lock_point_is_the_left_end_of_a_root_cell():
     assert d[0] * d[1] <= 0.0
 
 
-def test_lock_subgrid_takes_the_grid_tables_path():
-    # a table, so the subgrid runs the grid's numpy step (its bits are
-    # pinned below); every 16th grid point, so a subgrid cell is 16 grid
-    # cells
+def test_subgrid_points_are_grid_points():
+    # every 16th grid point, to the bit, so a subgrid cell is 16 grid cells
     assert LOCK_GRID % LOCK_SUBGRID == 0
+    grid = _lock_grid()
+    assert [i / LOCK_SUBGRID for i in range(LOCK_SUBGRID)] \
+        == grid[::LOCK_GRID // LOCK_SUBGRID].tolist()
 
 
-def test_lock_grids_are_built_once_and_read_only():
-    grid, subgrid = _lock_grids()
-    assert _lock_grids()[0] is grid and _lock_grids()[1] is subgrid
+def test_lock_grid_is_built_once_and_read_only():
+    grid = _lock_grid()
+    assert _lock_grid() is grid
     want = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
     assert grid.tobytes() == want.tobytes()
-    assert subgrid.tobytes() == want[::LOCK_GRID // LOCK_SUBGRID].tobytes()
-    for xs in (grid, subgrid):
-        with pytest.raises(ValueError):
-            xs[0] = 0.5
+    with pytest.raises(ValueError):
+        grid[0] = 0.5
 
 
 def _subgrid_lifts():
@@ -747,19 +799,28 @@ def _subgrid_lifts():
         for t in (0.0, euler, fuss, 0.37 * (1.0 - c), 1.0 - c):
             lifts.append(PonceletLift(PonceletConfig(1.0, c, t)))
     return lifts + [ArnoldLift(omega, K) for K in (0.5, 0.9)
-                    for omega in (0.0, 0.25, 0.51, GOLDEN)]
+                    for omega in (0.0, 0.25, 0.51, GOLDEN)] + [
+        RigidLift(alpha) for alpha in (0.0, 0.25, 1.0 / 3.0, 0.1)]
 
 
 @pytest.mark.parametrize("g", _subgrid_lifts())
-def test_subgrid_table_has_the_grid_tables_bits(g):
-    # the subgrid scan certifies a grid lock only if its points are the
-    # grid table's points to the bit
-    xs = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
-    step = LOCK_GRID // LOCK_SUBGRID
-    assert g.orbit_table(xs[::step], 4).tobytes() \
-        == g.orbit_table(xs, 4)[:, ::step].tobytes()
-    assert g.orbit_table(_lock_grids()[1], 4).tobytes() \
-        == g.orbit_table(xs, 4)[:, ::step].tobytes()
+def test_subgrid_scan_reads_points_up_to_its_first_root_cell(g):
+    # for every p/q with q <= 4 near r (a lock of the lift among them),
+    # the scan returns the cell _root_cell finds on all 32 values of d,
+    # each read off one advance, and reads points only up to that cell's
+    # right end: all 32 when the cell is the closing one or there is none
+    r = rotation_number(g, tol=1e-3).value
+    for q in range(1, 5):
+        for p in {math.floor(r * q), math.ceil(r * q)}:
+            xs = [i / LOCK_SUBGRID for i in range(LOCK_SUBGRID)]
+            want = _root_cell(np.array([g.advance(x, q) - x - p
+                                        for x in xs]))
+            recording = RecordingLift(g)
+            assert _subgrid_root_cell(recording, p, q) == want
+            read = LOCK_SUBGRID if want in (None, LOCK_SUBGRID - 1) \
+                else want + 2
+            assert recording.advances == _subgrid_points(read, q)
+            assert recording.tables == []
 
 
 def _rolled_root_cell(d):
@@ -807,13 +868,53 @@ def test_root_cell_matches_the_rolled_scan(d):
     assert _root_cell(d) == _rolled_root_cell(d)
 
 
+class SubgridValues:
+    """Not a lift: advance(x, n) is x + p + values[i] at subgrid point
+    x = i / LOCK_SUBGRID, so d there is set by hand (up to the rounding of
+    x + values[i] - x), nan included."""
+
+    def __init__(self, values, p):
+        self.values, self.p = values, p
+        self.advances = []
+
+    def advance(self, x, n):
+        self.advances.append((x, n))
+        return x + self.p + self.values[round(x * LOCK_SUBGRID)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([-2.0, -1e-300, -0.0, 0.0, 1e-300,
+                                        3.0, math.nan, math.inf,
+                                        -math.inf]),
+                       min_size=LOCK_SUBGRID, max_size=LOCK_SUBGRID),
+       p=st.integers(-2, 2))
+@example(values=[-2.0] + [math.nan] * 30 + [3.0], p=1)
+@example(values=[3.0] + [math.nan] * 30 + [0.0], p=0)
+@example(values=[3.0] * 31 + [-2.0], p=-1)
+@example(values=[3.0] * LOCK_SUBGRID, p=0)
+def test_subgrid_scan_is_the_root_cell_of_its_values(values, p):
+    # the cell _root_cell gives on all 32 values of d, the closing cell
+    # (from point 31 back to point 0, first only when nans hide the
+    # others) included, read up to that cell's right end
+    xs = [i / LOCK_SUBGRID for i in range(LOCK_SUBGRID)]
+    d = [SubgridValues(values, p).advance(x, 3) - x - p for x in xs]
+    want = _root_cell(np.array(d))
+    g = SubgridValues(values, p)
+    assert _subgrid_root_cell(g, p, 3) == want
+    read = LOCK_SUBGRID if want in (None, LOCK_SUBGRID - 1) else want + 2
+    assert g.advances == _subgrid_points(read, 3)
+
+
 def test_a_later_subgrid_hit_scans_the_earlier_candidates_on_the_grid():
-    # each candidate has its own table: 0/1 has no subgrid hit and is
-    # ruled out on the grid before 1/2 is tried, whose subgrid hit is
-    # returned with no grid table, and 1/3 and 1/4 are never tabulated
+    # each candidate has its own scan: 0/1 has no subgrid hit on its 32
+    # points and is ruled out on the grid before 1/2 is tried, whose
+    # subgrid hit on the first cell is returned with no grid table, and
+    # 1/3 and 1/4 are never scanned
     g = RecordingLift(PonceletLift(PonceletConfig(1.0, 0.0, 0.0)))
     assert _first_lock(g, [(0, 1), (1, 2), (1, 3), (1, 4)]) == (1, 2)
-    assert g.tables == [(LOCK_SUBGRID, 1), (LOCK_GRID, 1), (LOCK_SUBGRID, 2)]
+    assert g.tables == [(LOCK_GRID, 1)]
+    assert g.advances == (_subgrid_points(LOCK_SUBGRID, 1)
+                          + _subgrid_points(2, 2))
 
 
 def _chunk_bracket(g, n):
@@ -841,6 +942,9 @@ class SteppedTable:
         d_01 = np.where(xs == 5.0 / LOCK_GRID, 1.0, -1.0)
         d_12 = np.where(xs < 0.5, -1.0, 1.0)
         return np.array([xs, xs + d_01, xs + 1.0 + d_12])[:depth + 1]
+
+    def advance(self, x, n):
+        return float(self.orbit_table([x], n)[n, 0])
 
 
 def test_an_earlier_grid_hit_beats_a_later_subgrid_hit():
@@ -891,6 +995,30 @@ def _lock_cases(draw):
 def test_first_lock_is_the_grid_scans_first_lock(case):
     g, candidates = case
     assert _first_lock(g, candidates) == _grid_first_lock(g, candidates)
+
+
+@st.composite
+def _near_lock_poncelet_lifts(draw):
+    # within 40 ulps of Euler's (1/3) or Fuss's (1/4) radius, where d of
+    # the lock is within rounding of 0 on the whole circle at c = 0
+    c = draw(st.floats(0.0, 0.95))
+    t = draw(st.sampled_from([(1.0 - c * c) / 2.0,
+                              (1.0 - c * c) / math.sqrt(2.0 * (1.0 + c * c))]))
+    k = draw(st.integers(-40, 40))
+    for _ in range(abs(k)):
+        t = math.nextafter(t, math.copysign(math.inf, k))
+    return PonceletLift(PonceletConfig(1.0, c, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(_near_lock_poncelet_lifts(), STAGED_LIFTS))
+def test_a_first_stage_lock_is_a_grid_lock(g):
+    # the subgrid reads one-float orbits and the grid numpy's table, which
+    # can round otherwise; a lock the first stage certifies is also found
+    # by the grid scan of detect_rational_lock
+    est = rotation_number(g, tol=1e-3)
+    if est.lock is not None and est.iterations == FIRST_CHUNK:
+        assert detect_rational_lock(g, *est.lock) is not None
 
 
 def test_lock_rejects_unreduced_fraction():
