@@ -13,13 +13,14 @@ families run their map's kernel loop, bound to the map's fixed constants
 when the family is built, and build no lift per orbit; the rigid family,
 which has no loop of its own, runs the kernels' `step_loop` over
 `RigidLift(t)`.  The Poncelet and Arnold factories check the map's fixed
-constants by building one lift up front, so the lift constructor is the
-one home of the map's contract (R - c >= 2**-42 R, 0 <= K <= 1): a
-pair or K it refuses builds no family.  `lift`, `orbit` and `dgdt` take
-t through one range check, so each rejects the same parameters, and
-`orbit` reads n through the kernels' `read_count`, as `orbit_table`
-reads it: a negative or non-integer n raises the same error, with or
-without starts.
+constants by building one lift up front, and the rigid factory its
+interval's ends by building their two lifts, so the lift constructor is
+the one home of the map's contract (R - c >= 2**-42 R, 0 <= K <= 1,
+|t| <= 2**12 for the rigid shift): a pair, K or end it refuses builds no
+family.  `lift`, `orbit` and `dgdt` take t through one range check, so
+each rejects the same parameters, and `orbit` reads n through the
+kernels' `read_count`, as `orbit_table` reads it: a negative or
+non-integer n raises the same error, with or without starts.
 """
 
 import math
@@ -74,6 +75,7 @@ class MonotoneCircleFamily:
 
 def rigid_family(a=0.0, b=1.0):
     """g_t(x) = x + t on [a, b]."""
+    RigidLift(a), RigidLift(b)  # rejects an end beyond 2**12 up front
     return MonotoneCircleFamily(
         a, b, RigidLift,
         lambda t, starts, n: kernels.step_loop(RigidLift(t), starts, n),

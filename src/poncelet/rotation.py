@@ -29,7 +29,8 @@ can be candidates, so a stage loops over no smaller q (see _candidates).
 The first stage scans the LOCK_SUBGRID-point subgrid of the grid before
 the grid itself, one point at a time off the lift's one-float orbits
 (`g.advance`), and stops at its first root cell; only a miss builds the
-grid's table.
+grid's table.  One scan, `_root_cell`, reads both: the subgrid's d_i as
+they are computed, and the grid's as its table's row.
 
 In exact arithmetic the bracket [a/b, c/d] of n steps has b, d <= n, so
 the mediant (a + c)/(b + d), which lies strictly inside it, is read by
@@ -50,11 +51,12 @@ allowance, seen at R = 1 only with R - c and (R - c - t) / (R - c) both
 below 1e-4, near internal tangency) raise ValueError.
 
 The estimator's orbit columns, brackets and lock grid's table are numpy
-arrays, imported where they are built; the subgrid's d_i are floats.  The
-pair count needs none, and builds no lift: its lap residual
-G(t) = g_t^n(X_REF) - X_REF and verify_closure's starts are read off the
-family's one-point orbit, `family.orbit(t, starts, n)`, which runs the
-map's loop with no python call per step.  Every p/n of one n is solved
+arrays, imported where they are built; the root-cell scan reads floats,
+the grid's row as a list.  The pair count needs none, and builds no
+lift: its lap residual G(t) = g_t^n(X_REF) - X_REF and verify_closure's
+starts are read off the family's one-point orbit,
+`family.orbit(t, starts, n)`, which runs the map's loop with no python
+call per step.  Every p/n of one n is solved
 on G - p, with G at the bracket's ends evaluated once per n
 (solve_rotation runs the same solve on its own q), and each count draws
 its seeded closure starts once and hands the same starts to
@@ -244,43 +246,33 @@ def _lock_grid():
 
 def _root_cell(d):
     """Index of the first cell of a periodic grid whose ends hold an exact
-    zero of d or a sign change, or None.  d(x + 1) = d(x), so the last
-    cell closes on d[0]; a nan end has sign nan and certifies nothing."""
-    import numpy as np
-
-    signs = np.sign(d)
-    hits = np.flatnonzero(signs[:-1] * signs[1:] <= 0)
-    if hits.size:
-        return int(hits[0])
-    return d.size - 1 if signs[-1] * signs[0] <= 0 else None
+    zero of d or a sign change, or None.  d is an iterable of the grid's
+    values in order, read up to that cell's right end.  d(x + 1) = d(x), so
+    the last cell closes on d[0]; a nan end certifies nothing."""
+    values = iter(d)
+    first = last = next(values)
+    cell = 0
+    for value in values:
+        if last <= 0.0 <= value or value <= 0.0 <= last:
+            return cell
+        last, cell = value, cell + 1
+    return cell if last <= 0.0 <= first or first <= 0.0 <= last else None
 
 
 def _lock_point(g, xs, p, q):
     """The lock certificate of p/q on the periodic grid xs: the left point
     of the first root cell of d = g^q(x) - x - p there, or None."""
-    cell = _root_cell(g.orbit_table(xs, q)[q] - xs - p)
+    cell = _root_cell((g.orbit_table(xs, q)[q] - xs - p).tolist())
     return None if cell is None else float(xs[cell])
-
-
-def _straddles(a, b):
-    # sign(a) sign(b) <= 0, as _root_cell tests it: a nan end is False
-    return a <= 0.0 <= b or b <= 0.0 <= a
 
 
 def _subgrid_root_cell(g, p, q):
     """The first root cell of d = g^q(x) - x - p on the LOCK_SUBGRID-point
-    subgrid x_i = i / LOCK_SUBGRID of the lock grid, or None: the cell
-    `_root_cell` gives on those d_i, the last cell closing on d_0.  The
-    d_i are read in grid order, each off the lift's one-float orbit
-    `g.advance(x_i, q)`, and the scan stops at the first cell whose ends
-    hold an exact zero or a sign change."""
-    d = []
-    for i in range(LOCK_SUBGRID):
-        x = i / LOCK_SUBGRID
-        d.append(g.advance(x, q) - x - p)
-        if i and _straddles(d[i - 1], d[i]):
-            return i - 1
-    return LOCK_SUBGRID - 1 if _straddles(d[-1], d[0]) else None
+    subgrid x_i = i / LOCK_SUBGRID of the lock grid, or None.  Each d_i is
+    read off the lift's one-float orbit `g.advance(x_i, q)`, in grid order,
+    and none past the right end of that cell."""
+    return _root_cell(g.advance(i / LOCK_SUBGRID, q) - i / LOCK_SUBGRID - p
+                      for i in range(LOCK_SUBGRID))
 
 
 def _first_lock(g, candidates):
@@ -291,12 +283,13 @@ def _first_lock(g, candidates):
     first stage (q <= Q_MAX FIRST_CHUNK / ROUGH_STEPS) is scanned on the
     LOCK_SUBGRID-point subgrid first, one point at a time, up to its first
     root cell (see _subgrid_root_cell), and only a miss builds the grid's
-    table.  A root cell of the subgrid certifies the lock as one of the
-    grid does, on the lift's one-float orbits, which are the `math` step
-    that g(x) and the orbit of 0 run; the grid's table runs numpy's
-    ufuncs, which can round otherwise, so the two can differ only where d
-    is within rounding of 0.  Deeper candidates go straight to the grid:
-    they are almost always rejections, which the subgrid cannot give."""
+    table.  Both scans are `_root_cell`, the one rule of a root cell: the
+    subgrid's on the lift's one-float orbits, which are the `math` step
+    that g(x) and the orbit of 0 run, and the grid's on its table's row,
+    whose numpy ufuncs can round otherwise, so the two can differ only
+    where d is within rounding of 0.  Deeper candidates go straight to the
+    grid: they are almost always rejections, which the subgrid cannot
+    give."""
     grid = _lock_grid()
     for p, q in candidates:
         if (q <= Q_MAX * FIRST_CHUNK // ROUGH_STEPS

@@ -854,9 +854,10 @@ def _rolled_root_cell(d):
 ], ids=lambda v: str(v))
 def test_root_cell_is_the_first_cyclic_cell(d, cell):
     # the last cell closes on d[0]; a nan end certifies nothing; products
-    # of d itself would underflow to 0 on tiny values, signs do not
-    d = np.array(d)
-    assert _root_cell(d) == cell == _rolled_root_cell(d)
+    # of d itself would underflow to 0 on tiny values, signs do not.  The
+    # grid hands its row over as a list
+    assert _root_cell(d) == _root_cell(np.array(d)) == cell \
+        == _rolled_root_cell(np.array(d))
 
 
 @settings(max_examples=300, deadline=None)
@@ -864,8 +865,20 @@ def test_root_cell_is_the_first_cyclic_cell(d, cell):
                                    math.nan, math.inf, -math.inf]),
                   min_size=1, max_size=40))
 def test_root_cell_matches_the_rolled_scan(d):
-    d = np.array(d)
-    assert _root_cell(d) == _rolled_root_cell(d)
+    # on the grid's list, on an array, and on the subgrid's generator, of
+    # which no value is read past the first root cell's right end (all of
+    # them for the closing cell or none)
+    read = []
+
+    def values():
+        for value in d:
+            read.append(value)
+            yield value
+
+    cell = _root_cell(values())
+    assert cell == _root_cell(d) == _root_cell(np.array(d)) \
+        == _rolled_root_cell(np.array(d))
+    assert len(read) == (len(d) if cell in (None, len(d) - 1) else cell + 2)
 
 
 class SubgridValues:

@@ -220,6 +220,22 @@ def test_arnold_family_rejects_an_invalid_k_up_front():
         arnold_family(1.5)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1e5), (0.0, math.inf),
+                                  (-5000.0, 0.0)])
+def test_rigid_family_rejects_an_end_beyond_its_lifts_bound(a, b):
+    # every t of [a, b] builds a RigidLift(t), so an end the lift refuses
+    # builds no family, rather than failing a search or count mid-run
+    with pytest.raises(LiftContractError, match=r"\|alpha\| must be at most"):
+        rigid_family(a, b)
+
+
+def test_rigid_family_builds_on_its_lifts_whole_range():
+    family = rigid_family(-4096.0, 4096.0)
+    assert (family.a, family.b) == (-4096.0, 4096.0)
+    assert family.lift(family.a).alpha == -4096.0
+    assert family.orbit(family.b, (0.0,), 2) == [[0.0, 4096.0, 8192.0]]
+
+
 @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.7, 0.2), (math.nan, 1.0),
                                   (0.0, math.nan)])
 def test_family_rejects_an_empty_or_nan_interval(a, b):
