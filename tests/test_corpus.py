@@ -8,6 +8,14 @@ every pair count of the count workload's inputs for seeds 1..3, one
 `count_poncelet_pairs` call per line: c, n and the closure seed, then
 each pair's t (hex), p and closure residual (hex), and the missing
 pairs' (p, reason).  Both run on poncelet_family(1.0, c).
+tests/data/corpus_lifts.txt holds `rotation_number(g, tol=1e-3)` of 592
+lifts whose estimates scan the LOCK_GRID-point grid far more often than
+the staircase's: ArnoldLift(omega, K) for K in 0.3, 0.5, 0.8, 0.9 and
+omega in linspace(0.01, 0.99, 98), RigidLift(i / 64) for i = 0..64 and
+RigidLift at 135 draws of random.Random(59).uniform(-3.0, 3.0).  A line
+holds the family and its parameters, then the estimate's fields as the
+staircase's do and, for a lock p/q, the `float.hex` of
+`detect_rational_lock(g, p, q)`.
 
 The inputs are written into the files, so the test reads no benchmark
 code; each file's header names the platform that recorded it.  The test
@@ -16,12 +24,13 @@ differ.  A change that moves an output re-records with
 
     PYTHONPATH=src python tests/test_corpus.py --record
 
-which draws the inputs from perfbench's `make_inputs` again, and lists
-the lines it changed.
+which draws the workloads' inputs from perfbench's `make_inputs` again,
+and the lifts' from their formula, and lists the lines it changed.
 """
 
 import functools
 import platform
+import random
 import sys
 from pathlib import Path
 
@@ -29,12 +38,16 @@ import numpy as np
 import pytest
 
 from poncelet.families import poncelet_family
-from poncelet.rotation import count_poncelet_pairs, rotation_number
+from poncelet.lifts import ArnoldLift, RigidLift
+from poncelet.rotation import (count_poncelet_pairs, detect_rational_lock,
+                               rotation_number)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 R = 1.0
 SHOWN = 5  # differing records a failure names
+LIFT_TOL = 1e-3
+LIFTS = {"arnold": ArnoldLift, "rigid": RigidLift}
 
 
 @functools.cache
@@ -42,11 +55,23 @@ def _family(c):
     return poncelet_family(R, c)
 
 
-def _estimate(c, tol, t):
-    est = rotation_number(_family(c).lift(t), tol=tol)
+def _fields(est):
     lock = "-" if est.lock is None else "%d/%d" % est.lock
     return (f"{est.value.hex()} {est.error_radius.hex()} {lock} "
             f"{est.iterations}")
+
+
+def _estimate(c, tol, t):
+    return _fields(rotation_number(_family(c).lift(t), tol=tol))
+
+
+def _lift_estimate(kind, *params):
+    g = LIFTS[kind](*map(float, params))
+    est = rotation_number(g, tol=LIFT_TOL)
+    if est.lock is None:
+        return _fields(est)
+    point = detect_rational_lock(g, *est.lock)
+    return f"{_fields(est)} {'-' if point is None else point.hex()}"
 
 
 def _count(c, n, seed):
@@ -60,15 +85,10 @@ def _run(kind, fields):
     if kind == "staircase":
         c, tol, t = map(float, fields)
         return _estimate(c, tol, t)
+    if kind == "lifts":
+        return _lift_estimate(*fields)
     c, n, seed = float(fields[0]), int(fields[1]), int(fields[2])
     return _count(c, n, seed)
-
-
-# (workload, seeds, legend of a line)
-CORPORA = {
-    "staircase": (range(1, 6), "c tol t\tvalue radius lock iterations"),
-    "count": (range(1, 4), "c n seed\tt:p:residual ...\t[(p, reason), ...]"),
-}
 
 
 def _read(kind):
@@ -77,22 +97,7 @@ def _read(kind):
     return [line.split("\t", 1) for line in lines if not line.startswith("#")]
 
 
-@pytest.mark.parametrize("kind", sorted(CORPORA))
-def test_corpus_holds_every_record(kind):
-    records = _read(kind)
-    assert records, f"corpus_{kind}.txt holds no records"
-    differ = []
-    for number, (inputs, want) in enumerate(records, 1):
-        got = _run(kind, inputs.split())
-        if got != want:
-            differ.append(f"record {number} ({inputs}):\n"
-                          f"  recorded {want}\n  computed {got}")
-    assert not differ, (
-        f"{len(differ)} of {len(records)} records of corpus_{kind}.txt "
-        "differ; the first:\n" + "\n".join(differ[:SHOWN]))
-
-
-def _inputs(kind, seeds):
+def _workload_inputs(kind, seeds):
     """The input fields of each operation of the workload's seeds."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -110,22 +115,61 @@ def _inputs(kind, seeds):
     return rows
 
 
+def _lift_inputs():
+    """The input fields of each lift of corpus_lifts.txt."""
+    draws = random.Random(59)
+    return ([("arnold", repr(float(omega)), repr(K))
+             for K in (0.3, 0.5, 0.8, 0.9)
+             for omega in np.linspace(0.01, 0.99, 98)]
+            + [("rigid", repr(i / 64)) for i in range(65)]
+            + [("rigid", repr(draws.uniform(-3.0, 3.0)))
+               for _ in range(135)])
+
+
+# (what the file holds, legend of a line, its inputs)
+CORPORA = {
+    "staircase": ("staircase workload, seeds 1..5, on poncelet_family(1.0, c)",
+                  "c tol t\tvalue radius lock iterations",
+                  functools.partial(_workload_inputs, "staircase", range(1, 6))),
+    "count": ("count workload, seeds 1..3, on poncelet_family(1.0, c)",
+              "c n seed\tt:p:residual ...\t[(p, reason), ...]",
+              functools.partial(_workload_inputs, "count", range(1, 4))),
+    "lifts": ("rotation_number(g, tol=0.001) of Arnold and rigid lifts",
+              "family parameters\tvalue radius lock iterations [lock point]",
+              _lift_inputs),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORPORA))
+def test_corpus_holds_every_record(kind):
+    records = _read(kind)
+    assert records, f"corpus_{kind}.txt holds no records"
+    differ = []
+    for number, (inputs, want) in enumerate(records, 1):
+        got = _run(kind, inputs.split())
+        if got != want:
+            differ.append(f"record {number} ({inputs}):\n"
+                          f"  recorded {want}\n  computed {got}")
+    assert not differ, (
+        f"{len(differ)} of {len(records)} records of corpus_{kind}.txt "
+        "differ; the first:\n" + "\n".join(differ[:SHOWN]))
+
+
 def record():
-    """Rewrite both corpus files from the workloads' inputs, and print the
-    number of each record whose line changed."""
+    """Rewrite every corpus file from its inputs, and print the number of
+    each record whose line changed."""
     DATA.mkdir(exist_ok=True)
-    for kind, (seeds, legend) in CORPORA.items():
+    for kind, (title, legend, inputs_of) in CORPORA.items():
         path = DATA / f"corpus_{kind}.txt"
         old = dict(_read(kind)) if path.exists() else {}
         header = [
-            f"# {kind} workload, seeds {seeds.start}..{seeds.stop - 1}, "
-            f"on poncelet_family({R}, c)",
+            f"# {title}",
             f"# {legend}",
             f"# recorded on Python {platform.python_version()}, numpy "
             f"{np.__version__}, {platform.system()} {platform.machine()}",
         ]
         lines = []
-        for number, fields in enumerate(_inputs(kind, seeds), 1):
+        for number, fields in enumerate(inputs_of(), 1):
             inputs = " ".join(fields)
             line = _run(kind, fields)
             if old and old.get(inputs) != line:
