@@ -253,6 +253,8 @@ def cmd_cf(args):
         raise ValueError(f"--random must be at least 1, got {args.random}")
     if args.n_max < 1:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if not 0 < args.eps < 1:
+        raise ValueError(f"--eps must lie in (0, 1), got {args.eps}")
     if args.x is not None:
         inputs = [_parse_x(args.x)]
     else:

@@ -12,8 +12,13 @@ is twice its angle to the outer circle's tangent:
 
     x' = x + 2 atan2(max(S P + t Q, 0), t P - S Q) / (2 pi).
 
-No clamp, angle reduction or fold is needed, and at internal tangency
-t = R - c the fixed point x = 0 maps to 0 exactly.  One limit: at exact
+No angle reduction or fold is needed, and at internal tangency t = R - c
+the fixed point x = 0 maps to 0 exactly.  The clamp max(., 0) acts only
+at exact float tangency t = fl(R - c), for |x| < ~4e-157 (the only place
+a 24-million-point search found): there h^2 underflows, so S rounds to 0
+while t Q < 0.  It keeps such an x in place: at R = 1, c = 0.3, t = 0.7
+the step maps x = -1e-200 to itself, where the unclamped formula gives
+-1.857e-200, away from the fixed point.  One limit: at exact
 tangency, once |x - k| < ~1e-154 for an integer k, h^2 underflows, the orbit
 can cross the fixed point by rounding, and the narrow and wide paths can
 split by a lap (seen at c = 0.9 after 200 steps).  No library path iterates

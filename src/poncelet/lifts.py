@@ -1,21 +1,23 @@
 """Lifts of orientation-preserving circle homeomorphisms.
 
 A lift is a strictly increasing continuous g: R -> R with g(x+1) = g(x)+1.
-Every lift is a scalar step plus two hooks, `_columns`, the one-point
-orbits of a sequence of floats, and `_orbit`, the iterates of an array;
-`CircleLift` builds `g(x)`, `advance` (the last point of one float's
-orbit) and `orbit_table` on them once.  The Poncelet tangent map and the
-Arnold map take them from the kernels module: `_columns` is the map's
-one-point loop, bound when the lift is built, the step is its first
-step, and a one-point table runs the same loop, so `g`, `advance`,
-one-point tables and family orbits run one code path per map.  A
-`FunctionLift`'s columns, and so its table at every width, are the
-kernels' `step_loop` over its callable, one call per step; rigid
+Every lift has a scalar step `_step` and two hooks, `_columns`, the
+one-point orbits of a sequence of floats, and `_orbit`, the iterates of
+an array.  A subclass defines `_step` or `_columns`, and `CircleLift`
+gives the other: the first step of x's column, or the step iterated by
+the kernels' `step_loop`.  On them it builds `g(x)`, `advance` (the last
+point of one float's orbit) and `orbit_table` once.  The Poncelet
+tangent map and the Arnold map take `_columns` from the kernels module,
+the map's one-point loop bound when the lift is built, so their g(x) is
+that loop's first step and a one-point table runs the same loop: `g`,
+`advance`, one-point tables and family orbits run one code path per map.
+A `FunctionLift`'s step is its callable, so its columns, and its table
+at every width, are `step_loop` over it, one call per step; rigid
 rotations are tabulated, and advanced, in closed form.  So the kernels
 own every one-point loop and the one table builder, and no lift writes
-either.  A table's starts are a 1-d array on every lift, and its depth n,
-like `advance`'s n, is read by the kernels' `read_count`: a negative or
-non-integer n raises there, naming n.
+either.  A table's starts are a 1-d array on every lift, and its depth
+n, like `advance`'s n, is read by the kernels' `read_count`: a negative
+or non-integer n raises there, naming n.
 
 A lift's contract is checked once, where it is built: a `FunctionLift`
 runs `validate` on its callable, and the library's maps refuse, in closed
@@ -63,12 +65,6 @@ class LiftContractError(ValueError):
     """The supplied function is not a valid circle-homeomorphism lift."""
 
 
-def _first_step(columns):
-    """g(x) of the map whose one-point orbits are columns(starts, n): the
-    first step of x's column, with the loop's bits and errors."""
-    return lambda x: columns((x,), 1)[0][1]
-
-
 def _checked_shift(value, name):
     """value as a float, or LiftContractError naming `name` unless
     |value| <= SHIFT_MAX (so a nan or infinite value raises too)."""
@@ -78,10 +74,11 @@ def _checked_shift(value, name):
 
 
 class CircleLift:
-    """Base lift.  A subclass provides `_step`, g on one float, and may
-    replace the hooks `_columns(starts, n)`, the one-point orbits
-    [x, g(x), ..., g^n(x)] of a sequence of floats, and `_orbit(xs,
-    depth)`, which tabulates g^0..g^depth over a 1-d float64 array."""
+    """Base lift.  A subclass defines one of `_step`, g on one float, and
+    `_columns(starts, n)`, the one-point orbits [x, g(x), ..., g^n(x)] of
+    a sequence of floats; the base gives the other from it.  It may
+    replace the hook `_orbit(xs, depth)`, which tabulates g^0..g^depth
+    over a 1-d float64 array."""
 
     def __call__(self, x):
         return self._step(x)
@@ -104,6 +101,10 @@ class CircleLift:
             raise ValueError(f"orbit_table needs a 1-d array of starts, "
                              f"got shape {xs.shape}")
         return self._orbit(xs, kernels.read_count(depth, 0, "n"))
+
+    def _step(self, x):
+        # the first step of x's one-point orbit, with its bits and errors
+        return self._columns((x,), 1)[0][1]
 
     def _columns(self, starts, n):
         # the scalar step, through the kernels' loop
@@ -183,7 +184,6 @@ class ArnoldLift(CircleLift):
         self.K = float(K)
         self._columns = functools.partial(
             kernels.arnold_loop(self.K, math.sin), self.omega)
-        self._step = _first_step(self._columns)
 
     def _orbit(self, xs, depth):
         return kernels.arnold_orbit(xs, depth, self.omega, self.K)
@@ -201,7 +201,6 @@ class PonceletLift(CircleLift):
         self.cfg = cfg
         self._columns = functools.partial(
             kernels.poncelet_loop(cfg.R, cfg.c), cfg.t)
-        self._step = _first_step(self._columns)
 
     def _orbit(self, xs, depth):
         return kernels.poncelet_orbit(xs, depth, *self.cfg)

@@ -233,15 +233,12 @@ def detect_rational_lock(g, p, q):
     return _lock_point(g, _lock_grid(), p, q)
 
 
-@functools.cache
 def _lock_grid():
-    """The LOCK_GRID-point lock grid on [0, 1), built on first use as a
-    read-only array."""
+    """The LOCK_GRID-point lock grid i / LOCK_GRID on [0, 1), built where
+    it is scanned."""
     import numpy as np
 
-    grid = np.linspace(0.0, 1.0, LOCK_GRID, endpoint=False)
-    grid.flags.writeable = False
-    return grid
+    return np.arange(LOCK_GRID) / LOCK_GRID
 
 
 def _root_cell(d):
@@ -290,11 +287,10 @@ def _first_lock(g, candidates):
     where d is within rounding of 0.  Deeper candidates go straight to the
     grid: they are almost always rejections, which the subgrid cannot
     give."""
-    grid = _lock_grid()
     for p, q in candidates:
         if (q <= Q_MAX * FIRST_CHUNK // ROUGH_STEPS
                 and _subgrid_root_cell(g, p, q) is not None
-                or _lock_point(g, grid, p, q) is not None):
+                or _lock_point(g, _lock_grid(), p, q) is not None):
             return p, q
     return None
 

@@ -554,11 +554,29 @@ def test_prop2_poncelet_does_not_depend_on_the_scale(tmp_path, R,
      "--t-max", "1.7071884572666742e-08", "--points", "2"],
 ])
 def test_invalid_input_exits_config(tmp_path, capsys, argv):
+    _config_error(tmp_path, capsys, argv)
+
+
+def _config_error(tmp_path, capsys, argv):
+    """The one-line error of a command that exits 2 and writes nothing."""
     code, out = run(tmp_path, *argv)
     assert code == EXIT_CONFIG
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    # the expansion of 3 stops at "integer part not determined" and never
+    # reads eps; a nan eps reached only the JSON encoder's error
+    ["cf", "--x", "3", "--eps", "5"],
+    ["cf", "--x", "0.9999999999999999", "--eps", "nan"],
+    ["cf", "--x", "0.3", "--eps", "0"],
+    ["cf", "--x", "0.3", "--eps", "1"],
+])
+def test_invalid_eps_exits_config_naming_it(tmp_path, capsys, argv):
+    assert _config_error(tmp_path, capsys, argv).startswith("error: --eps ")
 
 
 @pytest.mark.parametrize("tau", ["1e-17", "1e-20"])

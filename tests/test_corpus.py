@@ -1,4 +1,5 @@
-"""The recorded output corpus: the benchmark workloads' outputs, to the bit.
+"""The recorded output corpus: the benchmark workloads' outputs, and a
+sweep of lifts' estimates, to the bit.
 
 tests/data/corpus_staircase.txt holds every estimate of the staircase
 workload's inputs for seeds 1..5, one `rotation_number` call per line:
@@ -15,14 +16,16 @@ omega in linspace(0.01, 0.99, 98), RigidLift(i / 64) for i = 0..64 and
 RigidLift at 135 draws of random.Random(59).uniform(-3.0, 3.0).  A line
 holds the family and its parameters, then the estimate's fields as the
 staircase's do and, for a lock p/q, the `float.hex` of
-`detect_rational_lock(g, p, q)`.
+`detect_rational_lock(g, p, q)` (or - if the grid holds no root cell).
 
 The inputs are written into the files, so the test reads no benchmark
 code; each file's header names the platform that recorded it.  The test
 recomputes every line and fails by naming the first records that
-differ.  A change that moves an output re-records with
+differ.  It reaches the package only through `import poncelet`, so CI
+reruns it against the installed copy too.  A change that moves an output
+re-records, from the checkout with the package importable, with
 
-    PYTHONPATH=src python tests/test_corpus.py --record
+    python tests/test_corpus.py --record
 
 which draws the workloads' inputs from perfbench's `make_inputs` again,
 and the lifts' from their formula, and lists the lines it changed.
@@ -181,5 +184,5 @@ def record():
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --record")
+        sys.exit("usage: python tests/test_corpus.py --record")
     record()

@@ -8,7 +8,7 @@ grows no defaulted parameter, every functools cache of the
 library, every import of another module's private name and every read
 of operator.index outside the kernels' one count reader is declared
 with its reason, and the tests that CI reruns against the installed
-package name no path into the checkout."""
+package name no path into the checkout but those declared."""
 
 import ast
 import importlib
@@ -166,7 +166,6 @@ def test_cache_scan_finds_decorators_assignments_and_other_uses():
 #: on a caller's input is hidden state; a new one is declared here.
 CACHED = {
     "geometry.py:_li2_coefficients": "a constant table, built on first use",
-    "rotation.py:_lock_grid": "the constant lock grid, built on first use",
 }
 
 
@@ -599,8 +598,11 @@ def test_benchmark_only_names_are_the_kernels_and_read_nowhere_else():
 # checkout (the packaging smoke test of .github/workflows/tier1.yml); they
 # reach it through `import poncelet` (and fresh processes
 # through poncelet.__file__), so a path into the checkout would quietly
-# test src/ there instead
-INSTALLED_RERUN = ["test_cli.py", "test_package.py", "test_acceptance.py"]
+# test src/ there instead.  Each maps to the checkout paths it may name:
+# test_corpus.py reads its own `__file__` once, for its recorded files in
+# tests/data beside it (and perfbench's inputs when it re-records).
+INSTALLED_RERUN = {"test_cli.py": [], "test_package.py": [],
+                   "test_acceptance.py": [], "test_corpus.py": ["__file__"]}
 
 
 def checkout_paths(source):
@@ -628,4 +630,5 @@ def test_checkout_scan_flags_src_and_the_tests_own_file():
 
 @pytest.mark.parametrize("name", INSTALLED_RERUN)
 def test_installed_rerun_names_no_checkout_path(name):
-    assert checkout_paths((ROOT / "tests" / name).read_text()) == []
+    found = checkout_paths((ROOT / "tests" / name).read_text())
+    assert [text for _, text in found] == INSTALLED_RERUN[name]

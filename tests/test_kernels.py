@@ -14,6 +14,7 @@ from poncelet.families import arnold_family, poncelet_family, rigid_family
 from poncelet.geometry import TWO_PI, PonceletConfig, poncelet_map_geometric
 from poncelet.lifts import (
     ArnoldLift,
+    CircleLift,
     FunctionLift,
     LiftContractError,
     PonceletLift,
@@ -441,6 +442,21 @@ def test_loop_clamp_is_the_builtin_max(x):
     assert _hexes(column) == _hexes(_iterated(step, x, 3))
 
 
+def test_clamp_keeps_a_tiny_negative_start_at_tangency():
+    # at t = R - c, h^2 underflows for |x| < ~4e-157, so S rounds to 0
+    # while t Q < 0: the clamp keeps x, where the unclamped step moves it
+    # away from the fixed point 0, and abs(a) in its place moves it across
+    x = -1e-200
+    for c in (0.3, 0.9):
+        assert kernels.poncelet_loop(1.0, c)(1.0 - c, [x], 1)[0][1] == x
+    unclamped = kernels.poncelet_step(1.0, 0.3, 0.7,
+                                      MATH[:3] + (lambda a, _: a,))
+    assert unclamped(x) == pytest.approx(-1.857e-200, rel=1e-3)
+    absolute = kernels.poncelet_step(1.0, 0.9, 1.0 - 0.9,
+                                     MATH[:3] + (lambda a, _: abs(a),))
+    assert absolute(x) == pytest.approx(1.7e-199, rel=1e-3)
+
+
 def _every_lift():
     return [
         RigidLift(0.3176),
@@ -855,3 +871,36 @@ def test_every_poncelet_family_the_factory_accepts_builds_its_lifts(
 def test_function_lift_accepts_valid_map():
     g = FunctionLift(lambda x: x + 0.2 + 0.05 * math.sin(2.0 * math.pi * x))
     assert g.advance(0.1, 2) == pytest.approx(g(g(0.1)), abs=1e-15)
+
+
+class ColumnsOnly(CircleLift):
+    """A lift that defines only `_columns`, its own one-point loop of
+    x + scale sin(2 pi x) / 20 + 1/3, of slope 1 + (scale pi / 10)
+    cos(2 pi x): the base gives g(x) as the first step of x's column."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def _columns(self, starts, n):
+        columns = []
+        for x in starts:
+            column = [x]
+            for _ in range(n):
+                x += 1.0 / 3.0 + self.scale * math.sin(TWO_PI * x) / 20.0
+                column.append(x)
+            columns.append(column)
+        return columns
+
+
+def test_a_lift_that_defines_only_its_columns_gets_the_rest_from_the_base():
+    g = ColumnsOnly(1.0)
+    g.validate()
+    xs = np.linspace(-1.0, 2.0, 37)
+    table = g.orbit_table(xs, 5)
+    for i, x in enumerate(xs.tolist()):
+        assert g(x).hex() == g.advance(x, 1).hex()
+        assert _hexes(table[:, i]) == _hexes(g._columns((x,), 5)[0])
+        assert float(table[-1, i]).hex() == g.advance(x, 5).hex()
+    # validate reads the base's g(x): at scale -20 the step decreases
+    with pytest.raises(LiftContractError, match="not strictly increasing"):
+        ColumnsOnly(-20.0).validate()
